@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 usage or parse error, 2 verification failure
 inconsistency (the nullity methods disagreed, which signals a library bug).
 
 Graph arguments accept a file path, ``-`` for stdin, or a family spec such
-as ``cycle:n=6,s=1`` (anything containing a colon is treated as a spec).
+as ``cycle:n=6,s=1`` (an argument naming an existing file is read as a file;
+any other argument containing a colon is treated as a spec).
 The environment variable SGN_SIZE_GUARD overrides the figure-enumeration
 vertex guard.
 """
@@ -50,11 +51,12 @@ def _size_guard() -> int:
 
 
 def load_graph(source: str) -> SignedGraph:
-    """Resolve a CLI graph argument: spec string, '-' for stdin, or a path."""
-    if ":" in source:
-        return parse_family_spec(source)
+    """Resolve a CLI graph argument: '-' for stdin, an existing file, or a
+    spec string."""
     if source == "-":
         return parse_edge_list(sys.stdin.read())
+    if ":" in source and not os.path.isfile(source):
+        return parse_family_spec(source)
     try:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()

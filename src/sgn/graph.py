@@ -207,9 +207,16 @@ def to_json(g: SignedGraph) -> str:
 def from_json(text: str) -> SignedGraph:
     try:
         obj = json.loads(text)
-        return SignedGraph(obj["n"], [tuple(e) for e in obj["edges"]])
+        n, edges = obj["n"], [tuple(e) for e in obj["edges"]]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ParseError(f"bad JSON graph: {exc}")
+    # JSON true/false and 3.0 would pass the constructor's range checks
+    if type(n) is not int:
+        raise ParseError(f"bad JSON graph: n must be an integer, got {n!r}")
+    for e in edges:
+        if any(type(x) is not int for x in e):
+            raise ParseError(f"bad JSON graph: edge fields must be integers, got {list(e)!r}")
+    return SignedGraph(n, edges)
 
 
 # -- connectivity, components, cut-points -------------------------------
@@ -354,27 +361,29 @@ def switch(g: SignedGraph, theta: SwitchingFunction | Sequence[int]) -> SignedGr
 def _dfs_forest(g: SignedGraph) -> tuple[list[int], list[int]]:
     """Lexicographically smallest DFS forest (roots at smallest labels).
 
-    Returns (parent, order); parent[root] = -1; neighbors explored ascending.
+    Returns (parent, theta); parent[root] = -1; neighbors explored ascending.
+    theta is propagated along the forest, theta(child) = sign(parent, child)
+    * theta(parent) with theta(root) = 1, so switching by theta makes every
+    forest edge positive.
     """
     parent = [-2] * g.n
-    order = []
+    theta = [1] * g.n
     for root in range(g.n):
         if parent[root] != -2:
             continue
         parent[root] = -1
-        order.append(root)
         stack = [(root, iter(g.neighbors(root)))]
         while stack:
             x, it = stack[-1]
             for y in it:
                 if parent[y] == -2:
                     parent[y] = x
-                    order.append(y)
+                    theta[y] = g.sign(x, y) * theta[x]
                     stack.append((y, iter(g.neighbors(y))))
                     break
             else:
                 stack.pop()
-    return parent, order
+    return parent, theta
 
 
 def _forest_path(parent: list[int], u: int, v: int) -> list[int]:
@@ -402,12 +411,7 @@ def is_balanced(g: SignedGraph) -> tuple[bool, SwitchingFunction | CycleWitness]
     theta(child) = sign(parent, child) * theta(parent), then checks every
     non-tree edge.
     """
-    parent, order = _dfs_forest(g)
-    theta = [1] * g.n
-    for v in order:
-        p = parent[v]
-        if p >= 0:
-            theta[v] = g.sign(p, v) * theta[p]
+    parent, theta = _dfs_forest(g)
     for u, v, s in g.edges:
         if parent[v] == u or parent[u] == v:
             continue
@@ -426,12 +430,7 @@ def canonical_signature(g: SignedGraph) -> SignedGraph:
     of the same labeled underlying graph are switching equivalent iff their
     canonical forms are equal.
     """
-    parent, order = _dfs_forest(g)
-    theta = [1] * g.n
-    for v in order:
-        p = parent[v]
-        if p >= 0:
-            theta[v] = g.sign(p, v) * theta[p]
+    _, theta = _dfs_forest(g)
     return switch(g, theta)
 
 

@@ -88,17 +88,20 @@ def adjacency_matrix(g: SignedGraph) -> Matrix:
 # -- rank ----------------------------------------------------------------
 
 
-def _rank_rows(m: list[list[int]]) -> int:
-    """Bareiss fraction-free elimination; mutates ``m``; returns the rank.
+def _rank_rows(m: list[list[int]]) -> tuple[int, int]:
+    """Bareiss fraction-free elimination; mutates ``m``; returns the rank
+    and the number of row swaps.
 
     Pivoting picks the first nonzero entry in column order, so runs are
     deterministic.  Over the integers the computed rank equals the rank
-    over the rationals (and the reals).
+    over the rationals (and the reals).  On a square matrix of full rank the
+    last pivot ``m[-1][-1]`` is the determinant up to the swaps' sign.
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
     prev = 1
     r = 0
+    swaps = 0
     for c in range(nc):
         if r == nr:
             break
@@ -111,6 +114,7 @@ def _rank_rows(m: list[list[int]]) -> int:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
+            swaps += 1
         mrc = m[r][c]
         row_r = m[r]
         for i in range(r + 1, nr):
@@ -125,14 +129,14 @@ def _rank_rows(m: list[list[int]]) -> int:
                     row_i[j] = row_i[j] * mrc // prev
         prev = mrc
         r += 1
-    return r
+    return r, swaps
 
 
 def rank(m: Sequence[Sequence[int]]) -> int:
     """Exact rank of an integer matrix."""
     if not m:
         return 0
-    return _rank_rows(_as_rows(m))
+    return _rank_rows(_as_rows(m))[0]
 
 
 def nullity_rank(g: SignedGraph) -> int:
@@ -149,27 +153,10 @@ def determinant(m: Sequence[Sequence[int]]) -> int:
     if n == 0:
         return 1
     a = _as_rows(m)
-    prev = 1
-    sign = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        acc = a[c][c]
-        for i in range(c + 1, n):
-            row_i = a[i]
-            mic = row_i[c]
-            for j in range(c + 1, n):
-                row_i[j] = (row_i[j] * acc - mic * a[c][j]) // prev
-        prev = acc
-    return sign * a[n - 1][n - 1]
+    r, swaps = _rank_rows(a)
+    if r < n:
+        return 0
+    return -a[-1][-1] if swaps % 2 else a[-1][-1]
 
 
 # -- characteristic polynomial -------------------------------------------

@@ -146,8 +146,10 @@ def apply_pendant(g: SignedGraph) -> tuple[SignedGraph, ReductionStep] | None:
 
 
 def _cutpoint_parts(g: SignedGraph, v: int):
-    if v not in cut_points(g):
-        raise GraphError(f"vertex {v} is not a cut-point")
+    """Components G_i of G - v, each as (G_i, its original labels, G_i + v).
+
+    ``v`` must be a cut-point of ``g``; callers check that.
+    """
     without, keep = delete_vertices(g, (v,))
     parts = []
     for comp, comp_map in components(without):
@@ -166,6 +168,8 @@ def try_cutpoint_case1(
     eta(G_i) = eta(G_i + v) + 1; then eta(G) = sum eta(G_i) - 1.
     The qualifying component of lowest index is recorded as witness.
     """
+    if v not in cut_points(g):
+        raise GraphError(f"vertex {v} is not a cut-point")
     parts = _cutpoint_parts(g, v)
     witness = None
     for idx, (comp, _, plus_v) in enumerate(parts):
@@ -195,6 +199,8 @@ def try_cutpoint_case2(
     eta(G_i) = eta(G_i + v) - 1; then eta(G) = eta(G_i) + eta(G - G_i),
     where G - G_i keeps v (and every other component).
     """
+    if v not in cut_points(g):
+        raise GraphError(f"vertex {v} is not a cut-point")
     parts = _cutpoint_parts(g, v)
     for idx, (comp, original, plus_v) in enumerate(parts):
         if nullity_rank(comp) == nullity_rank(plus_v) - 1:

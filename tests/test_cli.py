@@ -49,6 +49,21 @@ def test_nullity_infinity_example(capsys):
     assert capsys.readouterr().out.count(": 1") == 4
 
 
+def test_file_name_with_colon_is_read_as_file(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "a:b.txt"
+    path.write_text(TRIANGLE)
+    assert main(["nullity", "--method", "rank", str(path)]) == 0
+    assert "rank: 0" in capsys.readouterr().out
+    # an existing file wins over the spec it looks like; otherwise it is a spec
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "path:n=3").write_text(TRIANGLE)
+    assert main(["nullity", "--method", "rank", "path:n=3"]) == 0
+    assert "rank: 0" in capsys.readouterr().out
+    (tmp_path / "path:n=3").unlink()
+    assert main(["nullity", "--method", "rank", "path:n=3"]) == 0
+    assert "rank: 1" in capsys.readouterr().out
+
+
 def test_charpoly(capsys):
     assert main(["charpoly", "cycle:n=3,s=1"]) == 0
     out = capsys.readouterr().out

@@ -110,6 +110,23 @@ def test_parse_serialize_roundtrip(g):
     assert from_json(to_json(g)) == g
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3.0, "edges": [[0, 1, 1]]}',
+        '{"n": "3", "edges": [[0, 1, 1]]}',
+        '{"n": true, "edges": []}',
+        '{"n": 3, "edges": [[0, 1, true]]}',
+        '{"n": 3.0, "edges": [[0, 1, true]]}',
+        '{"n": 3, "edges": [[0.0, 1, 1]]}',
+        '{"n": 3, "edges": [[0, "1", 1]]}',
+    ],
+)
+def test_from_json_rejects_non_integer_fields(text):
+    with pytest.raises(ParseError):
+        from_json(text)
+
+
 # -- components ---------------------------------------------------------------
 
 

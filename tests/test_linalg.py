@@ -162,6 +162,22 @@ def test_determinant_matches_charpoly_constant():
         assert char_poly(m).coeffs[-1] == (-1) ** n * determinant(m)
 
 
+def test_determinant_odd_row_permutation():
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
+    # two swaps: an even permutation of diag(2, 3, 5)
+    assert determinant([[0, 3, 0], [0, 0, 5], [2, 0, 0]]) == 30
+
+
+def test_determinant_singular_with_zero_column():
+    assert determinant([[1, 0, 2], [3, 0, 4], [5, 0, 7]]) == 0
+    assert determinant([[0, 1], [0, 2]]) == 0
+
+
+def test_determinant_empty_matrix():
+    assert determinant([]) == 1
+
+
 # -- properties ----------------------------------------------------------------
 
 
