@@ -162,6 +162,17 @@ def test_verify_set_theta_range(capsys):
     assert "set.theta: pass" in out
 
 
+def test_verify_empty_grid_fails(capsys, tmp_path):
+    report_path = tmp_path / "report.jsonl"
+    assert main(["verify", "set.theta", "--n", "12..6", "--json", str(report_path)]) == 2
+    out = capsys.readouterr().out
+    assert "set.theta: fail" in out and "cases checked: 0, failures: 0" in out
+    assert json.loads(report_path.read_text())["status"] == "fail"
+    for args in (["thm3.1", "--n-max", "2"], ["pendant", "--n-max", "1"]):
+        assert main(["verify", *args]) == 2
+        assert "cases checked: 0" in capsys.readouterr().out
+
+
 def test_size_guard_env(monkeypatch, capsys):
     monkeypatch.setenv("SGN_SIZE_GUARD", "4")
     assert main(["nullity", "--method", "figures", "cycle:n=6,s=0"]) == 1

@@ -5,6 +5,8 @@ import json
 import pytest
 
 import sgn.verify as verify
+from sgn.enumeration import connected_graphs_upto_iso, signed_graphs_mod_switching
+from sgn.graph import SignedGraph, cut_points, pendant_pairs
 from sgn.verify import THEOREM_IDS, verify_theorem
 
 CORPUS_GRID = "iso-class connected corpus n<={} x switching classes, all qualifying (g, v, component) triples"
@@ -60,6 +62,40 @@ def test_small_grid_summary(theorem_id):
         "status": "pass",
     }
     assert report.elapsed > 0
+
+
+# the three corpus sweeps one size up, where every rule has cases on many shapes
+SIX = {
+    "thm3.1": (CORPUS_GRID.format(6), 603),
+    "thm3.2": (CORPUS_GRID.format(6), 138),
+    "pendant": ("iso-class connected corpus n<=6 x switching classes, every pendant pair", 505),
+}
+
+
+@pytest.mark.parametrize("theorem_id", sorted(SIX))
+def test_corpus_sweep_summary_at_six_vertices(theorem_id):
+    grid, cases = SIX[theorem_id]
+    report = verify_theorem(theorem_id, n_max=6)
+    assert report.summary() == {"theorem": theorem_id, "grid": grid, "cases": cases, "failures": 0, "status": "pass"}
+
+
+def test_cut_points_and_pendants_do_not_depend_on_signs():
+    # the corpus sweeps compute both once per underlying graph
+    for n, edges in connected_graphs_upto_iso(6):
+        positive = SignedGraph(n, [(u, v, 1) for u, v in edges])
+        for g in signed_graphs_mod_switching(n, edges):
+            assert cut_points(g) == cut_points(positive)
+            assert pendant_pairs(g) == pendant_pairs(positive)
+
+
+EMPTY = {"set.theta": dict(n_lo=12, n_hi=6), "thm3.1": dict(n_max=2), "pendant": dict(n_max=1)}
+
+
+@pytest.mark.parametrize("theorem_id", sorted(EMPTY))
+def test_sweep_with_no_cases_fails(theorem_id):
+    report = verify_theorem(theorem_id, **EMPTY[theorem_id])
+    assert report.cases_checked == 0 and not report.failures
+    assert not report.passed and report.summary()["status"] == "fail"
 
 
 def test_failing_sweep_records_in_order(monkeypatch):
