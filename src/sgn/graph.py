@@ -254,23 +254,23 @@ def components(g: SignedGraph) -> list[tuple[SignedGraph, tuple[int, ...]]]:
     ``vertex_map[i]`` is the original label of the component's vertex ``i``.
     Components are ordered by smallest original vertex.
     """
-    out = []
-    for comp in _component_vertex_sets(g):
-        back = {old: new for new, old in enumerate(comp)}
-        edges = [(back[u], back[v], s) for u, v, s in g.edges if u in back and v in back]
-        out.append((SignedGraph(len(comp), edges), tuple(comp)))
-    return out
+    return [(_induced(g, comp), tuple(comp)) for comp in _component_vertex_sets(g)]
+
+
+def _induced(g: SignedGraph, keep: Sequence[int]) -> SignedGraph:
+    """Induced subgraph on the ascending labels ``keep``, relabeled 0..len-1."""
+    back = {old: new for new, old in enumerate(keep)}
+    edges = [(back[u], back[v], s) for u, v, s in g.edges if u in back and v in back]
+    return SignedGraph(len(keep), edges)
 
 
 def cut_points(g: SignedGraph) -> frozenset[int]:
     """Vertices whose deletion disconnects ``g`` (Hopcroft-Tarjan lowpoints).
 
-    Requires ``g`` connected; callers decompose into components first.
+    Requires ``g`` connected (the same DFS checks it); callers decompose first.
     """
     if g.n == 0:
         raise GraphError("cut_points: graph has no vertices")
-    if not is_connected(g):
-        raise GraphError("cut_points: input graph is not connected")
     n = g.n
     disc = [-1] * n
     low = [0] * n
@@ -304,6 +304,8 @@ def cut_points(g: SignedGraph) -> frozenset[int]:
                 low[px] = min(low[px], low[x])
                 if px != 0 and low[x] >= disc[px]:
                     points.add(px)
+    if timer < n:
+        raise GraphError("cut_points: input graph is not connected")
     if root_children > 1:
         points.add(0)
     return frozenset(points)
@@ -322,9 +324,7 @@ def delete_vertices(
         if not (0 <= v < g.n):
             raise GraphError(f"delete_vertices: vertex {v} out of range 0..{g.n - 1}")
     keep = [v for v in range(g.n) if v not in drop]
-    back = {old: new for new, old in enumerate(keep)}
-    edges = [(back[u], back[v], s) for u, v, s in g.edges if u in back and v in back]
-    return SignedGraph(len(keep), edges), tuple(keep)
+    return _induced(g, keep), tuple(keep)
 
 
 def pendant_pairs(g: SignedGraph) -> tuple[tuple[int, int], ...]:

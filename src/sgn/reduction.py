@@ -25,9 +25,11 @@ from .formulas import nullity_cycle
 from .graph import (
     GraphError,
     SignedGraph,
+    _induced,
     components,
     cut_points,
     delete_vertices,
+    is_connected,
     pendant_pairs,
 )
 from .linalg import nullity_rank
@@ -153,10 +155,21 @@ def _cutpoint_parts(g: SignedGraph, v: int):
     without, keep = delete_vertices(g, (v,))
     parts = []
     for comp, comp_map in components(without):
-        original = [keep[i] for i in comp_map]
-        plus_v, _ = delete_vertices(g, set(range(g.n)) - set(original) - {v})
-        parts.append((comp, tuple(original), plus_v))
+        original = tuple(keep[i] for i in comp_map)
+        parts.append((comp, original, _induced(g, sorted((*original, v)))))
     return parts
+
+
+def _cutpoint_witness(g: SignedGraph, v: int, delta: int):
+    """Parts of G at cut-point v, and the lowest i with eta(G_i) - eta(G_i + v)
+    = delta (+1 decrement rule, -1 split rule), or None if no part has it."""
+    if v not in cut_points(g):
+        raise GraphError(f"vertex {v} is not a cut-point")
+    parts = _cutpoint_parts(g, v)
+    for idx, (comp, _, plus_v) in enumerate(parts):
+        if nullity_rank(comp) - nullity_rank(plus_v) == delta:
+            return parts, idx
+    return parts, None
 
 
 def try_cutpoint_case1(
@@ -168,14 +181,7 @@ def try_cutpoint_case1(
     eta(G_i) = eta(G_i + v) + 1; then eta(G) = sum eta(G_i) - 1.
     The qualifying component of lowest index is recorded as witness.
     """
-    if v not in cut_points(g):
-        raise GraphError(f"vertex {v} is not a cut-point")
-    parts = _cutpoint_parts(g, v)
-    witness = None
-    for idx, (comp, _, plus_v) in enumerate(parts):
-        if nullity_rank(comp) == nullity_rank(plus_v) + 1:
-            witness = idx
-            break
+    parts, witness = _cutpoint_witness(g, v, 1)
     if witness is None:
         return None
     after = tuple(comp for comp, _, _ in parts)
@@ -199,23 +205,21 @@ def try_cutpoint_case2(
     eta(G_i) = eta(G_i + v) - 1; then eta(G) = eta(G_i) + eta(G - G_i),
     where G - G_i keeps v (and every other component).
     """
-    if v not in cut_points(g):
-        raise GraphError(f"vertex {v} is not a cut-point")
-    parts = _cutpoint_parts(g, v)
-    for idx, (comp, original, plus_v) in enumerate(parts):
-        if nullity_rank(comp) == nullity_rank(plus_v) - 1:
-            rest, _ = delete_vertices(g, original)
-            pair = (comp, rest)
-            step = ReductionStep(
-                kind=KIND_CUTPOINT_SPLIT,
-                before=g,
-                after=pair,
-                relation=f"eta(G) = eta(G_{idx + 1}) + eta(G - G_{idx + 1}), split at {v}",
-                cut_point=v,
-                component_index=idx,
-            )
-            return pair, step
-    return None
+    parts, idx = _cutpoint_witness(g, v, -1)
+    if idx is None:
+        return None
+    comp, original, _ = parts[idx]
+    rest, _ = delete_vertices(g, original)
+    pair = (comp, rest)
+    step = ReductionStep(
+        kind=KIND_CUTPOINT_SPLIT,
+        before=g,
+        after=pair,
+        relation=f"eta(G) = eta(G_{idx + 1}) + eta(G - G_{idx + 1}), split at {v}",
+        cut_point=v,
+        component_index=idx,
+    )
+    return pair, step
 
 
 def _is_cycle(g: SignedGraph) -> bool:
@@ -227,84 +231,76 @@ def nullity_structural(g: SignedGraph) -> tuple[int, ReductionTrace]:
 
     Rule order: components, pendants, cut-point decrement rule, cut-point
     split rule, base case.  Cut-points are tried in ascending label order.
-    The result always equals the rank-oracle nullity; every recorded step's
-    relation can be re-checked independently.
+    An explicit stack replaces recursion: each popped graph records one step
+    and pushes its parts in reverse, which keeps the steps in pre-order.
+    Every rule sets eta(G) to the sum of its parts' nullities, less one for
+    the decrement rule, so the result is the sum of the base-case values
+    minus the number of decrement steps.  It always equals the rank-oracle
+    nullity; ``replay`` re-derives it from the steps alone.
     """
     steps: list[ReductionStep] = []
-    result = _reduce(g, steps)
+    result = 0
+    stack = [g]
+    while stack:
+        parts, step = _rule(stack.pop())
+        steps.append(step)
+        if step.kind == KIND_BASE_CASE:
+            result += step.value
+        elif step.kind == KIND_CUTPOINT_DECREMENT:
+            result -= 1
+        stack.extend(reversed(parts))
     return result, ReductionTrace(root=g, steps=tuple(steps), result=result)
 
 
-def _base_case(g: SignedGraph, steps: list[ReductionStep]) -> int:
-    # closed forms: isolated vertices and cycles (paths with n >= 2 never
-    # reach here because they still carry pendants)
-    if g.m == 0:
+def _rule(g: SignedGraph) -> tuple[tuple[SignedGraph, ...], ReductionStep]:
+    """(parts, step) for the first rule that applies to ``g``."""
+    if g.n == 0:
+        return (), _base_case(g)
+    if not is_connected(g):
+        parts = tuple(comp for comp, _ in components(g))
+        step = ReductionStep(
+            kind=KIND_COMPONENT_SPLIT,
+            before=g,
+            after=parts,
+            relation="eta(G) = sum over connected components",
+        )
+        return parts, step
+    hit = apply_pendant(g)
+    if hit is not None:
+        reduced, step = hit
+        return (reduced,), step
+    cuts = sorted(cut_points(g)) if g.n >= 3 else []
+    # read per call, so that rebinding these names (perfbench tracing) takes effect
+    for rule in (try_cutpoint_case1, try_cutpoint_case2):
+        for v in cuts:
+            got = rule(g, v)
+            if got is not None:
+                return got
+    return (), _base_case(g)
+
+
+def _base_case(g: SignedGraph) -> ReductionStep:
+    # closed forms: the empty graph, isolated vertices and cycles (paths
+    # with n >= 2 never reach here because they still carry pendants)
+    method = METHOD_CLOSED_FORM
+    if g.n == 0:
+        value, relation = 0, "eta = 0 (empty graph)"
+    elif g.m == 0:
         value = g.n  # n isolated vertices, each contributing 1
-        method = METHOD_CLOSED_FORM
         relation = f"eta = {value} (isolated vertices)"
     elif _is_cycle(g):
         s = sum(1 for _, _, sg in g.edges if sg == -1) % 2
         value = nullity_cycle(g.n, s)
-        method = METHOD_CLOSED_FORM
         relation = f"eta = {value} (cycle closed form, n={g.n}, s parity {s})"
     else:
         value = nullity_rank(g)
         method = METHOD_RANK_ORACLE
         relation = f"eta = {value} (exact rank)"
-    steps.append(
-        ReductionStep(
-            kind=KIND_BASE_CASE,
-            before=g,
-            after=(),
-            relation=relation,
-            method=method,
-            value=value,
-        )
+    return ReductionStep(
+        kind=KIND_BASE_CASE,
+        before=g,
+        after=(),
+        relation=relation,
+        method=method,
+        value=value,
     )
-    return value
-
-
-def _reduce(g: SignedGraph, steps: list[ReductionStep]) -> int:
-    if g.n == 0:
-        steps.append(
-            ReductionStep(
-                kind=KIND_BASE_CASE,
-                before=g,
-                after=(),
-                relation="eta = 0 (empty graph)",
-                method=METHOD_CLOSED_FORM,
-                value=0,
-            )
-        )
-        return 0
-    comps = components(g)
-    if len(comps) > 1:
-        parts = tuple(comp for comp, _ in comps)
-        steps.append(
-            ReductionStep(
-                kind=KIND_COMPONENT_SPLIT,
-                before=g,
-                after=parts,
-                relation="eta(G) = sum over connected components",
-            )
-        )
-        return sum(_reduce(comp, steps) for comp in parts)
-    hit = apply_pendant(g)
-    if hit is not None:
-        reduced, step = hit
-        steps.append(step)
-        return _reduce(reduced, steps)
-    cuts = sorted(cut_points(g)) if g.n >= 3 else []
-    for v in cuts:
-        got = try_cutpoint_case1(g, v)
-        if got is not None:
-            parts, step = got
-            steps.append(step)
-            return sum(_reduce(comp, steps) for comp in parts) - 1
-    for v in cuts:
-        got = try_cutpoint_case2(g, v)
-        if got is not None:
-            (part, rest), step = got
-            steps.append(step)
-            return _reduce(part, steps) + _reduce(rest, steps)
-    return _base_case(g, steps)

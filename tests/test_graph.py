@@ -170,8 +170,11 @@ def test_cut_points_infinity_shared_vertex():
 
 
 def test_cut_points_requires_connected():
-    with pytest.raises(GraphError):
-        cut_points(SignedGraph(3, [(0, 1, 1)]))
+    # the DFS from vertex 0 must notice every vertex it never reaches,
+    # whether vertex 0 is isolated or sits in the first of two components
+    for n, edges in ((3, [(0, 1, 1)]), (3, [(1, 2, 1)]), (5, [(0, 1, 1), (0, 2, 1), (3, 4, 1)])):
+        with pytest.raises(GraphError):
+            cut_points(SignedGraph(n, edges))
 
 
 @given(signed_graphs(max_n=8))

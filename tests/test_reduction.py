@@ -1,7 +1,10 @@
 """Structural reduction engine and its certificates."""
 
+import hashlib
+import inspect
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from sgn import (
     components,
     nullity_rank,
     nullity_structural,
+    parse_family_spec,
     try_cutpoint_case1,
     try_cutpoint_case2,
 )
@@ -199,3 +203,47 @@ def test_structural_matches_rank_and_every_step_holds(g):
     assert trace.replay() == value
     for step in trace.steps:
         _oracle_check_step(step)
+
+
+def _caterpillar(rng, n):
+    """Random signed caterpillar: a spine path, every other vertex a leaf of it."""
+    spine = rng.randint(n // 3, n // 2)
+    edges = [(v - 1, v, rng.choice((1, -1))) for v in range(1, spine)]
+    edges += [(rng.randrange(spine), v, rng.choice((1, -1))) for v in range(spine, n)]
+    return SignedGraph(n, edges)
+
+
+def test_long_reductions_need_no_recursion():
+    # a reduction step once cost a stack frame, and a 2 000-vertex path hit
+    # RecursionError; a limit just above the current depth catches any regress
+    graphs = [gen_path(400), _caterpillar(random.Random(4), 401)]
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        for g in graphs:
+            value, trace = nullity_structural(g)
+            assert value == trace.replay() == nullity_rank(g)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# sha256 of the certificate JSON as the recursive engine wrote it; the
+# iterative engine must reproduce these bytes exactly
+CERTIFICATE_SHA256 = {
+    # decrement rule
+    "infinity:p=3,q=4,l=2,sp=1,sq=0": "3e5a16fc3b03f1598b034550cf4ca5b33e4760ba36be4fb0f44b88c289460e9a",
+    # split rule
+    "infinity:p=3,q=4,l=1,sp=0,sq=0": "8c5cc83b773dfe905ecd80e9e4f4e3c36c0ba285d0b10d5feb4493503e5df735",
+    # component split, isolated-vertex and empty-graph base cases
+    "figure:id=G4,n=10,k=2": "5b6b7ccfd60df89f65ea9bffab4f35bff214feee836009b887f3ddbdfe9df061",
+    # rank-oracle base case
+    "theta:p=2,q=3,l=4,s1=1": "9f005b72ca658b5e6ae3b0fbae2a749892eaf1867705d4e69cb3b22f814620de",
+    "cycle:n=6,s=1": "2fa200a610924fce8dafea9c8f449146ab10f228f8c525f6d5d9b3b104b1d6d7",
+    "path:n=8": "e998d55dfc0b61de5359d99d79602fe1a9bad7f6933fd49a78b97543c032bd58",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CERTIFICATE_SHA256))
+def test_certificate_bytes_are_pinned(spec):
+    trace = nullity_structural(parse_family_spec(spec))[1]
+    assert hashlib.sha256(trace.to_json().encode()).hexdigest() == CERTIFICATE_SHA256[spec]
