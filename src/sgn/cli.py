@@ -30,7 +30,7 @@ from .graph import (
     serialize_edge_list,
     switching_equivalent,
 )
-from .linalg import adjacency_matrix, char_poly, nullity_rank, zero_multiplicity
+from .linalg import adjacency_matrix, char_poly, nullity_charpoly, nullity_rank, zero_multiplicity
 from .reduction import nullity_structural
 from .verify import THEOREM_IDS, verify_theorem
 
@@ -75,7 +75,7 @@ def cmd_nullity(args) -> int:
         if method == "rank":
             results["rank"] = nullity_rank(g)
         elif method == "charpoly":
-            results["charpoly"] = zero_multiplicity(char_poly(adjacency_matrix(g)))
+            results["charpoly"] = nullity_charpoly(g)
         elif method == "figures":
             if args.method == "all" and g.n > guard:
                 print(f"figures: skipped (n = {g.n} exceeds size guard {guard})",

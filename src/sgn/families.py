@@ -11,6 +11,8 @@ witness.
 
 from __future__ import annotations
 
+import inspect
+
 from .graph import GraphError, SignedGraph, find_cycles, is_connected
 from .linalg import nullity_rank
 
@@ -110,37 +112,31 @@ def gen_theta(
 # The fixed-size H graphs and the parametric G graphs reproduce the paper's
 # constructions.  Where a drawing leaves the attachment vertex ambiguous the
 # choice below is the one whose pendant-deletion sequence reproduces the
-# stated reduced graph; each generator's docstring records the layout.
+# stated reduced graph; each figure's entry records the layout.
 
 
-def _chain(edges: list, chain: list[int]) -> None:
-    edges.extend((a, b, 1) for a, b in zip(chain, chain[1:]))
+def _broom(n: int, core: list, junction: int, path: int) -> SignedGraph:
+    """``core`` plus a path of ``path`` new vertices leaving ``junction``;
+    the remaining vertices up to n - 1 become leaves at the path's far end,
+    or at ``junction`` itself when ``path`` is 0.  New vertices are numbered
+    on from the core's largest label."""
+    first = 1 + max(max(u, v) for u, v, _ in core)
+    chain = [junction, *range(first, first + path)]
+    return SignedGraph(n, [
+        *core,
+        *((a, b, 1) for a, b in zip(chain, chain[1:])),
+        *((chain[-1], j, 1) for j in range(first + path, n)),
+    ])
 
 
-def _leaves(edges: list, center: int, labels: range) -> None:
-    edges.extend((center, j, 1) for j in labels)
+_TRIANGLE = [(0, 1, -1), (0, 2, 1), (1, 2, 1)]  # unbalanced
 
+# triangle {0,1,2} and quadrangle {0,3,4,5} sharing vertex 0;
+# triangle unbalanced, quadrangle balanced
+_INFINITY341 = [(0, 1, 1), (1, 2, -1), (0, 2, 1), (0, 3, 1), (3, 4, 1), (4, 5, 1), (0, 5, 1)]
 
-def _fig_H1() -> SignedGraph:
-    """Unbalanced triangle 0,1,2 with the path 2-3-4-5 attached."""
-    edges = [(0, 1, -1), (0, 2, 1), (1, 2, 1)]
-    _chain(edges, [2, 3, 4, 5])
-    return SignedGraph(6, edges)
-
-
-def _fig_H2() -> SignedGraph:
-    """Unbalanced triangle 0,1,2 with pendant 3 and path 2-4-5, all at 2."""
-    edges = [(0, 1, -1), (0, 2, 1), (1, 2, 1), (2, 3, 1)]
-    _chain(edges, [2, 4, 5])
-    return SignedGraph(6, edges)
-
-
-def _fig_H3(n: int) -> SignedGraph:
-    """Cycle on n - 1 vertices plus one pendant attached at vertex 0."""
-    if n is None or n < 4:
-        raise GraphError("H3 needs n >= 4 (cycle plus pendant)")
-    g = gen_cycle(n - 1, 1)
-    return SignedGraph(n, list(g.edges) + [(0, n - 1, 1)])
+# hubs 0,1 (both triangles unbalanced via the negative hub edge), outer 2,3
+_DIAMOND = [(0, 1, -1), (0, 2, 1), (1, 2, 1), (0, 3, 1), (1, 3, 1)]
 
 
 def _bowtie(sp: int = 1, sq: int = 1) -> list:
@@ -153,52 +149,6 @@ def _bowtie(sp: int = 1, sq: int = 1) -> list:
         (2, 4, 1),
         (3, 4, -1 if sq else 1),
     ]
-
-
-def _fig_H4() -> SignedGraph:
-    """Bowtie (unbalanced triangles) with a pendant at outer vertex 4."""
-    return SignedGraph(6, _bowtie() + [(4, 5, 1)])
-
-
-def _fig_H5() -> SignedGraph:
-    """Bowtie (unbalanced triangles) with a pendant at the shared vertex 2."""
-    return SignedGraph(6, _bowtie() + [(2, 5, 1)])
-
-
-def _infinity341() -> list:
-    # triangle {0,1,2} and quadrangle {0,3,4,5} sharing vertex 0;
-    # triangle unbalanced, quadrangle balanced
-    return [
-        (0, 1, 1),
-        (1, 2, -1),
-        (0, 2, 1),
-        (0, 3, 1),
-        (3, 4, 1),
-        (4, 5, 1),
-        (0, 5, 1),
-    ]
-
-
-def _fig_H6() -> SignedGraph:
-    """Triangle/quadrangle sharing vertex 0; pendant at triangle vertex 1."""
-    return SignedGraph(7, _infinity341() + [(1, 6, 1)])
-
-
-def _fig_H7() -> SignedGraph:
-    """Triangle/quadrangle sharing vertex 0; pendant at the shared vertex."""
-    return SignedGraph(7, _infinity341() + [(0, 6, 1)])
-
-
-def _fig_H8() -> SignedGraph:
-    """Triangle/quadrangle sharing vertex 0; pendant at quad vertex 3
-    (adjacent to the shared vertex)."""
-    return SignedGraph(7, _infinity341() + [(3, 6, 1)])
-
-
-def _fig_H9() -> SignedGraph:
-    """Triangle/quadrangle sharing vertex 0; pendant at quad vertex 4
-    (opposite the shared vertex)."""
-    return SignedGraph(7, _infinity341() + [(4, 6, 1)])
 
 
 def _infinity441(s_free_quad: int) -> list:
@@ -217,6 +167,13 @@ def _infinity441(s_free_quad: int) -> list:
     ]
 
 
+def _fig_H3(n: int) -> SignedGraph:
+    """Cycle on n - 1 vertices plus one pendant attached at vertex 0."""
+    if n is None or n < 4:
+        raise GraphError("H3 needs n >= 4 (cycle plus pendant)")
+    return _broom(n, list(gen_cycle(n - 1, 1).edges), 0, 1)
+
+
 def _fig_H10(s: int = 0) -> SignedGraph:
     """Two quadrangles sharing vertex 0; pendant at quad vertex 4.
 
@@ -225,18 +182,7 @@ def _fig_H10(s: int = 0) -> SignedGraph:
     """
     if s not in (0, 1):
         raise GraphError(f"H10 parity must be 0 or 1, got {s}")
-    return SignedGraph(8, _infinity441(s) + [(4, 7, 1)])
-
-
-def _fig_H11() -> SignedGraph:
-    """Two quadrangles sharing vertex 0; pendant at quad vertex 5
-    (opposite the shared vertex)."""
-    return SignedGraph(8, _infinity441(0) + [(5, 7, 1)])
-
-
-def _fig_H12() -> SignedGraph:
-    """Two quadrangles sharing vertex 0; pendant at the shared vertex."""
-    return SignedGraph(8, _infinity441(0) + [(0, 7, 1)])
+    return _broom(8, _infinity441(s), 4, 1)
 
 
 def _fig_H13(sp: int = 1, sq: int = 1) -> SignedGraph:
@@ -257,10 +203,9 @@ def _fig_G1(n: int) -> SignedGraph:
     """
     if n is None or n < 7:
         raise GraphError("G1 needs n >= 7")
-    edges = [(0, 1, 1), (1, 2, -1), (0, 2, 1), (0, 3, 1)]
-    edges += [(3, 4, 1), (4, 5, 1), (5, 6, 1), (3, 6, 1)]
-    _leaves(edges, 0, range(7, n))
-    return SignedGraph(n, edges)
+    core = [(0, 1, 1), (1, 2, -1), (0, 2, 1), (0, 3, 1)]
+    core += [(3, 4, 1), (4, 5, 1), (5, 6, 1), (3, 6, 1)]
+    return _broom(n, core, 0, 0)
 
 
 def _fig_G2(n: int, k: int) -> SignedGraph:
@@ -271,13 +216,10 @@ def _fig_G2(n: int, k: int) -> SignedGraph:
     junction.  Valid for 1 <= k <= n - 7; the nullity is k.
     """
     _check_nk(n, k, low=1, high_offset=7, name="G2")
-    edges = [(0, 1, -1), (0, 2, 1), (1, 2, 1)]
-    first_leaf = 3
-    _leaves(edges, 2, range(first_leaf, first_leaf + k + 1))
-    a = first_leaf + k + 1
-    interior = list(range(a, a + n - k - 7))
-    t = a + n - k - 7  # second triangle {t, t+1, t+2}, junction t
-    _chain(edges, [2] + interior + [t])
+    t = n - 3  # second triangle {t, t+1, t+2}, junction t
+    chain = [2, *range(k + 4, t + 1)]
+    edges = _TRIANGLE + [(2, j, 1) for j in range(3, k + 4)]
+    edges += [(a, b, 1) for a, b in zip(chain, chain[1:])]
     edges += [(t, t + 1, -1), (t, t + 2, 1), (t + 1, t + 2, 1)]
     return SignedGraph(n, edges)
 
@@ -287,9 +229,7 @@ def _fig_G3(n: int) -> SignedGraph:
     vertex 4.  Nullity n - 6 (needs n >= 6 so at least one leaf exists)."""
     if n is None or n < 6:
         raise GraphError("G3 needs n >= 6")
-    edges = _bowtie()
-    _leaves(edges, 4, range(5, n))
-    return SignedGraph(n, edges)
+    return _broom(n, _bowtie(), 4, 0)
 
 
 def _fig_G4(n: int, k: int) -> SignedGraph:
@@ -299,18 +239,7 @@ def _fig_G4(n: int, k: int) -> SignedGraph:
     Valid for 1 <= k <= n - 7; the nullity is k.
     """
     _check_nk(n, k, low=1, high_offset=7, name="G4")
-    edges = _bowtie()
-    a = 5
-    interior = list(range(a, a + n - k - 7))
-    center = a + n - k - 7
-    _chain(edges, [4] + interior + [center])
-    _leaves(edges, center, range(center + 1, center + 1 + k + 1))
-    return SignedGraph(n, edges)
-
-
-def _diamond() -> list:
-    # hubs 0,1 (both triangles unbalanced via the negative hub edge), outer 2,3
-    return [(0, 1, -1), (0, 2, 1), (1, 2, 1), (0, 3, 1), (1, 3, 1)]
+    return _broom(n, _bowtie(), 4, n - k - 6)
 
 
 def _fig_G5(n: int) -> SignedGraph:
@@ -318,9 +247,7 @@ def _fig_G5(n: int) -> SignedGraph:
     and a path of n - 5 vertices at outer vertex 3.  Nullity 0."""
     if n is None or n < 6:
         raise GraphError("G5 needs n >= 6")
-    edges = _diamond() + [(2, 4, 1)]
-    _chain(edges, [3] + list(range(5, n)))
-    return SignedGraph(n, edges)
+    return _broom(n, _DIAMOND + [(2, 4, 1)], 3, n - 5)
 
 
 def _fig_G6(n: int) -> SignedGraph:
@@ -328,9 +255,7 @@ def _fig_G6(n: int) -> SignedGraph:
     Nullity n - 4."""
     if n is None or n < 5:
         raise GraphError("G6 needs n >= 5")
-    edges = _diamond()
-    _leaves(edges, 0, range(4, n))
-    return SignedGraph(n, edges)
+    return _broom(n, _DIAMOND, 0, 0)
 
 
 def _fig_G7(n: int, k: int) -> SignedGraph:
@@ -340,13 +265,7 @@ def _fig_G7(n: int, k: int) -> SignedGraph:
     Needs k >= 1.  Realizes nullity k when n - k is odd.
     """
     _check_nk(n, k, low=1, high_offset=5, name="G7")
-    edges = _diamond()
-    a = 4
-    interior = list(range(a, a + n - k - 5))
-    center = a + n - k - 5
-    _chain(edges, [3] + interior + [center])
-    _leaves(edges, center, range(center + 1, center + 1 + k))
-    return SignedGraph(n, edges)
+    return _broom(n, _DIAMOND, 3, n - k - 4)
 
 
 def _fig_G8(n: int, k: int) -> SignedGraph:
@@ -359,13 +278,8 @@ def _fig_G8(n: int, k: int) -> SignedGraph:
     nullity k when n - k is even.
     """
     _check_nk(n, k, low=1, high_offset=5, name="G8")
-    edges = [(0, 1, 1), (0, 2, -1), (1, 2, 1), (0, 3, 1), (3, 4, 1), (1, 4, 1)]
-    a = 5
-    interior = list(range(a, a + n - k - 5))
-    center = a + n - k - 5
-    _chain(edges, [2] + interior + [center])
-    _leaves(edges, center, range(center + 1, center + 1 + k - 1))
-    return SignedGraph(n, edges)
+    core = [(0, 1, 1), (0, 2, -1), (1, 2, 1), (0, 3, 1), (3, 4, 1), (1, 4, 1)]
+    return _broom(n, core, 2, n - k - 4)
 
 
 def _check_nk(n, k, *, low, high_offset, name):
@@ -377,21 +291,40 @@ def _check_nk(n, k, *, low, high_offset, name):
         raise GraphError(f"{name} needs k <= n - {high_offset}, got n={n}, k={k}")
 
 
-_FIXED_FIGURES = {
-    "H1": _fig_H1,
-    "H2": _fig_H2,
-    "H4": _fig_H4,
-    "H5": _fig_H5,
-    "H6": _fig_H6,
-    "H7": _fig_H7,
-    "H8": _fig_H8,
-    "H9": _fig_H9,
-    "H11": _fig_H11,
-    "H12": _fig_H12,
+# Each builder's signature says what it takes: ``n`` and ``k`` for the sizes,
+# any other parameter is a sign keyword.
+_FIGURES = {
+    # unbalanced triangle 0,1,2 with the path 2-3-4-5 attached
+    "H1": lambda: _broom(6, _TRIANGLE, 2, 3),
+    # unbalanced triangle 0,1,2 with pendant 3 and path 2-4-5, all at 2
+    "H2": lambda: _broom(6, _TRIANGLE + [(2, 3, 1)], 2, 2),
+    "H3": _fig_H3,
+    # bowtie (unbalanced triangles) with a pendant at outer vertex 4
+    "H4": lambda: _broom(6, _bowtie(), 4, 1),
+    # bowtie (unbalanced triangles) with a pendant at the shared vertex 2
+    "H5": lambda: _broom(6, _bowtie(), 2, 1),
+    # triangle/quadrangle sharing vertex 0 with a pendant at: triangle
+    # vertex 1 (H6), the shared vertex (H7), quad vertex 3 adjacent to the
+    # shared vertex (H8), quad vertex 4 opposite it (H9)
+    "H6": lambda: _broom(7, _INFINITY341, 1, 1),
+    "H7": lambda: _broom(7, _INFINITY341, 0, 1),
+    "H8": lambda: _broom(7, _INFINITY341, 3, 1),
+    "H9": lambda: _broom(7, _INFINITY341, 4, 1),
+    "H10": _fig_H10,
+    # two balanced quadrangles sharing vertex 0 with a pendant at quad
+    # vertex 5 opposite the shared vertex (H11), or at the shared vertex (H12)
+    "H11": lambda: _broom(8, _infinity441(0), 5, 1),
+    "H12": lambda: _broom(8, _infinity441(0), 0, 1),
+    "H13": _fig_H13,
+    "G1": _fig_G1,
+    "G2": _fig_G2,
+    "G3": _fig_G3,
+    "G4": _fig_G4,
+    "G5": _fig_G5,
+    "G6": _fig_G6,
+    "G7": _fig_G7,
+    "G8": _fig_G8,
 }
-
-_PARAMETRIC_N = {"H3": _fig_H3, "G1": _fig_G1, "G3": _fig_G3, "G5": _fig_G5, "G6": _fig_G6}
-_PARAMETRIC_NK = {"G2": _fig_G2, "G4": _fig_G4, "G7": _fig_G7, "G8": _fig_G8}
 
 
 def gen_figure(fig_id: str, n: int | None = None, k: int | None = None, **signs) -> SignedGraph:
@@ -403,29 +336,17 @@ def gen_figure(fig_id: str, n: int | None = None, k: int | None = None, **signs)
     ``n``; G2/G4/G7/G8 take ``n`` and ``k``.
     """
     fid = fig_id.upper()
-    if fid == "H10":
-        s = signs.pop("s", 0)
-        _no_extra(fid, signs)
-        return _fig_H10(s)
-    if fid == "H13":
-        sp = signs.pop("sp", 1)
-        sq = signs.pop("sq", 1)
-        _no_extra(fid, signs)
-        return _fig_H13(sp, sq)
-    if signs:
-        raise GraphError(f"{fid} takes no sign parameters, got {sorted(signs)}")
-    if fid in _FIXED_FIGURES:
-        return _FIXED_FIGURES[fid]()
-    if fid in _PARAMETRIC_N:
-        return _PARAMETRIC_N[fid](n)
-    if fid in _PARAMETRIC_NK:
-        return _PARAMETRIC_NK[fid](n, k)
-    raise GraphError(f"unknown figure id {fig_id!r}")
-
-
-def _no_extra(fid, leftover):
-    if leftover:
-        raise GraphError(f"{fid} got unexpected parameters {sorted(leftover)}")
+    builder = _FIGURES.get(fid)
+    if builder is None:
+        raise GraphError(f"unknown figure id {fig_id!r}")
+    params = inspect.signature(builder).parameters
+    sizes = {"n": n, "k": k}
+    extra = sorted(signs.keys() - params.keys())
+    if extra:
+        if params.keys() <= sizes.keys():
+            raise GraphError(f"{fid} takes no sign parameters, got {extra}")
+        raise GraphError(f"{fid} got unexpected parameters {extra}")
+    return builder(**{p: sizes[p] for p in params if p in sizes}, **signs)
 
 
 # -- nullity-set realizers ------------------------------------------------
@@ -434,6 +355,10 @@ def _no_extra(fid, leftover):
 def _lowest_eta0_parities(q: int) -> int:
     # parity making an even cycle C_q have nullity 0
     return 1 if q % 4 == 0 else 0
+
+
+# class -> (smallest n, offset): the nullity set at n is [0, n - offset]
+_CLASS_RANGES = {"BPlus": (7, 6), "BPlusPlus": (8, 6), "Theta": (6, 4)}
 
 
 def realize_nullity(class_name: str, n: int, k: int) -> SignedGraph:
@@ -448,11 +373,16 @@ def realize_nullity(class_name: str, n: int, k: int) -> SignedGraph:
     intermediate k from G2/G4/G7/G8 chosen by the parity of n - k).  The
     output is re-verified with the rank oracle before being returned.
     """
+    if class_name not in _CLASS_RANGES:
+        raise GraphError(
+            f"unknown class {class_name!r}; expected BPlus, BPlusPlus, or Theta"
+        )
+    n_min, offset = _CLASS_RANGES[class_name]
+    if n < n_min:
+        raise GraphError(f"{class_name} realizer needs n >= {n_min}")
+    if not (0 <= k <= n - offset):
+        raise GraphError(f"{class_name} nullity set at n={n} is [0,{n - offset}], got k={k}")
     if class_name == "BPlus":
-        if n < 7:
-            raise GraphError("BPlus realizer needs n >= 7")
-        if not (0 <= k <= n - 6):
-            raise GraphError(f"BPlus nullity set at n={n} is [0,{n - 6}], got k={k}")
         if k == 0:
             g = gen_infinity(3, 3, n - 4, 1, 1)
         elif k == n - 6:
@@ -460,10 +390,6 @@ def realize_nullity(class_name: str, n: int, k: int) -> SignedGraph:
         else:
             g = _fig_G2(n, k)
     elif class_name == "BPlusPlus":
-        if n < 8:
-            raise GraphError("BPlusPlus realizer needs n >= 8")
-        if not (0 <= k <= n - 6):
-            raise GraphError(f"BPlusPlus nullity set at n={n} is [0,{n - 6}], got k={k}")
         if k == 0:
             q = n - 2
             if q % 2 == 1:
@@ -477,23 +403,14 @@ def realize_nullity(class_name: str, n: int, k: int) -> SignedGraph:
             g = _fig_G3(n)
         else:
             g = _fig_G4(n, k)
-    elif class_name == "Theta":
-        if n < 6:
-            raise GraphError("Theta realizer needs n >= 6")
-        if not (0 <= k <= n - 4):
-            raise GraphError(f"Theta nullity set at n={n} is [0,{n - 4}], got k={k}")
-        if k == 0:
-            g = _fig_G5(n)
-        elif k == n - 4:
-            g = _fig_G6(n)
-        elif (n - k) % 2 == 1:
-            g = _fig_G7(n, k)
-        else:
-            g = _fig_G8(n, k)
+    elif k == 0:  # Theta from here on
+        g = _fig_G5(n)
+    elif k == n - 4:
+        g = _fig_G6(n)
+    elif (n - k) % 2 == 1:
+        g = _fig_G7(n, k)
     else:
-        raise GraphError(
-            f"unknown class {class_name!r}; expected BPlus, BPlusPlus, or Theta"
-        )
+        g = _fig_G8(n, k)
     got = nullity_rank(g)
     if got != k:
         raise InternalError(
@@ -541,7 +458,10 @@ def parse_family_spec(spec: str) -> SignedGraph:
             key, eq, val = item.partition("=")
             if not eq:
                 raise GraphError(f"bad family parameter {item!r}, expected key=value")
-            args[key.strip()] = val.strip()
+            key = key.strip()
+            if key in args:
+                raise GraphError(f"family parameter {key} given more than once")
+            args[key] = val.strip()
 
     def intval(key, default=None):
         if key not in args:

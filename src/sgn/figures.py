@@ -116,10 +116,6 @@ def _component_stream(n, neighbors):
     return out
 
 
-def _neighbor_lists(g: SignedGraph) -> list[tuple[int, ...]]:
-    return [g.neighbors(v) for v in range(g.n)]
-
-
 def enumerate_basic_figures(g: SignedGraph, i: int) -> tuple[BasicFigure, ...]:
     """All basic figures of ``g`` covering exactly ``i`` vertices.
 
@@ -131,7 +127,7 @@ def enumerate_basic_figures(g: SignedGraph, i: int) -> tuple[BasicFigure, ...]:
     if i == 0:
         return (BasicFigure((), ()),)
     figures = []
-    for used, comps in _component_stream(g.n, _neighbor_lists(g)):
+    for used, comps in _component_stream(g.n, [g.neighbors(v) for v in range(g.n)]):
         if used != i:
             continue
         edges = tuple((c[1], c[2]) for c in comps if c[0] == "edge")
@@ -162,10 +158,6 @@ class FigureProfile:
     edge_index: dict[tuple[int, int], int]
     constant: tuple[int, ...]                      # per-i weight of acyclic figures
     groups: tuple[tuple[int, int, int], ...]        # (i, weight, cycle_edge_mask)
-
-
-def figure_profile(g: SignedGraph) -> FigureProfile:
-    return _profile_from(g.n, g.underlying_edges)
 
 
 def _profile_from(n: int, edges) -> FigureProfile:
@@ -232,5 +224,5 @@ def char_poly_figures(
         raise SizeGuardError(
             f"figure enumeration guard: n = {g.n} exceeds {size_guard}"
         )
-    profile = figure_profile(g)
+    profile = _profile_from(g.n, g.underlying_edges)
     return CharPoly(tuple(_eval_profile(profile, _neg_mask(g, profile.edge_index))))

@@ -113,8 +113,9 @@ def test_criterion_3_infinity_formula():
 
 def test_criterion_4_cutpoint_theorems_and_pendant_lemma():
     """Over the exhaustive n <= 7 corpus: every qualifying cut-point triple
-    satisfies its rule, every pendant deletion preserves nullity, and the
-    structural engine agrees with the rank oracle on every graph."""
+    satisfies its rule and every pendant deletion preserves nullity.  The
+    structural engine's agreement with the rank oracle on the same corpus is
+    criterion 5's."""
     t0 = time.perf_counter()
     case1 = verify_thm31(n_max=7)
     case2 = verify_thm32(n_max=7)
@@ -122,15 +123,9 @@ def test_criterion_4_cutpoint_theorems_and_pendant_lemma():
     for report in (case1, case2, pend):
         assert report.passed, _fmt_failures(report)
         assert report.cases_checked > 0
-    graphs = 0
-    for g in iter_signed_corpus(7):
-        value, _ = nullity_structural(g)
-        assert value == nullity_rank(g), f"structural mismatch on {g}"
-        graphs += 1
-    assert graphs == CORPUS_SIGNED_GRAPHS
     detail = (
         f"{case1.cases_checked}+{case2.cases_checked} cut-point triples, "
-        f"{pend.cases_checked} pendant pairs, {graphs} structural agreements"
+        f"{pend.cases_checked} pendant pairs"
     )
     _passed(4, detail, time.perf_counter() - t0, 300)
 

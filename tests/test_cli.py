@@ -127,6 +127,13 @@ def test_parse_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_generate_rejects_repeated_spec_keys(capsys):
+    assert main(["generate", "cycle:n=4,n=5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "family parameter n given more than once" in captured.err
+
+
 def test_unknown_theorem_exit_code(capsys):
     assert main(["verify", "thm9.9"]) == 1
     assert "unknown theorem" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Family generators, figure graphs, and nullity-set realizers."""
 
+import hashlib
+
 import pytest
 
 from sgn import (
@@ -8,6 +10,7 @@ from sgn import (
     find_cycles,
     is_balanced,
     nullity_rank,
+    serialize_edge_list,
 )
 from sgn.families import (
     bicyclic_class,
@@ -163,6 +166,115 @@ def test_figure_domain_errors():
         gen_figure("H4", s=1)
 
 
+def test_unknown_figure_id_is_reported_before_its_parameters():
+    for signs in ({"s": 1}, {"sp": 0, "sq": 1}):
+        with pytest.raises(GraphError) as exc:
+            gen_figure("Q9", **signs)
+        assert str(exc.value) == "unknown figure id 'Q9'"
+
+
+# -- pinned labelings and messages ------------------------------------------------
+#
+# The nullity goldens above hold under any relabeling; these pins fix the exact
+# vertex labels and edge signs of every figure and realizer, and the exact
+# dispatch messages.  The digests are sha256 over the concatenated
+# serialize_edge_list texts, in grid order; the values were taken before the
+# figures were rebuilt on one shared broom builder.
+
+_SMALLEST_N = {"H3": 4, "G1": 7, "G3": 6, "G5": 6, "G6": 5}
+_K_OFFSET = {"G2": 7, "G4": 7, "G7": 5, "G8": 5}  # valid for 1 <= k <= n - offset
+
+
+def _digest(graphs):
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(serialize_edge_list(g).encode())
+    return h.hexdigest()
+
+
+def _figure_grid(fid):
+    if fid in _SMALLEST_N:
+        return [gen_figure(fid, n=n) for n in range(_SMALLEST_N[fid], 13)]
+    if fid in _K_OFFSET:
+        return [gen_figure(fid, n=n, k=k)
+                for n in range(6, 13) for k in range(1, n - _K_OFFSET[fid] + 1)]
+    if fid == "H10":
+        return [gen_figure(fid, s=s) for s in (0, 1)]
+    if fid == "H13":
+        return [gen_figure(fid, sp=sp, sq=sq) for sp in (0, 1) for sq in (0, 1)]
+    return [gen_figure(fid)]
+
+
+FIGURE_DIGESTS = {
+    "H1": "3f481ae71fe27653a4ddc67f1d196d29d9b812d6403e278b2d983c4103b19bd1",
+    "H2": "0427305a82bf485fe42fa821c4af19a3ad1a26fdd34d0529c27893fe17295423",
+    "H3": "ca2155a27547cc2928a0c1a403051394f9cd9b1aee687fa409544d29fa64b31d",
+    "H4": "07c0987e79bdfbc75edbf7acf58c02d9f87750fdc33cce6c88ca185bda584ee7",
+    "H5": "cf1f6b8012781890c35ae8a35a993c049b66348cc98bda2870a6e69845967e01",
+    "H6": "ed94b8c5adb364759eb4372645da9030a211836bd24f883d00da3062d752c7e7",
+    "H7": "7604557dc7f78a9f8a482c8088a6f4ee011a2275815e63610b26a12f72012865",
+    "H8": "817fa09a1893dff2c80b19e926de902823a9bf575e454808583e26fadd3b0425",
+    "H9": "415ad30852921b4e1a7008ac6ff701ee363b5b27931eb17c628c53c8b3cb8746",
+    "H10": "65b0d3c83623a7f6be1ee7f2e2ccc71e84bbb89279ca6ecd8e153f0f141d6883",
+    "H11": "405529973964f2097b3f26a437655a7fc9869ee453713bb83607d3aea5b7ed85",
+    "H12": "9dc90cd88dd9228a27d3983ebe63daac74f9de6392eb70285570063743832607",
+    "H13": "a1c2f045428c2394bf4f7e4ac1b129a0d9388020a9056ff73531f98391884228",
+    "G1": "450c0a3bd4f81126da93e72ed3a62917c1a50e078eddd330f7e4ff9fe10fe82d",
+    "G2": "8a82ea36c2be4a2476b2036ad343e1dc433399e1785abb7568544376b52d8cd2",
+    "G3": "467c68c6a561509775c9b5e089fae9a96eb6806d9ac54b964bdcc64557311499",
+    "G4": "5614ba2e05831960cc74d07250ea17391d10c613ddafe4e76593a0f5e6d15134",
+    "G5": "e515ffa967cfbf480468d966e44d0b81aa97ff440f275600549bdca762b1a87f",
+    "G6": "df825afeb9b2b68081b2a79dd41a369de1e6f575564a9af2ee354f1c3a846c7b",
+    "G7": "93de4e4e0e5ee8f303a37e5e78a6a93e9fd182311b4647135c8603cd8f90c57f",
+    "G8": "abee9b590de72dfdcce844e1dd452ed9c82f4486fb064e8267e5c482de33212c",
+}
+
+REALIZER_DIGESTS = {
+    "BPlus": "c5cfe7b9e2cd479c43ad2d7053f13a830826dc054b89f1736f9da07078ab4a3a",
+    "BPlusPlus": "7faaec15f5bdac5da09e79ac3bfc0e24cab11aa27e3bc6dd1b5e57cbe6a5b00e",
+    "Theta": "890f4e7db94361210522f464f2ccc24bf7c85dc8481000fad09d82952f403161",
+}
+
+
+@pytest.mark.parametrize("fid", sorted(FIGURE_DIGESTS))
+def test_figure_labelings_are_pinned(fid):
+    assert _digest(_figure_grid(fid)) == FIGURE_DIGESTS[fid]
+
+
+@pytest.mark.parametrize("cls", sorted(REALIZER_DIGESTS))
+def test_realizer_labelings_are_pinned(cls):
+    n_min, offset = {"BPlus": (7, 6), "BPlusPlus": (8, 6), "Theta": (6, 4)}[cls]
+    graphs = [realize_nullity(cls, n, k) for n in range(n_min, 13) for k in range(n - offset + 1)]
+    assert _digest(graphs) == REALIZER_DIGESTS[cls]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: gen_figure("H10", sp=1), "H10 got unexpected parameters ['sp']"),
+        (lambda: gen_figure("H13", sp=0, x=1), "H13 got unexpected parameters ['x']"),
+        (lambda: gen_figure("H4", s=1), "H4 takes no sign parameters, got ['s']"),
+        (lambda: gen_figure("G3", n=8, sq=0, s=1), "G3 takes no sign parameters, got ['s', 'sq']"),
+        (lambda: gen_figure("G8", n=10), "G8 needs both n and k"),
+        (lambda: gen_figure("G7", n=9, k=0), "G7 needs k >= 1, got k=0"),
+        (lambda: gen_figure("G2", n=9, k=3), "G2 needs k <= n - 7, got n=9, k=3"),
+        (lambda: gen_figure("h3"), "H3 needs n >= 4 (cycle plus pendant)"),
+        (lambda: gen_figure("G1", n=6), "G1 needs n >= 7"),
+        (lambda: gen_figure("H10", s=2), "H10 parity must be 0 or 1, got 2"),
+        (lambda: gen_figure("H13", sp=3), "H13 parities must be 0 or 1"),
+        (lambda: gen_figure("q9"), "unknown figure id 'q9'"),
+        (lambda: realize_nullity("Theta", 5, 0), "Theta realizer needs n >= 6"),
+        (lambda: realize_nullity("BPlusPlus", 9, 4), "BPlusPlus nullity set at n=9 is [0,3], got k=4"),
+        (lambda: realize_nullity("Diamond", 10, 1),
+         "unknown class 'Diamond'; expected BPlus, BPlusPlus, or Theta"),
+    ],
+)
+def test_dispatch_messages_are_pinned(build, message):
+    with pytest.raises(GraphError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 # -- realizers ------------------------------------------------------------------
 
 
@@ -245,6 +357,17 @@ def test_spec_errors():
         parse_family_spec("cycle:n=4,bogus=1")
     with pytest.raises(GraphError):
         parse_family_spec("cycle")
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [("cycle:n=4,n=5", "n"), ("figure:id=G1,id=G3,n=8", "id"),
+     ("realize:class=Theta,n=8,k=4,k=4", "k")],
+)
+def test_spec_rejects_repeated_keys(spec, key):
+    with pytest.raises(GraphError) as exc:
+        parse_family_spec(spec)
+    assert str(exc.value) == f"family parameter {key} given more than once"
 
 
 def test_gen_cycle_sign_positions_are_canonical_but_free():
