@@ -157,18 +157,14 @@ def iter_signed_corpus(max_n: int = 7) -> Iterator[SignedGraph]:
 # -- random samplers -------------------------------------------------------
 
 
-def random_signed_graph(
-    rng: random.Random, n: int, edge_prob: float = 0.5, connected: bool = False
-) -> SignedGraph:
-    """Uniform-ish random signed graph; resamples until connected if asked."""
-    while True:
-        edges = [
-            (u, v, rng.choice((1, -1)))
-            for (u, v) in edge_universe(n)
-            if rng.random() < edge_prob
-        ]
-        if not connected or _is_connected_edges(n, [(u, v) for u, v, _ in edges]):
-            return SignedGraph(n, edges)
+def random_signed_graph(rng: random.Random, n: int, edge_prob: float = 0.5) -> SignedGraph:
+    """Uniform-ish random signed graph, possibly disconnected."""
+    edges = [
+        (u, v, rng.choice((1, -1)))
+        for (u, v) in edge_universe(n)
+        if rng.random() < edge_prob
+    ]
+    return SignedGraph(n, edges)
 
 
 def random_switching(rng: random.Random, n: int) -> dict[int, int]:

@@ -330,10 +330,11 @@ _FIGURES = {
 def gen_figure(fig_id: str, n: int | None = None, k: int | None = None, **signs) -> SignedGraph:
     """Build a figure graph by identifier (H1..H13, G1..G8).
 
-    Fixed-size H graphs ignore ``n`` and ``k``.  H10 takes ``s`` (parity of
-    the pendant-free quadrangle, default balanced); H13 takes ``sp``/``sq``
-    (triangle parities, default both unbalanced).  H3 and G1/G3/G5/G6 take
-    ``n``; G2/G4/G7/G8 take ``n`` and ``k``.
+    H3 and G1/G3/G5/G6 take ``n``; G2/G4/G7/G8 take ``n`` and ``k``; the
+    fixed-size H graphs take neither, and an ``n`` or ``k`` given to a figure
+    that does not take it is rejected.  H10 takes ``s`` (parity of the
+    pendant-free quadrangle, default balanced); H13 takes ``sp``/``sq``
+    (triangle parities, default both unbalanced).
     """
     fid = fig_id.upper()
     builder = _FIGURES.get(fid)
@@ -341,6 +342,9 @@ def gen_figure(fig_id: str, n: int | None = None, k: int | None = None, **signs)
         raise GraphError(f"unknown figure id {fig_id!r}")
     params = inspect.signature(builder).parameters
     sizes = {"n": n, "k": k}
+    unused = sorted(p for p, val in sizes.items() if val is not None and p not in params)
+    if unused:
+        raise GraphError(f"{fid} got unexpected parameters {unused}")
     extra = sorted(signs.keys() - params.keys())
     if extra:
         if params.keys() <= sizes.keys():

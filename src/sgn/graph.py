@@ -71,6 +71,9 @@ class SignedGraph:
 
     @cached_property
     def _adj(self) -> tuple[dict[int, int], ...]:
+        # edges are sorted by (u, v) with u < v, so each vertex meets its
+        # smaller neighbors first, ascending, then its larger ones: every
+        # dict is filled, and therefore iterates, in ascending label order
         adj: tuple[dict[int, int], ...] = tuple({} for _ in range(self.n))
         for u, v, s in self.edges:
             adj[u][v] = s
@@ -78,7 +81,7 @@ class SignedGraph:
         return adj
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self._adj[v]))
+        return tuple(self._adj[v])
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -271,42 +274,13 @@ def cut_points(g: SignedGraph) -> frozenset[int]:
     """
     if g.n == 0:
         raise GraphError("cut_points: graph has no vertices")
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    points: set[int] = set()
-    timer = 0
-    # iterative DFS: (vertex, neighbor iterator)
-    disc[0] = low[0] = timer
-    timer += 1
-    root_children = 0
-    stack = [(0, iter(g.neighbors(0)))]
-    while stack:
-        x, it = stack[-1]
-        advanced = False
-        for y in it:
-            if disc[y] == -1:
-                parent[y] = x
-                if x == 0:
-                    root_children += 1
-                disc[y] = low[y] = timer
-                timer += 1
-                stack.append((y, iter(g.neighbors(y))))
-                advanced = True
-                break
-            elif y != parent[x]:
-                low[x] = min(low[x], disc[y])
-        if not advanced:
-            stack.pop()
-            if stack:
-                px = stack[-1][0]
-                low[px] = min(low[px], low[x])
-                if px != 0 and low[x] >= disc[px]:
-                    points.add(px)
-    if timer < n:
+    parent, _, disc, low = _dfs_forest(g)
+    if parent.count(-1) > 1:
         raise GraphError("cut_points: input graph is not connected")
-    if root_children > 1:
+    # the root 0 is a cut point iff it has two children, any other vertex
+    # iff some child's subtree has no back edge above it
+    points = {p for v, p in enumerate(parent) if p > 0 and low[v] >= disc[p]}
+    if parent.count(0) > 1:
         points.add(0)
     return frozenset(points)
 
@@ -358,32 +332,46 @@ def switch(g: SignedGraph, theta: SwitchingFunction | Sequence[int]) -> SignedGr
     return SignedGraph(g.n, [(u, v, t[u] * s * t[v]) for u, v, s in g.edges])
 
 
-def _dfs_forest(g: SignedGraph) -> tuple[list[int], list[int]]:
+def _dfs_forest(g: SignedGraph) -> tuple[list[int], list[int], list[int], list[int]]:
     """Lexicographically smallest DFS forest (roots at smallest labels).
 
-    Returns (parent, theta); parent[root] = -1; neighbors explored ascending.
-    theta is propagated along the forest, theta(child) = sign(parent, child)
-    * theta(parent) with theta(root) = 1, so switching by theta makes every
-    forest edge positive.
+    Returns (parent, theta, disc, low); parent[root] = -1; neighbors explored
+    ascending.  theta is propagated along the forest, theta(child) =
+    sign(parent, child) * theta(parent) with theta(root) = 1, so switching by
+    theta makes every forest edge positive.  disc[v] is v's discovery time
+    and low[v] its lowpoint: the smallest discovery time reached from v's
+    subtree by at most one back edge.
     """
     parent = [-2] * g.n
     theta = [1] * g.n
+    disc = [0] * g.n
+    low = [0] * g.n
+    timer = 0
     for root in range(g.n):
         if parent[root] != -2:
             continue
         parent[root] = -1
-        stack = [(root, iter(g.neighbors(root)))]
+        disc[root] = low[root] = timer
+        timer += 1
+        stack = [(root, iter(g._adj[root].items()))]
         while stack:
             x, it = stack[-1]
-            for y in it:
+            for y, s in it:
                 if parent[y] == -2:
                     parent[y] = x
-                    theta[y] = g.sign(x, y) * theta[x]
-                    stack.append((y, iter(g.neighbors(y))))
+                    theta[y] = s * theta[x]
+                    disc[y] = low[y] = timer
+                    timer += 1
+                    stack.append((y, iter(g._adj[y].items())))
                     break
+                if y != parent[x] and disc[y] < low[x]:
+                    low[x] = disc[y]
             else:
                 stack.pop()
-    return parent, theta
+                p = parent[x]
+                if p >= 0 and low[x] < low[p]:
+                    low[p] = low[x]
+    return parent, theta, disc, low
 
 
 def _forest_path(parent: list[int], u: int, v: int) -> list[int]:
@@ -411,7 +399,7 @@ def is_balanced(g: SignedGraph) -> tuple[bool, SwitchingFunction | CycleWitness]
     theta(child) = sign(parent, child) * theta(parent), then checks every
     non-tree edge.
     """
-    parent, theta = _dfs_forest(g)
+    parent, theta, _, _ = _dfs_forest(g)
     for u, v, s in g.edges:
         if parent[v] == u or parent[u] == v:
             continue
@@ -430,7 +418,7 @@ def canonical_signature(g: SignedGraph) -> SignedGraph:
     of the same labeled underlying graph are switching equivalent iff their
     canonical forms are equal.
     """
-    _, theta = _dfs_forest(g)
+    _, theta, _, _ = _dfs_forest(g)
     return switch(g, theta)
 
 
@@ -455,7 +443,7 @@ def find_cycles(g: SignedGraph) -> tuple[CycleWitness, ...]:
     c = g.cyclomatic_number()
     if c > 2:
         raise GraphError(f"find_cycles: cyclomatic number {c} exceeds 2")
-    parent, _ = _dfs_forest(g)
+    parent, _, _, _ = _dfs_forest(g)
     tree = set()
     for v in range(g.n):
         if parent[v] >= 0:

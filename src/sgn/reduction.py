@@ -160,30 +160,14 @@ def _cutpoint_parts(g: SignedGraph, v: int):
     return parts
 
 
-def _cutpoint_witness(g: SignedGraph, v: int, delta: int):
-    """Parts of G at cut-point v, and the lowest i with eta(G_i) - eta(G_i + v)
-    = delta (+1 decrement rule, -1 split rule), or None if no part has it."""
-    if v not in cut_points(g):
-        raise GraphError(f"vertex {v} is not a cut-point")
-    parts = _cutpoint_parts(g, v)
-    for idx, (comp, _, plus_v) in enumerate(parts):
-        if nullity_rank(comp) - nullity_rank(plus_v) == delta:
-            return parts, idx
-    return parts, None
+def _deltas(parts):
+    """eta(G_i) - eta(G_i + v) for each part in order, ranked lazily: +1 is
+    the decrement rule's hypothesis, -1 the split rule's."""
+    for comp, _, plus_v in parts:
+        yield nullity_rank(comp) - nullity_rank(plus_v)
 
 
-def try_cutpoint_case1(
-    g: SignedGraph, v: int
-) -> tuple[tuple[SignedGraph, ...], ReductionStep] | None:
-    """Decrement rule at cut-point v.
-
-    Applicable when some component G_i of G - v satisfies
-    eta(G_i) = eta(G_i + v) + 1; then eta(G) = sum eta(G_i) - 1.
-    The qualifying component of lowest index is recorded as witness.
-    """
-    parts, witness = _cutpoint_witness(g, v, 1)
-    if witness is None:
-        return None
+def _decrement(g: SignedGraph, v: int, parts, idx: int):
     after = tuple(comp for comp, _, _ in parts)
     step = ReductionStep(
         kind=KIND_CUTPOINT_DECREMENT,
@@ -191,23 +175,12 @@ def try_cutpoint_case1(
         after=after,
         relation=f"eta(G) = sum(eta(G_i) for G_i in G - {v}) - 1",
         cut_point=v,
-        component_index=witness,
+        component_index=idx,
     )
     return after, step
 
 
-def try_cutpoint_case2(
-    g: SignedGraph, v: int
-) -> tuple[tuple[SignedGraph, SignedGraph], ReductionStep] | None:
-    """Split rule at cut-point v.
-
-    Applicable when some component G_i of G - v satisfies
-    eta(G_i) = eta(G_i + v) - 1; then eta(G) = eta(G_i) + eta(G - G_i),
-    where G - G_i keeps v (and every other component).
-    """
-    parts, idx = _cutpoint_witness(g, v, -1)
-    if idx is None:
-        return None
+def _split(g: SignedGraph, v: int, parts, idx: int):
     comp, original, _ = parts[idx]
     rest, _ = delete_vertices(g, original)
     pair = (comp, rest)
@@ -220,6 +193,40 @@ def try_cutpoint_case2(
         component_index=idx,
     )
     return pair, step
+
+
+def _try_cutpoint(g: SignedGraph, v: int, delta: int, build):
+    if v not in cut_points(g):
+        raise GraphError(f"vertex {v} is not a cut-point")
+    parts = _cutpoint_parts(g, v)
+    for idx, d in enumerate(_deltas(parts)):
+        if d == delta:
+            return build(g, v, parts, idx)
+    return None
+
+
+def try_cutpoint_case1(
+    g: SignedGraph, v: int
+) -> tuple[tuple[SignedGraph, ...], ReductionStep] | None:
+    """Decrement rule at cut-point v.
+
+    Applicable when some component G_i of G - v satisfies
+    eta(G_i) = eta(G_i + v) + 1; then eta(G) = sum eta(G_i) - 1.
+    The qualifying component of lowest index is recorded as witness.
+    """
+    return _try_cutpoint(g, v, 1, _decrement)
+
+
+def try_cutpoint_case2(
+    g: SignedGraph, v: int
+) -> tuple[tuple[SignedGraph, SignedGraph], ReductionStep] | None:
+    """Split rule at cut-point v.
+
+    Applicable when some component G_i of G - v satisfies
+    eta(G_i) = eta(G_i + v) - 1; then eta(G) = eta(G_i) + eta(G - G_i),
+    where G - G_i keeps v (and every other component).
+    """
+    return _try_cutpoint(g, v, -1, _split)
 
 
 def _is_cycle(g: SignedGraph) -> bool:
@@ -269,13 +276,19 @@ def _rule(g: SignedGraph) -> tuple[tuple[SignedGraph, ...], ReductionStep]:
     if hit is not None:
         reduced, step = hit
         return (reduced,), step
-    cuts = sorted(cut_points(g)) if g.n >= 3 else []
-    # read per call, so that rebinding these names (perfbench tracing) takes effect
-    for rule in (try_cutpoint_case1, try_cutpoint_case2):
-        for v in cuts:
-            got = rule(g, v)
-            if got is not None:
-                return got
+    # each cut point is decomposed and its parts ranked once: the decrement
+    # rule at any cut point wins, else the split rule at the first cut point
+    # that admits it
+    split = None
+    for v in sorted(cut_points(g)):
+        parts = _cutpoint_parts(g, v)
+        for idx, delta in enumerate(_deltas(parts)):
+            if delta == 1:
+                return _decrement(g, v, parts, idx)
+            if delta == -1 and split is None:
+                split = (v, parts, idx)
+    if split is not None:
+        return _split(g, *split)
     return (), _base_case(g)
 
 

@@ -205,19 +205,15 @@ def _corpus_by_graph(n_max: int, facts):
                 yield g, found
 
 
-def _sorted_cut_points(g: SignedGraph) -> list[int]:
-    return sorted(cut_points(g)) if g.n >= 3 else []
-
-
 def _cutpoint_cases(n_max: int, rule):
     """Outer loop shared by the two cut-point rules.
 
-    For every cut-point v of every corpus graph G with at least 3 vertices,
-    ``rule(g, parts)`` yields ``(index, predicted eta(G))`` for each
-    component of G - v that satisfies the rule's hypothesis; ``parts`` is
-    the structural engine's decomposition of G at v.
+    For every cut-point v of every corpus graph G, ``rule(g, parts)`` yields
+    ``(index, predicted eta(G))`` for each component of G - v that satisfies
+    the rule's hypothesis; ``parts`` is the structural engine's decomposition
+    of G at v.
     """
-    for g, cpts in _corpus_by_graph(n_max, _sorted_cut_points):
+    for g, cpts in _corpus_by_graph(n_max, lambda g: sorted(cut_points(g))):
         eta_g = nullity_rank(g)
         for v in cpts:
             for idx, want in rule(g, _cutpoint_parts(g, v)):

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from sgn.cli import main
 
 TRIANGLE = "3 3\n0 1 1\n1 2 1\n0 2 -1\n"
@@ -132,6 +134,17 @@ def test_generate_rejects_repeated_spec_keys(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "family parameter n given more than once" in captured.err
+
+
+@pytest.mark.parametrize(
+    "spec, unused",
+    [("figure:id=H4,n=99", "['n']"), ("figure:id=H10,n=3,k=2", "['k', 'n']"), ("figure:id=G1,n=8,k=3", "['k']")],
+)
+def test_generate_figure_rejects_sizes_it_does_not_take(capsys, spec, unused):
+    assert main(["generate", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"got unexpected parameters {unused}" in captured.err
 
 
 def test_unknown_theorem_exit_code(capsys):

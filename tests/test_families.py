@@ -263,6 +263,9 @@ def test_realizer_labelings_are_pinned(cls):
         (lambda: gen_figure("H10", s=2), "H10 parity must be 0 or 1, got 2"),
         (lambda: gen_figure("H13", sp=3), "H13 parities must be 0 or 1"),
         (lambda: gen_figure("q9"), "unknown figure id 'q9'"),
+        (lambda: gen_figure("H4", n=99), "H4 got unexpected parameters ['n']"),
+        (lambda: gen_figure("H10", n=3, k=2), "H10 got unexpected parameters ['k', 'n']"),
+        (lambda: gen_figure("G1", n=8, k=3), "G1 got unexpected parameters ['k']"),
         (lambda: realize_nullity("Theta", 5, 0), "Theta realizer needs n >= 6"),
         (lambda: realize_nullity("BPlusPlus", 9, 4), "BPlusPlus nullity set at n=9 is [0,3], got k=4"),
         (lambda: realize_nullity("Diamond", 10, 1),

@@ -1,0 +1,31 @@
+"""Every name a module imports is used in it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sgn"
+
+# names imported only so that a caller outside the package can rebind them:
+# perfbench/tracing.py patches verify.iter_signed_corpus
+ALLOWED = {("verify", "iter_signed_corpus")}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in used and (path.stem, name) not in ALLOWED)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []

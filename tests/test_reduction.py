@@ -21,6 +21,7 @@ from sgn import (
     try_cutpoint_case1,
     try_cutpoint_case2,
 )
+from sgn import reduction
 from sgn.families import gen_cycle, gen_figure, gen_infinity, gen_path, gen_star
 from sgn.reduction import (
     KIND_BASE_CASE,
@@ -240,6 +241,9 @@ CERTIFICATE_SHA256 = {
     "theta:p=2,q=3,l=4,s1=1": "9f005b72ca658b5e6ae3b0fbae2a749892eaf1867705d4e69cb3b22f814620de",
     "cycle:n=6,s=1": "2fa200a610924fce8dafea9c8f449146ab10f228f8c525f6d5d9b3b104b1d6d7",
     "path:n=8": "e998d55dfc0b61de5359d99d79602fe1a9bad7f6933fd49a78b97543c032bd58",
+    # the split rule applies at cut point 0, but the decrement rule at cut
+    # point 4 comes first in rule order
+    "infinity:p=4,q=3,l=2,sp=0,sq=0": "579b5e5ca6725a007a7d22d651660a1638e301b7a67c9090dfac58e41d86f3ed",
 }
 
 
@@ -247,3 +251,28 @@ CERTIFICATE_SHA256 = {
 def test_certificate_bytes_are_pinned(spec):
     trace = nullity_structural(parse_family_spec(spec))[1]
     assert hashlib.sha256(trace.to_json().encode()).hexdigest() == CERTIFICATE_SHA256[spec]
+
+
+def test_each_cut_point_is_decided_once(monkeypatch):
+    # on this graph the decrement rule misses at the one cut point and the
+    # split rule applies there; its decomposition and ranks must be reused
+    log = []
+    real_cut_points, real_rank = reduction.cut_points, reduction.nullity_rank
+    monkeypatch.setattr(reduction, "cut_points", lambda g: log.append(("cut", g)) or real_cut_points(g))
+    monkeypatch.setattr(reduction, "nullity_rank", lambda g: log.append(("rank", g)) or real_rank(g))
+    trace = nullity_structural(parse_family_spec("infinity:p=3,q=4,l=1,sp=0,sq=0"))[1]
+    assert KIND_CUTPOINT_SPLIT in [step.kind for step in trace.steps]
+    decided = [
+        step.before
+        for step in trace.steps
+        if step.kind not in (KIND_COMPONENT_SPLIT, KIND_PENDANT_DELETE) and step.before.n > 0
+    ]
+    assert [g for kind, g in log if kind == "cut"] == decided
+    # the ranks made after a cut_points call, up to the next one, serve one decision
+    ranked = []
+    for kind, g in log:
+        if kind == "cut":
+            ranked = []
+        else:
+            assert g not in ranked
+            ranked.append(g)
