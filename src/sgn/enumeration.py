@@ -31,27 +31,6 @@ def edge_universe(n: int) -> list[Edge]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def _is_connected_edges(n: int, edges: list[Edge]) -> bool:
-    if n <= 1:
-        return True
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            f ^= b
-            nxt |= adj[b.bit_length() - 1]
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == (1 << n) - 1
-
-
 def connected_graphs_labeled(n: int) -> Iterator[tuple[Edge, ...]]:
     """All labeled connected graphs on n vertices, as sorted edge tuples.
 
@@ -60,15 +39,16 @@ def connected_graphs_labeled(n: int) -> Iterator[tuple[Edge, ...]]:
     """
     univ = edge_universe(n)
     e = len(univ)
-    if n == 1:
+    if n <= 1:  # the single vertex, and the null graph
         yield ()
         return
     for mask in range(1 << e):
         if mask.bit_count() < n - 1:
             continue
-        edges = [univ[i] for i in range(e) if (mask >> i) & 1]
-        if _is_connected_edges(n, edges):
-            yield tuple(edges)
+        edges = tuple(univ[i] for i in range(e) if (mask >> i) & 1)
+        # connected iff the spanning forest is a single tree
+        if len(spanning_tree_indices(n, edges)) == n - 1:
+            yield edges
 
 
 def bicyclic_graphs_labeled(n: int) -> Iterator[tuple[Edge, ...]]:
@@ -77,7 +57,7 @@ def bicyclic_graphs_labeled(n: int) -> Iterator[tuple[Edge, ...]]:
     if n + 1 > len(univ):
         return
     for chosen in combinations(univ, n + 1):
-        if _is_connected_edges(n, list(chosen)):
+        if len(spanning_tree_indices(n, chosen)) == n - 1:
             yield chosen
 
 
@@ -141,7 +121,7 @@ def connected_graphs_upto_iso(max_n: int = 7) -> list[tuple[int, tuple[Edge, ...
         if n == 0 or n > max_n:
             continue
         edges = tuple(sorted((min(u, v), max(u, v)) for u, v in g.edges()))
-        if _is_connected_edges(n, list(edges)):
+        if len(spanning_tree_indices(n, edges)) == n - 1:
             out.append((n, edges))
     out.sort(key=lambda t: (t[0], len(t[1]), t[1]))
     return out

@@ -60,80 +60,63 @@ class BasicFigure:
         return (-1 if (self.p + self.s) % 2 else 1) * (1 << self.c)
 
 
-def _component_stream(n, neighbors):
-    """Yield every basic figure as (vertices_used, components).
+def _component_stream(neighbors, covered=0, used=0, edges=(), cycles=()):
+    """Yield every basic figure as (vertices covered, K_2 edges, cycles).
 
-    Components are built in increasing order of their smallest vertex: the
-    smallest uncovered vertex is skipped, matched to a larger neighbor, or
-    made the anchor of a cycle (second vertex smaller than the last, so each
-    cycle appears in one orientation only).  The traversal order is
-    deterministic.
+    ``neighbors[v]`` lists v's neighbors in ascending order; the other
+    arguments describe the figure being extended, which is yielded first
+    (the empty figure at the top level).  Components are added in
+    increasing order of their smallest vertex: the smallest free vertex v
+    is matched to a larger neighbor, made the smallest vertex of a cycle,
+    or left uncovered, and the recursion extends each new figure before
+    the next choice is tried.  The traversal order is deterministic.
     """
-    out = []
+    yield used, edges, cycles
+    free = ~covered & ((1 << len(neighbors)) - 1)
+    while free:
+        v = (free & -free).bit_length() - 1
+        for u in neighbors[v]:
+            if u > v and not (covered >> u) & 1:
+                yield from _component_stream(
+                    neighbors, covered | 1 << v | 1 << u, used + 2, edges + ((v, u),), cycles
+                )
+        for cycle, blocked in _cycles_through(neighbors, (v,), covered | 1 << v):
+            yield from _component_stream(
+                neighbors, blocked, used + len(cycle), edges, cycles + (cycle,)
+            )
+        # v left uncovered: later components avoid it
+        covered |= 1 << v
+        free ^= 1 << v
 
-    def emit_and_recurse(covered, used, comps):
-        out.append((used, comps))
-        extend(covered, used, comps)
 
-    def extend(covered, used, comps):
-        full = (1 << n) - 1
-        free = ~covered & full
-        while free:
-            v = (free & -free).bit_length() - 1
-            # K_2 components anchored at v
-            for u in neighbors[v]:
-                if u > v and not (covered >> u) & 1:
-                    emit_and_recurse(
-                        covered | (1 << v) | (1 << u),
-                        used + 2,
-                        comps + (("edge", v, u),),
-                    )
-            # cycles anchored at v; grow simple paths through vertices > v
-            path = [v]
+def _cycles_through(neighbors, path, blocked):
+    """Yield every cycle that extends ``path`` through unblocked vertices
+    above ``path[0]``, with ``blocked`` plus the cycle's vertices.
 
-            def grow(cur, pathmask):
-                for w in neighbors[cur]:
-                    if w <= v or (covered >> w) & 1 or (pathmask >> w) & 1:
-                        continue
-                    if len(path) >= 2 and v in neighbors_set[w] and path[1] < w:
-                        cyc = tuple(path) + (w,)
-                        emit_and_recurse(
-                            covered | pathmask | (1 << w),
-                            used + len(cyc),
-                            comps + (("cycle",) + cyc,),
-                        )
-                    path.append(w)
-                    grow(w, pathmask | (1 << w))
-                    path.pop()
-
-            grow(v, 1 << v)
-            # v left uncovered: move on to the next anchor
-            covered |= 1 << v
-            free = ~covered & full
-
-    neighbors_set = [set(ns) for ns in neighbors]
-    extend(0, 0, ())
-    return out
+    ``blocked`` holds the covered vertices and those of ``path``.  Each
+    cycle comes in one orientation only, its second vertex smaller than
+    its last; the paths grow depth first in neighbor order.
+    """
+    v = path[0]
+    for w in neighbors[path[-1]]:
+        if w > v and not (blocked >> w) & 1:
+            if len(path) >= 2 and path[1] < w and v in neighbors[w]:
+                yield path + (w,), blocked | 1 << w
+            yield from _cycles_through(neighbors, path + (w,), blocked | 1 << w)
 
 
 def enumerate_basic_figures(g: SignedGraph, i: int) -> tuple[BasicFigure, ...]:
     """All basic figures of ``g`` covering exactly ``i`` vertices.
 
-    ``i = 0`` yields the single empty figure (its coefficient contribution,
-    a_0 = 1, is set structurally by char_poly_figures).
+    ``i = 0`` gives the single empty figure.
     """
     if not (0 <= i <= g.n):
         raise GraphError(f"figure size {i} out of range 0..{g.n}")
-    if i == 0:
-        return (BasicFigure((), ()),)
-    figures = []
-    for used, comps in _component_stream(g.n, [g.neighbors(v) for v in range(g.n)]):
-        if used != i:
-            continue
-        edges = tuple((c[1], c[2]) for c in comps if c[0] == "edge")
-        cycles = tuple(cycle_witness(g, c[1:]) for c in comps if c[0] == "cycle")
-        figures.append(BasicFigure(edges, cycles))
-    return tuple(figures)
+    return tuple(
+        BasicFigure(edges, tuple(cycle_witness(g, c) for c in cycles))
+        for used, edges, cycles in _component_stream([g.neighbors(v) for v in range(g.n)])
+        if used == i
+    )
 
 
 def coefficient(g: SignedGraph, i: int) -> int:
@@ -154,62 +137,47 @@ def coefficient(g: SignedGraph, i: int) -> int:
 
 @dataclass(frozen=True)
 class FigureProfile:
-    n: int
-    edge_index: dict[tuple[int, int], int]
+    """Bit k of a mask stands for ``edges[k]`` of the edge list profiled."""
+
     constant: tuple[int, ...]                      # per-i weight of acyclic figures
     groups: tuple[tuple[int, int, int], ...]        # (i, weight, cycle_edge_mask)
 
 
 def _profile_from(n: int, edges) -> FigureProfile:
-    eidx = {}
+    bit = {}
     neighbors = [[] for _ in range(n)]
     for k, (u, v) in enumerate(edges):
-        eidx[(u, v)] = k
-        eidx[(v, u)] = k
+        bit[u, v] = bit[v, u] = 1 << k
         neighbors[u].append(v)
         neighbors[v].append(u)
     for lst in neighbors:
         lst.sort()
     constant = [0] * (n + 1)
     grouped: dict[tuple[int, int], int] = {}
-    for used, comps in _component_stream(n, [tuple(ns) for ns in neighbors]):
-        p = len(comps)
-        c = 0
-        mask = 0
-        for comp in comps:
-            if comp[0] == "cycle":
-                c += 1
-                cyc = comp[1:]
-                for a, b in zip(cyc, cyc[1:] + (cyc[0],)):
-                    mask |= 1 << eidx[(a, b)]
-        w = (-1 if p % 2 else 1) * (1 << c)
-        if mask == 0:
+    for used, k2, cycles in _component_stream(neighbors):
+        w = (-1 if (len(k2) + len(cycles)) % 2 else 1) << len(cycles)
+        if not cycles:
             constant[used] += w
-        else:
-            key = (used, mask)
-            grouped[key] = grouped.get(key, 0) + w
+            continue
+        mask = 0
+        for cyc in cycles:
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                mask |= bit[a, b]
+        key = (used, mask)
+        grouped[key] = grouped.get(key, 0) + w
     groups = tuple((i, w, mask) for (i, mask), w in sorted(grouped.items()))
-    return FigureProfile(n, eidx, tuple(constant), groups)
+    return FigureProfile(tuple(constant), groups)
 
 
 def _eval_profile(profile: FigureProfile, neg_mask: int) -> list[int]:
     """Coefficients a_0..a_n for the signature whose negative edges are neg_mask."""
     coeffs = list(profile.constant)
-    coeffs[0] = 1
     for i, w, mask in profile.groups:
         if (mask & neg_mask).bit_count() & 1:
             coeffs[i] -= w
         else:
             coeffs[i] += w
     return coeffs
-
-
-def _neg_mask(g: SignedGraph, edge_index: dict[tuple[int, int], int]) -> int:
-    mask = 0
-    for u, v, s in g.edges:
-        if s == -1:
-            mask |= 1 << edge_index[(u, v)]
-    return mask
 
 
 def char_poly_figures(
@@ -224,5 +192,5 @@ def char_poly_figures(
         raise SizeGuardError(
             f"figure enumeration guard: n = {g.n} exceeds {size_guard}"
         )
-    profile = _profile_from(g.n, g.underlying_edges)
-    return CharPoly(tuple(_eval_profile(profile, _neg_mask(g, profile.edge_index))))
+    neg_mask = sum(1 << k for k, (_, _, s) in enumerate(g.edges) if s == -1)
+    return CharPoly(tuple(_eval_profile(_profile_from(g.n, g.underlying_edges), neg_mask)))

@@ -26,7 +26,7 @@ from .enumeration import (
     signed_graphs_mod_switching,
     switching_class_signs,
 )
-from .families import bicyclic_class, gen_cycle, gen_figure, gen_infinity, gen_path, realize_nullity
+from .families import _CLASS_RANGES, bicyclic_class, gen_cycle, gen_figure, gen_infinity, gen_path, realize_nullity
 from .formulas import (
     InfinitySpec,
     is_max_nullity_extremal,
@@ -405,7 +405,9 @@ def verify_bounds_theta(samples: int = 5000, seed: int = DEFAULT_SEED) -> Verifi
 # -- nullity sets ----------------------------------------------------------------
 
 
-def _verify_set(theorem_id, class_name, n_lo, n_hi, k_offset):
+def _verify_set(theorem_id, class_name, n_lo, n_hi):
+    k_offset = _CLASS_RANGES[class_name][1]
+
     def cases():
         for n in range(n_lo, n_hi + 1):
             for k in range(0, n - k_offset + 1):
@@ -432,30 +434,31 @@ def _verify_set(theorem_id, class_name, n_lo, n_hi, k_offset):
 
 
 def verify_set_bplus(n_lo: int = 8, n_hi: int = 12) -> VerificationReport:
-    return _verify_set("set.bplus", "BPlus", n_lo, n_hi, 6)
+    return _verify_set("set.bplus", "BPlus", n_lo, n_hi)
 
 
 def verify_set_bplusplus(n_lo: int = 8, n_hi: int = 12) -> VerificationReport:
-    return _verify_set("set.bplusplus", "BPlusPlus", n_lo, n_hi, 6)
+    return _verify_set("set.bplusplus", "BPlusPlus", n_lo, n_hi)
 
 
 def verify_set_theta(n_lo: int = 6, n_hi: int = 12) -> VerificationReport:
-    return _verify_set("set.theta", "Theta", n_lo, n_hi, 4)
+    return _verify_set("set.theta", "Theta", n_lo, n_hi)
 
 
 def verify_set_bicyclic(n_lo: int = 8, n_hi: int = 12) -> VerificationReport:
     """Every k in [0, n-4] is attained by an unbalanced bicyclic signed graph."""
+    k_offset = _CLASS_RANGES["Theta"][1]
 
     def cases():
         for n in range(n_lo, n_hi + 1):
-            for k in range(0, n - 4 + 1):
+            for k in range(0, n - k_offset + 1):
                 g = realize_nullity("Theta", n, k)
                 eta = nullity_rank(g)
                 balanced, _ = is_balanced(g)
                 ok = eta == k and not balanced and g.m == g.n + 1
                 yield None if ok else dict(n=n, k=k, edges=_edge_list(g), expected=k, got=eta)
 
-    return _run("set.bicyclic", f"n in [{n_lo},{n_hi}], k in [0, n-4] via theta realizers", cases())
+    return _run("set.bicyclic", f"n in [{n_lo},{n_hi}], k in [0, n-{k_offset}] via theta realizers", cases())
 
 
 # -- registry --------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Basic-figure enumeration and the combinatorial coefficient route."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from sgn import (
     coefficient,
     enumerate_basic_figures,
 )
+from sgn.enumeration import connected_graphs_labeled, random_signed_graph
 from sgn.families import gen_cycle, gen_infinity, gen_path
 
 
@@ -45,6 +48,28 @@ def test_each_figure_has_disjoint_components():
             for w in f.cycle_components:
                 used.extend(w.vertices)
             assert len(used) == len(set(used)) == f.vertex_count == i
+
+
+def test_figure_enumeration_is_pinned():
+    # every figure of every graph, in enumeration order; the digest pins the
+    # figures, their components and the order in which they come
+    graphs = [
+        SignedGraph(n, [(u, v, 1) for u, v in edges])
+        for n in range(1, 6)
+        for edges in connected_graphs_labeled(n)
+    ]
+    rng = random.Random(7)
+    graphs += [random_signed_graph(rng, 8, edge_prob=0.4) for _ in range(20)]
+    digest = hashlib.sha256()
+    count = 0
+    for g in graphs:
+        for i in range(g.n + 1):
+            for f in enumerate_basic_figures(g, i):
+                cycles = [(w.vertices, w.sign) for w in f.cycle_components]
+                digest.update(repr((i, f.edge_components, cycles)).encode())
+                count += 1
+    assert (len(graphs), count) == (792, 14615)
+    assert digest.hexdigest() == "86ea5b8c751d175eeb9c512613f1c5270a72d45e89f25e9ad17727a0331e2f28"
 
 
 def test_figures_out_of_range():

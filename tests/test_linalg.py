@@ -162,6 +162,15 @@ def test_determinant_matches_charpoly_constant():
         assert char_poly(m).coeffs[-1] == (-1) ** n * determinant(m)
 
 
+def test_charpoly_routes_agree_on_non_symmetric_matrices():
+    # the general (non-symmetric) branch of Faddeev-LeVerrier, every coefficient
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        m = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+        assert char_poly(m) == char_poly_interpolated(m)
+
+
 def test_determinant_odd_row_permutation():
     assert determinant([[0, 1], [1, 0]]) == -1
     assert determinant([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
