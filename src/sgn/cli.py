@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage or parse error, 2 verification failure
-(including "not switching equivalent" for ``equiv``), 3 internal
-inconsistency (the nullity methods disagreed, which signals a library bug).
+Exit codes: 0 success, 1 usage or parse error (also a graph above the
+matrix routes' vertex ceiling), 2 verification failure (including "not
+switching equivalent" for ``equiv``), 3 internal inconsistency (the nullity
+methods disagreed, which signals a library bug).
 
 Graph arguments accept a file path, ``-`` for stdin, or a family spec such
 as ``cycle:n=6,s=1`` (an argument naming an existing file is read as a file;
@@ -30,7 +31,14 @@ from .graph import (
     serialize_edge_list,
     switching_equivalent,
 )
-from .linalg import adjacency_matrix, char_poly, nullity_charpoly, nullity_rank, zero_multiplicity
+from .linalg import (
+    LinalgError,
+    adjacency_matrix,
+    char_poly,
+    nullity_charpoly,
+    nullity_rank,
+    zero_multiplicity,
+)
 from .reduction import nullity_structural
 from .verify import THEOREM_IDS, verify_theorem
 
@@ -233,7 +241,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, GraphError) as exc:
+    except (ParseError, GraphError, LinalgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

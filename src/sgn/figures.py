@@ -60,8 +60,9 @@ class BasicFigure:
         return (-1 if (self.p + self.s) % 2 else 1) * (1 << self.c)
 
 
-def _component_stream(neighbors, covered=0, used=0, edges=(), cycles=()):
-    """Yield every basic figure as (vertices covered, K_2 edges, cycles).
+def _component_stream(neighbors, limit=None, covered=0, used=0, edges=(), cycles=()):
+    """Yield every basic figure covering at most ``limit`` vertices (all of
+    them by default) as (vertices covered, K_2 edges, cycles).
 
     ``neighbors[v]`` lists v's neighbors in ascending order; the other
     arguments describe the figure being extended, which is yielded first
@@ -69,29 +70,36 @@ def _component_stream(neighbors, covered=0, used=0, edges=(), cycles=()):
     increasing order of their smallest vertex: the smallest free vertex v
     is matched to a larger neighbor, made the smallest vertex of a cycle,
     or left uncovered, and the recursion extends each new figure before
-    the next choice is tried.  The traversal order is deterministic.
+    the next choice is tried.  The traversal order is deterministic, and a
+    limit only prunes figures (with all their extensions) that exceed it.
     """
     yield used, edges, cycles
+    if limit is None:
+        limit = len(neighbors)
+    room = limit - used
+    if room < 2:
+        return
     free = ~covered & ((1 << len(neighbors)) - 1)
     while free:
         v = (free & -free).bit_length() - 1
         for u in neighbors[v]:
             if u > v and not (covered >> u) & 1:
                 yield from _component_stream(
-                    neighbors, covered | 1 << v | 1 << u, used + 2, edges + ((v, u),), cycles
+                    neighbors, limit, covered | 1 << v | 1 << u, used + 2, edges + ((v, u),), cycles
                 )
-        for cycle, blocked in _cycles_through(neighbors, (v,), covered | 1 << v):
+        for cycle, blocked in _cycles_through(neighbors, (v,), covered | 1 << v, room):
             yield from _component_stream(
-                neighbors, blocked, used + len(cycle), edges, cycles + (cycle,)
+                neighbors, limit, blocked, used + len(cycle), edges, cycles + (cycle,)
             )
         # v left uncovered: later components avoid it
         covered |= 1 << v
         free ^= 1 << v
 
 
-def _cycles_through(neighbors, path, blocked):
-    """Yield every cycle that extends ``path`` through unblocked vertices
-    above ``path[0]``, with ``blocked`` plus the cycle's vertices.
+def _cycles_through(neighbors, path, blocked, room):
+    """Yield every cycle of at most ``room`` vertices that extends ``path``
+    through unblocked vertices above ``path[0]``, with ``blocked`` plus the
+    cycle's vertices.
 
     ``blocked`` holds the covered vertices and those of ``path``.  Each
     cycle comes in one orientation only, its second vertex smaller than
@@ -102,7 +110,8 @@ def _cycles_through(neighbors, path, blocked):
         if w > v and not (blocked >> w) & 1:
             if len(path) >= 2 and path[1] < w and v in neighbors[w]:
                 yield path + (w,), blocked | 1 << w
-            yield from _cycles_through(neighbors, path + (w,), blocked | 1 << w)
+            if len(path) + 2 <= room:
+                yield from _cycles_through(neighbors, path + (w,), blocked | 1 << w, room)
 
 
 def enumerate_basic_figures(g: SignedGraph, i: int) -> tuple[BasicFigure, ...]:
@@ -114,7 +123,7 @@ def enumerate_basic_figures(g: SignedGraph, i: int) -> tuple[BasicFigure, ...]:
         raise GraphError(f"figure size {i} out of range 0..{g.n}")
     return tuple(
         BasicFigure(edges, tuple(cycle_witness(g, c) for c in cycles))
-        for used, edges, cycles in _component_stream([g.neighbors(v) for v in range(g.n)])
+        for used, edges, cycles in _component_stream([g.neighbors(v) for v in range(g.n)], i)
         if used == i
     )
 

@@ -2,15 +2,21 @@
 
 Everything here runs over arbitrary-precision Python integers; no floating
 point is used anywhere.  The rank comes from fraction-free (Bareiss)
-elimination, the characteristic polynomial from the Faddeev-LeVerrier
-recurrence (whose divisions are exact on integer matrices), and an
-independent evaluation/interpolation route is provided as a cross-check.
+elimination.  The characteristic polynomial comes from the Faddeev-LeVerrier
+recurrence (whose divisions are exact on integer matrices) below order
+``HESSENBERG_MIN_ORDER`` (12), and from there on from an O(n^3) Hessenberg
+reduction modulo a product of primes below 2^62 that exceeds twice a
+Hadamard bound on every coefficient, so the symmetric residues are the
+exact coefficients.  An independent evaluation/interpolation route is
+provided as a cross-check.  The matrix routes refuse graphs above
+``MAX_MATRIX_VERTICES`` vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .graph import SignedGraph
@@ -76,8 +82,21 @@ def _require_square(m: Sequence[Sequence[int]]) -> int:
     return n
 
 
+#: Largest vertex count the matrix routes (rank, characteristic polynomial,
+#: interpolation) accept.  A dense n x n matrix of Python ints holds 8 n^2
+#: bytes of references per copy, 32 MB at this ceiling.
+MAX_MATRIX_VERTICES = 2000
+
+
 def adjacency_matrix(g: SignedGraph) -> Matrix:
-    """Signed adjacency matrix: entry (i, j) is the sign of edge {i, j} or 0."""
+    """Signed adjacency matrix: entry (i, j) is the sign of edge {i, j} or 0.
+
+    Raises LinalgError, before allocating, above ``MAX_MATRIX_VERTICES``.
+    """
+    if g.n > MAX_MATRIX_VERTICES:
+        raise LinalgError(
+            f"n = {g.n} exceeds the {MAX_MATRIX_VERTICES}-vertex ceiling of the matrix routes"
+        )
     rows = [[0] * g.n for _ in range(g.n)]
     for u, v, s in g.edges:
         rows[u][v] = s
@@ -162,7 +181,21 @@ def determinant(m: Sequence[Sequence[int]]) -> int:
 # -- characteristic polynomial -------------------------------------------
 
 
+#: Matrix order from which ``_charpoly_rows`` runs the modular Hessenberg
+#: kernel; below it Faddeev-LeVerrier is faster (measured crossover).
+HESSENBERG_MIN_ORDER = 12
+
+
 def _charpoly_rows(a: list[list[int]]) -> list[int]:
+    """Coefficients a_0..a_n of det(x*I - A) for an integer matrix given as
+    lists: Faddeev-LeVerrier below ``HESSENBERG_MIN_ORDER``, the exact
+    modular Hessenberg kernel from there on."""
+    if len(a) < HESSENBERG_MIN_ORDER:
+        return _faddeev_leverrier(a)
+    return _charpoly_modular(a)
+
+
+def _faddeev_leverrier(a: list[list[int]]) -> list[int]:
     """Faddeev-LeVerrier on an integer matrix given as lists; returns a_0..a_n.
 
     M_1 = A, c_k = -tr(M_k)/k, M_{k+1} = A (M_k + c_k I).  All divisions are
@@ -227,8 +260,163 @@ def _charpoly_rows(a: list[list[int]]) -> list[int]:
     return coeffs
 
 
+#: Bases of the Miller-Rabin test: the first 12 primes, which make it
+#: exact for every n below 3.3e24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n below 3.3e24."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _prime(k: int) -> int:
+    """The k-th prime below 2^62, counting down from 2^62 (k = 0 first);
+    each is found on first use and cached."""
+    c = _prime(k - 1) - 2 if k else (1 << 62) - 1
+    while not _is_prime(c):
+        c -= 2
+    return c
+
+
+def _hadamard_primes(a: list[list[int]]) -> list[int]:
+    """Primes whose product M exceeds 2B, with B = prod(1 + |r_i|) over the
+    Euclidean norms of the rows.
+
+    B bounds every |a_k|: a_k is +-(sum of the principal k-minors), each
+    minor is at most the product of its rows' norms (Hadamard), so
+    |a_k| <= e_k(|r_1|, ..., |r_n|) <= B.  The test stays in integers:
+    (1 + |r|)^2 <= 2(1 + |r|^2), so M^2 > 4 prod 2(1 + |r_i|^2) gives M > 2B,
+    and every a_k is its residue mod M lifted to (-M/2, M/2].
+    """
+    bound = 4
+    for row in a:
+        bound *= 2 * (1 + sum(x * x for x in row))
+    primes: list[int] = []
+    square = 1
+    while square <= bound:
+        p = _prime(len(primes))
+        primes.append(p)
+        square *= p * p
+    return primes
+
+
+def _hessenberg_mod(a: list[list[int]], modulus: int) -> list[int] | None:
+    """Residues of a_0..a_n modulo ``modulus``, or None if some column offers
+    only non-unit nonzero pivots (never when ``modulus`` is prime).
+
+    Reduces A to upper Hessenberg form H by similarity steps over Z/MZ: at
+    column c a unit pivot is moved to row c + 1, each lower row i loses
+    u_i times it, and column c + 1 gains u_i times column i (Cohen, Alg.
+    2.2.9).  Then p_0 = 1 and p_{k+1} = (x - h_kk) p_k
+    - sum_{i<k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_i gives det(x*I - H) in
+    O(n^3) ring operations.
+    """
+    n = len(a)
+    h = [[x % modulus for x in row] for row in a]
+    for m in range(1, n - 1):
+        c = m - 1
+        piv = None
+        non_unit = False
+        for i in range(m, n):
+            if h[i][c]:
+                try:
+                    inv = pow(h[i][c], -1, modulus)
+                except ValueError:
+                    non_unit = True
+                    continue
+                piv = i
+                break
+        if piv is None:
+            if non_unit:
+                return None
+            continue
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for row in h:
+                row[m], row[piv] = row[piv], row[m]
+        tail = h[m][m:]
+        us = []
+        for i in range(m + 1, n):
+            row = h[i]
+            u = row[c] * inv % modulus
+            us.append(u)
+            if u:
+                row[c] = 0
+                row[m:] = [(x - u * y) % modulus for x, y in zip(row[m:], tail)]
+        if any(us):
+            for row in h:
+                row[m] = (row[m] + sum([u * x for u, x in zip(us, row[m + 1:])])) % modulus
+    # characteristic polynomials of the leading k x k blocks, lowest degree first
+    polys = [[1]]
+    for k in range(n):
+        prev = polys[-1]
+        hkk = h[k][k]
+        new = [0] + prev
+        new[:k + 1] = [x - hkk * y for x, y in zip(new, prev)]
+        t = 1
+        for i in range(k - 1, -1, -1):
+            t = t * h[i + 1][i] % modulus
+            if not t:
+                break
+            s = h[i][k] * t % modulus
+            if s:
+                new[:i + 1] = [x - s * y for x, y in zip(new, polys[i])]
+        polys.append([x % modulus for x in new])
+    return polys[-1][::-1]
+
+
+def _charpoly_modular(a: list[list[int]]) -> list[int]:
+    """Exact a_0..a_n from the Hessenberg kernel modulo a product of primes
+    below 2^62 that exceeds twice the Hadamard bound.
+
+    A composite modulus can meet a column whose nonzero entries are all
+    non-units; the kernel then runs modulo each prime, where every nonzero
+    pivot is a unit, and the residues are joined by the Chinese remainder
+    theorem.
+    """
+    primes = _hadamard_primes(a)
+    modulus = 1
+    for p in primes:
+        modulus *= p
+    res = _hessenberg_mod(a, modulus)
+    if res is None:
+        res = [0] * (len(a) + 1)
+        for p in primes:
+            q = modulus // p
+            w = q * pow(q, -1, p)
+            res = [(x + r * w) % modulus for x, r in zip(res, _hessenberg_mod(a, p))]
+    return _symmetric_residues(res, modulus)
+
+
+def _symmetric_residues(res: list[int], modulus: int) -> list[int]:
+    """Each residue lifted to the integer in (-modulus/2, modulus/2]."""
+    return [x - modulus if 2 * x > modulus else x for x in res]
+
+
 def char_poly(m: Sequence[Sequence[int]]) -> CharPoly:
-    """Exact coefficients of det(lambda*I - M) via Faddeev-LeVerrier."""
+    """Exact coefficients of det(lambda*I - M): Faddeev-LeVerrier below
+    ``HESSENBERG_MIN_ORDER``, the modular Hessenberg kernel from there on."""
     _require_square(m)
     return CharPoly(tuple(_charpoly_rows(_as_rows(m))))
 

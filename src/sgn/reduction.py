@@ -160,11 +160,16 @@ def _cutpoint_parts(g: SignedGraph, v: int):
     return parts
 
 
-def _deltas(parts):
+def _deltas(parts, ranked: dict[SignedGraph, int]):
     """eta(G_i) - eta(G_i + v) for each part in order, ranked lazily: +1 is
-    the decrement rule's hypothesis, -1 the split rule's."""
+    the decrement rule's hypothesis, -1 the split rule's.  ``ranked`` holds
+    the nullities found so far in one decision, so a graph value that recurs
+    at another cut point is ranked once."""
     for comp, _, plus_v in parts:
-        yield nullity_rank(comp) - nullity_rank(plus_v)
+        for h in (comp, plus_v):
+            if h not in ranked:
+                ranked[h] = nullity_rank(h)
+        yield ranked[comp] - ranked[plus_v]
 
 
 def _decrement(g: SignedGraph, v: int, parts, idx: int):
@@ -199,7 +204,7 @@ def _try_cutpoint(g: SignedGraph, v: int, delta: int, build):
     if v not in cut_points(g):
         raise GraphError(f"vertex {v} is not a cut-point")
     parts = _cutpoint_parts(g, v)
-    for idx, d in enumerate(_deltas(parts)):
+    for idx, d in enumerate(_deltas(parts, {})):
         if d == delta:
             return build(g, v, parts, idx)
     return None
@@ -276,13 +281,14 @@ def _rule(g: SignedGraph) -> tuple[tuple[SignedGraph, ...], ReductionStep]:
     if hit is not None:
         reduced, step = hit
         return (reduced,), step
-    # each cut point is decomposed and its parts ranked once: the decrement
-    # rule at any cut point wins, else the split rule at the first cut point
-    # that admits it
+    # each cut point is decomposed once and each graph value ranked once:
+    # the decrement rule at any cut point wins, else the split rule at the
+    # first cut point that admits it
     split = None
+    ranked: dict[SignedGraph, int] = {}
     for v in sorted(cut_points(g)):
         parts = _cutpoint_parts(g, v)
-        for idx, delta in enumerate(_deltas(parts)):
+        for idx, delta in enumerate(_deltas(parts, ranked)):
             if delta == 1:
                 return _decrement(g, v, parts, idx)
             if delta == -1 and split is None:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -11,12 +12,13 @@ from sgn.cli import main
 TRIANGLE = "3 3\n0 1 1\n1 2 1\n0 2 -1\n"
 
 
-def run_cli(args, stdin=None):
+def run_cli(args, stdin=None, preexec_fn=None):
     proc = subprocess.run(
         [sys.executable, "-m", "sgn.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
+        preexec_fn=preexec_fn,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -204,3 +206,18 @@ def test_size_guard_env(monkeypatch, capsys):
 def test_console_entry_point():
     code, out, _ = run_cli(["charpoly", "cycle:n=4,s=1"])
     assert code == 0 and "x^4 - 4x^2 + 4" in out
+
+
+def _limit_address_space():
+    # 512 MiB: enough to start the CLI, far too little for a 10^8 x 10^8 matrix
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["nullity", "--method", "rank", "-"], ["nullity", "--method", "charpoly", "-"], ["charpoly", "-"]],
+)
+def test_vertex_ceiling_of_the_matrix_routes(args):
+    code, out, err = run_cli(args, stdin="100000000 0\n", preexec_fn=_limit_address_space)
+    assert code == 1 and out == ""
+    assert err == "error: n = 100000000 exceeds the 2000-vertex ceiling of the matrix routes\n"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgn import (
+    BasicFigure,
     GraphError,
     SignedGraph,
     SizeGuardError,
@@ -18,7 +19,9 @@ from sgn import (
     coefficient,
     enumerate_basic_figures,
 )
+from sgn import figures
 from sgn.enumeration import connected_graphs_labeled, random_signed_graph
+from sgn.graph import cycle_witness
 from sgn.families import gen_cycle, gen_infinity, gen_path
 
 
@@ -70,6 +73,25 @@ def test_figure_enumeration_is_pinned():
                 count += 1
     assert (len(graphs), count) == (792, 14615)
     assert digest.hexdigest() == "86ea5b8c751d175eeb9c512613f1c5270a72d45e89f25e9ad17727a0331e2f28"
+
+
+def test_capped_enumeration_equals_the_filtered_full_stream():
+    # enumerate_basic_figures(g, i) stops extending figures past i vertices;
+    # it must still return exactly the full stream's size-i figures, in order
+    rng = random.Random(23)
+    graphs = [random_signed_graph(rng, rng.randint(1, 8), edge_prob=rng.choice((0.3, 0.6, 0.9))) for _ in range(40)]
+    graphs.append(SignedGraph(8, [(u, v, 1) for u, v in itertools.combinations(range(8), 2)]))
+    for g in graphs:
+        neighbors = [g.neighbors(v) for v in range(g.n)]
+        stream = list(figures._component_stream(neighbors))
+        for i in range(g.n + 1):
+            assert all(used <= i for used, _, _ in figures._component_stream(neighbors, i))
+            want = tuple(
+                BasicFigure(edges, tuple(cycle_witness(g, c) for c in cycles))
+                for used, edges, cycles in stream
+                if used == i
+            )
+            assert enumerate_basic_figures(g, i) == want
 
 
 def test_figures_out_of_range():

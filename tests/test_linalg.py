@@ -1,5 +1,6 @@
 """Exact linear algebra: adjacency, rank, characteristic polynomial."""
 
+import math
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from sgn import (
     switch,
     zero_multiplicity,
 )
+from sgn import linalg
 from sgn.families import gen_cycle, gen_infinity, gen_path, gen_theta
 
 
@@ -252,3 +254,129 @@ def test_nullity_infinity_graph_example():
     # eta of the triangle/quadrangle infinity graph on 7 vertices is 1
     g = gen_infinity(3, 4, 2, 1, 0)
     assert g.n == 7 and nullity_rank(g) == 1
+
+
+def test_adjacency_matrix_refuses_graphs_above_the_ceiling():
+    assert len(adjacency_matrix(SignedGraph(linalg.MAX_MATRIX_VERTICES))) == linalg.MAX_MATRIX_VERTICES
+    with pytest.raises(LinalgError, match=f"{linalg.MAX_MATRIX_VERTICES}-vertex ceiling"):
+        adjacency_matrix(SignedGraph(linalg.MAX_MATRIX_VERTICES + 1))
+
+
+# -- modular Hessenberg kernel ------------------------------------------------
+
+N0 = linalg.HESSENBERG_MIN_ORDER
+
+
+def _signed_rows(rng, n, p=0.3):
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                a[i][j] = a[j][i] = rng.choice((1, -1))
+    return a
+
+
+def _integer_rows(rng, n, size=5):
+    return [[rng.randint(-size, size) for _ in range(n)] for _ in range(n)]
+
+
+def _seeded_matrices(seed, sizes):
+    rng = random.Random(seed)
+    for n in sizes:
+        yield _signed_rows(rng, n)
+        yield _integer_rows(rng, n)
+
+
+def _modulus(primes):
+    m = 1
+    for p in primes:
+        m *= p
+    return m
+
+
+def test_hadamard_bound_covers_every_coefficient():
+    # prod(1 + isqrt(|r_i|^2)) is at most B = prod(1 + |r_i|), so this is
+    # the stronger claim; the chosen modulus must exceed twice every |a_k|
+    for a in _seeded_matrices(3, [1, 2, 3, 5, 8, 13, 21, 30]):
+        biggest = max(abs(c) for c in linalg._faddeev_leverrier(a))
+        assert biggest <= math.prod(1 + math.isqrt(sum(x * x for x in row)) for row in a)
+        assert _modulus(linalg._hadamard_primes(a)) > 2 * biggest
+
+
+def _strong_probable_prime(n, rng, rounds=32):
+    # independent of the module's fixed bases: random bases, error < 4^-32
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for _ in range(rounds):
+        x = pow(rng.randrange(2, n - 1), d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_listed_primes_are_prime_and_distinct():
+    primes = [linalg._prime(k) for k in range(16)]
+    assert primes == sorted(set(primes), reverse=True)
+    assert primes[0] < 1 << 62 and primes[-1] > 1 << 61
+    rng = random.Random(19)
+    for p in primes:
+        assert all(p % q for q in range(3, 2000, 2)) and _strong_probable_prime(p, rng)
+    # and no prime is skipped between consecutive listed primes
+    for hi, lo in zip(primes, primes[1:]):
+        assert not any(_strong_probable_prime(c, rng, 4) for c in range(lo + 2, hi, 2))
+
+
+def test_miller_rabin_against_trial_division_and_pseudoprimes():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(3000) if linalg._is_prime(n)] == [n for n in range(3000) if trial(n)]
+    # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+    assert not linalg._is_prime(3_215_031_751)
+    assert not linalg._is_prime(3_825_123_056_546_413_051)
+
+
+def test_modulus_below_twice_the_coefficients_gives_a_wrong_answer():
+    # a_12 of 10^3 * I is 10^36, far beyond half of one 62-bit prime
+    n = N0
+    a = [[1000 if i == j else (1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
+    exact = linalg._faddeev_leverrier(a)
+    p = linalg._prime(0)
+    assert 2 * max(abs(c) for c in exact) > p
+    assert linalg._symmetric_residues(linalg._hessenberg_mod(a, p), p) != exact
+    m = _modulus(linalg._hadamard_primes(a))
+    assert linalg._symmetric_residues(linalg._hessenberg_mod(a, m), m) == exact
+
+
+def test_non_unit_pivot_falls_back_to_one_prime_at_a_time(monkeypatch):
+    # the only nonzero entry below the diagonal in column 0 is the first
+    # listed prime, a zero divisor modulo the product of the primes
+    n = N0
+    p = linalg._prime(0)
+    a = [[1 if abs(i - j) == 1 and min(i, j) > 0 else 0 for j in range(n)] for i in range(n)]
+    a[1][0] = p
+    a[0][1] = 1
+    a[0][0] = 2
+    primes = linalg._hadamard_primes(a)
+    assert p in primes and linalg._hessenberg_mod(a, _modulus(primes)) is None
+    moduli = []
+    real = linalg._hessenberg_mod
+    monkeypatch.setattr(linalg, "_hessenberg_mod", lambda rows, m: moduli.append(m) or real(rows, m))
+    assert linalg._charpoly_rows(a) == linalg._faddeev_leverrier(a) == list(char_poly_interpolated(a).coeffs)
+    assert moduli == [_modulus(primes), *primes]
+
+
+@pytest.mark.parametrize("n", [N0 - 1, N0, N0 + 1, 40])
+def test_modular_kernel_matches_faddeev_leverrier_and_interpolation(n):
+    for a in _seeded_matrices(n, [n]):
+        kernel = linalg._charpoly_modular(a)
+        assert kernel == linalg._faddeev_leverrier(a)
+        assert tuple(kernel) == char_poly_interpolated(a).coeffs
+        assert char_poly(a).coeffs == tuple(kernel)

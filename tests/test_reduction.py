@@ -254,25 +254,37 @@ def test_certificate_bytes_are_pinned(spec):
 
 
 def test_each_cut_point_is_decided_once(monkeypatch):
-    # on this graph the decrement rule misses at the one cut point and the
-    # split rule applies there; its decomposition and ranks must be reused
+    cases = [
+        # the decrement rule misses at the one cut point and the split rule
+        # applies there; its decomposition and ranks must be reused
+        (parse_family_spec("infinity:p=3,q=4,l=1,sp=0,sq=0"), KIND_CUTPOINT_SPLIT),
+        # two unbalanced triangles joined by the edge (0,3): neither rule
+        # applies at either cut point, and the triangle, a part or G_i + v at
+        # both, is ranked once
+        (
+            SignedGraph(6, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, -1), (3, 4, 1), (3, 5, 1), (4, 5, -1)]),
+            KIND_BASE_CASE,
+        ),
+    ]
     log = []
     real_cut_points, real_rank = reduction.cut_points, reduction.nullity_rank
     monkeypatch.setattr(reduction, "cut_points", lambda g: log.append(("cut", g)) or real_cut_points(g))
     monkeypatch.setattr(reduction, "nullity_rank", lambda g: log.append(("rank", g)) or real_rank(g))
-    trace = nullity_structural(parse_family_spec("infinity:p=3,q=4,l=1,sp=0,sq=0"))[1]
-    assert KIND_CUTPOINT_SPLIT in [step.kind for step in trace.steps]
-    decided = [
-        step.before
-        for step in trace.steps
-        if step.kind not in (KIND_COMPONENT_SPLIT, KIND_PENDANT_DELETE) and step.before.n > 0
-    ]
-    assert [g for kind, g in log if kind == "cut"] == decided
-    # the ranks made after a cut_points call, up to the next one, serve one decision
-    ranked = []
-    for kind, g in log:
-        if kind == "cut":
-            ranked = []
-        else:
-            assert g not in ranked
-            ranked.append(g)
+    for g, kind in cases:
+        log.clear()
+        trace = nullity_structural(g)[1]
+        assert kind in [step.kind for step in trace.steps]
+        decided = [
+            step.before
+            for step in trace.steps
+            if step.kind not in (KIND_COMPONENT_SPLIT, KIND_PENDANT_DELETE) and step.before.n > 0
+        ]
+        assert [h for what, h in log if what == "cut"] == decided
+        # the ranks made after a cut_points call, up to the next one, serve one decision
+        ranked = []
+        for what, h in log:
+            if what == "cut":
+                ranked = []
+            else:
+                assert h not in ranked
+                ranked.append(h)
