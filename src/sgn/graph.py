@@ -25,6 +25,11 @@ class ParseError(GraphError):
 #: A switching function assigns +1 or -1 to every vertex.
 SwitchingFunction = Mapping[int, int]
 
+#: Largest vertex count the adjacency lists, and so every traversal, accept.
+#: Checked when the lists are first built, before anything per vertex is
+#: allocated; the matrix routes have their own, lower ceiling.
+MAX_VERTICES = 200_000
+
 
 @dataclass(frozen=True)
 class SignedGraph:
@@ -71,6 +76,10 @@ class SignedGraph:
 
     @cached_property
     def _adj(self) -> tuple[dict[int, int], ...]:
+        if self.n > MAX_VERTICES:
+            raise GraphError(
+                f"n = {self.n} exceeds the {MAX_VERTICES}-vertex ceiling of the adjacency lists"
+            )
         # edges are sorted by (u, v) with u < v, so each vertex meets its
         # smaller neighbors first, ascending, then its larger ones: every
         # dict is filled, and therefore iterates, in ascending label order
@@ -211,7 +220,7 @@ def from_json(text: str) -> SignedGraph:
     try:
         obj = json.loads(text)
         n, edges = obj["n"], [tuple(e) for e in obj["edges"]]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
         raise ParseError(f"bad JSON graph: {exc}")
     # JSON true/false and 3.0 would pass the constructor's range checks
     if type(n) is not int:
@@ -225,8 +234,12 @@ def from_json(text: str) -> SignedGraph:
 # -- connectivity, components, cut-points -------------------------------
 
 
-def _component_vertex_sets(g: SignedGraph) -> list[list[int]]:
+def _component_vertex_sets(g: SignedGraph, skip: int | None = None) -> list[list[int]]:
+    """Ascending label lists of the components of ``g`` less the vertex ``skip``."""
+    adj = g._adj
     seen = [False] * g.n
+    if skip is not None:
+        seen[skip] = True
     out = []
     for root in range(g.n):
         if seen[root]:
@@ -236,7 +249,7 @@ def _component_vertex_sets(g: SignedGraph) -> list[list[int]]:
         stack = [root]
         while stack:
             x = stack.pop()
-            for y in g._adj[x]:
+            for y in adj[x]:
                 if not seen[y]:
                     seen[y] = True
                     comp.append(y)
@@ -342,6 +355,7 @@ def _dfs_forest(g: SignedGraph) -> tuple[list[int], list[int], list[int], list[i
     and low[v] its lowpoint: the smallest discovery time reached from v's
     subtree by at most one back edge.
     """
+    adj = g._adj
     parent = [-2] * g.n
     theta = [1] * g.n
     disc = [0] * g.n
@@ -353,7 +367,7 @@ def _dfs_forest(g: SignedGraph) -> tuple[list[int], list[int], list[int], list[i
         parent[root] = -1
         disc[root] = low[root] = timer
         timer += 1
-        stack = [(root, iter(g._adj[root].items()))]
+        stack = [(root, iter(adj[root].items()))]
         while stack:
             x, it = stack[-1]
             for y, s in it:
@@ -362,7 +376,7 @@ def _dfs_forest(g: SignedGraph) -> tuple[list[int], list[int], list[int], list[i
                     theta[y] = s * theta[x]
                     disc[y] = low[y] = timer
                     timer += 1
-                    stack.append((y, iter(g._adj[y].items())))
+                    stack.append((y, iter(adj[y].items())))
                     break
                 if y != parent[x] and disc[y] < low[x]:
                     low[x] = disc[y]
@@ -433,61 +447,28 @@ def switching_equivalent(g: SignedGraph, h: SignedGraph) -> bool:
 
 
 def find_cycles(g: SignedGraph) -> tuple[CycleWitness, ...]:
-    """All cycles of a graph with cyclomatic number at most 2.
+    """All cycles of a graph with cyclomatic number at most 2, shortest first.
 
     Trees have none, unicyclic graphs one; bicyclic graphs have two cycles
-    (infinity-type) or three (theta-type, where the two fundamental cycles
-    share edges and their symmetric difference is the third cycle).  Graphs
-    with more independent cycles are rejected.
+    (infinity-type) or three (theta-type).  Everything is read off the one
+    DFS forest: each non-tree edge joins a descendant d to its ancestor a
+    (Tarjan 1972) and closes the fundamental cycle a..d.  When two such
+    cycles share a vertex, the tree paths a1..a2 and d2..d1 closed by both
+    back edges form their edge sum, which is a third cycle exactly when its
+    vertices are distinct.  Graphs with more independent cycles are rejected.
     """
-    c = g.cyclomatic_number()
+    parent, _, disc, _ = _dfs_forest(g)
+    c = g.m - g.n + parent.count(-1)
     if c > 2:
         raise GraphError(f"find_cycles: cyclomatic number {c} exceeds 2")
-    parent, _, _, _ = _dfs_forest(g)
-    tree = set()
-    for v in range(g.n):
-        if parent[v] >= 0:
-            tree.add((min(v, parent[v]), max(v, parent[v])))
-    fundamental = []
-    for u, v, _ in g.edges:
-        if (u, v) not in tree:
-            fundamental.append(_forest_path(parent, u, v))
-    cycles = [cycle_witness(g, cyc) for cyc in fundamental]
-    if len(fundamental) == 2:
-        e1 = _cycle_edge_set(fundamental[0])
-        e2 = _cycle_edge_set(fundamental[1])
-        if e1 & e2:
-            third = _walk_cycle(e1 ^ e2)
-            cycles.append(cycle_witness(g, third))
+    back = [(u, v) if disc[u] < disc[v] else (v, u)
+            for u, v, _ in g.edges if parent[v] != u and parent[u] != v]
+    paths = [_forest_path(parent, a, d) for a, d in back]
+    if len(paths) == 2 and set(paths[0]) & set(paths[1]):
+        (a1, d1), (a2, d2) = back
+        third = _forest_path(parent, a1, a2) + _forest_path(parent, d2, d1)
+        if len(set(third)) == len(third):
+            paths.append(third)
+    cycles = [cycle_witness(g, path) for path in paths]
     cycles.sort(key=lambda w: (len(w.vertices), w.vertices))
     return tuple(cycles)
-
-
-def _cycle_edge_set(vertices: Sequence[int]) -> set[tuple[int, int]]:
-    out = set()
-    for a, b in zip(vertices, list(vertices[1:]) + [vertices[0]]):
-        out.add((min(a, b), max(a, b)))
-    return out
-
-
-def _walk_cycle(edge_set: set[tuple[int, int]]) -> list[int]:
-    adj: dict[int, list[int]] = {}
-    for a, b in edge_set:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    if any(len(vs) != 2 for vs in adj.values()):
-        raise GraphError("edge set is not a single cycle")
-    start = min(adj)
-    walk = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = [x for x in adj[cur] if x != prev]
-        step = nxt[0]
-        if step == start:
-            break
-        walk.append(step)
-        prev, cur = cur, step
-    if len(walk) != len(adj):
-        raise GraphError("edge set is not a single cycle")
-    return walk

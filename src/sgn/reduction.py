@@ -25,6 +25,7 @@ from .formulas import nullity_cycle
 from .graph import (
     GraphError,
     SignedGraph,
+    _component_vertex_sets,
     _induced,
     components,
     cut_points,
@@ -152,12 +153,10 @@ def _cutpoint_parts(g: SignedGraph, v: int):
 
     ``v`` must be a cut-point of ``g``; callers check that.
     """
-    without, keep = delete_vertices(g, (v,))
-    parts = []
-    for comp, comp_map in components(without):
-        original = tuple(keep[i] for i in comp_map)
-        parts.append((comp, original, _induced(g, sorted((*original, v)))))
-    return parts
+    return [
+        (_induced(g, comp), tuple(comp), _induced(g, sorted((*comp, v))))
+        for comp in _component_vertex_sets(g, skip=v)
+    ]
 
 
 def _deltas(parts, ranked: dict[SignedGraph, int]):

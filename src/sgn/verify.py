@@ -35,7 +35,7 @@ from .formulas import (
     nullity_path,
     upper_bound,
 )
-from .graph import SignedGraph, components, cut_points, delete_vertices, is_balanced, pendant_pairs, switch
+from .graph import GraphError, SignedGraph, components, cut_points, delete_vertices, is_balanced, pendant_pairs, switch
 from .linalg import _charpoly_rows, adjacency_matrix, char_poly, nullity_rank
 from .reduction import _cutpoint_parts
 
@@ -418,7 +418,10 @@ def _verify_set(theorem_id, class_name, n_lo, n_hi):
                     continue
                 eta = nullity_rank(g)
                 balanced, _ = is_balanced(g)
-                cls = bicyclic_class(g)
+                try:
+                    cls = bicyclic_class(g)
+                except GraphError as exc:  # not a connected bicyclic graph
+                    cls = repr(exc)
                 if eta != k or balanced or cls != class_name:
                     yield dict(
                         n=n, k=k,

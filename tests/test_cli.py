@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from sgn.cli import main
+from sgn.graph import MAX_VERTICES
 
 TRIANGLE = "3 3\n0 1 1\n1 2 1\n0 2 -1\n"
 
@@ -221,3 +222,15 @@ def test_vertex_ceiling_of_the_matrix_routes(args):
     code, out, err = run_cli(args, stdin="100000000 0\n", preexec_fn=_limit_address_space)
     assert code == 1 and out == ""
     assert err == "error: n = 100000000 exceeds the 2000-vertex ceiling of the matrix routes\n"
+
+
+@pytest.mark.parametrize("args", [["nullity", "--method", "structural", "-"], ["balance", "-"], ["canon", "-"]])
+def test_vertex_ceiling_of_the_adjacency_lists(args):
+    code, out, err = run_cli(args, stdin="100000000 0\n", preexec_fn=_limit_address_space)
+    assert code == 1 and out == ""
+    assert err == f"error: n = 100000000 exceeds the {MAX_VERTICES}-vertex ceiling of the adjacency lists\n"
+
+
+def test_canon_at_the_vertex_ceiling():
+    code, out, err = run_cli(["canon", "-"], stdin=f"{MAX_VERTICES} 0\n", preexec_fn=_limit_address_space)
+    assert (code, out, err) == (0, f"{MAX_VERTICES} 0\n", "")

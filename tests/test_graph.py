@@ -127,6 +127,11 @@ def test_from_json_rejects_non_integer_fields(text):
         from_json(text)
 
 
+def test_from_json_rejects_deep_nesting():
+    with pytest.raises(ParseError, match="bad JSON graph"):
+        from_json("[" * 100_000)
+
+
 @given(signed_graphs(), st.randoms(use_true_random=False))
 @settings(max_examples=60)
 def test_neighbors_ascend_whatever_the_edge_order(g, rng):
@@ -428,6 +433,76 @@ def test_find_cycles_two_disjoint_triangles():
     ws = find_cycles(SignedGraph(6, edges))
     assert len(ws) == 2
     assert {w.sign for w in ws} == {1, -1}
+
+
+def _brute_force_cycles(pairs):
+    """Edge masks over ``pairs`` that are one cycle: a nonempty connected
+    edge set in which every vertex has degree 0 or 2."""
+    out = []
+    for mask in range(1, 1 << len(pairs)):
+        chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        degree = {}
+        for u, v in chosen:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        if any(d != 2 for d in degree.values()):
+            continue
+        reach = {chosen[0][0]}
+        grown = True
+        while grown:
+            grown = False
+            for u, v in chosen:
+                if (u in reach) != (v in reach):
+                    reach |= {u, v}
+                    grown = True
+        if len(reach) == len(degree):
+            out.append(mask)
+    return out
+
+
+def _component_count(n, chosen):
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for u, v in chosen:
+        root[find(u)] = find(v)
+    return sum(1 for x in range(n) if find(x) == x)
+
+
+def test_find_cycles_matches_brute_force_on_every_small_labeled_graph():
+    # every labeled graph with n <= 6, disconnected ones included: its cycles
+    # are the cycles of K_n whose edges it contains
+    checked = rejected = 0
+    for n in range(7):
+        pairs = list(itertools.combinations(range(n), 2))
+        index = {e: i for i, e in enumerate(pairs)}
+        kn_cycles = _brute_force_cycles(pairs)
+        for mask in range(1 << len(pairs)):
+            chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+            signs = {e: -1 if (index[e] * 7 + mask) % 3 == 0 else 1 for e in chosen}
+            g = SignedGraph(n, [(u, v, signs[u, v]) for u, v in chosen])
+            c = len(chosen) - n + _component_count(n, chosen)
+            if c > 2:
+                with pytest.raises(GraphError, match=f"cyclomatic number {c} exceeds 2$"):
+                    find_cycles(g)
+                rejected += 1
+                continue
+            ws = find_cycles(g)
+            got = []
+            for w in ws:
+                ring = [tuple(sorted(e)) for e in zip(w.vertices, w.vertices[1:] + w.vertices[:1])]
+                got.append(sum(1 << index[e] for e in ring))
+                negative = sum(1 for e in ring if signs[e] == -1)
+                assert (w.sign, w.neg_edge_count) == (-1 if negative % 2 else 1, negative)
+                assert w.vertices[0] == min(w.vertices) and w.vertices[1] < w.vertices[-1]
+            assert sorted(got) == [cm for cm in kn_cycles if cm & mask == cm], g
+            assert [(len(w), w.vertices) for w in ws] == sorted((len(w), w.vertices) for w in ws)
+            checked += 1
+    assert (checked, rejected) == (16_552, 17_316)
 
 
 def test_cycle_witness_orientation_canonical():

@@ -15,6 +15,8 @@ from sgn import (
     SignedGraph,
     apply_pendant,
     components,
+    cut_points,
+    delete_vertices,
     nullity_rank,
     nullity_structural,
     parse_family_spec,
@@ -22,7 +24,9 @@ from sgn import (
     try_cutpoint_case2,
 )
 from sgn import reduction
+from sgn.enumeration import random_signed_graph
 from sgn.families import gen_cycle, gen_figure, gen_infinity, gen_path, gen_star
+from sgn.graph import _induced
 from sgn.reduction import (
     KIND_BASE_CASE,
     KIND_COMPONENT_SPLIT,
@@ -251,6 +255,25 @@ CERTIFICATE_SHA256 = {
 def test_certificate_bytes_are_pinned(spec):
     trace = nullity_structural(parse_family_spec(spec))[1]
     assert hashlib.sha256(trace.to_json().encode()).hexdigest() == CERTIFICATE_SHA256[spec]
+
+
+def test_cutpoint_parts_equal_the_build_through_g_minus_v():
+    # the parts were once built from the whole graph G - v, split into
+    # components whose label maps were composed back to G's labels
+    rng = random.Random(20261018)
+    checked = 0
+    for _ in range(300):
+        g = random_signed_graph(rng, rng.randint(2, 12), edge_prob=rng.choice((0.15, 0.25, 0.4)))
+        for h, _ in components(g):
+            for v in sorted(cut_points(h)):
+                without, keep = delete_vertices(h, (v,))
+                old = []
+                for comp, comp_map in components(without):
+                    original = tuple(keep[i] for i in comp_map)
+                    old.append((comp, original, _induced(h, sorted((*original, v)))))
+                assert reduction._cutpoint_parts(h, v) == old
+                checked += 1
+    assert checked == 381
 
 
 def test_each_cut_point_is_decided_once(monkeypatch):

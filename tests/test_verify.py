@@ -5,7 +5,9 @@ import json
 import pytest
 
 import sgn.verify as verify
+from sgn.cli import main
 from sgn.enumeration import connected_graphs_upto_iso, signed_graphs_mod_switching
+from sgn.families import gen_path
 from sgn.graph import SignedGraph, cut_points, pendant_pairs
 from sgn.verify import THEOREM_IDS, verify_theorem
 
@@ -181,6 +183,31 @@ def test_set_construction_failure_is_a_counted_case(monkeypatch):
     assert report.failures == [
         {"n": 6, "k": 0, "kind": "construction", "got": "ValueError('no witness')"},
     ]
+
+
+def test_set_non_bicyclic_output_is_a_counted_case(monkeypatch, capsys):
+    real = verify.realize_nullity
+
+    def realize(class_name, n, k):
+        return gen_path(8) if k == 0 else real(class_name, n, k)
+
+    monkeypatch.setattr(verify, "realize_nullity", realize)
+    report = verify_theorem("set.theta", n_lo=6, n_hi=6)
+    assert report.cases_checked == 3
+    assert report.failures == [
+        {
+            "n": 6, "k": 0,
+            "edges": [[i, i + 1, 1] for i in range(7)],
+            "kind": "witness",
+            "expected": {"eta": 0, "balanced": False, "class": "Theta"},
+            "got": {
+                "eta": 0, "balanced": True,
+                "class": "GraphError('bicyclic graph needs m = n + 1, got n=8, m=7')",
+            },
+        },
+    ]
+    assert main(["verify", "set.theta", "--n", "6..6"]) == 2
+    assert "cases checked: 3, failures: 1" in capsys.readouterr().out
 
 
 def test_rejects_unknown_theorem_and_options():
