@@ -101,8 +101,10 @@ def switching_class_signs(n: int, edges: tuple[Edge, ...]) -> Iterator[tuple[int
 
 
 def signed_graphs_mod_switching(n: int, edges: tuple[Edge, ...]) -> Iterator[SignedGraph]:
+    # validate the all-positive graph once; its sorted edges sign every class
+    edges = SignedGraph(n, [(u, v, 1) for u, v in edges]).underlying_edges
     for signs in switching_class_signs(n, edges):
-        yield SignedGraph(n, [(u, v, s) for (u, v), s in zip(edges, signs)])
+        yield SignedGraph._trusted(n, [(u, v, s) for (u, v), s in zip(edges, signs)])
 
 
 def connected_graphs_upto_iso(max_n: int = 7) -> list[tuple[int, tuple[Edge, ...]]]:
@@ -144,7 +146,7 @@ def random_signed_graph(rng: random.Random, n: int, edge_prob: float = 0.5) -> S
         for (u, v) in edge_universe(n)
         if rng.random() < edge_prob
     ]
-    return SignedGraph(n, edges)
+    return SignedGraph._trusted(n, edges)
 
 
 def random_switching(rng: random.Random, n: int) -> dict[int, int]:
@@ -164,7 +166,7 @@ def random_low_cyclomatic_graph(rng: random.Random, n: int, extra: int) -> Signe
     rng.shuffle(candidates)
     for e in candidates[:extra]:
         edges.add(e)
-    return SignedGraph(n, [(u, v, rng.choice((1, -1))) for u, v in sorted(edges)])
+    return SignedGraph._trusted(n, [(u, v, rng.choice((1, -1))) for u, v in sorted(edges)])
 
 
 def random_tree_attached_bicyclic(
@@ -222,4 +224,4 @@ def force_unbalanced(rng: random.Random, g: SignedGraph) -> SignedGraph:
     edges = [
         (u, v, -s if i == flip else s) for i, (u, v, s) in enumerate(g.edges)
     ]
-    return SignedGraph(g.n, edges)
+    return SignedGraph._trusted(g.n, edges)

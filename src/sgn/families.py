@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import inspect
 
-from .graph import GraphError, SignedGraph, find_cycles, is_connected
+from .graph import MAX_VERTICES, GraphError, SignedGraph, find_cycles, is_connected
 from .linalg import nullity_rank
 
 
@@ -474,9 +474,12 @@ def parse_family_spec(spec: str) -> SignedGraph:
             return default
         raw = args.pop(key)
         try:
-            return int(raw)
+            val = int(raw)
         except ValueError:
             raise GraphError(f"parameter {key} must be an integer, got {raw!r}")
+        if val > MAX_VERTICES:
+            raise GraphError(f"parameter {key} = {val} exceeds the {MAX_VERTICES}-vertex ceiling")
+        return val
 
     if kind == "path":
         g = gen_path(intval("n"))

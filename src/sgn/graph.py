@@ -37,7 +37,8 @@ class SignedGraph:
 
     Edges are stored as ``(u, v, sign)`` with ``u < v``, sorted by ``(u, v)``.
     The constructor normalizes edge orientation and rejects loops, duplicate
-    edges, out-of-range endpoints and signs outside {+1, -1}.
+    edges, out-of-range endpoints and signs outside {+1, -1}.  Parsed edge
+    lists and graphs derived from valid ones skip these checks (``_trusted``).
     """
 
     n: int
@@ -67,6 +68,15 @@ class SignedGraph:
                 raise GraphError(f"duplicate edge ({a[0]},{a[1]})")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
+
+    @classmethod
+    def _trusted(cls, n: int, edges: Iterable[tuple[int, int, int]]) -> SignedGraph:
+        """Store ``edges`` unchecked.  They must be in normal form: ``n >= 0``,
+        ``0 <= u < v < n``, ``s`` in {1, -1}, and the ``(u, v)`` strictly ascending."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", tuple(edges))
+        return g
 
     # -- basic accessors -------------------------------------------------
 
@@ -202,7 +212,7 @@ def parse_edge_list(text: str) -> SignedGraph:
         if key in seen:
             raise ParseError(f"line {lineno}: duplicate edge ({u},{v}), first at line {seen[key]}")
         seen[key] = lineno
-    return SignedGraph(n, [e for _, e in body])
+    return SignedGraph._trusted(n, sorted((min(u, v), max(u, v), s) for _, (u, v, s) in body))
 
 
 def serialize_edge_list(g: SignedGraph) -> str:
@@ -220,15 +230,15 @@ def from_json(text: str) -> SignedGraph:
     try:
         obj = json.loads(text)
         n, edges = obj["n"], [tuple(e) for e in obj["edges"]]
-    except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
+        # JSON true/false and 3.0 would pass the constructor's range checks
+        if type(n) is not int:
+            raise GraphError(f"n must be an integer, got {n!r}")
+        for e in edges:
+            if any(type(x) is not int for x in e):
+                raise GraphError(f"edge fields must be integers, got {list(e)!r}")
+        return SignedGraph(n, edges)
+    except (json.JSONDecodeError, KeyError, TypeError, RecursionError, GraphError) as exc:
         raise ParseError(f"bad JSON graph: {exc}")
-    # JSON true/false and 3.0 would pass the constructor's range checks
-    if type(n) is not int:
-        raise ParseError(f"bad JSON graph: n must be an integer, got {n!r}")
-    for e in edges:
-        if any(type(x) is not int for x in e):
-            raise ParseError(f"bad JSON graph: edge fields must be integers, got {list(e)!r}")
-    return SignedGraph(n, edges)
 
 
 # -- connectivity, components, cut-points -------------------------------
@@ -277,7 +287,7 @@ def _induced(g: SignedGraph, keep: Sequence[int]) -> SignedGraph:
     """Induced subgraph on the ascending labels ``keep``, relabeled 0..len-1."""
     back = {old: new for new, old in enumerate(keep)}
     edges = [(back[u], back[v], s) for u, v, s in g.edges if u in back and v in back]
-    return SignedGraph(len(keep), edges)
+    return SignedGraph._trusted(len(keep), edges)
 
 
 def cut_points(g: SignedGraph) -> frozenset[int]:
@@ -342,7 +352,7 @@ def _theta_values(g: SignedGraph, theta: SwitchingFunction | Sequence[int]) -> l
 def switch(g: SignedGraph, theta: SwitchingFunction | Sequence[int]) -> SignedGraph:
     """Resign ``g`` by theta: each edge sign becomes theta(u)*sign*theta(v)."""
     t = _theta_values(g, theta)
-    return SignedGraph(g.n, [(u, v, t[u] * s * t[v]) for u, v, s in g.edges])
+    return SignedGraph._trusted(g.n, [(u, v, t[u] * s * t[v]) for u, v, s in g.edges])
 
 
 def _dfs_forest(g: SignedGraph) -> tuple[list[int], list[int], list[int], list[int]]:

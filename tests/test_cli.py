@@ -231,6 +231,30 @@ def test_vertex_ceiling_of_the_adjacency_lists(args):
     assert err == f"error: n = 100000000 exceeds the {MAX_VERTICES}-vertex ceiling of the adjacency lists\n"
 
 
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["generate", "path:n=100000000"], "n"),
+        (["generate", "cycle:n=100000000"], "n"),
+        (["generate", "star:k=100000000"], "k"),
+        (["generate", "infinity:p=100000000,q=3,l=1"], "p"),
+        (["generate", "figure:id=G1,n=100000000"], "n"),
+        (["generate", "realize:class=Theta,n=100000000,k=0"], "n"),
+        (["nullity", "--method", "structural", "path:n=100000000"], "n"),
+    ],
+)
+def test_vertex_ceiling_of_the_family_parameters(args, key):
+    code, out, err = run_cli(args, preexec_fn=_limit_address_space)
+    assert (code, out) == (1, "")
+    assert err == f"error: parameter {key} = 100000000 exceeds the {MAX_VERTICES}-vertex ceiling\n"
+
+
+def test_generate_at_the_vertex_ceiling():
+    code, out, err = run_cli(["generate", f"path:n={MAX_VERTICES}"], preexec_fn=_limit_address_space)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"{MAX_VERTICES} {MAX_VERTICES - 1}\n0 1 1\n")
+
+
 def test_canon_at_the_vertex_ceiling():
     code, out, err = run_cli(["canon", "-"], stdin=f"{MAX_VERTICES} 0\n", preexec_fn=_limit_address_space)
     assert (code, out, err) == (0, f"{MAX_VERTICES} 0\n", "")

@@ -127,6 +127,22 @@ def test_from_json_rejects_non_integer_fields(text):
         from_json(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3, "edges": [[0, 0, 1]]}',
+        '{"n": 3, "edges": [[0, 5, 1]]}',
+        '{"n": 3, "edges": [[0, 1, 2]]}',
+        '{"n": 3, "edges": [[0, 1, 1], [1, 0, -1]]}',
+        '{"n": 3, "edges": [[0, 1]]}',
+        '{"n": -1, "edges": []}',
+    ],
+)
+def test_from_json_reports_bad_graphs_as_parse_errors(text):
+    with pytest.raises(ParseError, match="^bad JSON graph: "):
+        from_json(text)
+
+
 def test_from_json_rejects_deep_nesting():
     with pytest.raises(ParseError, match="bad JSON graph"):
         from_json("[" * 100_000)

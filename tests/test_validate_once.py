@@ -1,0 +1,135 @@
+"""Each graph is validated once, at the boundary.
+
+The public constructor, ``from_json`` and the family builders check every
+edge.  Graphs the package derives from a valid graph, and parsed edge lists
+after the parser's line-numbered checks, go through the unchecked
+``SignedGraph._trusted``.  These tests pin both halves: every derived graph
+is in the normal form the constructor would produce, the hot paths run the
+constructor no more than once, and ``_trusted`` stays inside the two modules
+whose inputs are already valid.
+"""
+
+import ast
+import random
+from pathlib import Path
+
+import pytest
+
+from sgn.enumeration import (
+    force_unbalanced,
+    random_low_cyclomatic_graph,
+    random_signed_graph,
+    random_tree_attached_bicyclic,
+    signed_graphs_mod_switching,
+)
+from sgn.families import parse_family_spec
+from sgn.graph import (
+    SignedGraph,
+    _induced,
+    canonical_signature,
+    components,
+    cut_points,
+    delete_vertices,
+    is_balanced,
+    parse_edge_list,
+    switch,
+)
+from sgn.reduction import _cutpoint_parts, nullity_structural
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sgn"
+TRUSTED_MODULES = {"graph", "enumeration"}
+
+
+def assert_normal(h):
+    """``h`` is exactly what the validating constructor makes of its edges."""
+    assert h == SignedGraph(h.n, h.edges)
+    assert type(h.edges) is tuple
+    assert all(0 <= u < v < h.n and s in (1, -1) for u, v, s in h.edges)
+    assert all(a[:2] < b[:2] for a, b in zip(h.edges, h.edges[1:]))
+
+
+def _edge_list_text(g, rng):
+    lines = [f"{v} {u} {s}" if rng.random() < 0.5 else f"{u} {v} {s}" for u, v, s in g.edges]
+    rng.shuffle(lines)
+    return [f"{g.n} {g.m}\n" + "\n".join(order) for order in (lines, lines[::-1])]
+
+
+def test_derived_graphs_are_in_normal_form():
+    rng = random.Random(20261018)
+    checked = 0
+    for trial in range(400):
+        n = rng.randint(1, 14)
+        g = random_signed_graph(rng, n, rng.choice((0.1, 0.25, 0.5, 0.8)))
+        derived = [g, switch(g, [rng.choice((1, -1)) for _ in range(n)]), canonical_signature(g)]
+        keep = sorted(rng.sample(range(n), rng.randint(0, n)))
+        derived.append(_induced(g, keep))
+        derived.append(delete_vertices(g, rng.sample(range(n), rng.randint(0, n)))[0])
+        for comp, _ in components(g):
+            derived.append(comp)
+            for v in sorted(cut_points(comp)) if comp.n else ():
+                for gi, _, gi_plus_v in _cutpoint_parts(comp, v):
+                    derived += [gi, gi_plus_v]
+        if g.m <= 10:
+            derived.extend(signed_graphs_mod_switching(n, g.underlying_edges))
+        derived.extend(parse_edge_list(text) for text in _edge_list_text(g, rng))
+        if n >= 3:
+            low = random_low_cyclomatic_graph(rng, n, trial % 3)
+            derived.append(low)
+            if trial % 3:
+                derived.append(force_unbalanced(rng, low))
+                assert not is_balanced(derived[-1])[0]
+        if n >= 7:
+            derived.append(random_tree_attached_bicyclic(rng, n, ("BPlus", "BPlusPlus", "Theta")[trial % 3]))
+        for h in derived:
+            assert_normal(h)
+        assert parse_edge_list(_edge_list_text(g, rng)[0]) == g
+        checked += len(derived)
+    assert checked > 6000
+
+
+class _CountingInit:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = SignedGraph.__init__
+
+        def counting(graph, *args, **kwargs):
+            self.calls += 1
+            original(graph, *args, **kwargs)
+
+        monkeypatch.setattr(SignedGraph, "__init__", counting)
+
+
+@pytest.mark.parametrize("spec", ["tree", "infinity:p=4,q=3,l=2"])
+def test_structural_route_runs_no_constructor_checks(monkeypatch, spec):
+    if spec == "tree":
+        g = random_low_cyclomatic_graph(random.Random(300), 300, 0)
+    else:
+        g = parse_family_spec(spec)
+    counter = _CountingInit(monkeypatch)
+    value, trace = nullity_structural(g)
+    assert counter.calls == 0
+    assert trace.steps and value == trace.replay()
+
+
+def test_switching_classes_validate_once_per_call(monkeypatch):
+    counter = _CountingInit(monkeypatch)
+    for n, edges, classes in [(4, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)), 4), (3, ((0, 1),), 1), (2, (), 1)]:
+        before = counter.calls
+        assert len(list(signed_graphs_mod_switching(n, edges))) == classes
+        assert counter.calls == before + 1
+
+
+def _names(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, (ast.FunctionDef, ast.alias)):
+            yield node.name
+
+
+def test_trusted_constructor_stays_inside_graph_and_enumeration():
+    users = {p.stem for p in SRC.glob("*.py") if "_trusted" in set(_names(p.stem))}
+    assert users == TRUSTED_MODULES
