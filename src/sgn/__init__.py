@@ -58,7 +58,6 @@ from .reduction import (
 )
 from .formulas import (
     InfinitySpec,
-    NullityResult,
     is_max_nullity_extremal,
     nullity_cycle,
     nullity_infinity,

@@ -202,7 +202,9 @@ def random_tree_attached_bicyclic(
     edges = [(u, v) for u, v, _ in base.edges]
     for w in range(base.n, n):
         edges.append((rng.randrange(w), w))
-    return SignedGraph(n, [(u, v, rng.choice((1, -1))) for u, v in edges])
+    # the base's edges and every (parent, w) have u < v, so sorting the
+    # signed edges gives the normal form the base builder already validated
+    return SignedGraph._trusted(n, sorted((u, v, rng.choice((1, -1))) for u, v in edges))
 
 
 def force_unbalanced(rng: random.Random, g: SignedGraph) -> SignedGraph:

@@ -4,9 +4,20 @@ Sign data enters only through parities: the number of negative edges on a
 cycle matters modulo 2 because switching can move negative edges around a
 cycle while preserving their parity.  The infinity-graph formula follows the
 full case analysis on the parities of the two cycle lengths and the
-connecting path; one subcase (both cycle lengths odd, connecting path of
-three or more vertices, odd invariant) has no exact closed form and is
-reported as a lower bound with an optional oracle resolution.
+connecting path, and every case has an exact value.
+
+The case with both cycle lengths odd rests on one rule, an instance of
+Haynsworth's Schur-complement additivity.  Take an induced path u-x-y-w
+whose inner vertices x and y have degree 2, where u != w and u is not
+adjacent to w.  The block of x and y, [[0, s], [s, 0]] with s = sigma(xy), is
+nonsingular.  Its Schur complement is the adjacency matrix of G - x - y plus
+one new edge uw of sign -sigma(ux) sigma(xy) sigma(yw), so the nullity is
+unchanged.  On an odd cycle of length at least 5 the rule shortens the cycle
+by 2 and flips its sign parity, which leaves the invariant
+sp - sq + (q - p)/2 unchanged mod 2; on a connecting path of at least 5
+vertices it shortens the path by 2.  So every infinity graph with p, q odd,
+l >= 3 odd and an odd invariant reduces to infinity(3,3,3) with sp != sq,
+whose nullity is 1, and the rule of ``nullity_infinity`` follows.
 """
 
 from __future__ import annotations
@@ -15,7 +26,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .graph import GraphError, SignedGraph, components, find_cycles, is_balanced
-from .linalg import nullity_rank
 
 UpperBoundClass = Literal["BPlus", "BPlusPlus", "ThetaUnbalanced", "BicyclicUnbalanced"]
 
@@ -86,42 +96,12 @@ class InfinitySpec:
         return self.p + self.q + self.l - 2
 
 
-@dataclass(frozen=True)
-class NullityResult:
-    """Either an exact nullity or a lower bound, optionally oracle-resolved."""
-
-    value: int | None = None
-    lower_bound: int | None = None
-    oracle_value: int | None = None
-
-    def __post_init__(self):
-        if (self.value is None) == (self.lower_bound is None):
-            raise GraphError("exactly one of value / lower_bound must be set")
-        if self.oracle_value is not None and self.lower_bound is not None:
-            if self.oracle_value < self.lower_bound:
-                raise GraphError("oracle value below the stated lower bound")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.value is not None
-
-    def best(self) -> int:
-        """The exact value when known, else the oracle resolution."""
-        if self.value is not None:
-            return self.value
-        if self.oracle_value is not None:
-            return self.oracle_value
-        raise GraphError("no exact value available for this case")
-
-
-def nullity_infinity(spec: InfinitySpec, resolve: bool = True) -> NullityResult:
+def nullity_infinity(spec: InfinitySpec) -> int:
     """Nullity of the infinity graph per the parity case analysis.
 
     Case p, q both odd:
-        0                 if l even
-        0                 if l odd and sp - sq + (q - p)/2 even
-        1                 if l = 1 and that invariant is odd
-        lower bound >= 1  if l >= 3 odd and that invariant is odd
+        1 if l odd and sp - sq + (q - p)/2 odd
+        0 otherwise
 
     Case p, q of different parity (e is the even length, se its parity):
         0 if the even cycle has nullity 0, else 1
@@ -132,29 +112,21 @@ def nullity_infinity(spec: InfinitySpec, resolve: bool = True) -> NullityResult:
         2 if l even and some cycle nullity is 2
         0 if l even and both cycle nullities are 0
 
-    In the lower-bound case an exact value is computed on a concrete
-    realization with the rank oracle when ``resolve`` is set.
+    The odd-odd rule is proved in the module docstring: removing two
+    degree-2 vertices shortens an odd cycle or the connecting path by 2 and
+    changes neither the nullity nor the invariant.
     """
     p, q, l, sp, sq = spec.p, spec.q, spec.l, spec.sp, spec.sq
     if p % 2 == 1 and q % 2 == 1:
         invariant = (sp - sq + (q - p) // 2) % 2
-        if l % 2 == 0 or invariant == 0:
-            return NullityResult(value=0)
-        if l == 1:
-            return NullityResult(value=1)
-        oracle = None
-        if resolve:
-            from .families import gen_infinity
-
-            oracle = nullity_rank(gen_infinity(p, q, l, sp, sq))
-        return NullityResult(lower_bound=1, oracle_value=oracle)
+        return 1 if l % 2 == 1 and invariant == 1 else 0
     if p % 2 != q % 2:
         e, se = (p, sp) if p % 2 == 0 else (q, sq)
-        return NullityResult(value=0 if nullity_cycle(e, se) == 0 else 1)
+        return 0 if nullity_cycle(e, se) == 0 else 1
     ep, eq = nullity_cycle(p, sp), nullity_cycle(q, sq)
     if l % 2 == 1:
-        return NullityResult(value=3 if ep == 2 and eq == 2 else 1)
-    return NullityResult(value=2 if ep == 2 or eq == 2 else 0)
+        return 3 if ep == 2 and eq == 2 else 1
+    return 2 if ep == 2 or eq == 2 else 0
 
 
 def upper_bound(class_name: UpperBoundClass, n: int) -> int:

@@ -95,8 +95,8 @@ def test_criterion_2_cycle_and_path_closed_forms():
 
 def test_criterion_3_infinity_formula():
     """Infinity-graph formula over p,q in [3,8], l in [1,5], parities in
-    {0,1}: exact branches match the rank oracle, the open branch stays >= 1,
-    and the concrete anchor values hold."""
+    {0,1}: every case, the odd-odd-odd one included, matches the rank oracle
+    exactly, and the concrete anchor values hold."""
     t0 = time.perf_counter()
     report = verify_thm41(p_max=8, l_max=5)
     assert report.passed, _fmt_failures(report)
@@ -104,13 +104,13 @@ def test_criterion_3_infinity_formula():
     # anchor: the 7-vertex infinity graph with balanced quadrangle has nullity 1
     g = gen_infinity(3, 4, 2, 1, 0)
     assert g.n == 7 and nullity_rank(g) == 1
-    assert nullity_infinity(InfinitySpec(3, 4, 2, 1, 0)).value == 1
+    assert nullity_infinity(InfinitySpec(3, 4, 2, 1, 0)) == 1
     # anchor: the even/even case attains exactly {3, 1, 2, 0}
     seen = set()
     for l in (2, 3):
         for sp in (0, 1):
             for sq in (0, 1):
-                seen.add(nullity_infinity(InfinitySpec(4, 4, l, sp, sq)).value)
+                seen.add(nullity_infinity(InfinitySpec(4, 4, l, sp, sq)))
     assert seen == {3, 1, 2, 0}
     _passed(3, f"{report.cases_checked} grid cases + anchors", time.perf_counter() - t0, 10)
 

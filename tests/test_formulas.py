@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgn import (
+    SignedGraph,
     GraphError,
     InfinitySpec,
     is_max_nullity_extremal,
@@ -62,40 +65,33 @@ def test_infinity_spec_validation():
 
 def test_infinity_odd_odd_cases():
     # shared-vertex bowtie with equal balanceness: invariant even, nullity 0
-    assert nullity_infinity(InfinitySpec(3, 3, 1, 1, 1)).value == 0
+    assert nullity_infinity(InfinitySpec(3, 3, 1, 1, 1)) == 0
     # different balanceness at l = 1: nullity 1
-    assert nullity_infinity(InfinitySpec(3, 3, 1, 1, 0)).value == 1
+    assert nullity_infinity(InfinitySpec(3, 3, 1, 1, 0)) == 1
     # even connecting path: always 0
-    assert nullity_infinity(InfinitySpec(3, 5, 2, 0, 0)).value == 0
+    assert nullity_infinity(InfinitySpec(3, 5, 2, 0, 0)) == 0
 
 
 def test_infinity_mixed_parity_cases():
     # balanced quadrangle (nullity 2) forces 1
-    assert nullity_infinity(InfinitySpec(4, 3, 2, 0, 0)).value == 1
+    assert nullity_infinity(InfinitySpec(4, 3, 2, 0, 0)) == 1
     # unbalanced quadrangle (nullity 0) forces 0
-    assert nullity_infinity(InfinitySpec(4, 3, 2, 1, 0)).value == 0
+    assert nullity_infinity(InfinitySpec(4, 3, 2, 1, 0)) == 0
 
 
 def test_infinity_even_even_cases():
-    assert nullity_infinity(InfinitySpec(4, 4, 3, 0, 0)).value == 3
-    assert nullity_infinity(InfinitySpec(4, 4, 3, 1, 0)).value == 1
-    assert nullity_infinity(InfinitySpec(4, 4, 2, 0, 0)).value == 2
-    assert nullity_infinity(InfinitySpec(4, 4, 2, 1, 1)).value == 0
+    assert nullity_infinity(InfinitySpec(4, 4, 3, 0, 0)) == 3
+    assert nullity_infinity(InfinitySpec(4, 4, 3, 1, 0)) == 1
+    assert nullity_infinity(InfinitySpec(4, 4, 2, 0, 0)) == 2
+    assert nullity_infinity(InfinitySpec(4, 4, 2, 1, 1)) == 0
 
 
 def test_infinity_lower_bound_branch():
-    # both cycles odd, l >= 3 odd, odd invariant: only a bound is stated
-    spec = InfinitySpec(3, 3, 3, 1, 0)
-    res = nullity_infinity(spec)
-    assert not res.is_exact
-    assert res.lower_bound == 1
-    assert res.oracle_value == nullity_rank(gen_infinity(3, 3, 3, 1, 0))
-    assert res.oracle_value >= 1
-    assert res.best() == res.oracle_value
-    unresolved = nullity_infinity(spec, resolve=False)
-    assert unresolved.oracle_value is None
-    with pytest.raises(GraphError):
-        unresolved.best()
+    # both cycles odd, l >= 3 odd, odd invariant: exactly 1, by the
+    # Schur-complement reduction to infinity(3,3,3)
+    assert nullity_infinity(InfinitySpec(3, 3, 3, 1, 0)) == 1
+    assert nullity_rank(gen_infinity(3, 3, 3, 1, 0)) == 1
+    assert nullity_infinity(InfinitySpec(3, 3, 3, 1, 1)) == 0
 
 
 def test_infinity_formula_against_oracle_grid():
@@ -104,12 +100,50 @@ def test_infinity_formula_against_oracle_grid():
             for l in range(1, 5):
                 for sp in (0, 1):
                     for sq in (0, 1):
-                        res = nullity_infinity(InfinitySpec(p, q, l, sp, sq), resolve=False)
                         oracle = nullity_rank(gen_infinity(p, q, l, sp, sq))
-                        if res.is_exact:
-                            assert res.value == oracle, (p, q, l, sp, sq)
-                        else:
-                            assert oracle >= res.lower_bound
+                        assert nullity_infinity(InfinitySpec(p, q, l, sp, sq)) == oracle, (p, q, l, sp, sq)
+
+
+def test_infinity_odd_odd_grid_is_exact():
+    # odd p, q and odd l >= 3: the cases the Schur-complement reduction
+    # closes (odd invariant) give 1, the rest 0
+    ones = 0
+    for p in range(3, 12, 2):
+        for q in range(3, 12, 2):
+            for l in range(3, 10, 2):
+                for sp in (0, 1):
+                    for sq in (0, 1):
+                        want = (sp - sq + (q - p) // 2) % 2
+                        assert nullity_infinity(InfinitySpec(p, q, l, sp, sq)) == want
+                        assert nullity_rank(gen_infinity(p, q, l, sp, sq)) == want, (p, q, l, sp, sq)
+                        ones += want
+    assert ones == 5 * 5 * 4 * 2
+
+
+@st.composite
+def subdivided_graphs(draw):
+    """A signed graph with at least one edge, and the graph that replaces one
+    of its edges uw by a path u-x-y-w whose sign product is -sigma(uw)."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=len(pairs)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(chosen), max_size=len(chosen)))
+    edges = [(u, v, s) for (u, v), s in zip(chosen, signs)]
+    i = draw(st.integers(min_value=0, max_value=len(edges) - 1))
+    u, w, s = edges[i]
+    a, b = draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, -1)))
+    x, y = n, n + 1
+    path = [(u, x, a), (x, y, b), (y, w, -s * a * b)]
+    return SignedGraph(n, edges), SignedGraph(n + 2, edges[:i] + edges[i + 1:] + path)
+
+
+@given(subdivided_graphs())
+@settings(max_examples=150)
+def test_two_vertex_subdivision_keeps_nullity(pair):
+    # the Schur complement of the nonsingular block of x and y is the
+    # original adjacency matrix, so the nullity is the same
+    g, h = pair
+    assert nullity_rank(h) == nullity_rank(g)
 
 
 def test_infinity_depends_only_on_parities():

@@ -1,4 +1,5 @@
-"""Every name a module imports is used in it."""
+"""Every name a module imports is used in it, and the closed forms import
+no route module."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,27 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+# the closed forms are a route of their own: no rank, figure, reduction or
+# family code may back them
+ROUTE_MODULES = {"linalg", "families", "figures", "reduction"}
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Every sgn module ``path`` imports, at module level or in a function."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            if module in ("", "sgn"):  # from . import linalg, from sgn import linalg
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(module)
+    return found
+
+
+def test_formulas_imports_no_route_module():
+    assert _imported_modules(SRC / "formulas.py") & ROUTE_MODULES == set()

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from sgn.enumeration import (
+    connected_graphs_upto_iso,
     force_unbalanced,
     random_low_cyclomatic_graph,
     random_signed_graph,
@@ -35,6 +36,7 @@ from sgn.graph import (
     switch,
 )
 from sgn.reduction import _cutpoint_parts, nullity_structural
+from sgn.verify import verify_theorem
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sgn"
 TRUSTED_MODULES = {"graph", "enumeration"}
@@ -117,6 +119,20 @@ def test_switching_classes_validate_once_per_call(monkeypatch):
         before = counter.calls
         assert len(list(signed_graphs_mod_switching(n, edges))) == classes
         assert counter.calls == before + 1
+
+
+def test_tree_attached_sampler_validates_only_its_base(monkeypatch):
+    # one gen_infinity base per sample; the sample itself is trusted
+    counter = _CountingInit(monkeypatch)
+    assert verify_theorem("bounds.bplus", samples=50).cases_checked == 50
+    assert counter.calls == 50
+
+
+@pytest.mark.parametrize("theorem_id", ["thm3.1", "thm3.2", "pendant"])
+def test_corpus_sweeps_validate_each_atlas_graph_once(monkeypatch, theorem_id):
+    counter = _CountingInit(monkeypatch)
+    assert verify_theorem(theorem_id, n_max=5).cases_checked > 0
+    assert counter.calls == len(connected_graphs_upto_iso(5))
 
 
 def _names(module):

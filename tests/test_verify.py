@@ -1,6 +1,7 @@
 """Theorem sweeps at small grids: pinned summaries and exact failure records."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -111,6 +112,26 @@ def test_failing_sweep_records_in_order(monkeypatch):
     assert [list(f) for f in report.failures] == [["n", "expected", "got"]] * 3
     assert report.summary()["cases"] == 6 and report.summary()["status"] == "fail"
     assert report.json_lines().splitlines()[0] == '{"expected": 1, "got": 0, "n": 1}'
+
+
+def test_infinity_failure_records(monkeypatch):
+    monkeypatch.setattr(verify, "nullity_infinity", lambda spec: 2 if spec.l == 1 else 0)
+    report = verify_theorem("thm4.1")
+    assert report.cases_checked == 720
+    assert report.failures[0] == {"p": 3, "q": 3, "l": 1, "sp": 0, "sq": 0, "expected": 0, "got": 2}
+    assert {tuple(f) for f in report.failures} == {("p", "q", "l", "sp", "sq", "expected", "got")}
+
+
+def test_lem51_memory_does_not_grow_with_samples():
+    verify_theorem("lem5.1", samples=20)  # warm-up: imports and caches
+    tracemalloc.start()
+    try:
+        report = verify_theorem("lem5.1", samples=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.cases_checked == 4 * 2001
+    assert peak < 500_000
 
 
 def _off_by_one_on_4_vertices(monkeypatch):
