@@ -8,8 +8,8 @@ methods disagreed, which signals a library bug).
 Graph arguments accept a file path, ``-`` for stdin, or a family spec such
 as ``cycle:n=6,s=1`` (an argument naming an existing file is read as a file;
 any other argument containing a colon is treated as a spec).
-The environment variable SGN_SIZE_GUARD overrides the figure-enumeration
-vertex guard.
+``nullity --method all`` skips, with a note on stderr, the figure route on a
+graph it refuses (``figures.FIGURE_BOUND``); ``--method figures`` exits 1.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ import argparse
 import os
 import sys
 
-from . import figures
 from .families import parse_family_spec
-from .figures import char_poly_figures
+from .figures import SizeGuardError, char_poly_figures
 from .graph import (
     GraphError,
     ParseError,
@@ -48,16 +47,6 @@ EXIT_VERIFY_FAIL = 2
 EXIT_INTERNAL = 3
 
 
-def _size_guard() -> int:
-    raw = os.environ.get("SGN_SIZE_GUARD")
-    if raw is None:
-        return figures.DEFAULT_SIZE_GUARD
-    try:
-        return int(raw)
-    except ValueError:
-        raise GraphError(f"SGN_SIZE_GUARD must be an integer, got {raw!r}")
-
-
 def load_graph(source: str) -> SignedGraph:
     """Resolve a CLI graph argument: '-' for stdin, an existing file, or a
     spec string."""
@@ -76,7 +65,6 @@ def load_graph(source: str) -> SignedGraph:
 def cmd_nullity(args) -> int:
     g = load_graph(args.graph)
     methods = [args.method] if args.method != "all" else ["rank", "charpoly", "figures", "structural"]
-    guard = _size_guard()
     results: dict[str, int] = {}
     trace = None
     for method in methods:
@@ -85,11 +73,12 @@ def cmd_nullity(args) -> int:
         elif method == "charpoly":
             results["charpoly"] = nullity_charpoly(g)
         elif method == "figures":
-            if args.method == "all" and g.n > guard:
-                print(f"figures: skipped (n = {g.n} exceeds size guard {guard})",
-                      file=sys.stderr)
-                continue
-            results["figures"] = zero_multiplicity(char_poly_figures(g, guard))
+            try:
+                results["figures"] = zero_multiplicity(char_poly_figures(g))
+            except SizeGuardError as exc:
+                if args.method != "all":
+                    raise
+                print(f"figures: skipped ({exc})", file=sys.stderr)
         elif method == "structural":
             value, trace = nullity_structural(g)
             results["structural"] = value

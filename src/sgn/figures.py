@@ -7,9 +7,11 @@ Edges used as K_2 components contribute their sign squared, i.e. nothing,
 which is why only cycle edges enter s.
 
 This module is an independent combinatorial oracle for the exact linear
-algebra route; enumeration is exponential, so a configurable vertex-count
-guard keeps it at desk scale.  Loops never occur because the data model is
-simple graphs.
+algebra route.  Enumeration is exponential, so ``char_poly_figures`` refuses
+a graph whose figure count may exceed ``FIGURE_BOUND``: a figure maps each
+vertex one-to-one to nothing, to its K_2 partner or to its successor on its
+cycle, so there are at most prod(deg(v) + 1) of them.  Loops never occur
+because the data model is simple graphs.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from dataclasses import dataclass
 from .graph import CycleWitness, GraphError, SignedGraph, cycle_witness
 from .linalg import CharPoly
 
-#: Hard default guard for whole-polynomial figure enumeration.
-DEFAULT_SIZE_GUARD = 14
+#: Largest figure-count bound prod(deg(v) + 1) that ``char_poly_figures``
+#: accepts; no factor exceeds n, so every graph on at most 10 vertices passes.
+FIGURE_BOUND = 10**10
 
 
 class SizeGuardError(GraphError):
@@ -153,9 +156,13 @@ class FigureProfile:
 
 
 def _profile_from(n: int, edges) -> FigureProfile:
+    # Isolated vertices lie on no figure: the stream walks only the others,
+    # renumbered in order, which keeps the figures and their order.
+    index = {v: k for k, v in enumerate(sorted({x for e in edges for x in e}))}
     bit = {}
-    neighbors = [[] for _ in range(n)]
+    neighbors = [[] for _ in index]
     for k, (u, v) in enumerate(edges):
+        u, v = index[u], index[v]
         bit[u, v] = bit[v, u] = 1 << k
         neighbors[u].append(v)
         neighbors[v].append(u)
@@ -189,17 +196,18 @@ def _eval_profile(profile: FigureProfile, neg_mask: int) -> list[int]:
     return coeffs
 
 
-def char_poly_figures(
-    g: SignedGraph, size_guard: int = DEFAULT_SIZE_GUARD
-) -> CharPoly:
+def char_poly_figures(g: SignedGraph) -> CharPoly:
     """Characteristic polynomial assembled from basic-figure contributions.
 
-    Refuses graphs larger than ``size_guard`` vertices; this route exists as
-    an independent oracle, not a production engine.
+    Raises SizeGuardError when prod(deg(v) + 1) exceeds ``FIGURE_BOUND``;
+    this route exists as an independent oracle, not a production engine.
     """
-    if g.n > size_guard:
-        raise SizeGuardError(
-            f"figure enumeration guard: n = {g.n} exceeds {size_guard}"
-        )
+    bound = 1
+    for v in range(g.n):
+        bound *= g.degree(v) + 1
+        if bound > FIGURE_BOUND:
+            raise SizeGuardError(
+                f"figure enumeration guard: n = {g.n}, prod(deg(v) + 1) exceeds {FIGURE_BOUND}"
+            )
     neg_mask = sum(1 << k for k, (_, _, s) in enumerate(g.edges) if s == -1)
     return CharPoly(tuple(_eval_profile(_profile_from(g.n, g.underlying_edges), neg_mask)))

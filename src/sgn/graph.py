@@ -36,8 +36,9 @@ class SignedGraph:
     """Immutable simple graph on vertices 0..n-1 with a +-1 sign per edge.
 
     Edges are stored as ``(u, v, sign)`` with ``u < v``, sorted by ``(u, v)``.
-    The constructor normalizes edge orientation and rejects loops, duplicate
-    edges, out-of-range endpoints and signs outside {+1, -1}.  Parsed edge
+    The constructor normalizes edge orientation and rejects fields that are
+    not exactly ``int`` (``bool`` is not), loops, duplicate edges,
+    out-of-range endpoints and signs outside {+1, -1}.  Parsed edge
     lists and graphs derived from valid ones skip these checks (``_trusted``).
     """
 
@@ -45,6 +46,8 @@ class SignedGraph:
     edges: tuple[tuple[int, int, int], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] = ()):
+        if type(n) is not int:
+            raise GraphError(f"n must be an integer, got {n!r}")
         if n < 0:
             raise GraphError(f"vertex count must be nonnegative, got {n}")
         norm = []
@@ -53,6 +56,8 @@ class SignedGraph:
                 u, v, s = e
             except (TypeError, ValueError):
                 raise GraphError(f"edge must be a (u, v, sign) triple, got {e!r}")
+            if type(u) is not int or type(v) is not int or type(s) is not int:
+                raise GraphError(f"edge fields must be integers, got {[u, v, s]!r}")
             if u == v:
                 raise GraphError(f"loop edge at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -229,14 +234,7 @@ def to_json(g: SignedGraph) -> str:
 def from_json(text: str) -> SignedGraph:
     try:
         obj = json.loads(text)
-        n, edges = obj["n"], [tuple(e) for e in obj["edges"]]
-        # JSON true/false and 3.0 would pass the constructor's range checks
-        if type(n) is not int:
-            raise GraphError(f"n must be an integer, got {n!r}")
-        for e in edges:
-            if any(type(x) is not int for x in e):
-                raise GraphError(f"edge fields must be integers, got {list(e)!r}")
-        return SignedGraph(n, edges)
+        return SignedGraph(obj["n"], [tuple(e) for e in obj["edges"]])
     except (json.JSONDecodeError, KeyError, TypeError, RecursionError, GraphError) as exc:
         raise ParseError(f"bad JSON graph: {exc}")
 

@@ -152,10 +152,13 @@ def _rank_rows(m: list[list[int]]) -> tuple[int, int]:
 
 
 def rank(m: Sequence[Sequence[int]]) -> int:
-    """Exact rank of an integer matrix."""
+    """Exact rank of an integer matrix; rows of unequal length are refused."""
     if not m:
         return 0
-    return _rank_rows(_as_rows(m))[0]
+    rows = _as_rows(m)
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise LinalgError("matrix rows must all have the same length")
+    return _rank_rows(rows)[0]
 
 
 def nullity_rank(g: SignedGraph) -> int:

@@ -9,6 +9,7 @@ import pytest
 
 from sgn.cli import main
 from sgn.graph import MAX_VERTICES
+from sgn.linalg import nullity_rank
 
 TRIANGLE = "3 3\n0 1 1\n1 2 1\n0 2 -1\n"
 
@@ -196,12 +197,26 @@ def test_verify_empty_grid_fails(capsys, tmp_path):
         assert "cases checked: 0" in capsys.readouterr().out
 
 
-def test_size_guard_env(monkeypatch, capsys):
-    monkeypatch.setenv("SGN_SIZE_GUARD", "4")
-    assert main(["nullity", "--method", "figures", "cycle:n=6,s=0"]) == 1
-    assert "guard" in capsys.readouterr().err
-    monkeypatch.setenv("SGN_SIZE_GUARD", "6")
-    assert main(["nullity", "--method", "figures", "cycle:n=6,s=0"]) == 0
+def test_figure_route_guard(capsys, tmp_path):
+    k14 = tmp_path / "k14.txt"
+    pairs = [(u, v) for u in range(14) for v in range(u + 1, 14)]
+    k14.write_text(f"14 {len(pairs)}\n" + "".join(f"{u} {v} 1\n" for u, v in pairs))
+    assert main(["nullity", str(k14)]) == 0
+    out, err = capsys.readouterr()
+    assert out == "rank: 0\ncharpoly: 0\nstructural: 0\n"
+    assert err == "figures: skipped (figure enumeration guard: n = 14, prod(deg(v) + 1) exceeds 10000000000)\n"
+    assert main(["nullity", "--method", "figures", str(k14)]) == 1
+    assert "error: figure enumeration guard: n = 14" in capsys.readouterr().err
+    assert main(["nullity", "path:n=20"]) == 0
+    assert capsys.readouterr().out == "rank: 0\ncharpoly: 0\nfigures: 0\nstructural: 0\n"
+
+
+def test_method_disagreement_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr("sgn.cli.nullity_charpoly", lambda g: nullity_rank(g) + 1)
+    assert main(["nullity", "cycle:n=6,s=1"]) == 3
+    assert capsys.readouterr().err == (
+        "method disagreement: rank=2, charpoly=3, figures=2, structural=2\n"
+    )
 
 
 def test_console_entry_point():

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from sgn import (
 )
 from sgn import figures
 from sgn.enumeration import connected_graphs_labeled, random_signed_graph
-from sgn.graph import cycle_witness
+from sgn.graph import MAX_VERTICES, cycle_witness
 from sgn.families import gen_cycle, gen_infinity, gen_path
 
 
@@ -138,11 +139,57 @@ def test_char_poly_figures_unbalanced_bowtie():
     assert char_poly_figures(g) == char_poly(adjacency_matrix(g))
 
 
+def _degree_bound(g):
+    return math.prod(g.degree(v) + 1 for v in range(g.n))
+
+
+def _complete(n):
+    return SignedGraph(n, [(u, v, 1) for u, v in itertools.combinations(range(n), 2)])
+
+
+def test_figure_count_within_degree_bound():
+    graphs = [
+        SignedGraph(n, [(u, v, 1) for u, v in edges])
+        for n in range(1, 6)
+        for edges in connected_graphs_labeled(n)
+    ]
+    rng = random.Random(20261018)
+    graphs += [random_signed_graph(rng, rng.randint(1, 10)) for _ in range(100)]
+    for g in graphs:
+        count = sum(1 for _ in figures._component_stream([g.neighbors(v) for v in range(g.n)]))
+        assert count <= _degree_bound(g)
+
+
 def test_size_guard():
-    g = gen_path(15)
-    with pytest.raises(SizeGuardError):
-        char_poly_figures(g)
-    assert char_poly_figures(g, size_guard=15) == char_poly(adjacency_matrix(g))
+    # K10 meets the bound exactly (10^10) but takes seconds to profile; the
+    # Petersen graph with a pendant at each vertex (5^10 * 2^10) meets it too
+    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    pendants = [(v, v + 10, -1 if v % 3 else 1) for v in range(10)]
+    boundary = SignedGraph(20, [(u, v, 1) for u, v in petersen] + pendants)
+    assert _degree_bound(boundary) == _degree_bound(_complete(10)) == figures.FIGURE_BOUND
+    for g in (boundary, gen_path(21), gen_cycle(20, 1)):
+        assert char_poly_figures(g) == char_poly(adjacency_matrix(g))
+    for g in (gen_path(22), gen_cycle(21, 0), _complete(11), _complete(200)):
+        with pytest.raises(SizeGuardError, match=f"^figure enumeration guard: n = {g.n}, "):
+            char_poly_figures(g)
+
+
+def test_isolated_vertices_add_no_work():
+    # Isolated vertices add a factor 1 to the bound, so they must add no work:
+    # a 16-edge matching (65 536 figures) spread over MAX_VERTICES vertices,
+    # and P21 (17 711 figures) at the top of them.
+    n = MAX_VERTICES
+    matching = [(2 * k, 2 * k + 1, -1 if k % 3 else 1) for k in range(16)]
+    spread = [(12_000 * k, 12_000 * k + 7, s) for k, (_, _, s) in enumerate(matching)]
+    shift = n - 21
+    cases = [
+        (SignedGraph(32, matching), SignedGraph(n, spread)),
+        (gen_path(21), SignedGraph(n, [(u + shift, v + shift, s) for u, v, s in gen_path(21).edges])),
+    ]
+    for core, padded in cases:
+        want = char_poly(adjacency_matrix(core)).coeffs + (0,) * (n - core.n)
+        assert char_poly_figures(padded).coeffs == want
 
 
 # -- properties ---------------------------------------------------------------

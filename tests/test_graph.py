@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +102,22 @@ def test_constructor_rejects_bad_edges():
         SignedGraph(3, [(0, 1, 2)])
     with pytest.raises(GraphError):
         SignedGraph(3, [(0, 1, 1), (1, 0, -1)])
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (2.0, [(0, 1, 1)], "n must be an integer, got 2.0"),
+        (True, [], "n must be an integer, got True"),
+        (np.int64(3), [], "n must be an integer"),
+        (3, [(0, 1, True)], r"edge fields must be integers, got \[0, 1, True\]"),
+        (3, [(0.0, 1, 1)], r"edge fields must be integers, got \[0.0, 1, 1\]"),
+        (3, [(0, np.int64(1), 1)], "edge fields must be integers"),
+    ],
+)
+def test_constructor_rejects_non_integers(n, edges, message):
+    with pytest.raises(GraphError, match=message):
+        SignedGraph(n, edges)
 
 
 @given(signed_graphs())

@@ -1,5 +1,5 @@
-"""Every name a module imports is used in it, and the closed forms import
-no route module."""
+"""Every name a module imports is used in it, the closed forms import no
+route module, and the package reads no environment variable."""
 
 import ast
 from pathlib import Path
@@ -54,3 +54,20 @@ def _imported_modules(path: Path) -> set[str]:
 
 def test_formulas_imports_no_route_module():
     assert _imported_modules(SRC / "formulas.py") & ROUTE_MODULES == set()
+
+
+def test_no_environment_knobs():
+    """No ``os.environ`` or ``os.getenv``, as attributes or imported from ``os``."""
+    knobs = {"environ", "getenv"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if names & knobs:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

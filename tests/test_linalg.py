@@ -57,6 +57,13 @@ def test_rank_even_path_full():
 
 def test_rank_rectangular():
     assert rank(((1, 2, 3), (2, 4, 6))) == 1
+    assert rank([[]]) == 0
+
+
+@pytest.mark.parametrize("m", [[[1, 2], [3]], [[1], [2, 3]]])
+def test_rank_rejects_ragged_rows(m):
+    with pytest.raises(LinalgError, match="same length"):
+        rank(m)
 
 
 def _rank_fraction_oracle(m):

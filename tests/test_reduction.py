@@ -1,5 +1,6 @@
 """Structural reduction engine and its certificates."""
 
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -172,6 +173,22 @@ def test_trace_replay_and_json():
     assert blob["result"] == 2
     assert blob["root"]["n"] == 10
     assert all("relation" in s for s in blob["steps"])
+
+
+def test_trace_replay_rejects_a_tampered_trace():
+    # G8's last step is the only one that resolves its graph
+    _, trace = nullity_structural(gen_figure("G8", n=12, k=3))
+    steps = trace.steps
+    tampered = {
+        "step references an unresolved graph": dataclasses.replace(trace, steps=steps[:-1]),
+        "unknown step kind 'Bogus'": dataclasses.replace(
+            trace, steps=(dataclasses.replace(steps[0], kind="Bogus"),) + steps[1:]
+        ),
+        "root graph never resolved": dataclasses.replace(trace, root=gen_path(2)),
+    }
+    for message, bad in tampered.items():
+        with pytest.raises(GraphError, match=f"^trace replay: {message}$"):
+            bad.replay()
 
 
 def _oracle_check_step(step):
