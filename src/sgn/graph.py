@@ -26,9 +26,16 @@ class ParseError(GraphError):
 SwitchingFunction = Mapping[int, int]
 
 #: Largest vertex count the adjacency lists, and so every traversal, accept.
-#: Checked when the lists are first built, before anything per vertex is
-#: allocated; the matrix routes have their own, lower ceiling.
+#: Checked when the lists, or the figure stream's neighbor maps, are first
+#: built, before anything per vertex is allocated; the matrix routes have
+#: their own, lower ceiling.
 MAX_VERTICES = 200_000
+
+
+def check_vertex_ceiling(n: int) -> None:
+    """Raise GraphError when ``n`` exceeds ``MAX_VERTICES``."""
+    if n > MAX_VERTICES:
+        raise GraphError(f"n = {n} exceeds the {MAX_VERTICES}-vertex ceiling of the adjacency lists")
 
 
 @dataclass(frozen=True)
@@ -91,10 +98,7 @@ class SignedGraph:
 
     @cached_property
     def _adj(self) -> tuple[dict[int, int], ...]:
-        if self.n > MAX_VERTICES:
-            raise GraphError(
-                f"n = {self.n} exceeds the {MAX_VERTICES}-vertex ceiling of the adjacency lists"
-            )
+        check_vertex_ceiling(self.n)
         # edges are sorted by (u, v) with u < v, so each vertex meets its
         # smaller neighbors first, ascending, then its larger ones: every
         # dict is filled, and therefore iterates, in ascending label order
@@ -103,6 +107,10 @@ class SignedGraph:
             adj[u][v] = s
             adj[v][u] = s
         return adj
+
+    def _drop_adj(self) -> None:
+        """Free the cached adjacency lists; the next query rebuilds them."""
+        self.__dict__.pop("_adj", None)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(self._adj[v])

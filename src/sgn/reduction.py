@@ -253,7 +253,12 @@ def nullity_structural(g: SignedGraph) -> tuple[int, ReductionTrace]:
     result = 0
     stack = [g]
     while stack:
-        parts, step = _rule(stack.pop())
+        h = stack.pop()
+        parts, step = _rule(h)
+        if h is not g:
+            # the trace keeps h, but replay, to_json and equality read only
+            # n and edges; g is the caller's, who may query it again
+            h._drop_adj()
         steps.append(step)
         if step.kind == KIND_BASE_CASE:
             result += step.value

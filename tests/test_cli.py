@@ -239,7 +239,15 @@ def test_vertex_ceiling_of_the_matrix_routes(args):
     assert err == "error: n = 100000000 exceeds the 2000-vertex ceiling of the matrix routes\n"
 
 
-@pytest.mark.parametrize("args", [["nullity", "--method", "structural", "-"], ["balance", "-"], ["canon", "-"]])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["nullity", "--method", "structural", "-"],
+        ["nullity", "--method", "figures", "-"],
+        ["balance", "-"],
+        ["canon", "-"],
+    ],
+)
 def test_vertex_ceiling_of_the_adjacency_lists(args):
     code, out, err = run_cli(args, stdin="100000000 0\n", preexec_fn=_limit_address_space)
     assert code == 1 and out == ""

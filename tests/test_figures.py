@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -76,23 +77,49 @@ def test_figure_enumeration_is_pinned():
     assert digest.hexdigest() == "86ea5b8c751d175eeb9c512613f1c5270a72d45e89f25e9ad17727a0331e2f28"
 
 
-def test_capped_enumeration_equals_the_filtered_full_stream():
-    # enumerate_basic_figures(g, i) stops extending figures past i vertices;
-    # it must still return exactly the full stream's size-i figures, in order
+def _seeded_graphs():
+    # 40 seeded graphs on 1..8 vertices, isolated vertices included, plus K8
     rng = random.Random(23)
     graphs = [random_signed_graph(rng, rng.randint(1, 8), edge_prob=rng.choice((0.3, 0.6, 0.9))) for _ in range(40)]
     graphs.append(SignedGraph(8, [(u, v, 1) for u, v in itertools.combinations(range(8), 2)]))
-    for g in graphs:
-        neighbors = [g.neighbors(v) for v in range(g.n)]
-        stream = list(figures._component_stream(neighbors))
+    return graphs
+
+
+def test_capped_enumeration_equals_the_filtered_full_stream():
+    # enumerate_basic_figures(g, i) stops extending figures past i vertices;
+    # it must still return exactly the full stream's size-i figures, in order
+    for g in _seeded_graphs():
+        labels, stream = figures._figure_stream(g.n, g.underlying_edges, g.n)
+        stream = list(stream)
         for i in range(g.n + 1):
-            assert all(used <= i for used, _, _ in figures._component_stream(neighbors, i))
+            assert all(used <= i for used, _, _, _ in figures._figure_stream(g.n, g.underlying_edges, i)[1])
             want = tuple(
-                BasicFigure(edges, tuple(cycle_witness(g, c) for c in cycles))
-                for used, edges, cycles in stream
+                BasicFigure(
+                    tuple((labels[u], labels[v]) for u, v in edges),
+                    tuple(cycle_witness(g, tuple(labels[x] for x in c)) for c in cycles),
+                )
+                for used, edges, cycles, _ in stream
                 if used == i
             )
             assert enumerate_basic_figures(g, i) == want
+
+
+def test_stream_carries_each_figures_cycle_edge_mask():
+    # the mask the stream ORs together while it grows each cycle equals the
+    # one rebuilt from the cycles' vertex lists, bit k standing for edges[k]
+    for g in _seeded_graphs():
+        edges = g.underlying_edges
+        bit = {}
+        for k, (u, v) in enumerate(edges):
+            bit[u, v] = bit[v, u] = 1 << k
+        labels, stream = figures._figure_stream(g.n, edges, g.n)
+        for _, _, cycles, mask in stream:
+            want = 0
+            for cyc in cycles:
+                cyc = [labels[x] for x in cyc]
+                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                    want |= bit[a, b]
+            assert mask == want
 
 
 def test_figures_out_of_range():
@@ -156,7 +183,7 @@ def test_figure_count_within_degree_bound():
     rng = random.Random(20261018)
     graphs += [random_signed_graph(rng, rng.randint(1, 10)) for _ in range(100)]
     for g in graphs:
-        count = sum(1 for _ in figures._component_stream([g.neighbors(v) for v in range(g.n)]))
+        count = sum(1 for _ in figures._figure_stream(g.n, g.underlying_edges, g.n)[1])
         assert count <= _degree_bound(g)
 
 
@@ -173,6 +200,31 @@ def test_size_guard():
     for g in (gen_path(22), gen_cycle(21, 0), _complete(11), _complete(200)):
         with pytest.raises(SizeGuardError, match=f"^figure enumeration guard: n = {g.n}, "):
             char_poly_figures(g)
+
+
+def test_figure_api_refuses_what_char_poly_figures_refuses():
+    k11 = _complete(11)
+    message = f"figure enumeration guard: n = 11, prod(deg(v) + 1) exceeds {figures.FIGURE_BOUND}"
+    for call in (char_poly_figures, lambda g: coefficient(g, 2), lambda g: enumerate_basic_figures(g, 2)):
+        with pytest.raises(SizeGuardError, match=f"^{re.escape(message)}$"):
+            call(k11)
+
+
+def test_figure_api_vertex_ceiling():
+    g = SignedGraph(MAX_VERTICES + 1)
+    message = f"n = {MAX_VERTICES + 1} exceeds the {MAX_VERTICES}-vertex ceiling of the adjacency lists"
+    for call in (char_poly_figures, lambda g: coefficient(g, 1), lambda g: enumerate_basic_figures(g, 0)):
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            call(g)
+
+
+def test_isolated_vertices_add_no_work_to_the_figure_api():
+    # one edge at the top of MAX_VERTICES vertices: a_2 = -1 and one K_2
+    # figure, in the graph's own labels
+    n = MAX_VERTICES
+    padded = SignedGraph(n, [(n - 2, n - 1, -1)])
+    assert coefficient(padded, 2) == -1
+    assert enumerate_basic_figures(padded, 2) == (BasicFigure(((n - 2, n - 1),), ()),)
 
 
 def test_isolated_vertices_add_no_work():

@@ -1,5 +1,6 @@
 """Every name a module imports is used in it, the closed forms import no
-route module, and the package reads no environment variable."""
+route module, the package reads no environment variable, and every basic
+figure comes through one guarded entry to the figure stream."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,36 @@ def test_no_environment_knobs():
             if names & knobs:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _callers(target: str) -> list[str]:
+    """``module.function`` for every call of ``target`` in the package, named
+    by the innermost function around it."""
+    found = []
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == target:
+                found.append(f"{self.scope[0]}.{self.scope[-1]}")
+            self.generic_visit(node)
+
+    for path in sorted(SRC.glob("*.py")):
+        Calls(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
+    return found
+
+
+def test_one_figure_stream():
+    """``_component_stream`` has one caller besides its own recursion: the
+    entry that renumbers the vertices, maps each edge to its bit and applies
+    the vertex ceiling and the figure guard."""
+    callers = [c for c in _callers("_component_stream") if c != "figures._component_stream"]
+    assert callers == ["figures._figure_stream"]
