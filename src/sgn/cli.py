@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage or parse error (also a graph above the
-matrix routes' vertex ceiling), 2 verification failure (including "not
-switching equivalent" for ``equiv``), 3 internal inconsistency (the nullity
-methods disagreed, which signals a library bug).
+matrix routes' vertex ceiling, or a ``verify --json`` path that cannot be
+written), 2 verification failure (including "not switching equivalent" for
+``equiv``), 3 internal inconsistency (the nullity methods disagreed, which
+signals a library bug).
 
 Graph arguments accept a file path, ``-`` for stdin, or a family spec such
 as ``cycle:n=6,s=1`` (an argument naming an existing file is read as a file;
@@ -170,8 +171,12 @@ def cmd_verify(args) -> int:
     if len(report.failures) > 10:
         print(f"  ... and {len(report.failures) - 10} more")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.json_lines())
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(report.json_lines())
+        except OSError as exc:
+            print(f"error: cannot write {args.json!r}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"  report written to {args.json}")
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 

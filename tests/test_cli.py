@@ -180,6 +180,16 @@ def test_verify_reports_are_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_verify_report_to_an_unwritable_path_exits_1(capsys, tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    assert main(["verify", "prop2.1", "--json", str(target)]) == 1
+    out, err = capsys.readouterr()
+    assert "prop2.1: pass" in out and "report written" not in out
+    assert err.startswith(f"error: cannot write {str(target)!r}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_verify_set_theta_range(capsys):
     assert main(["verify", "set.theta", "--n", "6..8"]) == 0
     out = capsys.readouterr().out

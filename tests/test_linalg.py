@@ -387,3 +387,113 @@ def test_modular_kernel_matches_faddeev_leverrier_and_interpolation(n):
         assert kernel == linalg._faddeev_leverrier(a)
         assert tuple(kernel) == char_poly_interpolated(a).coeffs
         assert char_poly(a).coeffs == tuple(kernel)
+
+
+# -- certified modular rank ---------------------------------------------------
+
+R0 = linalg.MODULAR_RANK_MIN_ORDER
+
+
+def _bareiss(m):
+    return linalg._rank_rows([list(row) for row in m])[0]
+
+
+def _tall(m):
+    return m if len(m) >= len(m[0]) else [list(col) for col in zip(*m)]
+
+
+def _add_twins(rng, a, k):
+    """Adds k twin vertices to the adjacency rows ``a``: each copies the
+    signed neighbourhood of an earlier vertex, so its row repeats that
+    vertex's row and the rank stays the same."""
+    for _ in range(k):
+        twin = a[rng.randrange(len(a))] + [0]
+        for row, x in zip(a, twin):
+            row.append(x)
+        a.append(twin)
+    return a
+
+
+def test_rank_prime_and_reconstruction_bound():
+    p, n = linalg.RANK_PRIME, linalg.RECONSTRUCTION_BOUND
+    assert p < 1 << 15 and linalg._is_prime(p)
+    assert not any(linalg._is_prime(c) for c in range(p + 1, 1 << 15))
+    # 2 N^2 < p: two fractions with |a|, b <= N differ mod p
+    assert 2 * n * n < p <= 2 * (n + 1) ** 2
+    # a packed slot, below p + n_cols (p - 1)^2, never carries at the ceiling
+    assert p + linalg.MAX_MATRIX_VERTICES * (p - 1) ** 2 < 1 << 64
+
+
+def test_reconstruction_finds_every_small_fraction_and_nothing_else():
+    p, n = linalg.RANK_PRIME, linalg.RECONSTRUCTION_BOUND
+    fractions = {(a, b) for b in range(1, n + 1) for a in range(-n, n + 1) if math.gcd(a, b) == 1}
+    residues = {a * pow(b, -1, p) % p: (a, b) for a, b in fractions}
+    assert len(residues) == len(fractions)
+    for x in range(p):
+        assert linalg._reconstruct(x) == residues.get(x)
+
+
+def _certified_cases(rng, n):
+    """(matrix, whether the certificate must hold) near order n."""
+    yield _integer_rows(rng, n), True
+    yield [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n + 5)], True
+    yield [[rng.randint(-9, 9) for _ in range(n + 5)] for _ in range(n)], True
+    dup = _signed_rows(rng, n)
+    dup[3] = list(dup[n - 1])
+    yield dup, False
+    combined = _integer_rows(rng, n, 2)
+    combined[0] = [2 * x - y for x, y in zip(combined[1], combined[2])]
+    yield combined, False
+    yield [[0] * n for _ in range(n)], True
+    yield _add_twins(rng, _signed_rows(rng, n - 3), 3), True
+
+
+def test_certified_rank_equals_bareiss_above_the_crossover():
+    rng = random.Random(29)
+    for n in range(R0, R0 + 17, 4):
+        for m, certified in _certified_cases(rng, n):
+            r = rank(m)
+            assert r == _bareiss(m)
+            if certified:
+                assert linalg._rank_certified(_tall(m)) == r
+
+
+def test_unlucky_prime_is_caught_by_the_kernel_check():
+    # mod p the first column vanishes and e_0 looks like a kernel vector;
+    # A e_0 = p e_0 over Z, so the check rejects it and Bareiss answers
+    p = linalg.RANK_PRIME
+    a = [[(p if i == 0 else 1) if i == j else 0 for j in range(R0)] for i in range(R0)]
+    assert linalg._rank_certified(a) is None
+    assert rank(a) == R0
+
+
+def test_large_kernel_vector_falls_back_to_bareiss(monkeypatch):
+    # the last column is B v for entries of v near 10^6, so the kernel is
+    # spanned by (v, -1), which no fraction with small terms reconstructs
+    rng = random.Random(31)
+    b = _integer_rows(rng, R0)
+    v = [rng.randint(10**6, 2 * 10**6) for _ in range(R0 - 1)]
+    a = [row[:-1] + [sum(x * y for x, y in zip(row, v))] for row in b]
+    assert linalg._rank_certified(a) is None
+    calls = []
+    real = linalg._rank_rows
+    monkeypatch.setattr(linalg, "_rank_rows", lambda m: calls.append(len(m)) or real(m))
+    assert rank(a) == R0 - 1
+    assert calls == [R0]
+
+
+def test_twin_graph_is_certified_without_bareiss(monkeypatch):
+    rng = random.Random(37)
+    n, k = 120, 4
+    while True:
+        core = _signed_rows(rng, n - k)
+        if _bareiss(core) == n - k:
+            break
+    a = _add_twins(rng, core, k)
+    edges = [(i, j, a[i][j]) for i in range(n) for j in range(i + 1, n) if a[i][j]]
+
+    def refuse(m):
+        raise AssertionError("Bareiss was called")
+
+    monkeypatch.setattr(linalg, "_rank_rows", refuse)
+    assert nullity_rank(SignedGraph(n, edges)) == k
