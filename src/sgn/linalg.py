@@ -8,11 +8,11 @@ integer kernel basis checked over Z; a matrix whose check fails goes to
 Bareiss.  The characteristic polynomial comes from the Faddeev-LeVerrier
 recurrence (whose divisions are exact on integer matrices) below order
 ``HESSENBERG_MIN_ORDER`` (12), and from there on from an O(n^3) Hessenberg
-reduction modulo a product of primes below 2^62 that exceeds twice a
-Hadamard bound on every coefficient, so the symmetric residues are the
-exact coefficients.  An independent evaluation/interpolation route is
-provided as a cross-check.  The matrix routes refuse graphs above
-``MAX_MATRIX_VERTICES`` vertices.
+reduction modulo the least power of the Mersenne prime 2^61 - 1 that
+exceeds twice a Hadamard bound on every coefficient, so the symmetric
+residues are the exact coefficients.  An independent
+evaluation/interpolation route is provided as a cross-check.  The matrix
+routes refuse graphs above ``MAX_MATRIX_VERTICES`` vertices.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .graph import SignedGraph
@@ -420,48 +419,15 @@ def _faddeev_leverrier(a: list[list[int]]) -> list[int]:
     return coeffs
 
 
-#: Bases of the Miller-Rabin test: the first 12 primes, which make it
-#: exact for every n below 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: Prime of the Hessenberg kernel's modulus, the Mersenne prime 2^61 - 1
+#: (Lucas-Lehmer).  The modulus is a power of it, so every nonzero residue is
+#: a power of this prime times a unit.
+HESSENBERG_PRIME = (1 << 61) - 1
 
 
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n below 3.3e24."""
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, r = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        r += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _prime(k: int) -> int:
-    """The k-th prime below 2^62, counting down from 2^62 (k = 0 first);
-    each is found on first use and cached."""
-    c = _prime(k - 1) - 2 if k else (1 << 62) - 1
-    while not _is_prime(c):
-        c -= 2
-    return c
-
-
-def _hadamard_primes(a: list[list[int]]) -> list[int]:
-    """Primes whose product M exceeds 2B, with B = prod(1 + |r_i|) over the
-    Euclidean norms of the rows.
+def _hadamard_modulus(a: list[list[int]]) -> int:
+    """The least power M of ``HESSENBERG_PRIME`` that exceeds 2B, with
+    B = prod(1 + |r_i|) over the Euclidean norms of the rows.
 
     B bounds every |a_k|: a_k is +-(sum of the principal k-minors), each
     minor is at most the product of its rows' norms (Hadamard), so
@@ -472,45 +438,43 @@ def _hadamard_primes(a: list[list[int]]) -> list[int]:
     bound = 4
     for row in a:
         bound *= 2 * (1 + sum(x * x for x in row))
-    primes: list[int] = []
-    square = 1
-    while square <= bound:
-        p = _prime(len(primes))
-        primes.append(p)
-        square *= p * p
-    return primes
+    modulus = HESSENBERG_PRIME
+    while modulus * modulus <= bound:
+        modulus *= HESSENBERG_PRIME
+    return modulus
 
 
-def _hessenberg_mod(a: list[list[int]], modulus: int) -> list[int] | None:
-    """Residues of a_0..a_n modulo ``modulus``, or None if some column offers
-    only non-unit nonzero pivots (never when ``modulus`` is prime).
+def _hessenberg_mod(a: list[list[int]], modulus: int) -> list[int]:
+    """Residues of a_0..a_n modulo ``modulus``, a power of ``HESSENBERG_PRIME``.
 
     Reduces A to upper Hessenberg form H by similarity steps over Z/MZ: at
-    column c a unit pivot is moved to row c + 1, each lower row i loses
-    u_i times it, and column c + 1 gains u_i times column i (Cohen, Alg.
-    2.2.9).  Then p_0 = 1 and p_{k+1} = (x - h_kk) p_k
-    - sum_{i<k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_i gives det(x*I - H) in
-    O(n^3) ring operations.
+    column c the pivot, the entry P^e w (w a unit) with the fewest factors
+    of P, is moved to row c + 1; each lower entry is P^f z with f >= e, so
+    row i loses u_i = (h_ic / P^e) w^-1 times the pivot row, and column
+    c + 1 gains u_i times column i (Cohen, Alg. 2.2.9).  The reduction
+    never meets a pivot it cannot divide by.  Then p_0 = 1 and p_{k+1} =
+    (x - h_kk) p_k - sum_{i<k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_i gives
+    det(x*I - H) in O(n^3) ring operations.
     """
     n = len(a)
     h = [[x % modulus for x in row] for row in a]
     for m in range(1, n - 1):
         c = m - 1
         piv = None
-        non_unit = False
         for i in range(m, n):
-            if h[i][c]:
-                try:
-                    inv = pow(h[i][c], -1, modulus)
-                except ValueError:
-                    non_unit = True
-                    continue
-                piv = i
-                break
+            x, e = h[i][c], 0
+            if x:
+                while not x % HESSENBERG_PRIME:
+                    x //= HESSENBERG_PRIME
+                    e += 1
+                if piv is None or e < fewest:
+                    piv, fewest, unit = i, e, x
+                    if not e:
+                        break
         if piv is None:
-            if non_unit:
-                return None
             continue
+        inv = pow(unit, -1, modulus)
+        scale = HESSENBERG_PRIME**fewest
         if piv != m:
             h[m], h[piv] = h[piv], h[m]
             for row in h:
@@ -519,7 +483,7 @@ def _hessenberg_mod(a: list[list[int]], modulus: int) -> list[int] | None:
         us = []
         for i in range(m + 1, n):
             row = h[i]
-            u = row[c] * inv % modulus
+            u = row[c] // scale * inv % modulus
             us.append(u)
             if u:
                 row[c] = 0
@@ -547,26 +511,9 @@ def _hessenberg_mod(a: list[list[int]], modulus: int) -> list[int] | None:
 
 
 def _charpoly_modular(a: list[list[int]]) -> list[int]:
-    """Exact a_0..a_n from the Hessenberg kernel modulo a product of primes
-    below 2^62 that exceeds twice the Hadamard bound.
-
-    A composite modulus can meet a column whose nonzero entries are all
-    non-units; the kernel then runs modulo each prime, where every nonzero
-    pivot is a unit, and the residues are joined by the Chinese remainder
-    theorem.
-    """
-    primes = _hadamard_primes(a)
-    modulus = 1
-    for p in primes:
-        modulus *= p
-    res = _hessenberg_mod(a, modulus)
-    if res is None:
-        res = [0] * (len(a) + 1)
-        for p in primes:
-            q = modulus // p
-            w = q * pow(q, -1, p)
-            res = [(x + r * w) % modulus for x, r in zip(res, _hessenberg_mod(a, p))]
-    return _symmetric_residues(res, modulus)
+    """Exact a_0..a_n from the Hessenberg kernel modulo ``_hadamard_modulus``."""
+    modulus = _hadamard_modulus(a)
+    return _symmetric_residues(_hessenberg_mod(a, modulus), modulus)
 
 
 def _symmetric_residues(res: list[int], modulus: int) -> list[int]:
@@ -576,7 +523,8 @@ def _symmetric_residues(res: list[int], modulus: int) -> list[int]:
 
 def char_poly(m: Sequence[Sequence[int]]) -> CharPoly:
     """Exact coefficients of det(lambda*I - M): Faddeev-LeVerrier below
-    ``HESSENBERG_MIN_ORDER``, the modular Hessenberg kernel from there on."""
+    ``HESSENBERG_MIN_ORDER``, from there on the Hessenberg kernel modulo a
+    Hadamard-bounded power of ``HESSENBERG_PRIME``."""
     _require_square(m)
     return CharPoly(tuple(_charpoly_rows(_as_rows(m))))
 

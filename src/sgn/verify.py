@@ -9,6 +9,7 @@ orders are fixed and all randomness is seeded.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 import time
@@ -397,7 +398,9 @@ def verify_bounds_theta(samples: int = 5000, seed: int = DEFAULT_SEED) -> Verifi
 
 
 def _verify_set(theorem_id, class_name, n_lo, n_hi):
-    k_offset = _CLASS_RANGES[class_name][1]
+    n_min, k_offset = _CLASS_RANGES[class_name]
+    if n_lo < n_min:  # no realizer exists there: refuse before sweeping
+        raise ValueError(f"{theorem_id} needs n >= {n_min}, got n_lo = {n_lo}")
 
     def cases():
         for n in range(n_lo, n_hi + 1):
@@ -441,7 +444,9 @@ def verify_set_theta(n_lo: int = 6, n_hi: int = 12) -> VerificationReport:
 
 def verify_set_bicyclic(n_lo: int = 8, n_hi: int = 12) -> VerificationReport:
     """Every k in [0, n-4] is attained by an unbalanced bicyclic signed graph."""
-    k_offset = _CLASS_RANGES["Theta"][1]
+    n_min, k_offset = _CLASS_RANGES["Theta"]
+    if n_lo < n_min:
+        raise ValueError(f"set.bicyclic needs n >= {n_min}, got n_lo = {n_lo}")
 
     def cases():
         for n in range(n_lo, n_hi + 1):
@@ -458,38 +463,38 @@ def verify_set_bicyclic(n_lo: int = 8, n_hi: int = 12) -> VerificationReport:
 # -- registry --------------------------------------------------------------------
 
 _REGISTRY = {
-    "cor2.1": (verify_cor21, ("n_max", "samples", "seed")),
-    "thm2.2": (verify_thm22, ("n_max",)),
-    "prop2.1": (verify_prop21, ("n_max",)),
-    "lem3.1": (verify_lem31, ("samples", "seed")),
-    "thm3.1": (verify_thm31, ("n_max",)),
-    "thm3.2": (verify_thm32, ("n_max",)),
-    "pendant": (verify_pendant, ("n_max",)),
-    "thm4.1": (verify_thm41, ()),
-    "lem5.1": (verify_lem51, ("samples", "seed")),
-    "lem5.2": (verify_lem52, ("n_max",)),
-    "bounds.bplus": (verify_bounds_bplus, ("samples", "seed")),
-    "bounds.bplusplus": (verify_bounds_bplusplus, ("samples", "seed")),
-    "bounds.theta": (verify_bounds_theta, ("samples", "seed")),
-    "set.bplus": (verify_set_bplus, ("n_lo", "n_hi")),
-    "set.bplusplus": (verify_set_bplusplus, ("n_lo", "n_hi")),
-    "set.theta": (verify_set_theta, ("n_lo", "n_hi")),
-    "set.bicyclic": (verify_set_bicyclic, ("n_lo", "n_hi")),
+    "cor2.1": verify_cor21,
+    "thm2.2": verify_thm22,
+    "prop2.1": verify_prop21,
+    "lem3.1": verify_lem31,
+    "thm3.1": verify_thm31,
+    "thm3.2": verify_thm32,
+    "pendant": verify_pendant,
+    "thm4.1": verify_thm41,
+    "lem5.1": verify_lem51,
+    "lem5.2": verify_lem52,
+    "bounds.bplus": verify_bounds_bplus,
+    "bounds.bplusplus": verify_bounds_bplusplus,
+    "bounds.theta": verify_bounds_theta,
+    "set.bplus": verify_set_bplus,
+    "set.bplusplus": verify_set_bplusplus,
+    "set.theta": verify_set_theta,
+    "set.bicyclic": verify_set_bicyclic,
 }
 
 THEOREM_IDS = tuple(sorted(_REGISTRY))
 
 
 def verify_theorem(theorem_id: str, **options) -> VerificationReport:
-    """Run one registered sweep.  Unknown options for that sweep are rejected."""
+    """Run one registered sweep.  Options that are not its parameters are rejected."""
     try:
-        fn, accepted = _REGISTRY[theorem_id]
+        fn = _REGISTRY[theorem_id]
     except KeyError:
         raise ValueError(
             f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}"
         )
     kwargs = {k: v for k, v in options.items() if v is not None}
-    unknown = set(kwargs) - set(accepted)
+    unknown = kwargs.keys() - inspect.signature(fn).parameters.keys()
     if unknown:
         raise ValueError(
             f"theorem {theorem_id} does not accept options {sorted(unknown)}"

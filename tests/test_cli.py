@@ -207,6 +207,19 @@ def test_verify_empty_grid_fails(capsys, tmp_path):
         assert "cases checked: 0" in capsys.readouterr().out
 
 
+# one order below each class's smallest, as an --n range
+BELOW_MINIMUM = {"set.bplus": "6..6", "set.bplusplus": "7..9", "set.theta": "5..8", "set.bicyclic": "5..5"}
+
+
+@pytest.mark.parametrize("theorem_id", sorted(BELOW_MINIMUM))
+def test_verify_set_below_the_class_minimum_exits_1(capsys, tmp_path, theorem_id):
+    report_path = tmp_path / "report.jsonl"
+    assert main(["verify", theorem_id, "--n", BELOW_MINIMUM[theorem_id], "--json", str(report_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {theorem_id} needs n >= ")
+    assert not report_path.exists()
+
+
 def test_figure_route_guard(capsys, tmp_path):
     k14 = tmp_path / "k14.txt"
     pairs = [(u, v) for u in range(14) for v in range(u + 1, 14)]

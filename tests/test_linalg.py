@@ -294,11 +294,37 @@ def _seeded_matrices(seed, sizes):
         yield _integer_rows(rng, n)
 
 
-def _modulus(primes):
-    m = 1
-    for p in primes:
-        m *= p
-    return m
+P = linalg.HESSENBERG_PRIME
+
+
+def _hadamard_square(a):
+    # the integer test of the kernel: M^2 must exceed 4 prod 2(1 + |r_i|^2)
+    return 4 * math.prod(2 * (1 + sum(x * x for x in row)) for row in a)
+
+
+def test_hessenberg_prime_is_the_mersenne_prime_2_61_minus_1():
+    # Lucas-Lehmer: for an odd prime q, 2^q - 1 is prime iff s_{q-2} = 0,
+    # with s_0 = 4 and s_{i+1} = s_i^2 - 2 mod 2^q - 1
+    q = 61
+    assert P == 2**q - 1 and all(q % d for d in range(2, q))
+    s = 4
+    for _ in range(q - 2):
+        s = (s * s - 2) % P
+    assert s == 0
+
+
+def test_modulus_is_the_least_power_of_the_prime_above_the_bound():
+    rng = random.Random(5)
+    matrices = list(_seeded_matrices(7, [1, 2, 12, 30, 60]))
+    matrices += [[[P * x for x in row] for row in _integer_rows(rng, n)] for n in (12, 20)]
+    matrices += [[[0] * 12 for _ in range(12)]]
+    for a in matrices:
+        m, k = linalg._hadamard_modulus(a), 0
+        while m % P == 0:
+            m, k = m // P, k + 1
+        assert m == 1 and k >= 1
+        bound = _hadamard_square(a)
+        assert P ** (2 * k) > bound >= P ** (2 * k - 2)
 
 
 def test_hadamard_bound_covers_every_coefficient():
@@ -307,77 +333,52 @@ def test_hadamard_bound_covers_every_coefficient():
     for a in _seeded_matrices(3, [1, 2, 3, 5, 8, 13, 21, 30]):
         biggest = max(abs(c) for c in linalg._faddeev_leverrier(a))
         assert biggest <= math.prod(1 + math.isqrt(sum(x * x for x in row)) for row in a)
-        assert _modulus(linalg._hadamard_primes(a)) > 2 * biggest
-
-
-def _strong_probable_prime(n, rng, rounds=32):
-    # independent of the module's fixed bases: random bases, error < 4^-32
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for _ in range(rounds):
-        x = pow(rng.randrange(2, n - 1), d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def test_listed_primes_are_prime_and_distinct():
-    primes = [linalg._prime(k) for k in range(16)]
-    assert primes == sorted(set(primes), reverse=True)
-    assert primes[0] < 1 << 62 and primes[-1] > 1 << 61
-    rng = random.Random(19)
-    for p in primes:
-        assert all(p % q for q in range(3, 2000, 2)) and _strong_probable_prime(p, rng)
-    # and no prime is skipped between consecutive listed primes
-    for hi, lo in zip(primes, primes[1:]):
-        assert not any(_strong_probable_prime(c, rng, 4) for c in range(lo + 2, hi, 2))
-
-
-def test_miller_rabin_against_trial_division_and_pseudoprimes():
-    def trial(n):
-        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
-
-    assert [n for n in range(3000) if linalg._is_prime(n)] == [n for n in range(3000) if trial(n)]
-    # strong pseudoprimes to the bases 2..7 and 2..23 respectively
-    assert not linalg._is_prime(3_215_031_751)
-    assert not linalg._is_prime(3_825_123_056_546_413_051)
+        assert linalg._hadamard_modulus(a) > 2 * biggest
 
 
 def test_modulus_below_twice_the_coefficients_gives_a_wrong_answer():
-    # a_12 of 10^3 * I is 10^36, far beyond half of one 62-bit prime
+    # a_12 of 10^3 * I is 10^36, far beyond half of the 61-bit prime
     n = N0
     a = [[1000 if i == j else (1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
     exact = linalg._faddeev_leverrier(a)
-    p = linalg._prime(0)
-    assert 2 * max(abs(c) for c in exact) > p
-    assert linalg._symmetric_residues(linalg._hessenberg_mod(a, p), p) != exact
-    m = _modulus(linalg._hadamard_primes(a))
-    assert linalg._symmetric_residues(linalg._hessenberg_mod(a, m), m) == exact
+    assert 2 * max(abs(c) for c in exact) > P
+    assert linalg._symmetric_residues(linalg._hessenberg_mod(a, P), P) != exact
+    m = linalg._hadamard_modulus(a)
+    assert m > P and linalg._symmetric_residues(linalg._hessenberg_mod(a, m), m) == exact
 
 
-def test_non_unit_pivot_falls_back_to_one_prime_at_a_time(monkeypatch):
-    # the only nonzero entry below the diagonal in column 0 is the first
-    # listed prime, a zero divisor modulo the product of the primes
-    n = N0
-    p = linalg._prime(0)
+def _positive_valuation_matrices(rng, n):
+    """Matrices whose entries are multiples of P, so that pivots are not units."""
+    # P times a small integer matrix: every pivot carries exactly one factor
+    yield [[P * x for x in row] for row in _integer_rows(rng, n)]
+    # P B + I: units on the diagonal only, every subdiagonal pivot a multiple
+    yield [[P * x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(_integer_rows(rng, n))]
+    # P and P^2 multiples mixed, P^2 ones often first in a column: the pivot
+    # must be the entry with the fewest factors, not the first nonzero one
+    yield [[rng.choice((0, P, -P, P * P, P * P, -P * P)) for _ in range(n)] for _ in range(n)]
+    yield [[P ** rng.randint(1, 3) * rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+
+
+def _lone_entry_fixture(n, p):
+    # column 0 holds one nonzero entry below the diagonal, p itself
     a = [[1 if abs(i - j) == 1 and min(i, j) > 0 else 0 for j in range(n)] for i in range(n)]
     a[1][0] = p
     a[0][1] = 1
     a[0][0] = 2
-    primes = linalg._hadamard_primes(a)
-    assert p in primes and linalg._hessenberg_mod(a, _modulus(primes)) is None
-    moduli = []
-    real = linalg._hessenberg_mod
-    monkeypatch.setattr(linalg, "_hessenberg_mod", lambda rows, m: moduli.append(m) or real(rows, m))
-    assert linalg._charpoly_rows(a) == linalg._faddeev_leverrier(a) == list(char_poly_interpolated(a).coeffs)
-    assert moduli == [_modulus(primes), *primes]
+    return a
+
+
+@pytest.mark.parametrize("n", [N0, 16, 20])
+def test_kernel_is_exact_when_pivots_carry_factors_of_the_prime(n):
+    rng = random.Random(n)
+    matrices = list(_positive_valuation_matrices(rng, n))
+    # a lone pivot that is a unit (the prime 2^62 - 57) and one that is P
+    matrices += [_lone_entry_fixture(n, (1 << 62) - 57), _lone_entry_fixture(n, P)]
+    for a in matrices:
+        kernel = linalg._charpoly_modular(a)
+        assert kernel == linalg._faddeev_leverrier(a)
+        assert tuple(kernel) == char_poly_interpolated(a).coeffs
+        assert linalg._charpoly_rows(a) == kernel
 
 
 @pytest.mark.parametrize("n", [N0 - 1, N0, N0 + 1, 40])
@@ -416,8 +417,11 @@ def _add_twins(rng, a, k):
 
 def test_rank_prime_and_reconstruction_bound():
     p, n = linalg.RANK_PRIME, linalg.RECONSTRUCTION_BOUND
-    assert p < 1 << 15 and linalg._is_prime(p)
-    assert not any(linalg._is_prime(c) for c in range(p + 1, 1 << 15))
+    def is_prime(c):
+        return c >= 2 and all(c % d for d in range(2, math.isqrt(c) + 1))
+
+    assert p < 1 << 15 and is_prime(p)
+    assert not any(is_prime(c) for c in range(p + 1, 1 << 15))
     # 2 N^2 < p: two fractions with |a|, b <= N differ mod p
     assert 2 * n * n < p <= 2 * (n + 1) ** 2
     # a packed slot, below p + n_cols (p - 1)^2, never carries at the ceiling

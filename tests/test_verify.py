@@ -1,6 +1,8 @@
 """Theorem sweeps at small grids: pinned summaries and exact failure records."""
 
+import inspect
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -229,6 +231,38 @@ def test_set_non_bicyclic_output_is_a_counted_case(monkeypatch, capsys):
     ]
     assert main(["verify", "set.theta", "--n", "6..6"]) == 2
     assert "cases checked: 3, failures: 1" in capsys.readouterr().out
+
+
+# the smallest order of each set sweep's class
+SET_MINIMUM = {"set.bplus": 7, "set.bplusplus": 8, "set.theta": 6, "set.bicyclic": 6}
+
+
+@pytest.mark.parametrize("theorem_id", sorted(SET_MINIMUM))
+def test_set_sweep_below_the_class_minimum_is_refused_before_sweeping(monkeypatch, theorem_id):
+    n_min = SET_MINIMUM[theorem_id]
+    calls = []
+    monkeypatch.setattr(verify, "realize_nullity", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=f"^{theorem_id} needs n >= {n_min}, got n_lo = {n_min - 1}$"):
+        verify_theorem(theorem_id, n_lo=n_min - 1, n_hi=n_min + 1)
+    assert calls == []
+    monkeypatch.undo()
+    report = verify_theorem(theorem_id, n_lo=n_min, n_hi=n_min)
+    assert report.passed and report.cases_checked > 0
+
+
+def test_accepted_options_are_each_sweeps_parameters():
+    # a rejection names every unknown option, so a parameter passed with a
+    # bogus option is accepted exactly when the message names the bogus one only
+    options = {"n_max", "samples", "seed", "n_lo", "n_hi", "p_max", "l_max"}
+    for theorem_id, fn in verify._REGISTRY.items():
+        params = inspect.signature(fn).parameters
+        assert params.keys() <= options
+        for name in options:
+            unknown = sorted({name, "bogus"} - params.keys())
+            with pytest.raises(ValueError, match=re.escape(f"does not accept options {unknown}")):
+                verify_theorem(theorem_id, **{name: 1}, bogus=1)
+    report = verify_theorem("thm4.1", p_max=4, l_max=2)
+    assert report.parameter_grid == "p,q in [3,4], l in [1,2], sp,sq in {0,1}" and report.cases_checked == 32
 
 
 def test_rejects_unknown_theorem_and_options():
