@@ -4,8 +4,9 @@ The nullity is the multiplicity of the eigenvalue zero of the signed
 adjacency matrix.  This package computes it by
 
   1. exact integer rank (fraction-free elimination):  n - rank(A),
-  2. the characteristic polynomial (Faddeev-LeVerrier over exact integers):
-     the number of trailing zero coefficients,
+  2. the characteristic polynomial (Faddeev-LeVerrier over exact integers
+     below order 12, a Hessenberg reduction modulo a Hadamard-bounded prime
+     power from there on): the number of trailing zero coefficients,
   3. basic-figure enumeration: each vertex-disjoint union of edges and
      cycles covering i vertices contributes (-1)^(p+s) * 2^c to the
      coefficient a_i, so the polynomial can be rebuilt combinatorially.
@@ -20,7 +21,6 @@ from sgn import (
     adjacency_matrix,
     char_poly,
     char_poly_figures,
-    char_poly_interpolated,
     enumerate_basic_figures,
     nullity_charpoly,
     nullity_rank,
@@ -43,7 +43,6 @@ print("nullity via reduction    :", nullity_structural(g)[0])
 
 p = char_poly(adjacency_matrix(g))
 print("\ncharacteristic polynomial:", p)
-print("same by interpolation    :", char_poly_interpolated(adjacency_matrix(g)))
 print("same by figure counting  :", char_poly_figures(g))
 
 print("\nbasic figures on 4 vertices of the hexagon:")

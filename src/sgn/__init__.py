@@ -34,8 +34,6 @@ from .linalg import (
     LinalgError,
     adjacency_matrix,
     char_poly,
-    char_poly_interpolated,
-    determinant,
     nullity_charpoly,
     nullity_rank,
     rank,

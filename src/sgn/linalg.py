@@ -10,17 +10,17 @@ recurrence (whose divisions are exact on integer matrices) below order
 ``HESSENBERG_MIN_ORDER`` (12), and from there on from an O(n^3) Hessenberg
 reduction modulo the least power of the Mersenne prime 2^61 - 1 that
 exceeds twice a Hadamard bound on every coefficient, so the symmetric
-residues are the exact coefficients.  An independent
-evaluation/interpolation route is provided as a cross-check.  The matrix
-routes refuse graphs above ``MAX_MATRIX_VERTICES`` vertices.
+residues are the exact coefficients.  The public matrix functions accept
+integer entries only, and the matrix routes refuse graphs above
+``MAX_MATRIX_VERTICES`` vertices.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .graph import SignedGraph
@@ -50,12 +50,6 @@ class CharPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for a in self.coeffs:
-            acc = acc * x + a
-        return acc
-
     def __str__(self) -> str:
         n = self.degree
         terms = []
@@ -76,19 +70,17 @@ class CharPoly:
 
 
 def _as_rows(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [list(row) for row in m]
+    """Copy of ``m`` as lists of ints.  Raises LinalgError on any other
+    entry (a float, a Fraction), on which the exact kernels go wrong."""
+    try:
+        return [list(map(operator.index, row)) for row in m]
+    except TypeError:
+        raise LinalgError("matrix entries must be integers") from None
 
 
-def _require_square(m: Sequence[Sequence[int]]) -> int:
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise LinalgError("matrix must be square")
-    return n
-
-
-#: Largest vertex count the matrix routes (rank, characteristic polynomial,
-#: interpolation) accept.  A dense n x n matrix of Python ints holds 8 n^2
-#: bytes of references per copy, 32 MB at this ceiling.
+#: Largest vertex count the matrix routes (rank, characteristic polynomial)
+#: accept.  A dense n x n matrix of Python ints holds 8 n^2 bytes of
+#: references per copy, 32 MB at this ceiling.
 MAX_MATRIX_VERTICES = 2000
 
 
@@ -111,23 +103,18 @@ def adjacency_matrix(g: SignedGraph) -> Matrix:
 # -- rank ----------------------------------------------------------------
 
 
-def _rank_rows(m: list[list[int]]) -> tuple[int, int]:
-    """Bareiss fraction-free elimination; mutates ``m``; returns the rank
-    and the number of row swaps.
+def _rank_rows(m: list[list[int]]) -> int:
+    """Bareiss fraction-free elimination; mutates ``m``; returns the rank.
 
-    It is the rank below ``MODULAR_RANK_MIN_ORDER``, the fallback of the
-    certified modular rank above it, and the kernel of ``determinant``
-    (hence of ``char_poly_interpolated``).  Pivoting picks the first nonzero
-    entry in column order, so runs are deterministic.  Over the integers the
-    computed rank equals the rank over the rationals (and the reals).  On a
-    square matrix of full rank the last pivot ``m[-1][-1]`` is the
-    determinant up to the swaps' sign.
+    It is the rank below ``MODULAR_RANK_MIN_ORDER`` and the fallback of the
+    certified modular rank above it.  Pivoting picks the first nonzero entry
+    in column order, so runs are deterministic.  Over the integers the
+    computed rank equals the rank over the rationals (and the reals).
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
     prev = 1
     r = 0
-    swaps = 0
     for c in range(nc):
         if r == nr:
             break
@@ -140,7 +127,6 @@ def _rank_rows(m: list[list[int]]) -> tuple[int, int]:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-            swaps += 1
         mrc = m[r][c]
         row_r = m[r]
         for i in range(r + 1, nr):
@@ -155,7 +141,7 @@ def _rank_rows(m: list[list[int]]) -> tuple[int, int]:
                     row_i[j] = row_i[j] * mrc // prev
         prev = mrc
         r += 1
-    return r, swaps
+    return r
 
 
 #: Matrix order (the smaller dimension) from which ``rank`` runs the certified
@@ -314,27 +300,12 @@ def rank(m: Sequence[Sequence[int]]) -> int:
         r = _rank_certified(rows if len(rows) >= len(rows[0]) else list(zip(*rows)))
         if r is not None:
             return r
-    return _rank_rows(rows)[0]
+    return _rank_rows(rows)
 
 
 def nullity_rank(g: SignedGraph) -> int:
     """Nullity via the rank route: n minus the exact adjacency rank."""
     return g.n - rank(adjacency_matrix(g))
-
-
-# -- determinant (used by the interpolation cross-check) ------------------
-
-
-def determinant(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by Bareiss elimination."""
-    n = _require_square(m)
-    if n == 0:
-        return 1
-    a = _as_rows(m)
-    r, swaps = _rank_rows(a)
-    if r < n:
-        return 0
-    return -a[-1][-1] if swaps % 2 else a[-1][-1]
 
 
 # -- characteristic polynomial -------------------------------------------
@@ -525,49 +496,9 @@ def char_poly(m: Sequence[Sequence[int]]) -> CharPoly:
     """Exact coefficients of det(lambda*I - M): Faddeev-LeVerrier below
     ``HESSENBERG_MIN_ORDER``, from there on the Hessenberg kernel modulo a
     Hadamard-bounded power of ``HESSENBERG_PRIME``."""
-    _require_square(m)
+    if any(len(row) != len(m) for row in m):
+        raise LinalgError("matrix must be square")
     return CharPoly(tuple(_charpoly_rows(_as_rows(m))))
-
-
-def char_poly_interpolated(m: Sequence[Sequence[int]]) -> CharPoly:
-    """Independent characteristic polynomial via evaluation + interpolation.
-
-    Evaluates det(x*I - M) by Bareiss at x = 0, 1, -1, 2, -2, ... (smallest
-    magnitudes first, to bound entry growth) and interpolates the degree-n
-    polynomial with Newton divided differences over exact rationals.
-    """
-    n = _require_square(m)
-    points: list[int] = [0]
-    k = 1
-    while len(points) < n + 1:
-        points.append(k)
-        if len(points) < n + 1:
-            points.append(-k)
-        k += 1
-    values = []
-    for x in points:
-        shifted = [[(x if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
-        values.append(determinant(shifted))
-    # Newton divided differences
-    coef = [Fraction(v) for v in values]
-    for j in range(1, n + 1):
-        for i in range(n, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (points[i] - points[i - j])
-    # expand Newton form to monomial coefficients, highest power first
-    poly = [coef[n]]
-    for i in range(n - 1, -1, -1):
-        # poly <- poly * (x - points[i]) + coef[i]
-        new = poly + [Fraction(0)]
-        for d in range(len(poly)):
-            new[d + 1] -= poly[d] * points[i]
-        new[-1] += coef[i]
-        poly = new
-    out = []
-    for c in poly:
-        if c.denominator != 1:
-            raise LinalgError("interpolated characteristic polynomial is not integral")
-        out.append(int(c))
-    return CharPoly(tuple(out))
 
 
 def zero_multiplicity(p: CharPoly) -> int:

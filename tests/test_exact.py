@@ -2,8 +2,7 @@
 
 Scans the modules that compute answers for float or complex literals, the
 names ``float`` and ``complex``, imports of floating-point modules, and true
-division, which is allowed only where ``char_poly_interpolated`` divides
-``Fraction``s.
+division.
 """
 
 import ast
@@ -14,16 +13,12 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "sgn"
 MODULES = ("graph", "linalg", "figures", "reduction", "formulas", "families")
 FLOAT_MODULES = {"math", "cmath", "statistics", "decimal"}
-DIVISION_ALLOWED = {("linalg", "char_poly_interpolated")}
 
 
 def _float_uses(module: str) -> list[str]:
     tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
     found = []
-
-    def visit(node, function):
-        if isinstance(node, ast.FunctionDef):
-            function = node.name
+    for node in ast.walk(tree):
         where = f"{module}:{getattr(node, 'lineno', '?')}"
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             found.append(f"{where} literal {node.value!r}")
@@ -34,12 +29,7 @@ def _float_uses(module: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in FLOAT_MODULES:
             found.append(f"{where} import from {node.module}")
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
-            if (module, function) not in DIVISION_ALLOWED:
-                found.append(f"{where} true division")
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(tree, None)
+            found.append(f"{where} true division")
     return found
 
 

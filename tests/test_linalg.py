@@ -2,10 +2,14 @@
 
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from sgn import (
     CharPoly,
@@ -13,9 +17,7 @@ from sgn import (
     SignedGraph,
     adjacency_matrix,
     char_poly,
-    char_poly_interpolated,
     components,
-    determinant,
     nullity_charpoly,
     nullity_rank,
     rank,
@@ -66,10 +68,25 @@ def test_rank_rejects_ragged_rows(m):
         rank(m)
 
 
+@pytest.mark.parametrize("half", [0.5, Fraction(1, 2)], ids=["float", "Fraction"])
+@pytest.mark.parametrize("route", [rank, char_poly])
+def test_matrix_routes_reject_non_integer_entries(route, half):
+    # det [[1, 1/2], [1/2, 1]] = 3/4: integer elimination would report rank 1
+    with pytest.raises(LinalgError, match="entries must be integers"):
+        route([[1, half], [half, 1]])
+
+
+def test_matrix_routes_take_bools_and_numpy_integers_as_exact_ints():
+    assert rank([[True, False], [False, True]]) == 2
+    # a_2 = 3^78 - 1 overflows 64-bit arithmetic
+    big = [[3**39, 1], [1, 3**39]]
+    wide = [[np.int64(x) for x in row] for row in big]
+    assert char_poly(wide) == char_poly(big) == CharPoly((1, -2 * 3**39, 3**78 - 1))
+    assert rank(wide) == 2
+
+
 def _rank_fraction_oracle(m):
     # independent rank via rational Gaussian elimination
-    from fractions import Fraction
-
     rows = [[Fraction(x) for x in row] for row in m]
     nr, nc = len(rows), len(m[0]) if m else 0
     r = 0
@@ -116,21 +133,29 @@ def test_nullity_extremal_diamond():
 
 
 # -- characteristic polynomial ----------------------------------------------
-# derived values below were computed by the evaluation/interpolation oracle
-# and frozen; the oracle itself is asserted alongside
+# derived values below are frozen; sympy's DomainMatrix over ZZ, an outside
+# oracle that shares no code with sgn, is asserted alongside
+
+
+def _sympy_matrix(m):
+    return DomainMatrix.from_list([list(row) for row in m], ZZ)
+
+
+def _sympy_charpoly(m):
+    return tuple(_sympy_matrix(m).charpoly())
 
 
 def test_charpoly_positive_triangle():
     a = adjacency_matrix(gen_cycle(3, 0))
     expected = (1, 0, -3, -2)
-    assert char_poly_interpolated(a).coeffs == expected
+    assert _sympy_charpoly(a) == expected
     assert char_poly(a).coeffs == expected
 
 
 def test_charpoly_unbalanced_triangle():
     a = adjacency_matrix(gen_cycle(3, 1))
     expected = (1, 0, -3, 2)
-    assert char_poly_interpolated(a).coeffs == expected
+    assert _sympy_charpoly(a) == expected
     assert char_poly(a).coeffs == expected
 
 
@@ -168,7 +193,7 @@ def test_determinant_matches_charpoly_constant():
         n = rng.randint(1, 5)
         m = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
         # det(0*I - M) = (-1)^n det(M) is the constant coefficient
-        assert char_poly(m).coeffs[-1] == (-1) ** n * determinant(m)
+        assert char_poly(m).coeffs[-1] == (-1) ** n * _sympy_matrix(m).det()
 
 
 def test_charpoly_routes_agree_on_non_symmetric_matrices():
@@ -177,23 +202,7 @@ def test_charpoly_routes_agree_on_non_symmetric_matrices():
     for _ in range(60):
         n = rng.randint(1, 6)
         m = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
-        assert char_poly(m) == char_poly_interpolated(m)
-
-
-def test_determinant_odd_row_permutation():
-    assert determinant([[0, 1], [1, 0]]) == -1
-    assert determinant([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
-    # two swaps: an even permutation of diag(2, 3, 5)
-    assert determinant([[0, 3, 0], [0, 0, 5], [2, 0, 0]]) == 30
-
-
-def test_determinant_singular_with_zero_column():
-    assert determinant([[1, 0, 2], [3, 0, 4], [5, 0, 7]]) == 0
-    assert determinant([[0, 1], [0, 2]]) == 0
-
-
-def test_determinant_empty_matrix():
-    assert determinant([]) == 1
+        assert char_poly(m).coeffs == _sympy_charpoly(m)
 
 
 # -- properties ----------------------------------------------------------------
@@ -216,9 +225,9 @@ def test_rank_and_charpoly_nullity_agree(g):
 
 @given(signed_graphs())
 @settings(max_examples=60)
-def test_faddeev_leverrier_matches_interpolation(g):
+def test_faddeev_leverrier_matches_sympy(g):
     a = adjacency_matrix(g)
-    assert char_poly(a) == char_poly_interpolated(a)
+    assert char_poly(a).coeffs == _sympy_charpoly(a)
 
 
 def test_charpoly_routes_agree_on_corpus():
@@ -228,7 +237,7 @@ def test_charpoly_routes_agree_on_corpus():
     checked = 0
     for g in iter_signed_corpus(6):
         a = adjacency_matrix(g)
-        assert char_poly(a) == char_poly_interpolated(a), g
+        assert char_poly(a).coeffs == _sympy_charpoly(a), g
         checked += 1
     assert checked == 4532  # sum of switching classes over iso classes, n <= 6
 
@@ -377,7 +386,7 @@ def test_kernel_is_exact_when_pivots_carry_factors_of_the_prime(n):
     for a in matrices:
         kernel = linalg._charpoly_modular(a)
         assert kernel == linalg._faddeev_leverrier(a)
-        assert tuple(kernel) == char_poly_interpolated(a).coeffs
+        assert tuple(kernel) == _sympy_charpoly(a)
         assert linalg._charpoly_rows(a) == kernel
 
 
@@ -386,7 +395,7 @@ def test_modular_kernel_matches_faddeev_leverrier_and_interpolation(n):
     for a in _seeded_matrices(n, [n]):
         kernel = linalg._charpoly_modular(a)
         assert kernel == linalg._faddeev_leverrier(a)
-        assert tuple(kernel) == char_poly_interpolated(a).coeffs
+        assert tuple(kernel) == _sympy_charpoly(a)
         assert char_poly(a).coeffs == tuple(kernel)
 
 
@@ -396,7 +405,7 @@ R0 = linalg.MODULAR_RANK_MIN_ORDER
 
 
 def _bareiss(m):
-    return linalg._rank_rows([list(row) for row in m])[0]
+    return linalg._rank_rows([list(row) for row in m])
 
 
 def _tall(m):
@@ -501,3 +510,23 @@ def test_twin_graph_is_certified_without_bareiss(monkeypatch):
 
     monkeypatch.setattr(linalg, "_rank_rows", refuse)
     assert nullity_rank(SignedGraph(n, edges)) == k
+
+
+def test_kernels_match_sympy_where_they_switch():
+    # rank on both sides of the Bareiss/certified crossover, with and without
+    # twin rows (a non-empty kernel the certificate must prove), the charpoly
+    # on both sides of the Faddeev-LeVerrier/Hessenberg one, and both at n = 100
+    rng = random.Random(43)
+    for n in (R0 - 1, R0, R0 + 1):
+        for twins in (0, 3):
+            a = _add_twins(rng, _signed_rows(rng, n - twins), twins)
+            r = rank(a)
+            assert r == _sympy_matrix(a).rank() <= n - twins
+            if n >= R0:
+                assert linalg._rank_certified(a) == r
+    for n in (N0 - 1, N0, N0 + 1):
+        a = _signed_rows(rng, n)
+        assert char_poly(a).coeffs == _sympy_charpoly(a)
+    a = _signed_rows(rng, 100)
+    assert rank(a) == _sympy_matrix(a).rank()
+    assert char_poly(a).coeffs == _sympy_charpoly(a)
