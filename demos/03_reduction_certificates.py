@@ -4,12 +4,13 @@ The reduction engine shrinks a graph with nullity-preserving or
 nullity-accounting moves and records every step:
 
   * component split        eta(G) = sum of component nullities
-  * pendant deletion       delete a leaf and its neighbor, eta unchanged
+  * pendant peeling        delete a leaf and its neighbor, eta unchanged,
+                           until no leaf is left; one step lists every pair
   * cut-point decrement    if eta(G_1) = eta(G_1 + v) + 1 at cut-point v,
                            then eta(G) = sum eta(G_i) - 1
   * cut-point split        if eta(G_1) = eta(G_1 + v) - 1,
                            then eta(G) = eta(G_1) + eta(G - G_1)
-  * base cases             isolated vertices / cycles by closed form,
+  * base cases             edgeless graphs / cycles by closed form,
                            anything else by the exact rank oracle
 
 The trace can be replayed to reproduce the result, and each step's relation
@@ -29,7 +30,7 @@ def show(name, g):
         after = ", ".join(f"n={h.n},m={h.m}" for h in step.after) or "-"
         extra = ""
         if step.kind == "PendantDelete":
-            extra = f" [pendant {step.pendant}, neighbor {step.neighbor}]"
+            extra = " [pendant pairs " + " ".join(f"({v},{u})" for v, u in step.pairs) + "]"
         elif step.kind.startswith("CutPoint"):
             extra = f" [cut-point {step.cut_point}, component {step.component_index}]"
         elif step.kind == "BaseCase":

@@ -49,8 +49,8 @@ from .figures import (
 from .reduction import (
     ReductionStep,
     ReductionTrace,
-    apply_pendant,
     nullity_structural,
+    peel_pendants,
     try_cutpoint_case1,
     try_cutpoint_case2,
 )

@@ -291,9 +291,9 @@ def rank(m: Sequence[Sequence[int]]) -> int:
     elimination; from there on the certified modular rank, with Bareiss as
     the fallback when its certificate fails.
     """
-    if not m:
-        return 0
     rows = _as_rows(m)
+    if not rows:
+        return 0
     if any(len(row) != len(rows[0]) for row in rows):
         raise LinalgError("matrix rows must all have the same length")
     if min(len(rows), len(rows[0])) >= MODULAR_RANK_MIN_ORDER:
@@ -396,19 +396,35 @@ def _faddeev_leverrier(a: list[list[int]]) -> list[int]:
 HESSENBERG_PRIME = (1 << 61) - 1
 
 
+def _ceil_isqrt(x: int) -> int:
+    """The least integer c >= 0 with c^2 >= x, for an integer x >= 0."""
+    if x < 2:
+        return x
+    # Newton's iteration from above descends to floor(sqrt(x)) and stops
+    r = 1 << ((x.bit_length() + 1) // 2)
+    while (y := (r + x // r) // 2) < r:
+        r = y
+    return r + (r * r < x)
+
+
 def _hadamard_modulus(a: list[list[int]]) -> int:
     """The least power M of ``HESSENBERG_PRIME`` that exceeds 2B, with
     B = prod(1 + |r_i|) over the Euclidean norms of the rows.
 
     B bounds every |a_k|: a_k is +-(sum of the principal k-minors), each
     minor is at most the product of its rows' norms (Hadamard), so
-    |a_k| <= e_k(|r_1|, ..., |r_n|) <= B.  The test stays in integers:
-    (1 + |r|)^2 <= 2(1 + |r|^2), so M^2 > 4 prod 2(1 + |r_i|^2) gives M > 2B,
-    and every a_k is its residue mod M lifted to (-M/2, M/2].
+    |a_k| <= e_k(|r_1|, ..., |r_n|) <= B.  The test stays in integers.
+    With s = |r|^2 let f(s) = 1 + s + ceil(sqrt(4s)).  Then
+    f(s) >= 1 + s + 2 sqrt(s) = (1 + |r|)^2, so M^2 > 4 prod f(s_i) gives
+    M > 2B, and every a_k is its residue mod M lifted to (-M/2, M/2].  And
+    2 sqrt(s) <= 1 + s (AM-GM) with 1 + s an integer gives
+    ceil(sqrt(4s)) <= 1 + s, so f(s) <= 2(1 + s): no matrix needs a higher
+    power than under the per-row factor 2(1 + s).
     """
     bound = 4
     for row in a:
-        bound *= 2 * (1 + sum(x * x for x in row))
+        s = sum(x * x for x in row)
+        bound *= 1 + s + _ceil_isqrt(4 * s)
     modulus = HESSENBERG_PRIME
     while modulus * modulus <= bound:
         modulus *= HESSENBERG_PRIME

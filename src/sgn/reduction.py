@@ -1,8 +1,9 @@
 """Structural nullity computation with replayable certificates.
 
-The engine applies, in order: component splitting, pendant deletion (delete
-a degree-1 vertex together with its neighbor; nullity is unchanged), and the
-two cut-point rules.  At a cut-point v with components G_1..G_s of G - v:
+The engine applies, in order: component splitting, pendant peeling (delete
+a degree-1 vertex together with its neighbor, which keeps the nullity, until
+no pendant is left; one step records every pair), and the two cut-point
+rules.  At a cut-point v with components G_1..G_s of G - v:
 
 * decrement rule: if some G_i has eta(G_i) = eta(G_i + v) + 1, then
   eta(G) = sum_i eta(G_i) - 1;
@@ -12,14 +13,15 @@ two cut-point rules.  At a cut-point v with components G_1..G_s of G - v:
 Whether a rule applies is decided with the exact rank oracle (there is no
 known syntactic criterion), so the engine is a certificate generator rather
 than an oracle-free decision procedure.  When neither rule applies the
-subgraph falls back to a rank-oracle base case; paths, cycles and isolated
-vertices are closed-form base cases.
+subgraph falls back to a rank-oracle base case; edgeless graphs and cycles
+are closed-form base cases.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .formulas import nullity_cycle
 from .graph import (
@@ -27,6 +29,7 @@ from .graph import (
     SignedGraph,
     _component_vertex_sets,
     _induced,
+    check_vertex_ceiling,
     components,
     cut_points,
     delete_vertices,
@@ -47,14 +50,18 @@ METHOD_CLOSED_FORM = "ClosedForm"
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """One certificate step; ``before``/``after`` are full graph snapshots."""
+    """One certificate step; ``before``/``after`` are full graph snapshots.
+
+    A ``PendantDelete`` step lists in ``pairs`` every (pendant, neighbor)
+    pair it deleted, in deletion order and in ``before``'s labels; its one
+    ``after`` graph is ``before`` less all of them, relabeled contiguously.
+    """
 
     kind: str
     before: SignedGraph
     after: tuple[SignedGraph, ...]
     relation: str
-    pendant: int | None = None
-    neighbor: int | None = None
+    pairs: tuple[tuple[int, int], ...] | None = None
     cut_point: int | None = None
     component_index: int | None = None
     method: str | None = None
@@ -67,7 +74,7 @@ class ReductionStep:
             "before": _graph_dict(self.before),
             "after": [_graph_dict(h) for h in self.after],
         }
-        for key in ("pendant", "neighbor", "cut_point", "component_index", "method", "value"):
+        for key in ("pairs", "cut_point", "component_index", "method", "value"):
             val = getattr(self, key)
             if val is not None:
                 d[key] = val
@@ -127,23 +134,44 @@ class ReductionTrace:
         )
 
 
-def apply_pendant(g: SignedGraph) -> tuple[SignedGraph, ReductionStep] | None:
-    """Delete the lowest-labeled pendant together with its neighbor.
+def peel_pendants(g: SignedGraph) -> tuple[SignedGraph, ReductionStep] | None:
+    """Delete pendant pairs until none is left, recorded as one step.
 
-    Nullity is unchanged.  Returns None when no pendant exists.
+    Each deletion takes the lowest-labeled pendant of the current graph
+    together with its neighbor and keeps the nullity.  A min-heap of
+    pendant labels and a degree count over G's adjacency lists find the
+    next pendant, so the whole peel is O(m + n log n) and builds one
+    snapshot, of what is left.  Returns None when no pendant exists.
     """
-    pairs = pendant_pairs(g)
-    if not pairs:
+    seed = pendant_pairs(g)
+    if not seed:
         return None
-    v, u = pairs[0]
-    reduced, _ = delete_vertices(g, (v, u))
+    adj = g._adj
+    degree = [len(nbrs) for nbrs in adj]
+    alive = [True] * g.n
+    heap = [v for v, _ in seed]  # ascending, so already a heap
+    pairs = []
+    while heap:
+        v = heappop(heap)
+        # a vertex enters the heap once, when its degree reaches 1; it is
+        # stale once deleted as a neighbor or left isolated
+        if not alive[v] or degree[v] != 1:
+            continue
+        u = next(w for w in adj[v] if alive[w])
+        alive[v] = alive[u] = False
+        pairs.append((v, u))
+        for w in adj[u]:
+            if alive[w]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    heappush(heap, w)
+    reduced = _induced(g, [v for v in range(g.n) if alive[v]])
     step = ReductionStep(
         kind=KIND_PENDANT_DELETE,
         before=g,
         after=(reduced,),
-        relation=f"eta(G) = eta(G - {{{v},{u}}})",
-        pendant=v,
-        neighbor=u,
+        relation="eta(G) = eta(G - every listed pendant pair)",
+        pairs=tuple(pairs),
     )
     return reduced, step
 
@@ -240,15 +268,19 @@ def _is_cycle(g: SignedGraph) -> bool:
 def nullity_structural(g: SignedGraph) -> tuple[int, ReductionTrace]:
     """Nullity via structural reduction, with a replayable certificate.
 
-    Rule order: components, pendants, cut-point decrement rule, cut-point
-    split rule, base case.  Cut-points are tried in ascending label order.
-    An explicit stack replaces recursion: each popped graph records one step
-    and pushes its parts in reverse, which keeps the steps in pre-order.
+    Rule order: edgeless base case, components, pendant peeling, cut-point
+    decrement rule, cut-point split rule, base case.  Cut-points are tried
+    in ascending label order.  An explicit stack replaces recursion: each
+    popped graph records one step and pushes its parts in reverse, which
+    keeps the steps in pre-order.
     Every rule sets eta(G) to the sum of its parts' nullities, less one for
     the decrement rule, so the result is the sum of the base-case values
     minus the number of decrement steps.  It always equals the rank-oracle
-    nullity; ``replay`` re-derives it from the steps alone.
+    nullity; ``replay`` re-derives it from the steps alone.  A graph above
+    the adjacency-list ceiling is refused even when no rule would traverse
+    it (an edgeless one).
     """
+    check_vertex_ceiling(g.n)
     steps: list[ReductionStep] = []
     result = 0
     stack = [g]
@@ -270,7 +302,7 @@ def nullity_structural(g: SignedGraph) -> tuple[int, ReductionTrace]:
 
 def _rule(g: SignedGraph) -> tuple[tuple[SignedGraph, ...], ReductionStep]:
     """(parts, step) for the first rule that applies to ``g``."""
-    if g.n == 0:
+    if g.m == 0:
         return (), _base_case(g)
     if not is_connected(g):
         parts = tuple(comp for comp, _ in components(g))
@@ -281,7 +313,7 @@ def _rule(g: SignedGraph) -> tuple[tuple[SignedGraph, ...], ReductionStep]:
             relation="eta(G) = sum over connected components",
         )
         return parts, step
-    hit = apply_pendant(g)
+    hit = peel_pendants(g)
     if hit is not None:
         reduced, step = hit
         return (reduced,), step
@@ -304,7 +336,7 @@ def _rule(g: SignedGraph) -> tuple[tuple[SignedGraph, ...], ReductionStep]:
 
 def _base_case(g: SignedGraph) -> ReductionStep:
     # closed forms: the empty graph, isolated vertices and cycles (paths
-    # with n >= 2 never reach here because they still carry pendants)
+    # with n >= 2 never reach here because they are peeled first)
     method = METHOD_CLOSED_FORM
     if g.n == 0:
         value, relation = 0, "eta = 0 (empty graph)"

@@ -50,6 +50,16 @@ def test_nullity_structural_trace(capsys):
     assert payload["result"] == 1
 
 
+def test_nullity_structural_trace_of_a_long_path(capsys):
+    # the peel records every pendant pair of the path in one step
+    assert main(["nullity", "path:n=100000", "--method", "structural", "--trace"]) == 0
+    head, blob = capsys.readouterr().out.split("\n", 1)
+    assert head == "structural: 0"
+    trace = json.loads(blob)
+    assert trace["result"] == 0 and len(trace["steps"]) <= 3
+    assert len(trace["steps"][0]["pairs"]) == 50_000
+
+
 def test_nullity_infinity_example(capsys):
     assert main(["nullity", "infinity:p=3,q=4,l=2,sp=1,sq=0"]) == 0
     assert capsys.readouterr().out.count(": 1") == 4

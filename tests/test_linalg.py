@@ -85,6 +85,13 @@ def test_matrix_routes_take_bools_and_numpy_integers_as_exact_ints():
     assert rank(wide) == 2
 
 
+def test_rank_takes_numpy_arrays():
+    # an array has no truth value, so emptiness is tested on the copied rows
+    assert rank(np.array([[1, 2], [3, 4]])) == 2
+    for shape in ((0,), (0, 0), (0, 3), (3, 0)):
+        assert rank(np.zeros(shape, dtype=np.int64)) == 0
+
+
 def _rank_fraction_oracle(m):
     # independent rank via rational Gaussian elimination
     rows = [[Fraction(x) for x in row] for row in m]
@@ -306,9 +313,38 @@ def _seeded_matrices(seed, sizes):
 P = linalg.HESSENBERG_PRIME
 
 
+def _row_factor(s):
+    # f(s) = 1 + s + ceil(sqrt(4s)), at least (1 + sqrt(s))^2
+    c = math.isqrt(4 * s)
+    return 1 + s + c + (c * c < 4 * s)
+
+
 def _hadamard_square(a):
-    # the integer test of the kernel: M^2 must exceed 4 prod 2(1 + |r_i|^2)
-    return 4 * math.prod(2 * (1 + sum(x * x for x in row)) for row in a)
+    # the integer test of the kernel: M^2 must exceed 4 prod f(|r_i|^2)
+    return 4 * math.prod(_row_factor(sum(x * x for x in row)) for row in a)
+
+
+def test_row_factor_bounds_the_squared_row_term():
+    # f(s) >= (1 + |r|)^2 iff (f(s) - 1 - s)^2 >= 4s, and f(s) <= 2(1 + s)
+    # keeps every modulus at or below the one of the factor 2(1 + s)
+    for s in range(10**5 + 1):
+        c = linalg._ceil_isqrt(4 * s)
+        f = 1 + s + c
+        assert (f - 1 - s) ** 2 >= 4 * s and f <= 2 * (1 + s)
+        assert c == 0 or (c - 1) ** 2 < 4 * s  # the least such c
+    for x in (2**122 - 1, 2**122, 2**122 + 1, 10**40):
+        c = linalg._ceil_isqrt(x)
+        assert c * c >= x > (c - 1) ** 2
+
+
+def test_modulus_is_never_above_the_former_bound():
+    # the former test M^2 > 4 prod 2(1 + |r_i|^2)
+    for a in _seeded_matrices(11, [1, 2, 12, 30, 60]):
+        former = 4 * math.prod(2 * (1 + sum(x * x for x in row)) for row in a)
+        m = P
+        while m * m <= former:
+            m *= P
+        assert linalg._hadamard_modulus(a) <= m
 
 
 def test_hessenberg_prime_is_the_mersenne_prime_2_61_minus_1():

@@ -15,18 +15,19 @@ from hypothesis import strategies as st
 from sgn import (
     GraphError,
     SignedGraph,
-    apply_pendant,
     components,
     cut_points,
     delete_vertices,
     nullity_rank,
     nullity_structural,
     parse_family_spec,
+    pendant_pairs,
+    peel_pendants,
     try_cutpoint_case1,
     try_cutpoint_case2,
 )
 from sgn import reduction
-from sgn.enumeration import random_signed_graph
+from sgn.enumeration import random_low_cyclomatic_graph, random_signed_graph
 from sgn.families import gen_cycle, gen_figure, gen_infinity, gen_path, gen_star
 from sgn.graph import _induced
 from sgn.reduction import (
@@ -40,20 +41,22 @@ from sgn.reduction import (
 
 
 def test_pendant_on_p4():
-    reduced, step = apply_pendant(gen_path(4))
-    assert reduced == gen_path(2)
-    assert step.pendant == 0 and step.neighbor == 1
+    reduced, step = peel_pendants(gen_path(4))
+    assert step.pairs == ((0, 1), (2, 3))
+    assert reduced == SignedGraph(0, [])
+    # the first pair alone leaves P2
+    assert delete_vertices(gen_path(4), step.pairs[0])[0] == gen_path(2)
     assert nullity_rank(reduced) == nullity_rank(gen_path(4))
 
 
 def test_pendant_on_star():
-    reduced, step = apply_pendant(gen_star(5))
+    reduced, step = peel_pendants(gen_star(5))
     assert reduced.n == 3 and reduced.m == 0
-    assert step.neighbor == 0  # the center goes with the first leaf
+    assert step.pairs == ((1, 0),)  # the center goes with the first leaf
 
 
 def test_pendant_noop_on_cycle():
-    assert apply_pendant(gen_cycle(5, 1)) is None
+    assert peel_pendants(gen_cycle(5, 1)) is None
 
 
 def test_pendant_chain_on_g1_reaches_stated_form():
@@ -61,14 +64,90 @@ def test_pendant_chain_on_g1_reaches_stated_form():
     # one edge, one balanced quadrangle, and n - 8 isolated vertices
     g = gen_figure("G1", n=10)
     eta = nullity_rank(g)
-    g, _ = apply_pendant(g)
-    sizes = sorted((c.n, c.m) for c, _ in components(g))
+    first = pendant_pairs(g)[0]
+    one, _ = delete_vertices(g, first)
+    sizes = sorted((c.n, c.m) for c, _ in components(one))
     assert sizes == [(1, 0), (1, 0), (2, 1), (4, 4)]
-    assert nullity_rank(g) == eta == 4
-    # further deletions consume the edge but keep the nullity
-    while (hit := apply_pendant(g)) is not None:
-        g = hit[0]
-    assert nullity_rank(g) == eta
+    assert nullity_rank(one) == eta == 4
+    # the peel starts with that deletion, consumes the edge and keeps the nullity
+    reduced, step = peel_pendants(g)
+    assert step.pairs[0] == first
+    assert sorted((c.n, c.m) for c, _ in components(reduced)) == [(1, 0), (1, 0), (4, 4)]
+    assert nullity_rank(reduced) == eta
+
+
+def _one_pair_at_a_time(g):
+    """The peel as the engine once ran it: the lowest-labeled pendant pair,
+    deleted through ``delete_vertices``, until none is left.  Returns the
+    final graph and the pairs in ``g``'s labels."""
+    labels = tuple(range(g.n))
+    pairs = []
+    while hit := pendant_pairs(g):
+        v, u = hit[0]
+        pairs.append((labels[v], labels[u]))
+        g, keep = delete_vertices(g, (v, u))
+        labels = tuple(labels[i] for i in keep)
+    return g, tuple(pairs)
+
+
+def _assert_peel_matches_one_pair_loop(g):
+    reduced, pairs = _one_pair_at_a_time(g)
+    hit = peel_pendants(g)
+    if not pairs:
+        assert hit is None
+        return
+    assert hit is not None
+    got, step = hit
+    assert (got, step.pairs) == (reduced, pairs)
+    assert step.after == (got,) and step.before is g
+
+
+def test_peel_matches_one_pair_loop_on_low_cyclomatic_graphs():
+    rng = random.Random(17)
+    peeled = 0
+    for _ in range(300):
+        g = random_low_cyclomatic_graph(rng, rng.randint(1, 40), rng.randint(0, 2))
+        _assert_peel_matches_one_pair_loop(g)
+        peeled += bool(pendant_pairs(g))
+    assert peeled > 200
+
+
+def test_edgeless_graph_is_one_base_case():
+    # a forest peeled to k isolated vertices ends in one closed-form step
+    value, trace = nullity_structural(gen_star(6))
+    assert value == 4
+    assert [s.kind for s in trace.steps] == [KIND_PENDANT_DELETE, KIND_BASE_CASE]
+    base = trace.steps[-1]
+    assert (base.before.n, base.method, base.value) == (4, METHOD_CLOSED_FORM, 4)
+    value, trace = nullity_structural(SignedGraph(3, []))
+    assert value == trace.replay() == 3 and len(trace.steps) == 1
+
+
+def _tree_nullity(n, parent):
+    """n - 2 * (maximum matching) of the tree with ``parent[v] < v``: a
+    leaf-first greedy match is maximum on a tree."""
+    matched = [False] * n
+    size = 0
+    for v in range(n - 1, 0, -1):
+        if not matched[v] and not matched[parent[v]]:
+            matched[v] = matched[parent[v]] = True
+            size += 1
+    return n - 2 * size
+
+
+def test_long_path_and_tree_peel_in_one_step():
+    # the certificate holds the root, one remainder and its base case, so
+    # its snapshots hold at most 2n + 2 vertices
+    n = 100_000
+    rng = random.Random(100)
+    parent = [0] + [rng.randrange(v) for v in range(1, n)]
+    tree = SignedGraph(n, [(parent[v], v, rng.choice((1, -1))) for v in range(1, n)])
+    for g, eta in ((gen_path(n), 0), (gen_path(n - 1), 1), (tree, _tree_nullity(n, parent))):
+        value, trace = nullity_structural(g)
+        assert value == trace.replay() == eta
+        assert len(trace.steps) <= 3
+        snapshot = sum(s.before.n + sum(h.n for h in s.after) for s in trace.steps)
+        assert snapshot <= 2 * g.n + 2
 
 
 def test_cutpoint_case1_p3_center():
@@ -134,9 +213,6 @@ def test_pendant_preserves_nullity_on_random_attachments():
     # random trees with up to two extra edges, n <= 12: deleting any pendant
     # pair leaves the nullity unchanged (oracle-checked)
     rng = random.Random(9)
-    from sgn import delete_vertices, pendant_pairs
-    from sgn.enumeration import random_low_cyclomatic_graph
-
     checked = 0
     for _ in range(150):
         g = random_low_cyclomatic_graph(rng, rng.randint(3, 12), rng.randint(0, 2))
@@ -158,12 +234,12 @@ def test_cycle_base_case_closed_form():
 
 def test_g2_reduction_reaches_stated_nullity():
     # two unbalanced triangles with a connecting path and extra leaves:
-    # nullity k, via pendant deletions and a component split
+    # nullity k, via one peel to k isolated vertices
     g = gen_figure("G2", n=11, k=3)
     value, trace = nullity_structural(g)
     assert value == 3 == nullity_rank(g)
-    kinds = [s.kind for s in trace.steps]
-    assert KIND_PENDANT_DELETE in kinds and KIND_COMPONENT_SPLIT in kinds
+    assert [s.kind for s in trace.steps] == [KIND_PENDANT_DELETE, KIND_BASE_CASE]
+    assert trace.steps[-1].before == SignedGraph(3, [])
 
 
 def test_trace_replay_and_json():
@@ -228,6 +304,12 @@ def test_structural_matches_rank_and_every_step_holds(g):
         _oracle_check_step(step)
 
 
+@given(signed_graphs(max_n=12))
+@settings(max_examples=150, deadline=None)
+def test_peel_matches_one_pair_loop_on_hypothesis_graphs(g):
+    _assert_peel_matches_one_pair_loop(g)
+
+
 def _caterpillar(rng, n):
     """Random signed caterpillar: a spine path, every other vertex a leaf of it."""
     spine = rng.randint(n // 3, n // 2)
@@ -250,23 +332,44 @@ def test_long_reductions_need_no_recursion():
         sys.setrecursionlimit(limit)
 
 
-# sha256 of the certificate JSON as the recursive engine wrote it; the
-# iterative engine must reproduce these bytes exactly
+# sha256 of the certificate JSON, one PendantDelete step holding every pair
+# of a peel and an edgeless graph one base case; any change to the bytes of
+# a certificate shows here
 CERTIFICATE_SHA256 = {
-    # decrement rule
-    "infinity:p=3,q=4,l=2,sp=1,sq=0": "3e5a16fc3b03f1598b034550cf4ca5b33e4760ba36be4fb0f44b88c289460e9a",
+    # decrement rule, then a peel to the empty graph
+    "infinity:p=3,q=4,l=2,sp=1,sq=0": "6f564aa1b4d4ce2cbca655e7bc091a0bf2e778ba8b1eaac4f94fc6cb465715fb",
     # split rule
-    "infinity:p=3,q=4,l=1,sp=0,sq=0": "8c5cc83b773dfe905ecd80e9e4f4e3c36c0ba285d0b10d5feb4493503e5df735",
-    # component split, isolated-vertex and empty-graph base cases
-    "figure:id=G4,n=10,k=2": "5b6b7ccfd60df89f65ea9bffab4f35bff214feee836009b887f3ddbdfe9df061",
+    "infinity:p=3,q=4,l=1,sp=0,sq=0": "d4d209692fd6d8346cfcd373944dee97c642145547318e27b68ceae4ca851051",
+    # a peel to two isolated vertices, one isolated-vertex base case
+    "figure:id=G4,n=10,k=2": "9414afe406df91c5ad3d02787db9f8398b6379743d7cd60ab72252554f69f321",
+    # a peel to a quadrangle and two isolated vertices: component split,
+    # cycle and single-vertex base cases
+    "figure:id=G1,n=10": "1fd633b4a712365a5956eeee14e105a98d4eea54e6a1513090a41bb2bbb4bb55",
     # rank-oracle base case
     "theta:p=2,q=3,l=4,s1=1": "9f005b72ca658b5e6ae3b0fbae2a749892eaf1867705d4e69cb3b22f814620de",
+    # cycle closed form
     "cycle:n=6,s=1": "2fa200a610924fce8dafea9c8f449146ab10f228f8c525f6d5d9b3b104b1d6d7",
-    "path:n=8": "e998d55dfc0b61de5359d99d79602fe1a9bad7f6933fd49a78b97543c032bd58",
+    # four pairs in one step, then the empty-graph base case
+    "path:n=8": "e80a30942a28b2c63bcc5649fc6684ad8ab6e36d5c8bd4472fcdc00ce17b0d9f",
     # the split rule applies at cut point 0, but the decrement rule at cut
     # point 4 comes first in rule order
-    "infinity:p=4,q=3,l=2,sp=0,sq=0": "579b5e5ca6725a007a7d22d651660a1638e301b7a67c9090dfac58e41d86f3ed",
+    "infinity:p=4,q=3,l=2,sp=0,sq=0": "360ba7f1aa50672ee077730f6afcb223f212e9d7fbd5ad752a412fac3dbcca1b",
 }
+
+
+def test_pinned_certificates_cover_every_step_kind_and_method():
+    seen = set()
+    for spec in CERTIFICATE_SHA256:
+        for step in nullity_structural(parse_family_spec(spec))[1].steps:
+            seen.add((step.kind, step.method))
+    assert seen == {
+        (KIND_COMPONENT_SPLIT, None),
+        (KIND_PENDANT_DELETE, None),
+        (KIND_CUTPOINT_DECREMENT, None),
+        (KIND_CUTPOINT_SPLIT, None),
+        (KIND_BASE_CASE, METHOD_CLOSED_FORM),
+        (KIND_BASE_CASE, reduction.METHOD_RANK_ORACLE),
+    }
 
 
 @pytest.mark.parametrize("spec", sorted(CERTIFICATE_SHA256))
@@ -318,7 +421,7 @@ def test_each_cut_point_is_decided_once(monkeypatch):
         decided = [
             step.before
             for step in trace.steps
-            if step.kind not in (KIND_COMPONENT_SPLIT, KIND_PENDANT_DELETE) and step.before.n > 0
+            if step.kind not in (KIND_COMPONENT_SPLIT, KIND_PENDANT_DELETE) and step.before.m > 0
         ]
         assert [h for what, h in log if what == "cut"] == decided
         # the ranks made after a cut_points call, up to the next one, serve one decision
