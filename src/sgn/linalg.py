@@ -5,14 +5,14 @@ point is used anywhere.  The rank comes from fraction-free (Bareiss)
 elimination below order ``MODULAR_RANK_MIN_ORDER`` (48).  From there on it
 comes from one elimination modulo the prime 32 749, proved exact by an
 integer kernel basis checked over Z; a matrix whose check fails goes to
-Bareiss.  The characteristic polynomial comes from the Faddeev-LeVerrier
-recurrence (whose divisions are exact on integer matrices) below order
-``HESSENBERG_MIN_ORDER`` (12), and from there on from an O(n^3) Hessenberg
-reduction modulo the least power of the Mersenne prime 2^61 - 1 that
-exceeds twice a Hadamard bound on every coefficient, so the symmetric
-residues are the exact coefficients.  The public matrix functions accept
-integer entries only, and the matrix routes refuse graphs above
-``MAX_MATRIX_VERTICES`` vertices.
+Bareiss.  The characteristic polynomial comes from the power traces
+tr(A^k) and Newton's identities below order ``HESSENBERG_MIN_ORDER`` (35),
+each row of A^k packed into one integer with slots wide enough for every
+entry, and from there on from an O(n^3) Hessenberg reduction modulo the
+least power of the Mersenne prime 2^61 - 1 that exceeds twice a Hadamard
+bound on every coefficient, so the symmetric residues are the exact
+coefficients.  The public matrix functions accept integer entries only,
+and the matrix routes refuse graphs above ``MAX_MATRIX_VERTICES`` vertices.
 """
 
 from __future__ import annotations
@@ -312,81 +312,81 @@ def nullity_rank(g: SignedGraph) -> int:
 
 
 #: Matrix order from which ``_charpoly_rows`` runs the modular Hessenberg
-#: kernel; below it Faddeev-LeVerrier is faster (measured crossover).
-HESSENBERG_MIN_ORDER = 12
+#: kernel (measured crossover).  The power-trace kernel's time over the
+#: Hessenberg kernel's on signed adjacency matrices, summed over 12 graphs per
+#: cell (each the median of 7 runs), on a 2-core x86-64 host under Python 3.11:
+#:
+#:     order                      24    30    34    35    36    40    48
+#:     p = 0.3 with 4 twin rows   0.31  0.34  0.34  0.35  0.37  0.43  0.62
+#:     p = 0.6                    0.42  0.48  0.53  0.58  0.63  0.86  0.92
+#:     complete signed K_n        0.51  0.74  0.93  1.05  1.07  1.46  1.56
+#:     mean degree 3              0.19  0.19  0.20  0.20  0.23  0.22  0.21
+#:
+#: Up to 34 the power-trace kernel is the faster on every kind.  The order
+#: also bounds its memory, n^2 w bits of packed rows: at most 25 KB for a
+#: +-1 matrix of order 34 (w <= bit_length(33^34) + 1 = 173).
+HESSENBERG_MIN_ORDER = 35
 
 
 def _charpoly_rows(a: list[list[int]]) -> list[int]:
     """Coefficients a_0..a_n of det(x*I - A) for an integer matrix given as
-    lists: Faddeev-LeVerrier below ``HESSENBERG_MIN_ORDER``, the exact
-    modular Hessenberg kernel from there on."""
+    lists: power traces below ``HESSENBERG_MIN_ORDER``, the exact modular
+    Hessenberg kernel from there on."""
     if len(a) < HESSENBERG_MIN_ORDER:
-        return _faddeev_leverrier(a)
+        return _charpoly_power_traces(a)
     return _charpoly_modular(a)
 
 
-def _faddeev_leverrier(a: list[list[int]]) -> list[int]:
-    """Faddeev-LeVerrier on an integer matrix given as lists; returns a_0..a_n.
+def _charpoly_power_traces(a: list[list[int]]) -> list[int]:
+    """a_0..a_n from the traces p_k = tr(A^k), k = 1..n, by Newton's
+    identities k a_k = -(p_k + sum_{0<i<k} a_i p_{k-i}) (Csanky).
 
-    M_1 = A, c_k = -tr(M_k)/k, M_{k+1} = A (M_k + c_k I).  All divisions are
-    exact because the coefficients of an integer matrix are integers.
+    Row i of A^k is one integer, sum_j (A^k)_ij 2^(w j), so row i of
+    A^(k+1), the sum of a_it times row t of A^k, is one big-integer add or
+    subtract per entry a_it = +-1 (Kronecker substitution).  Exactness: with
+    R = max(1, ||A||_inf), the largest absolute row sum, every entry obeys
+    |(A^k)_ij| <= R^k <= R^n < 2^(w-1) for k <= n, as w = bit_length(R^n) + 1.
+    The packed integer is exactly sum_j x_j 2^(w j) whatever the slots
+    carried on the way, and an integer has at most one such expansion with
+    every |x_j| < 2^(w-1).  Adding bias = sum_j 2^(w-1) 2^(w j) turns it
+    into the base-2^w digits x_j + 2^(w-1), all in [0, 2^w), so slot i of
+    row i, read with a shift and a mask, gives (A^k)_ii.  The divisions by
+    k are exact because the a_k of an integer matrix are integers; a
+    remainder is an error.
     """
     n = len(a)
-    coeffs = [1]
-    if n == 0:
-        return coeffs
-    if n == 1:
-        return [1, -a[0][0]]
-    symmetric = all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
-    m = [row[:] for row in a]
-    rng = range(n)
-    for k in range(1, n):
-        tr = 0
-        for i in rng:
-            tr += m[i][i]
-        q, rem = divmod(-tr, k)
+    r = max([1] + [sum(map(abs, row)) for row in a])
+    w = (r**n).bit_length() + 1
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    bias = ((1 << (w * n)) - 1) // mask * half
+    terms = [[(t, x) for t, x in enumerate(row) if x] for row in a]
+    power = [sum([x << (w * t) for t, x in row]) for row in terms]
+    shifts = range(0, w * n, w)
+    coeffs, traces = [1], [0]
+    for k in range(1, n + 1):
+        p = sum([((row + bias) >> s) & mask for row, s in zip(power, shifts)]) - n * half
+        traces.append(p)
+        for i in range(1, k):
+            p += coeffs[i] * traces[k - i]
+        c, rem = divmod(-p, k)
         if rem:
-            raise LinalgError("Faddeev-LeVerrier division was inexact on integer input")
-        coeffs.append(q)
-        for i in rng:
-            m[i][i] += q
-        if k == n - 1:
+            raise LinalgError("Newton's identities gave an inexact division on integer input")
+        coeffs.append(c)
+        if k == n:
             break
-        if symmetric:
-            # A and M commute (M is a polynomial in A), so A@M is symmetric:
-            # compute the upper triangle only, using rows as columns.
-            new = [[0] * n for _ in rng]
-            for i in rng:
-                ai = a[i]
-                row = new[i]
-                for j in range(i, n):
-                    mj = m[j]
-                    acc = 0
-                    for t in rng:
-                        acc += ai[t] * mj[t]
-                    row[j] = acc
-                    new[j][i] = acc
-            m = new
-        else:
-            cols = list(zip(*m))
-            m = [[sum(x * y for x, y in zip(ai, col)) for col in cols] for ai in a]
-    # the last coefficient needs only the trace of M_n = A @ (M_{n-1} + c I)
-    tr = 0
-    if symmetric:
-        for i in rng:
-            ai = a[i]
-            mi = m[i]
-            for t in rng:
-                tr += ai[t] * mi[t]
-    else:
-        for i in rng:
-            ai = a[i]
-            for t in rng:
-                tr += ai[t] * m[t][i]
-    q, rem = divmod(-tr, n)
-    if rem:
-        raise LinalgError("Faddeev-LeVerrier division was inexact on integer input")
-    coeffs.append(q)
+        new = []
+        for row in terms:
+            acc = 0
+            for t, x in row:
+                if x == 1:
+                    acc += power[t]
+                elif x == -1:
+                    acc -= power[t]
+                else:
+                    acc += x * power[t]
+            new.append(acc)
+        power = new
     return coeffs
 
 
@@ -509,9 +509,9 @@ def _symmetric_residues(res: list[int], modulus: int) -> list[int]:
 
 
 def char_poly(m: Sequence[Sequence[int]]) -> CharPoly:
-    """Exact coefficients of det(lambda*I - M): Faddeev-LeVerrier below
-    ``HESSENBERG_MIN_ORDER``, from there on the Hessenberg kernel modulo a
-    Hadamard-bounded power of ``HESSENBERG_PRIME``."""
+    """Exact coefficients of det(lambda*I - M): power traces on packed rows
+    below ``HESSENBERG_MIN_ORDER``, from there on the Hessenberg kernel
+    modulo a Hadamard-bounded power of ``HESSENBERG_PRIME``."""
     if any(len(row) != len(m) for row in m):
         raise LinalgError("matrix must be square")
     return CharPoly(tuple(_charpoly_rows(_as_rows(m))))

@@ -168,6 +168,10 @@ def test_charpoly_unbalanced_triangle():
 
 def test_charpoly_one_by_one_zero():
     assert char_poly(((0,),)).coeffs == (1, 0)
+    assert char_poly(((-7,),)).coeffs == (1, 7)
+    assert char_poly(()).coeffs == (1,)  # n = 0: the empty product
+    for n in range(1, 5):
+        assert char_poly([[0] * n for _ in range(n)]).coeffs == (1,) + (0,) * n
 
 
 def test_charpoly_balanced_c4():
@@ -203,13 +207,34 @@ def test_determinant_matches_charpoly_constant():
         assert char_poly(m).coeffs[-1] == (-1) ** n * _sympy_matrix(m).det()
 
 
+def _power_trace_edge_cases():
+    # diag(R, -R, ...): the n-th power reaches +-R^n, the widest entry a
+    # slot of w = bit_length(R^n) + 1 bits must hold; 15, 255 and 3^5 = 243
+    # lie just below a power of two, so they leave the least spare room
+    for n in (1, 2, 5, 8):
+        for r in (1, 2, 3, 15, 255, 1000):
+            yield [[(r if i % 2 == 0 else -r) if i == j else 0 for j in range(n)] for i in range(n)]
+    # every entry negative, so every slot of every packed row borrows
+    rng = random.Random(13)
+    for n in (2, 4, 7):
+        yield [[-rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+    # non-symmetric with a nonzero diagonal (tr A and every p_k nonzero)
+    yield [[3, -1, 0, 2], [0, -2, 5, 0], [1, 1, 4, -3], [-6, 0, 0, 1]]
+    yield [[rng.randint(-4, 4) or 1 for _ in range(9)] for _ in range(9)]
+
+
 def test_charpoly_routes_agree_on_non_symmetric_matrices():
-    # the general (non-symmetric) branch of Faddeev-LeVerrier, every coefficient
+    # random non-symmetric matrices and the power-trace kernel's edge cases,
+    # every coefficient
     rng = random.Random(11)
     for _ in range(60):
         n = rng.randint(1, 6)
         m = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
         assert char_poly(m).coeffs == _sympy_charpoly(m)
+    for m in _power_trace_edge_cases():
+        want = _sympy_charpoly(m)
+        assert char_poly(m).coeffs == want
+        assert tuple(linalg._charpoly_power_traces(m)) == want
 
 
 # -- properties ----------------------------------------------------------------
@@ -232,7 +257,7 @@ def test_rank_and_charpoly_nullity_agree(g):
 
 @given(signed_graphs())
 @settings(max_examples=60)
-def test_faddeev_leverrier_matches_sympy(g):
+def test_power_trace_kernel_matches_sympy(g):
     a = adjacency_matrix(g)
     assert char_poly(a).coeffs == _sympy_charpoly(a)
 
@@ -376,16 +401,16 @@ def test_hadamard_bound_covers_every_coefficient():
     # prod(1 + isqrt(|r_i|^2)) is at most B = prod(1 + |r_i|), so this is
     # the stronger claim; the chosen modulus must exceed twice every |a_k|
     for a in _seeded_matrices(3, [1, 2, 3, 5, 8, 13, 21, 30]):
-        biggest = max(abs(c) for c in linalg._faddeev_leverrier(a))
+        biggest = max(abs(c) for c in _sympy_charpoly(a))
         assert biggest <= math.prod(1 + math.isqrt(sum(x * x for x in row)) for row in a)
         assert linalg._hadamard_modulus(a) > 2 * biggest
 
 
 def test_modulus_below_twice_the_coefficients_gives_a_wrong_answer():
     # a_12 of 10^3 * I is 10^36, far beyond half of the 61-bit prime
-    n = N0
+    n = 12
     a = [[1000 if i == j else (1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
-    exact = linalg._faddeev_leverrier(a)
+    exact = list(_sympy_charpoly(a))
     assert 2 * max(abs(c) for c in exact) > P
     assert linalg._symmetric_residues(linalg._hessenberg_mod(a, P), P) != exact
     m = linalg._hadamard_modulus(a)
@@ -413,7 +438,7 @@ def _lone_entry_fixture(n, p):
     return a
 
 
-@pytest.mark.parametrize("n", [N0, 16, 20])
+@pytest.mark.parametrize("n", [12, 16, 20])
 def test_kernel_is_exact_when_pivots_carry_factors_of_the_prime(n):
     rng = random.Random(n)
     matrices = list(_positive_valuation_matrices(rng, n))
@@ -421,18 +446,42 @@ def test_kernel_is_exact_when_pivots_carry_factors_of_the_prime(n):
     matrices += [_lone_entry_fixture(n, (1 << 62) - 57), _lone_entry_fixture(n, P)]
     for a in matrices:
         kernel = linalg._charpoly_modular(a)
-        assert kernel == linalg._faddeev_leverrier(a)
+        assert kernel == linalg._charpoly_power_traces(a)
         assert tuple(kernel) == _sympy_charpoly(a)
         assert linalg._charpoly_rows(a) == kernel
 
 
 @pytest.mark.parametrize("n", [N0 - 1, N0, N0 + 1, 40])
-def test_modular_kernel_matches_faddeev_leverrier_and_interpolation(n):
+def test_modular_kernel_matches_power_traces_and_sympy(n):
     for a in _seeded_matrices(n, [n]):
         kernel = linalg._charpoly_modular(a)
-        assert kernel == linalg._faddeev_leverrier(a)
+        assert kernel == linalg._charpoly_power_traces(a)
         assert tuple(kernel) == _sympy_charpoly(a)
         assert char_poly(a).coeffs == tuple(kernel)
+
+
+def test_charpoly_kernel_is_chosen_by_order_alone(monkeypatch):
+    # the power-trace kernel holds n^2 w bits, w growing with n log R, so
+    # it must never run from HESSENBERG_MIN_ORDER on, and the Hessenberg
+    # kernel never below it; dense and sparse matrices on both sides
+    def _refuse(kernel):
+        def refuse(a):
+            raise AssertionError(f"{kernel} was called at order {len(a)}")
+
+        return refuse
+
+    rng = random.Random(53)
+    below = [_signed_rows(rng, N0 - 1, p) for p in (0.1, 1.0)]
+    at = [_signed_rows(rng, N0, p) for p in (0.1, 1.0)]
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_charpoly_modular", _refuse("the Hessenberg kernel"))
+        for a in below:
+            assert char_poly(a).coeffs == _sympy_charpoly(a)
+    monkeypatch.setattr(linalg, "_charpoly_power_traces", _refuse("the power-trace kernel"))
+    for a in at:
+        assert char_poly(a).coeffs == _sympy_charpoly(a)
+    with pytest.raises(AssertionError, match="power-trace kernel was called"):
+        char_poly(below[0])
 
 
 # -- certified modular rank ---------------------------------------------------
@@ -551,7 +600,7 @@ def test_twin_graph_is_certified_without_bareiss(monkeypatch):
 def test_kernels_match_sympy_where_they_switch():
     # rank on both sides of the Bareiss/certified crossover, with and without
     # twin rows (a non-empty kernel the certificate must prove), the charpoly
-    # on both sides of the Faddeev-LeVerrier/Hessenberg one, and both at n = 100
+    # on both sides of the power-trace/Hessenberg one, and both at n = 100
     rng = random.Random(43)
     for n in (R0 - 1, R0, R0 + 1):
         for twins in (0, 3):
