@@ -1,8 +1,10 @@
 """Closed forms and nullity sets for signed bicyclic graphs.
 
 A bicyclic graph (m = n + 1) is an infinity graph or a theta graph with
-trees attached.  For the bare infinity graph the nullity has a complete
-parity case analysis; over whole classes the attainable nullities form
+trees attached.  For the bare infinity graph and the bare theta graph the
+nullity has a complete parity case analysis, and the structural route
+decides either core in one closed-form step with no matrix; over whole
+classes the attainable nullities form
 intervals: [0, n-6] for both infinity-based classes and [0, n-4] for the
 theta class.  The unbalanced maximum n - 3 is attained only by the diamond
 with both triangles unbalanced.
@@ -17,6 +19,8 @@ from sgn import (
     nullity_infinity,
     nullity_path,
     nullity_rank,
+    nullity_structural,
+    nullity_theta,
     upper_bound,
 )
 from sgn.families import bicyclic_class, gen_infinity, gen_theta, realize_nullity
@@ -43,6 +47,19 @@ for (p, q, l, sp, sq) in [(3, 3, 3, 1, 0), (5, 3, 5, 1, 1), (7, 9, 3, 1, 1)]:
     g = gen_infinity(p, q, l, sp, sq)
     print(f"  infinity({p},{q},{l}) sp={sp} sq={sq}: "
           f"formula {nullity_infinity(InfinitySpec(p, q, l, sp, sq))}, oracle {nullity_rank(g)}")
+
+print("\nTheta-graph formula (path edge counts, path sign parities) vs a concrete realization:")
+for lengths, parities in [((2, 2, 2), (0, 0, 0)), ((2, 2, 2), (1, 0, 0)), ((2, 3, 4), (1, 0, 0)),
+                          ((1, 2, 3), (0, 0, 0)), ((3, 5, 7), (1, 1, 0))]:
+    g = gen_theta(*lengths, parities)
+    print(f"  theta{lengths} s={parities}: "
+          f"formula {nullity_theta(lengths, parities)}, oracle {nullity_rank(g)}")
+
+big = gen_theta(1000, 1000, 1001)
+value, trace = nullity_structural(big)
+(step,) = trace.steps
+print(f"  theta(1000,1000,1001) on {big.n} vertices, structural route: one {step.kind} step,")
+print(f"    {step.method}: {step.relation}")
 
 print("\nThe extremal diamond:")
 diamond = gen_theta(2, 2, 1, (1, 1, 0))

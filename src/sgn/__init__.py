@@ -4,7 +4,7 @@ The nullity (multiplicity of the zero eigenvalue of the signed adjacency
 matrix) is computed three independent ways: exact integer rank, basic-figure
 enumeration of characteristic-polynomial coefficients, and structural
 reduction with certificates.  Closed forms for signed paths, cycles, and
-bicyclic infinity graphs, generators for the bicyclic families, and
+bicyclic infinity and theta graphs, generators for the bicyclic families, and
 exhaustive desk-scale theorem verification sit on top.
 """
 
@@ -60,6 +60,7 @@ from .formulas import (
     nullity_cycle,
     nullity_infinity,
     nullity_path,
+    nullity_theta,
     upper_bound,
 )
 from .families import (

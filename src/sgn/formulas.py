@@ -4,7 +4,8 @@ Sign data enters only through parities: the number of negative edges on a
 cycle matters modulo 2 because switching can move negative edges around a
 cycle while preserving their parity.  The infinity-graph formula follows the
 full case analysis on the parities of the two cycle lengths and the
-connecting path, and every case has an exact value.
+connecting path, and every case has an exact value; so does the theta-graph
+formula.
 
 The case with both cycle lengths odd rests on one rule, an instance of
 Haynsworth's Schur-complement additivity.  Take an induced path u-x-y-w
@@ -17,7 +18,10 @@ by 2 and flips its sign parity, which leaves the invariant
 sp - sq + (q - p)/2 unchanged mod 2; on a connecting path of at least 5
 vertices it shortens the path by 2.  So every infinity graph with p, q odd,
 l >= 3 odd and an odd invariant reduces to infinity(3,3,3) with sp != sq,
-whose nullity is 1, and the rule of ``nullity_infinity`` follows.
+whose nullity is 1, and the rule of ``nullity_infinity`` follows.  When u
+and w are adjacent the same pivot still keeps the nullity; the Schur
+complement then adds -sigma(ux) sigma(xy) sigma(yw) to the entry sigma(uw),
+which becomes 0 or +-2.
 """
 
 from __future__ import annotations
@@ -127,6 +131,72 @@ def nullity_infinity(spec: InfinitySpec) -> int:
     if l % 2 == 1:
         return 3 if ep == 2 and eq == 2 else 1
     return 2 if ep == 2 or eq == 2 else 0
+
+
+def nullity_theta(lengths: tuple[int, int, int], parities: tuple[int, int, int]) -> int:
+    """Nullity of the theta graph: two hubs joined by three internally
+    disjoint paths of L_1, L_2, L_3 edges (each >= 1, at most one equal to 1)
+    with negative-edge parities s_1, s_2, s_3.
+
+    Let C_ij be the cycle of paths i and j, of length L_i + L_j and parity
+    s_i + s_j mod 2.  Then::
+
+        0  if every L_i is odd
+        3  if every L_i is even and every C_ij has nullity 2
+        1  if every L_i is even otherwise
+        1  if the L_i have mixed parities and the one even C_ij (the cycle
+           of the two paths of equal parity) has nullity 2
+        0  if the L_i have mixed parities otherwise
+
+    Proof.  The pivot of the module docstring on two adjacent inner vertices
+    of a path of L >= 4 edges, or of L = 3 edges when no path is a single
+    edge, leaves the theta graph with that path L - 2 edges long and its
+    parity flipped, and keeps the nullity.  It keeps the value above too:
+    every L_i keeps its parity, and an even cycle C_n with parity s has
+    nullity 2 exactly when s = n/2 mod 2, where n/2 and s both change by
+    one.  Pivoting while it applies leaves, up to the order of the paths,
+    one of four graphs, each settled here with no rank computation:
+
+    * theta(2,2,2) = K_{2,3}.  A = [[0, B], [B^T, 0]] with B the 2 x 3 sign
+      matrix between the hubs and the middle vertices, so eta = 5 - 2 rank B.
+      The 2 x 2 minor of columns i, j vanishes exactly when the quadrangle
+      C_ij is positive, that is, has nullity 2; so eta is 3 when all three
+      do and 1 otherwise.
+    * theta(1,2,2), the diamond on hubs a, b with middle vertices x, y.
+      The rows of x and y are zero outside columns a, b, where they form a
+      2 x 2 matrix B whose determinant vanishes exactly when C_23 is
+      positive.  If det B != 0, det A = (det B)^2 != 0 and eta = 0.
+      Otherwise rows x and y are dependent, the triangle on a, b, x has
+      determinant 2 sigma(ab) sigma(ax) sigma(bx) != 0, and eta = 1.
+    * theta(1,2,3): pivot the 3-edge path anyway.  Its two inner vertices
+      go and the hub entry becomes 0 when C_13, the quadrangle of the hub
+      edge and that path, is positive, else +-2.  What is left is the path
+      a-z-b with that hub entry: P_3, of nullity 1, or a matrix of
+      determinant +-4 sigma(az) sigma(zb) != 0.
+    * theta(1,3,3): pivot both 3-edge paths.  Each adds +-1 to the hub
+      entry, which ends odd, so the last 2 x 2 block is nonsingular and
+      eta = 0.
+    """
+    if len(lengths) != 3 or len(parities) != 3:
+        raise GraphError("a theta graph needs three path lengths and three parities")
+    if any(x < 1 for x in lengths):
+        raise GraphError(f"path lengths must be >= 1, got {tuple(lengths)}")
+    if sum(1 for x in lengths if x == 1) > 1:
+        raise GraphError("at most one of the three path lengths may be 1")
+    if any(s not in (0, 1) for s in parities):
+        raise GraphError(f"negative-edge parities must be 0 or 1, got {tuple(parities)}")
+    odd = sum(x % 2 for x in lengths)
+    if odd == 3:
+        return 0
+    even_cycles = [
+        nullity_cycle(lengths[i] + lengths[j], parities[i] ^ parities[j])
+        for i, j in ((0, 1), (0, 2), (1, 2))
+        if (lengths[i] + lengths[j]) % 2 == 0
+    ]
+    if odd == 0:
+        return 3 if all(eta == 2 for eta in even_cycles) else 1
+    (eta,) = even_cycles
+    return eta // 2
 
 
 def upper_bound(class_name: UpperBoundClass, n: int) -> int:

@@ -8,7 +8,8 @@ integer kernel basis checked over Z; a matrix whose check fails goes to
 Bareiss.  The characteristic polynomial comes from the power traces
 tr(A^k) and Newton's identities below order ``HESSENBERG_MIN_ORDER`` (35),
 each row of A^k packed into one integer with slots wide enough for every
-entry, and from there on from an O(n^3) Hessenberg reduction modulo the
+entry, as long as those slots are at most ``POWER_TRACE_MAX_WIDTH`` (173)
+bits wide, and otherwise from an O(n^3) Hessenberg reduction modulo the
 least power of the Mersenne prime 2^61 - 1 that exceeds twice a Hadamard
 bound on every coefficient, so the symmetric residues are the exact
 coefficients.  The public matrix functions accept integer entries only,
@@ -327,25 +328,54 @@ def nullity_rank(g: SignedGraph) -> int:
 #: +-1 matrix of order 34 (w <= bit_length(33^34) + 1 = 173).
 HESSENBERG_MIN_ORDER = 35
 
+#: Widest slot, in bits, with which ``_charpoly_rows`` runs the power-trace
+#: kernel: that of a signed K_34, bit_length(33^34) + 1.  Its cost grows
+#: with w as well as with n, and integer entries beyond +-1 widen the slots.
+#: The power-trace time over the Hessenberg time on matrices with entries
+#: uniform in [-5, 5], summed over 4 per order (each the median of 7 runs),
+#: on the same host, with the range of w at each order:
+#:
+#:     order                      20    24    25    26    27    28    30    34
+#:     w from                     122   151   160   169   175   184   198   231
+#:     w to                       127   154   161   172   179   186   202   237
+#:     power traces / Hessenberg  0.62  0.88  1.01  1.09  1.20  1.24  1.16  1.63
+#:
+#: So these matrices go to the Hessenberg kernel from order 27 on, and the
+#: kernels are within 10% of each other where w is just below the cut.
+#: Every +-1 matrix below order 35 has w <= 173 and keeps the power-trace
+#: kernel, which the table above ``HESSENBERG_MIN_ORDER`` times.
+POWER_TRACE_MAX_WIDTH = 173
+
 
 def _charpoly_rows(a: list[list[int]]) -> list[int]:
     """Coefficients a_0..a_n of det(x*I - A) for an integer matrix given as
-    lists: power traces below ``HESSENBERG_MIN_ORDER``, the exact modular
-    Hessenberg kernel from there on."""
+    lists: power traces below ``HESSENBERG_MIN_ORDER`` while the slot width
+    is at most ``POWER_TRACE_MAX_WIDTH``, else the exact modular Hessenberg
+    kernel."""
     if len(a) < HESSENBERG_MIN_ORDER:
-        return _charpoly_power_traces(a)
+        w = _slot_width(a)
+        if w <= POWER_TRACE_MAX_WIDTH:
+            return _charpoly_power_traces(a, w)
     return _charpoly_modular(a)
 
 
-def _charpoly_power_traces(a: list[list[int]]) -> list[int]:
+def _slot_width(a: list[list[int]]) -> int:
+    """w = bit_length(R^n) + 1 with R = max(1, ||A||_inf), the largest
+    absolute row sum: every entry of A^k, k <= n, fits a signed w-bit slot."""
+    r = max([1] + [sum(map(abs, row)) for row in a])
+    return (r ** len(a)).bit_length() + 1
+
+
+def _charpoly_power_traces(a: list[list[int]], w: int) -> list[int]:
     """a_0..a_n from the traces p_k = tr(A^k), k = 1..n, by Newton's
-    identities k a_k = -(p_k + sum_{0<i<k} a_i p_{k-i}) (Csanky).
+    identities k a_k = -(p_k + sum_{0<i<k} a_i p_{k-i}) (Csanky), with
+    ``w`` at least ``_slot_width(a)``.
 
     Row i of A^k is one integer, sum_j (A^k)_ij 2^(w j), so row i of
     A^(k+1), the sum of a_it times row t of A^k, is one big-integer add or
     subtract per entry a_it = +-1 (Kronecker substitution).  Exactness: with
     R = max(1, ||A||_inf), the largest absolute row sum, every entry obeys
-    |(A^k)_ij| <= R^k <= R^n < 2^(w-1) for k <= n, as w = bit_length(R^n) + 1.
+    |(A^k)_ij| <= R^k <= R^n < 2^(w-1) for k <= n, as w >= bit_length(R^n) + 1.
     The packed integer is exactly sum_j x_j 2^(w j) whatever the slots
     carried on the way, and an integer has at most one such expansion with
     every |x_j| < 2^(w-1).  Adding bias = sum_j 2^(w-1) 2^(w j) turns it
@@ -355,8 +385,6 @@ def _charpoly_power_traces(a: list[list[int]]) -> list[int]:
     remainder is an error.
     """
     n = len(a)
-    r = max([1] + [sum(map(abs, row)) for row in a])
-    w = (r**n).bit_length() + 1
     half = 1 << (w - 1)
     mask = (1 << w) - 1
     bias = ((1 << (w * n)) - 1) // mask * half
@@ -510,8 +538,9 @@ def _symmetric_residues(res: list[int], modulus: int) -> list[int]:
 
 def char_poly(m: Sequence[Sequence[int]]) -> CharPoly:
     """Exact coefficients of det(lambda*I - M): power traces on packed rows
-    below ``HESSENBERG_MIN_ORDER``, from there on the Hessenberg kernel
-    modulo a Hadamard-bounded power of ``HESSENBERG_PRIME``."""
+    below ``HESSENBERG_MIN_ORDER`` with slots of at most
+    ``POWER_TRACE_MAX_WIDTH`` bits, otherwise the Hessenberg kernel modulo a
+    Hadamard-bounded power of ``HESSENBERG_PRIME``."""
     if any(len(row) != len(m) for row in m):
         raise LinalgError("matrix must be square")
     return CharPoly(tuple(_charpoly_rows(_as_rows(m))))

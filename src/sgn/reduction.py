@@ -1,9 +1,14 @@
 """Structural nullity computation with replayable certificates.
 
-The engine applies, in order: component splitting, pendant peeling (delete
-a degree-1 vertex together with its neighbor, which keeps the nullity, until
-no pendant is left; one step records every pair), and the two cut-point
-rules.  At a cut-point v with components G_1..G_s of G - v:
+The engine applies, in order: the edgeless base case, component splitting,
+pendant peeling (delete a degree-1 vertex together with its neighbor, which
+keeps the nullity, until no pendant is left; one step records every pair),
+the closed forms for connected pendant-free graphs with cyclomatic number
+c = m - n + 1 <= 2, and the two cut-point rules.  Such a graph with c = 1 is
+a cycle; with c = 2 it is a theta or an infinity graph, whose parameters are
+read off its branches in O(n): the paths between its vertices of degree
+>= 3 through vertices of degree 2.  At a cut-point v of a graph with c >= 3,
+with components G_1..G_s of G - v:
 
 * decrement rule: if some G_i has eta(G_i) = eta(G_i + v) + 1, then
   eta(G) = sum_i eta(G_i) - 1;
@@ -11,10 +16,10 @@ rules.  At a cut-point v with components G_1..G_s of G - v:
   eta(G) = eta(G_i) + eta(G - G_i).
 
 Whether a rule applies is decided with the exact rank oracle (there is no
-known syntactic criterion), so the engine is a certificate generator rather
-than an oracle-free decision procedure.  When neither rule applies the
-subgraph falls back to a rank-oracle base case; edgeless graphs and cycles
-are closed-form base cases.
+known syntactic criterion), and when neither applies the graph falls back
+to a rank-oracle base case.  Graphs with c <= 2 never reach either: pendant
+peeling and the cycle, theta and infinity closed forms decide them with no
+matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import json
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .formulas import nullity_cycle
+from .formulas import InfinitySpec, nullity_cycle, nullity_infinity, nullity_theta
 from .graph import (
     GraphError,
     SignedGraph,
@@ -261,18 +266,17 @@ def try_cutpoint_case2(
     return _try_cutpoint(g, v, -1, _split)
 
 
-def _is_cycle(g: SignedGraph) -> bool:
-    return g.n >= 3 and all(g.degree(v) == 2 for v in range(g.n))
-
-
 def nullity_structural(g: SignedGraph) -> tuple[int, ReductionTrace]:
     """Nullity via structural reduction, with a replayable certificate.
 
-    Rule order: edgeless base case, components, pendant peeling, cut-point
-    decrement rule, cut-point split rule, base case.  Cut-points are tried
-    in ascending label order.  An explicit stack replaces recursion: each
-    popped graph records one step and pushes its parts in reverse, which
-    keeps the steps in pre-order.
+    Rule order: edgeless base case, components, pendant peeling, the
+    closed-form base case of a cycle, theta or infinity graph (a connected
+    pendant-free graph with m <= n + 1), cut-point decrement rule, cut-point
+    split rule, rank-oracle base case.  Cut-points are tried in ascending
+    label order, and only on graphs with c >= 3, so a graph with c <= 2 is
+    decided in O(n log n) with no matrix.  An explicit stack replaces
+    recursion: each popped graph records one step and pushes its parts in
+    reverse, which keeps the steps in pre-order.
     Every rule sets eta(G) to the sum of its parts' nullities, less one for
     the decrement rule, so the result is the sum of the base-case values
     minus the number of decrement steps.  It always equals the rank-oracle
@@ -317,6 +321,9 @@ def _rule(g: SignedGraph) -> tuple[tuple[SignedGraph, ...], ReductionStep]:
     if hit is not None:
         reduced, step = hit
         return (reduced,), step
+    if g.m <= g.n + 1:
+        # connected and pendant-free with c <= 2: a cycle, theta or infinity graph
+        return (), _base_case(g)
     # each cut point is decomposed once and each graph value ranked once:
     # the decrement rule at any cut point wins, else the split rule at the
     # first cut point that admits it
@@ -335,18 +342,22 @@ def _rule(g: SignedGraph) -> tuple[tuple[SignedGraph, ...], ReductionStep]:
 
 
 def _base_case(g: SignedGraph) -> ReductionStep:
-    # closed forms: the empty graph, isolated vertices and cycles (paths
-    # with n >= 2 never reach here because they are peeled first)
+    # closed forms: the empty graph, isolated vertices, and the connected
+    # pendant-free graphs with m <= n + 1, which are cycles, theta and
+    # infinity graphs (paths with n >= 2 never reach here because they are
+    # peeled first); every other graph here has c >= 3
     method = METHOD_CLOSED_FORM
     if g.n == 0:
         value, relation = 0, "eta = 0 (empty graph)"
     elif g.m == 0:
         value = g.n  # n isolated vertices, each contributing 1
         relation = f"eta = {value} (isolated vertices)"
-    elif _is_cycle(g):
+    elif g.m == g.n:
         s = sum(1 for _, _, sg in g.edges if sg == -1) % 2
         value = nullity_cycle(g.n, s)
         relation = f"eta = {value} (cycle closed form, n={g.n}, s parity {s})"
+    elif g.m == g.n + 1:
+        value, relation = _bicyclic_closed_form(g)
     else:
         value = nullity_rank(g)
         method = METHOD_RANK_ORACLE
@@ -359,3 +370,51 @@ def _base_case(g: SignedGraph) -> ReductionStep:
         method=method,
         value=value,
     )
+
+
+def _branches(g: SignedGraph) -> list[tuple[int, int, int, int]]:
+    """Every branch of a connected pendant-free graph that is not a cycle,
+    as (start, end, edges, negative-edge parity).
+
+    A branch is a path between vertices of degree >= 3 (possibly the same
+    one) whose inner vertices have degree 2.  Each is walked once, from its
+    start: hubs in ascending order, each one's neighbors in ascending order,
+    and a walk is skipped when its first inner vertex was already walked, or
+    when it is a single edge back to a lower hub.
+    """
+    adj = g._adj
+    walked = [False] * g.n
+    out = []
+    for a in range(g.n):
+        if len(adj[a]) < 3:
+            continue
+        for x, sign in adj[a].items():
+            if walked[x] or (len(adj[x]) > 2 and x < a):
+                continue
+            prev, v, edges, parity = a, x, 1, sign < 0
+            while len(adj[v]) == 2:
+                walked[v] = True
+                w, t = next((w, t) for w, t in adj[v].items() if w != prev)
+                prev, v, edges, parity = v, w, edges + 1, parity ^ (t < 0)
+            out.append((a, v, edges, int(parity)))
+    return out
+
+
+def _bicyclic_closed_form(g: SignedGraph) -> tuple[int, str]:
+    """(eta, relation) of a connected pendant-free graph with m = n + 1.
+
+    Its degrees exceed 2 by 2 in total, so it has one vertex of degree 4,
+    with two cycles through it (infinity, l = 1), or two vertices a < b of
+    degree 3, joined by three branches (theta) or each on a cycle, with one
+    a-b branch of L edges between them (infinity, l = L + 1).
+    """
+    branches = _branches(g)
+    if all(a != b for a, b, _, _ in branches):
+        lengths = tuple(length for _, _, length, _ in branches)
+        parities = tuple(parity for _, _, _, parity in branches)
+        value = nullity_theta(lengths, parities)
+        return value, f"eta = {value} (theta closed form, lengths {lengths}, s parities {parities})"
+    (p, sp), (q, sq) = ((length, parity) for a, b, length, parity in branches if a == b)
+    l = 1 + sum(length for a, b, length, _ in branches if a != b)
+    value = nullity_infinity(InfinitySpec(p, q, l, sp, sq))
+    return value, f"eta = {value} (infinity closed form, p={p}, q={q}, l={l}, s parities ({sp}, {sq}))"

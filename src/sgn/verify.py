@@ -10,6 +10,7 @@ orders are fixed and all randomness is seeded.
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
 import random
 import time
@@ -27,13 +28,23 @@ from .enumeration import (
     signed_graphs_mod_switching,
     switching_class_signs,
 )
-from .families import _CLASS_RANGES, bicyclic_class, gen_cycle, gen_figure, gen_infinity, gen_path, realize_nullity
+from .families import (
+    _CLASS_RANGES,
+    bicyclic_class,
+    gen_cycle,
+    gen_figure,
+    gen_infinity,
+    gen_path,
+    gen_theta,
+    realize_nullity,
+)
 from .formulas import (
     InfinitySpec,
     is_max_nullity_extremal,
     nullity_cycle,
     nullity_infinity,
     nullity_path,
+    nullity_theta,
     upper_bound,
 )
 from .graph import GraphError, SignedGraph, components, cut_points, delete_vertices, is_balanced, pendant_pairs, switch
@@ -306,6 +317,30 @@ def verify_thm41(p_max: int = 8, l_max: int = 5) -> VerificationReport:
     return _run("thm4.1", f"p,q in [3,{p_max}], l in [1,{l_max}], sp,sq in {{0,1}}", cases())
 
 
+# -- theta-graph formula ---------------------------------------------------------
+
+
+def verify_thm_theta(l_max: int = 12) -> VerificationReport:
+    """Theta-graph nullity formula against the rank oracle for every path
+    length triple in [1, l_max]^3 with at most one 1, and every parity triple."""
+
+    def cases():
+        for lengths in itertools.product(range(1, l_max + 1), repeat=3):
+            if lengths.count(1) > 1:
+                continue
+            for parities in itertools.product((0, 1), repeat=3):
+                want = nullity_rank(gen_theta(*lengths, parities))
+                got = nullity_theta(lengths, parities)
+                yield None if got == want else dict(
+                    p=lengths[0], q=lengths[1], l=lengths[2],
+                    s1=parities[0], s2=parities[1], s3=parities[2],
+                    expected=want, got=got,
+                )
+
+    grid = f"p,q,l in [1,{l_max}] with at most one 1, s1,s2,s3 in {{0,1}}"
+    return _run("thm.theta", grid, cases())
+
+
 # -- bowtie balanceness lemma -------------------------------------------------
 
 
@@ -471,6 +506,7 @@ _REGISTRY = {
     "thm3.2": verify_thm32,
     "pendant": verify_pendant,
     "thm4.1": verify_thm41,
+    "thm.theta": verify_thm_theta,
     "lem5.1": verify_lem51,
     "lem5.2": verify_lem52,
     "bounds.bplus": verify_bounds_bplus,

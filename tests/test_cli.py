@@ -60,6 +60,14 @@ def test_nullity_structural_trace_of_a_long_path(capsys):
     assert len(trace["steps"][0]["pairs"]) == 50_000
 
 
+def test_nullity_structural_of_a_bicyclic_graph_above_the_matrix_ceiling(capsys):
+    # n = 3000: the theta closed form decides it with no matrix
+    assert main(["nullity", "--method", "structural", "theta:p=1000,q=1000,l=1001"]) == 0
+    assert capsys.readouterr().out == "structural: 1\n"
+    assert main(["nullity", "--method", "structural", "infinity:p=1500,q=1500,l=2,sp=1"]) == 0
+    assert capsys.readouterr().out == "structural: 2\n"
+
+
 def test_nullity_infinity_example(capsys):
     assert main(["nullity", "infinity:p=3,q=4,l=2,sp=1,sq=0"]) == 0
     assert capsys.readouterr().out.count(": 1") == 4

@@ -1,5 +1,6 @@
-"""Closed forms: paths, cycles, infinity graphs, bounds, extremal test."""
+"""Closed forms: paths, cycles, infinity and theta graphs, bounds, extremal test."""
 
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from sgn import (
     nullity_infinity,
     nullity_path,
     nullity_rank,
+    nullity_theta,
     switch,
     upper_bound,
 )
@@ -153,6 +155,54 @@ def test_infinity_depends_only_on_parities():
     want = nullity_rank(g)
     for _ in range(15):
         assert nullity_rank(switch(g, random_switching(rng, g.n))) == want
+
+
+PARITIES = list(itertools.product((0, 1), repeat=3))
+
+
+def test_theta_validation():
+    for lengths, parities in [
+        ((0, 2, 3), (0, 0, 0)),
+        ((1, 1, 3), (0, 0, 0)),
+        ((2, 2, 2), (0, 2, 0)),
+        ((2, 2), (0, 0)),
+    ]:
+        with pytest.raises(GraphError):
+            nullity_theta(lengths, parities)
+
+
+def test_theta_base_graphs():
+    # the four graphs every theta reduces to, with the values the docstring
+    # derives: K_{2,3} gives 3 when its three quadrangles are positive, the
+    # diamond 1 when C_23 is, theta(1,2,3) 1 when C_13 is, theta(1,3,3) 0
+    rule = {
+        (2, 2, 2): lambda s: 3 if s[0] == s[1] == s[2] else 1,
+        (1, 2, 2): lambda s: 1 if s[1] == s[2] else 0,
+        (1, 2, 3): lambda s: 1 if s[0] == s[2] else 0,
+        (1, 3, 3): lambda s: 0,
+    }
+    for lengths, value in rule.items():
+        for s in PARITIES:
+            assert nullity_theta(lengths, s) == value(s) == nullity_rank(gen_theta(*lengths, s)), (lengths, s)
+
+
+def test_theta_pivot_keeps_the_value():
+    # shortening a path by 2 and flipping its parity, where the pivot
+    # applies, leaves the formula's value unchanged
+    checked = 0
+    for lengths in itertools.product(range(1, 10), repeat=3):
+        if lengths.count(1) > 1:
+            continue
+        for s in PARITIES:
+            for i, length in enumerate(lengths):
+                if length >= 4 or (length == 3 and 1 not in lengths):
+                    shorter = list(lengths)
+                    shorter[i] -= 2
+                    flipped = list(s)
+                    flipped[i] ^= 1
+                    assert nullity_theta(shorter, flipped) == nullity_theta(lengths, s)
+                    checked += 1
+    assert checked == 13_056
 
 
 def test_upper_bound_values():

@@ -148,6 +148,10 @@ def _sympy_matrix(m):
     return DomainMatrix.from_list([list(row) for row in m], ZZ)
 
 
+def _power_traces(a):
+    return linalg._charpoly_power_traces(a, linalg._slot_width(a))
+
+
 def _sympy_charpoly(m):
     return tuple(_sympy_matrix(m).charpoly())
 
@@ -234,7 +238,7 @@ def test_charpoly_routes_agree_on_non_symmetric_matrices():
     for m in _power_trace_edge_cases():
         want = _sympy_charpoly(m)
         assert char_poly(m).coeffs == want
-        assert tuple(linalg._charpoly_power_traces(m)) == want
+        assert tuple(_power_traces(m)) == want
 
 
 # -- properties ----------------------------------------------------------------
@@ -446,7 +450,7 @@ def test_kernel_is_exact_when_pivots_carry_factors_of_the_prime(n):
     matrices += [_lone_entry_fixture(n, (1 << 62) - 57), _lone_entry_fixture(n, P)]
     for a in matrices:
         kernel = linalg._charpoly_modular(a)
-        assert kernel == linalg._charpoly_power_traces(a)
+        assert kernel == _power_traces(a)
         assert tuple(kernel) == _sympy_charpoly(a)
         assert linalg._charpoly_rows(a) == kernel
 
@@ -455,30 +459,38 @@ def test_kernel_is_exact_when_pivots_carry_factors_of_the_prime(n):
 def test_modular_kernel_matches_power_traces_and_sympy(n):
     for a in _seeded_matrices(n, [n]):
         kernel = linalg._charpoly_modular(a)
-        assert kernel == linalg._charpoly_power_traces(a)
+        assert kernel == _power_traces(a)
         assert tuple(kernel) == _sympy_charpoly(a)
         assert char_poly(a).coeffs == tuple(kernel)
 
 
-def test_charpoly_kernel_is_chosen_by_order_alone(monkeypatch):
+def test_charpoly_kernel_is_chosen_by_order_and_slot_width(monkeypatch):
     # the power-trace kernel holds n^2 w bits, w growing with n log R, so
-    # it must never run from HESSENBERG_MIN_ORDER on, and the Hessenberg
-    # kernel never below it; dense and sparse matrices on both sides
+    # it must never run from HESSENBERG_MIN_ORDER on, nor with slots wider
+    # than POWER_TRACE_MAX_WIDTH, and the Hessenberg kernel never below both;
+    # dense and sparse matrices on both sides of the order, and integer
+    # entries on both sides of the width (a 1 x 1 matrix [[x]] has w =
+    # bit_length(|x|) + 1)
     def _refuse(kernel):
-        def refuse(a):
+        def refuse(a, *_):
             raise AssertionError(f"{kernel} was called at order {len(a)}")
 
         return refuse
 
     rng = random.Random(53)
+    wmax = linalg.POWER_TRACE_MAX_WIDTH
     below = [_signed_rows(rng, N0 - 1, p) for p in (0.1, 1.0)]
     at = [_signed_rows(rng, N0, p) for p in (0.1, 1.0)]
+    narrow = [[[(1 << (wmax - 1)) - 1]], [[1 - (1 << (wmax - 1))]]]
+    wide = [[[1 << (wmax - 1)]], _integer_rows(rng, 28), [[1 << 50] * 4 for _ in range(4)]]
+    assert linalg._slot_width(below[1]) == wmax  # the signed K_34
+    assert all(linalg._slot_width(a) > wmax for a in wide)
     with monkeypatch.context() as m:
         m.setattr(linalg, "_charpoly_modular", _refuse("the Hessenberg kernel"))
-        for a in below:
+        for a in below + narrow:
             assert char_poly(a).coeffs == _sympy_charpoly(a)
     monkeypatch.setattr(linalg, "_charpoly_power_traces", _refuse("the power-trace kernel"))
-    for a in at:
+    for a in at + wide:
         assert char_poly(a).coeffs == _sympy_charpoly(a)
     with pytest.raises(AssertionError, match="power-trace kernel was called"):
         char_poly(below[0])

@@ -27,9 +27,10 @@ from sgn import (
     try_cutpoint_case2,
 )
 from sgn import reduction
-from sgn.enumeration import random_low_cyclomatic_graph, random_signed_graph
-from sgn.families import gen_cycle, gen_figure, gen_infinity, gen_path, gen_star
-from sgn.graph import _induced
+from sgn.enumeration import random_low_cyclomatic_graph, random_signed_graph, random_switching
+from sgn.families import bicyclic_class, gen_cycle, gen_figure, gen_infinity, gen_path, gen_star, gen_theta
+from sgn.formulas import InfinitySpec, nullity_infinity, nullity_theta
+from sgn.graph import _induced, switch
 from sgn.reduction import (
     KIND_BASE_CASE,
     KIND_COMPONENT_SPLIT,
@@ -148,6 +149,116 @@ def test_long_path_and_tree_peel_in_one_step():
         assert len(trace.steps) <= 3
         snapshot = sum(s.before.n + sum(h.n for h in s.after) for s in trace.steps)
         assert snapshot <= 2 * g.n + 2
+
+
+def _relabel(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return SignedGraph(g.n, [(perm[u], perm[v], s) for u, v, s in g.edges])
+
+
+def _refuse_rank(monkeypatch):
+    def refuse(g):
+        raise AssertionError(f"rank oracle called on a graph with n = {g.n}, m = {g.m}")
+
+    monkeypatch.setattr(reduction, "nullity_rank", refuse)
+
+
+def _random_core(rng, kind, high):
+    """A bare signed core of the kind, its cycles and paths at most ``high``
+    edges long, with uniform signs."""
+    if kind == "Theta":
+        while True:
+            lengths = [rng.randint(1, high) for _ in range(3)]
+            if lengths.count(1) <= 1:
+                break
+        core = gen_theta(*lengths)
+    else:
+        l = 1 if kind == "BPlusPlus" else rng.randint(2, high)
+        core = gen_infinity(rng.randint(3, high), rng.randint(3, high), l)
+    return SignedGraph(core.n, [(u, v, rng.choice((1, -1))) for u, v, _ in core.edges])
+
+
+def test_theta_and_infinity_branches_are_read_in_any_labeling():
+    rng = random.Random(41)
+    for _ in range(200):
+        if rng.random() < 0.5:
+            while True:
+                lengths = tuple(rng.randint(1, 9) for _ in range(3))
+                if lengths.count(1) <= 1:
+                    break
+            parities = tuple(rng.randint(0, 1) for _ in range(3))
+            g = _relabel(rng, gen_theta(*lengths, parities))
+            want = sorted(zip(lengths, parities))
+            eta = nullity_theta(lengths, parities)
+        else:
+            p, q, l, sp, sq = rng.randint(3, 9), rng.randint(3, 9), rng.randint(1, 6), rng.randint(0, 1), rng.randint(0, 1)
+            g = _relabel(rng, gen_infinity(p, q, l, sp, sq))
+            # the loops first, then the connecting path, which is all positive
+            want = sorted([(p, sp), (q, sq)]) + ([(l - 1, 0)] if l > 1 else [])
+            eta = nullity_infinity(InfinitySpec(p, q, l, sp, sq))
+        branches = reduction._branches(g)
+        loops = sorted((length, parity) for a, b, length, parity in branches if a == b)
+        paths = sorted((length, parity) for a, b, length, parity in branches if a != b)
+        assert loops + paths == want
+        value, trace = nullity_structural(g)
+        assert value == eta == nullity_rank(g) == trace.replay()
+        assert len(trace.steps) == 1 and trace.steps[0].method == METHOD_CLOSED_FORM
+        # switching moves the negative edges but keeps the value
+        h = switch(g, random_switching(rng, g.n))
+        assert nullity_structural(h)[0] == eta
+
+
+def test_low_cyclomatic_graphs_make_no_rank_call(monkeypatch):
+    rng = random.Random(42)
+    graphs = [random_low_cyclomatic_graph(rng, rng.randint(1, 30), rng.randint(0, 2)) for _ in range(400)]
+    # two components with c <= 2 each, so that a component split comes first
+    for _ in range(50):
+        a, b = (random_low_cyclomatic_graph(rng, rng.randint(3, 12), 2) for _ in range(2))
+        graphs.append(SignedGraph(a.n + b.n, [*a.edges, *((u + a.n, v + a.n, s) for u, v, s in b.edges)]))
+    want = [nullity_rank(g) for g in graphs]
+    _refuse_rank(monkeypatch)
+    for g, eta in zip(graphs, want):
+        value, trace = nullity_structural(g)
+        assert value == eta == trace.replay()
+        assert all(step.kind not in (KIND_CUTPOINT_DECREMENT, KIND_CUTPOINT_SPLIT) for step in trace.steps)
+
+
+def _attach_pairs(rng, core, n):
+    """``core`` plus (n - core.n) / 2 new pairs x-y, each x joined to a
+    uniform earlier vertex: the peel deletes exactly the pairs, because a
+    vertex's partner is deleted with it and no core vertex loses a core
+    neighbor, so eta(G) = eta(core) by the pendant lemma."""
+    edges = list(core.edges)
+    for x in range(core.n, n, 2):
+        edges += [(rng.randrange(x), x, rng.choice((1, -1))), (x, x + 1, rng.choice((1, -1)))]
+    return SignedGraph(n, edges)
+
+
+def test_large_bicyclic_graphs_reduce_without_the_rank_oracle(monkeypatch):
+    n = 100_000
+    rng = random.Random(43)
+    cases = []
+    for kind in ("BPlus", "BPlusPlus", "Theta"):
+        core = _random_core(rng, kind, 40)
+        while (n - core.n) % 2:
+            core = _random_core(rng, kind, 40)
+        g = _relabel(rng, _attach_pairs(rng, core, n))
+        assert bicyclic_class(g) == kind
+        cases.append((g, nullity_rank(core)))
+    # the sparse benchmark's bare theta core: three paths, 300 vertices
+    while True:
+        p, q = rng.randint(2, 300), rng.randint(2, 300)
+        if 301 - p - q >= 2:
+            break
+    theta = gen_theta(p, q, 301 - p - q)
+    core = _relabel(rng, SignedGraph(theta.n, [(u, v, rng.choice((1, -1))) for u, v, _ in theta.edges]))
+    cases.append((core, nullity_rank(core)))
+    _refuse_rank(monkeypatch)
+    for g, eta in cases:
+        value, trace = nullity_structural(g)
+        assert value == trace.replay() == eta
+        assert len(trace.steps) <= 3
 
 
 def test_cutpoint_case1_p3_center():
@@ -334,33 +445,57 @@ def test_long_reductions_need_no_recursion():
 
 # sha256 of the certificate JSON, one PendantDelete step holding every pair
 # of a peel and an edgeless graph one base case; any change to the bytes of
-# a certificate shows here
+# a certificate shows here.  A key is a family spec or an edge list written
+# "n: (u,v,s) (u,v,s) ...".  Connected pendant-free graphs with c <= 2 are
+# closed forms, so the cut-point rules and the rank oracle are pinned
+# through c >= 3 edge lists.
 CERTIFICATE_SHA256 = {
-    # decrement rule, then a peel to the empty graph
-    "infinity:p=3,q=4,l=2,sp=1,sq=0": "6f564aa1b4d4ce2cbca655e7bc091a0bf2e778ba8b1eaac4f94fc6cb465715fb",
-    # split rule
-    "infinity:p=3,q=4,l=1,sp=0,sq=0": "d4d209692fd6d8346cfcd373944dee97c642145547318e27b68ceae4ca851051",
+    # infinity closed form, l = 2
+    "infinity:p=3,q=4,l=2,sp=1,sq=0": "e659e9c813e549fae6b3a189d9d614f198ab59a3a6d49e228748f9907a020a12",
+    # infinity closed form, l = 1
+    "infinity:p=3,q=4,l=1,sp=0,sq=0": "744b5b77812c4ea9848a9514088d19cd6b0e568c3c37ea242991a1802f2a731b",
     # a peel to two isolated vertices, one isolated-vertex base case
     "figure:id=G4,n=10,k=2": "9414afe406df91c5ad3d02787db9f8398b6379743d7cd60ab72252554f69f321",
     # a peel to a quadrangle and two isolated vertices: component split,
     # cycle and single-vertex base cases
     "figure:id=G1,n=10": "1fd633b4a712365a5956eeee14e105a98d4eea54e6a1513090a41bb2bbb4bb55",
-    # rank-oracle base case
-    "theta:p=2,q=3,l=4,s1=1": "9f005b72ca658b5e6ae3b0fbae2a749892eaf1867705d4e69cb3b22f814620de",
+    # theta closed form
+    "theta:p=2,q=3,l=4,s1=1": "8e4ffc70d699213558e2a4ae2f07d05393daf5425f9b20888d29fdc7618dab0c",
     # cycle closed form
     "cycle:n=6,s=1": "2fa200a610924fce8dafea9c8f449146ab10f228f8c525f6d5d9b3b104b1d6d7",
     # four pairs in one step, then the empty-graph base case
     "path:n=8": "e80a30942a28b2c63bcc5649fc6684ad8ab6e36d5c8bd4472fcdc00ce17b0d9f",
-    # the split rule applies at cut point 0, but the decrement rule at cut
-    # point 4 comes first in rule order
-    "infinity:p=4,q=3,l=2,sp=0,sq=0": "360ba7f1aa50672ee077730f6afcb223f212e9d7fbd5ad752a412fac3dbcca1b",
+    # infinity closed form, the longer cycle first
+    "infinity:p=4,q=3,l=2,sp=0,sq=0": "bbfbb7ba34a620c024ab4970a4eba9711d610aafcd219433f5359f7ce038c335",
+    # decrement rule at cut point 4, where a triangle and a diamond meet,
+    # then peels
+    "6: (0,4,1) (0,5,1) (1,3,1) (1,4,1) (2,3,1) (2,4,-1) (3,4,1) (4,5,1)":
+        "eacf6ced86c64f92b665949f2242fc768a11fcaa822244a0d47940630fc38752",
+    # split rule at the cut point 4, into two triangles
+    "6: (0,4,1) (0,5,1) (1,2,1) (1,3,1) (1,4,1) (2,3,1) (2,4,1) (4,5,1)":
+        "aeadfc6d56a6f20ece403ed5c6f809ec8d9011bd5b565852c6aaf15dd699a462",
+    # rank-oracle base case: the all-positive K4
+    "4: (0,1,1) (0,2,1) (0,3,1) (1,2,1) (1,3,1) (2,3,1)":
+        "d5970c850a33a16a62b1c41ade5393a081252c6b2c8cf6cb23fbe236c4074f5a",
+    # an unbalanced triangle joined by the edge (0,3) to a diamond: the
+    # split rule applies at cut point 0, but the decrement rule at cut
+    # point 3 comes first in rule order
+    "7: (0,1,1) (0,2,1) (1,2,-1) (0,3,1) (3,4,1) (3,5,1) (4,5,1) (3,6,1) (4,6,-1)":
+        "dc637a95ebb413091fb3ade901d5e861a91db2dead7df3948e3551af47fefa42",
 }
+
+
+def _pinned_graph(key):
+    head, _, edges = key.partition(": ")
+    if not head.isdigit():
+        return parse_family_spec(key)
+    return SignedGraph(int(head), [tuple(map(int, e.strip("()").split(","))) for e in edges.split()])
 
 
 def test_pinned_certificates_cover_every_step_kind_and_method():
     seen = set()
-    for spec in CERTIFICATE_SHA256:
-        for step in nullity_structural(parse_family_spec(spec))[1].steps:
+    for key in CERTIFICATE_SHA256:
+        for step in nullity_structural(_pinned_graph(key))[1].steps:
             seen.add((step.kind, step.method))
     assert seen == {
         (KIND_COMPONENT_SPLIT, None),
@@ -374,7 +509,7 @@ def test_pinned_certificates_cover_every_step_kind_and_method():
 
 @pytest.mark.parametrize("spec", sorted(CERTIFICATE_SHA256))
 def test_certificate_bytes_are_pinned(spec):
-    trace = nullity_structural(parse_family_spec(spec))[1]
+    trace = nullity_structural(_pinned_graph(spec))[1]
     assert hashlib.sha256(trace.to_json().encode()).hexdigest() == CERTIFICATE_SHA256[spec]
 
 
@@ -401,12 +536,15 @@ def test_each_cut_point_is_decided_once(monkeypatch):
     cases = [
         # the decrement rule misses at the one cut point and the split rule
         # applies there; its decomposition and ranks must be reused
-        (parse_family_spec("infinity:p=3,q=4,l=1,sp=0,sq=0"), KIND_CUTPOINT_SPLIT),
-        # two unbalanced triangles joined by the edge (0,3): neither rule
-        # applies at either cut point, and the triangle, a part or G_i + v at
-        # both, is ranked once
         (
-            SignedGraph(6, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, -1), (3, 4, 1), (3, 5, 1), (4, 5, -1)]),
+            _pinned_graph("6: (0,4,1) (0,5,1) (1,2,1) (1,3,1) (1,4,1) (2,3,1) (2,4,1) (4,5,1)"),
+            KIND_CUTPOINT_SPLIT,
+        ),
+        # an unbalanced triangle joined by the edge (0,3) to a diamond:
+        # neither rule applies at either cut point, and the triangle, G_i + v
+        # at 0 and a part at 3, is ranked once
+        (
+            _pinned_graph("7: (0,1,1) (0,2,1) (1,2,-1) (0,3,1) (3,4,1) (3,5,1) (4,5,1) (3,6,1) (4,6,1)"),
             KIND_BASE_CASE,
         ),
     ]
@@ -418,12 +556,16 @@ def test_each_cut_point_is_decided_once(monkeypatch):
         log.clear()
         trace = nullity_structural(g)[1]
         assert kind in [step.kind for step in trace.steps]
+        # the graphs the cut-point loop decides: those it reduces by a rule
+        # and those it hands to the oracle; closed forms call no cut_points
         decided = [
             step.before
             for step in trace.steps
-            if step.kind not in (KIND_COMPONENT_SPLIT, KIND_PENDANT_DELETE) and step.before.m > 0
+            if step.kind in (KIND_CUTPOINT_DECREMENT, KIND_CUTPOINT_SPLIT)
+            or step.method == reduction.METHOD_RANK_ORACLE
         ]
         assert [h for what, h in log if what == "cut"] == decided
+        assert g.cyclomatic_number() >= 3 and decided[0] == g
         # the ranks made after a cut_points call, up to the next one, serve one decision
         ranked = []
         for what, h in log:
@@ -438,8 +580,8 @@ def test_certificates_keep_no_adjacency_lists():
     # a certificate keeps every graph it decides; their cached adjacency
     # lists once made up 221 MB of a 2 000-vertex path's 310 MB trace.  The
     # root is the caller's graph and keeps its lists for the caller's use.
-    for spec in sorted(CERTIFICATE_SHA256):
-        g = parse_family_spec(spec)
+    for key in sorted(CERTIFICATE_SHA256):
+        g = _pinned_graph(key)
         trace = nullity_structural(g)[1]
         derived = [h for step in trace.steps for h in (step.before, *step.after) if h is not g]
         assert trace.root is g

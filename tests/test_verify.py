@@ -31,6 +31,7 @@ SMALL = {
     "thm3.2": (dict(n_max=5), CORPUS_GRID.format(5), 11),
     "pendant": (dict(n_max=5), "iso-class connected corpus n<=5 x switching classes, every pendant pair", 48),
     "thm4.1": (dict(), "p,q in [3,8], l in [1,5], sp,sq in {0,1}", 720),
+    "thm.theta": (dict(l_max=4), "p,q,l in [1,4] with at most one 1, s1,s2,s3 in {0,1}", 432),
     "lem5.1": (dict(samples=5), "triangle parities {0,1}^2, each with 5 random switchings (seed 20260811)", 24),
     "lem5.2": (
         dict(n_max=5),
@@ -122,6 +123,26 @@ def test_infinity_failure_records(monkeypatch):
     assert report.cases_checked == 720
     assert report.failures[0] == {"p": 3, "q": 3, "l": 1, "sp": 0, "sq": 0, "expected": 0, "got": 2}
     assert {tuple(f) for f in report.failures} == {("p", "q", "l", "sp", "sq", "expected", "got")}
+
+
+def test_theta_sweep_at_its_default_grid():
+    # 12^3 length triples less the 34 with two or three 1s, 8 parity triples each
+    report = verify_theorem("thm.theta")
+    assert report.summary() == {
+        "theorem": "thm.theta",
+        "grid": "p,q,l in [1,12] with at most one 1, s1,s2,s3 in {0,1}",
+        "cases": (12**3 - 34) * 8,
+        "failures": 0,
+        "status": "pass",
+    }
+
+
+def test_theta_failure_records(monkeypatch):
+    monkeypatch.setattr(verify, "nullity_theta", lambda lengths, parities: 3 if 1 in lengths else 0)
+    report = verify_theorem("thm.theta", l_max=2)
+    assert report.cases_checked == 4 * 8  # (1,2,2), (2,1,2), (2,2,1), (2,2,2)
+    assert report.failures[0] == {"p": 1, "q": 2, "l": 2, "s1": 0, "s2": 0, "s3": 0, "expected": 1, "got": 3}
+    assert {tuple(f) for f in report.failures} == {("p", "q", "l", "s1", "s2", "s3", "expected", "got")}
 
 
 def test_lem51_memory_does_not_grow_with_samples():
