@@ -7,14 +7,20 @@ Edges used as K_2 components contribute their sign squared, i.e. nothing,
 which is why only cycle edges enter s.
 
 This module is an independent combinatorial oracle for the exact linear
-algebra route.  Every figure comes from one stream, opened by
-``_figure_stream``, which carries each figure's cycle-edge mask.
-Enumeration is exponential, so the stream refuses, before it starts, a
-graph whose figure count may exceed ``FIGURE_BOUND``: a figure maps each
-vertex one-to-one to nothing, to its K_2 partner or to its successor on its
-cycle, so there are at most prod(deg(v) + 1) of them.  ``char_poly_figures``,
-``enumerate_basic_figures`` and ``coefficient`` therefore refuse the same
-graphs.  Loops never occur because the data model is simple graphs.
+algebra route.  Every consumer enters through ``_guarded_neighbors``, which
+renumbers the vertices that have neighbors and refuses, before anything is
+enumerated, a graph whose figure count may exceed ``FIGURE_BOUND``: a
+figure maps each vertex one-to-one to nothing, to its K_2 partner or to its
+successor on its cycle, so there are at most prod(deg(v) + 1) of them.
+``enumerate_basic_figures`` and ``coefficient`` read the figures one by one
+from ``_figure_stream``, which carries each figure's cycle-edge mask.
+``char_poly_figures`` sums over cycle sets instead: a figure is a set S of
+disjoint cycles plus a matching of the vertices S leaves, so its
+coefficients are phi(G) = sum_S (-2)^|S| sigma(S) mu(G - V(S)), with mu
+the matching polynomial (Sachs 1964; Godsil & Gutman 1981), and its
+profile equals the figure stream grouped by cycle-edge mask.  All three
+refuse the same graphs.  Loops never occur because the data model is
+simple graphs.
 """
 
 from __future__ import annotations
@@ -66,16 +72,17 @@ class BasicFigure:
         return (-1 if (self.p + self.s) % 2 else 1) * (1 << self.c)
 
 
-def _figure_stream(n: int, edges, limit: int):
-    """(labels, stream): the one entry to the figure stream, for the graph
-    on vertices 0..n-1 whose ascending (u, v) pairs, u < v, are ``edges``.
+def _guarded_neighbors(n: int, edges):
+    """(labels, neighbors): the one guarded entry of every figure consumer,
+    for the graph on vertices 0..n-1 whose ascending (u, v) pairs, u < v,
+    are ``edges``.
 
-    Isolated vertices lie on no figure, so the stream walks only the others,
+    Isolated vertices lie on no figure, so only the others are kept,
     renumbered in order, which keeps the figures and their order; vertex k
-    of the stream is ``labels[k]``.  ``neighbors[v]`` maps each neighbor,
-    ascending by the edge order, to its edge's bit, bit k for ``edges[k]``.
-    The vertex ceiling (GraphError) and the figure guard (SizeGuardError)
-    are checked before anything is enumerated.
+    is ``labels[k]``.  ``neighbors[v]`` maps each neighbor, ascending by the
+    edge order, to its edge's bit, bit k for ``edges[k]``.  The vertex
+    ceiling (GraphError) and the figure guard (SizeGuardError) are checked
+    before anything is enumerated.
     """
     check_vertex_ceiling(n)
     labels = sorted({x for e in edges for x in e})
@@ -91,6 +98,14 @@ def _figure_stream(n: int, edges, limit: int):
             raise SizeGuardError(
                 f"figure enumeration guard: n = {n}, prod(deg(v) + 1) exceeds {FIGURE_BOUND}"
             )
+    return labels, neighbors
+
+
+def _figure_stream(n: int, edges, limit: int):
+    """(labels, stream): every figure covering at most ``limit`` vertices of
+    the graph ``_guarded_neighbors(n, edges)`` builds, in its numbering;
+    vertex k of the stream is ``labels[k]``."""
+    labels, neighbors = _guarded_neighbors(n, edges)
     return labels, _component_stream(neighbors, limit)
 
 
@@ -98,7 +113,7 @@ def _component_stream(neighbors, limit, covered=0, used=0, edges=(), cycles=(), 
     """Yield every basic figure covering at most ``limit`` vertices as
     (vertices covered, K_2 edges, cycles, cycle-edge mask).
 
-    ``neighbors`` is built by ``_figure_stream``; the other arguments
+    ``neighbors`` is built by ``_guarded_neighbors``; the other arguments
     describe the figure being extended, which is yielded first (the empty
     figure at the top level).  Components are added in increasing order of
     their smallest vertex: the smallest free vertex v is matched to a
@@ -192,18 +207,101 @@ class FigureProfile:
 
 
 def _profile_from(n: int, edges) -> FigureProfile:
-    _, stream = _figure_stream(n, edges, n)
+    """The profile of the graph on vertices 0..n-1 with ``edges``, summed
+    over cycle sets instead of figures.
+
+    A basic figure is a set S of c vertex-disjoint cycles plus a k-matching
+    of G - V(S), and its weight (-1)^(p+s) 2^c has p = c + k.  So the
+    figures with cycle set S and k K_2 edges add (-1)^(k+c) 2^c m_k(G - V(S))
+    at i = |V(S)| + 2k, where m_k counts k-matchings, and the sign (-1)^s is
+    fixed by S's edges: phi(G) = sum_S (-2)^|S| sigma(S) mu(G - V(S))
+    (Sachs 1964; Godsil & Gutman 1981).  S is fixed by its edge mask, and
+    m_k > 0 up to the largest matching of G - V(S), so these terms are
+    exactly the stream's figures grouped by (i, cycle-edge mask), S empty
+    giving the constant part.
+
+    The cycle sets are walked as ``_component_stream`` walks figures, each
+    once: the smallest free vertex v starts a cycle or is left off.  The
+    cycles whose smallest vertex is v come from ``_cycles_through`` once per
+    graph, shortest first, so a walk reads those that avoid the covered
+    vertices and stops at the first longer than the free vertex count;
+    every cycle is a figure, so these lists are no longer than the figure
+    count.  m(U) = m(U - v) + x sum_{u in N(v) & U} m(U - v - u), v
+    the lowest vertex of U, is memoized per vertex bitmask U after the
+    lowest vertices without a neighbor in U are dropped.  The memo holds at
+    most one tuple per vertex subset reached, and so at most min(2^N, the
+    figure count) for the N vertices with neighbors: a nonempty U reached
+    through cycle set S and matching M maps to the figure S + M + {v u},
+    u the lowest neighbor of v in U, whose K_2 edge with the largest smaller
+    end is {v u}, so the figure gives back v, S + M and U, the vertices at
+    or above v off S + M; the empty U maps to the empty figure.
+    """
+    _, neighbors = _guarded_neighbors(n, edges)
+    adj = [sum(1 << u for u in nb) for nb in neighbors]
+    size = len(neighbors)
+    full = (1 << size) - 1
+    memo = {0: (1,)}
+    # the cycles whose smallest vertex is v, shortest first, as (length,
+    # vertex bits, edge bits)
+    lowest = [
+        sorted((len(cyc), on, bits) for cyc, on, bits in _cycles_through(neighbors, (v,), 1 << v, size, 0))
+        for v in range(size)
+    ]
     constant = [0] * (n + 1)
-    grouped: dict[tuple[int, int], int] = {}
-    for used, k2, cycles, mask in stream:
-        w = (-1 if (len(k2) + len(cycles)) % 2 else 1) << len(cycles)
-        if not cycles:
-            constant[used] += w
-            continue
-        key = (used, mask)
-        grouped[key] = grouped.get(key, 0) + w
-    groups = tuple((i, w, mask) for (i, mask), w in sorted(grouped.items()))
-    return FigureProfile(tuple(constant), groups)
+    grouped = []
+    for on_cycles, c, mask in _cycle_sets(lowest, full, 0, 0, 0):
+        used = on_cycles.bit_count()
+        for k, count in enumerate(_matching_numbers(adj, memo, full ^ on_cycles)):
+            w = -count << c if (k + c) & 1 else count << c
+            if c:
+                grouped.append((used + 2 * k, mask, w))
+            else:
+                constant[2 * k] = w
+    grouped.sort()
+    return FigureProfile(tuple(constant), tuple((i, w, mask) for i, mask, w in grouped))
+
+
+def _cycle_sets(lowest, free, on_cycles, c, mask):
+    """Yield (vertex bits, cycle count, edge bits) of the cycle set on
+    ``on_cycles`` and then of every one that extends it by cycles on the
+    vertices ``free``, each once; ``lowest[v]`` lists the cycles whose
+    smallest vertex is v, shortest first."""
+    yield on_cycles, c, mask
+    while free:
+        low = free & -free
+        room = free.bit_count()
+        for length, vertices, bits in lowest[low.bit_length() - 1]:
+            if length > room:
+                break
+            if vertices & free == vertices:
+                yield from _cycle_sets(lowest, free ^ vertices, on_cycles | vertices, c + 1, mask | bits)
+        # low left off: later cycles avoid it
+        free ^= low
+
+
+def _matching_numbers(adj, memo, u) -> tuple[int, ...]:
+    """(m_0, m_1, ...): the k-matching counts of the subgraph on the vertex
+    bits ``u``, where ``adj[v]`` holds the neighbor bits of v; ``memo`` maps
+    each vertex bitmask computed, after the lowest vertices without a
+    neighbor in it are dropped, to its counts."""
+    while u and not adj[(u & -u).bit_length() - 1] & u:
+        u &= u - 1
+    got = memo.get(u)
+    if got is None:
+        low = u & -u
+        rest = u ^ low
+        total = list(_matching_numbers(adj, memo, rest))
+        nb = adj[low.bit_length() - 1] & rest
+        while nb:
+            w = nb & -nb
+            nb ^= w
+            for k, count in enumerate(_matching_numbers(adj, memo, rest ^ w), 1):
+                if k < len(total):
+                    total[k] += count
+                else:
+                    total.append(count)
+        got = memo[u] = tuple(total)
+    return got
 
 
 def _eval_profile(profile: FigureProfile, neg_mask: int) -> list[int]:

@@ -14,6 +14,9 @@ least power of the Mersenne prime 2^61 - 1 that exceeds twice a Hadamard
 bound on every coefficient, so the symmetric residues are the exact
 coefficients.  The public matrix functions accept integer entries only,
 and the matrix routes refuse graphs above ``MAX_MATRIX_VERTICES`` vertices.
+A ``SignedGraph`` is validated when it is built, so the graph routes
+(``nullity_rank``, ``nullity_charpoly``) build its adjacency rows as lists
+once and hand them to the kernels without checking them again.
 """
 
 from __future__ import annotations
@@ -85,11 +88,10 @@ def _as_rows(m: Sequence[Sequence[int]]) -> list[list[int]]:
 MAX_MATRIX_VERTICES = 2000
 
 
-def adjacency_matrix(g: SignedGraph) -> Matrix:
-    """Signed adjacency matrix: entry (i, j) is the sign of edge {i, j} or 0.
-
-    Raises LinalgError, before allocating, above ``MAX_MATRIX_VERTICES``.
-    """
+def _adjacency_rows(g: SignedGraph) -> list[list[int]]:
+    """Signed adjacency matrix of a validated graph as lists, the rows every
+    graph route computes on; LinalgError, before allocating, above
+    ``MAX_MATRIX_VERTICES``."""
     if g.n > MAX_MATRIX_VERTICES:
         raise LinalgError(
             f"n = {g.n} exceeds the {MAX_MATRIX_VERTICES}-vertex ceiling of the matrix routes"
@@ -98,7 +100,15 @@ def adjacency_matrix(g: SignedGraph) -> Matrix:
     for u, v, s in g.edges:
         rows[u][v] = s
         rows[v][u] = s
-    return tuple(tuple(row) for row in rows)
+    return rows
+
+
+def adjacency_matrix(g: SignedGraph) -> Matrix:
+    """Signed adjacency matrix: entry (i, j) is the sign of edge {i, j} or 0.
+
+    Raises LinalgError, before allocating, above ``MAX_MATRIX_VERTICES``.
+    """
+    return tuple(tuple(row) for row in _adjacency_rows(g))
 
 
 # -- rank ----------------------------------------------------------------
@@ -285,6 +295,20 @@ def _rank_certified(rows: Sequence[Sequence[int]]) -> int | None:
     return len(echelon)
 
 
+def _rank_kernel(rows: list[list[int]]) -> int:
+    """Rank of a rectangular integer matrix given as lists; may mutate them.
+
+    From order ``MODULAR_RANK_MIN_ORDER`` (the smaller dimension) on, the
+    certified modular rank; below it, and when its certificate fails,
+    Bareiss elimination.
+    """
+    if rows and min(len(rows), len(rows[0])) >= MODULAR_RANK_MIN_ORDER:
+        r = _rank_certified(rows if len(rows) >= len(rows[0]) else list(zip(*rows)))
+        if r is not None:
+            return r
+    return _rank_rows(rows)
+
+
 def rank(m: Sequence[Sequence[int]]) -> int:
     """Exact rank of an integer matrix; rows of unequal length are refused.
 
@@ -293,20 +317,14 @@ def rank(m: Sequence[Sequence[int]]) -> int:
     the fallback when its certificate fails.
     """
     rows = _as_rows(m)
-    if not rows:
-        return 0
     if any(len(row) != len(rows[0]) for row in rows):
         raise LinalgError("matrix rows must all have the same length")
-    if min(len(rows), len(rows[0])) >= MODULAR_RANK_MIN_ORDER:
-        r = _rank_certified(rows if len(rows) >= len(rows[0]) else list(zip(*rows)))
-        if r is not None:
-            return r
-    return _rank_rows(rows)
+    return _rank_kernel(rows)
 
 
 def nullity_rank(g: SignedGraph) -> int:
     """Nullity via the rank route: n minus the exact adjacency rank."""
-    return g.n - rank(adjacency_matrix(g))
+    return g.n - _rank_kernel(_adjacency_rows(g))
 
 
 # -- characteristic polynomial -------------------------------------------
@@ -562,4 +580,4 @@ def nullity_charpoly(g: SignedGraph) -> int:
     For the symmetric adjacency matrix the algebraic multiplicity equals the
     geometric one, so this agrees with ``nullity_rank``.
     """
-    return zero_multiplicity(char_poly(adjacency_matrix(g)))
+    return zero_multiplicity(CharPoly(tuple(_charpoly_rows(_adjacency_rows(g)))))

@@ -122,6 +122,30 @@ def test_stream_carries_each_figures_cycle_edge_mask():
             assert mask == want
 
 
+def _grouped_stream(n, edges):
+    # the profile as the figure stream gives it: each figure's weight
+    # (-1)^(p+s) 2^c, summed per (vertices covered, cycle-edge mask)
+    _, stream = figures._figure_stream(n, edges, n)
+    constant = [0] * (n + 1)
+    grouped = {}
+    for used, k2, cycles, mask in stream:
+        w = (-1 if (len(k2) + len(cycles)) % 2 else 1) << len(cycles)
+        if cycles:
+            grouped[used, mask] = grouped.get((used, mask), 0) + w
+        else:
+            constant[used] += w
+    return figures.FigureProfile(tuple(constant), tuple((i, w, mask) for (i, mask), w in sorted(grouped.items())))
+
+
+def test_profile_equals_the_grouped_figure_stream():
+    # the cycle-set x matching-number sum has exactly the stream's groups
+    cases = [(n, edges) for n in range(1, 6) for edges in connected_graphs_labeled(n)]
+    cases += [(g.n, g.underlying_edges) for g in _seeded_graphs()]
+    assert len(cases) == 772 + 41
+    for n, edges in cases:
+        assert figures._profile_from(n, edges) == _grouped_stream(n, edges)
+
+
 def test_figures_out_of_range():
     with pytest.raises(GraphError):
         enumerate_basic_figures(gen_path(3), 4)
@@ -296,3 +320,22 @@ def test_tree_coefficients_are_matching_counts(n, rng):
             k = i // 2
             assert abs(p.coeffs[i]) == _matchings(n, tree.edges, k)
             assert p.coeffs[i] == (-1) ** k * _matchings(n, tree.edges, k)
+
+
+@st.composite
+def graphs_with_cycles(draw):
+    # a drawn graph on at least 3 vertices with the triangle 0 1 2 added
+    g = draw(signed_graphs())
+    edges = {(u, v): s for u, v, s in g.edges}
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        edges.setdefault(pair, draw(st.sampled_from((1, -1))))
+    return SignedGraph(max(g.n, 3), [(u, v, s) for (u, v), s in edges.items()])
+
+
+@given(graphs_with_cycles())
+@settings(max_examples=40)
+def test_acyclic_profile_part_counts_matchings(g):
+    constant = figures._profile_from(g.n, g.underlying_edges).constant
+    assert len(constant) == g.n + 1
+    for i, a in enumerate(constant):
+        assert a == (0 if i % 2 else (-1) ** (i // 2) * _matchings(g.n, g.edges, i // 2))

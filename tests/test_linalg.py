@@ -25,6 +25,7 @@ from sgn import (
     zero_multiplicity,
 )
 from sgn import linalg
+from sgn.enumeration import iter_signed_corpus
 from sgn.families import gen_cycle, gen_infinity, gen_path, gen_theta
 
 
@@ -268,8 +269,6 @@ def test_power_trace_kernel_matches_sympy(g):
 
 def test_charpoly_routes_agree_on_corpus():
     # both routes on every signed graph of the n <= 6 iso-class corpus
-    from sgn.enumeration import iter_signed_corpus
-
     checked = 0
     for g in iter_signed_corpus(6):
         a = adjacency_matrix(g)
@@ -627,3 +626,36 @@ def test_kernels_match_sympy_where_they_switch():
     a = _signed_rows(rng, 100)
     assert rank(a) == _sympy_matrix(a).rank()
     assert char_poly(a).coeffs == _sympy_charpoly(a)
+
+
+# -- graph routes -------------------------------------------------------------
+
+
+def _graph_of(a):
+    n = len(a)
+    return SignedGraph(n, [(i, j, a[i][j]) for i in range(n) for j in range(i + 1, n) if a[i][j]])
+
+
+def test_graph_routes_equal_the_matrix_routes():
+    # the graph routes skip the matrix checks; they must still answer what
+    # the public matrix functions answer on the adjacency matrix, on a
+    # corpus sample, around the rank crossover (with and without twins,
+    # whose kernel the certificate must prove) and at n = 100
+    rng = random.Random(47)
+    graphs = list(iter_signed_corpus(6))[::7] + [SignedGraph(0), SignedGraph(R0, [(0, R0 - 1, -1)])]
+    for n in (R0 - 1, R0, R0 + 1):
+        graphs += [_graph_of(_add_twins(rng, _signed_rows(rng, n - k), k)) for k in (0, 3)]
+    graphs.append(_graph_of(_add_twins(rng, _signed_rows(rng, 96), 4)))
+    assert {0, R0 - 1, R0, R0 + 1, 100} <= {g.n for g in graphs}
+    for g in graphs:
+        a = adjacency_matrix(g)
+        assert nullity_rank(g) == g.n - rank(a)
+        assert nullity_charpoly(g) == zero_multiplicity(char_poly(a))
+
+
+def test_graph_routes_refuse_graphs_above_the_ceiling():
+    n = linalg.MAX_MATRIX_VERTICES + 1
+    message = f"n = {n} exceeds the {linalg.MAX_MATRIX_VERTICES}-vertex ceiling of the matrix routes"
+    for route in (adjacency_matrix, nullity_rank, nullity_charpoly):
+        with pytest.raises(LinalgError, match=f"^{message}$"):
+            route(SignedGraph(n, [(0, n - 1, 1)]))

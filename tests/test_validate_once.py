@@ -5,8 +5,8 @@ edge.  Graphs the package derives from a valid graph, and parsed edge lists
 after the parser's line-numbered checks, go through the unchecked
 ``SignedGraph._trusted``.  These tests pin both halves: every derived graph
 is in the normal form the constructor would produce, the hot paths run the
-constructor no more than once, and ``_trusted`` stays inside the two modules
-whose inputs are already valid.
+constructor no more than once, the matrix routes build a graph's rows once,
+and ``_trusted`` stays inside the two modules whose inputs are already valid.
 """
 
 import ast
@@ -23,6 +23,7 @@ from sgn.enumeration import (
     random_tree_attached_bicyclic,
     signed_graphs_mod_switching,
 )
+from sgn import linalg
 from sgn.families import parse_family_spec
 from sgn.graph import (
     SignedGraph,
@@ -133,6 +134,28 @@ def test_corpus_sweeps_validate_each_atlas_graph_once(monkeypatch, theorem_id):
     counter = _CountingInit(monkeypatch)
     assert verify_theorem(theorem_id, n_max=5).cases_checked > 0
     assert counter.calls == len(connected_graphs_upto_iso(5))
+
+
+def test_matrix_routes_build_the_rows_once_and_check_nothing(monkeypatch):
+    # a validated graph needs no matrix checks: the graph routes never reach
+    # the public matrix functions or the entry check, and build rows once
+    rng = random.Random(48)
+    graphs = [random_signed_graph(rng, n, 0.3) for n in (1, 6, 47, 48, 60)]
+    want = [(linalg.nullity_rank(g), linalg.nullity_charpoly(g)) for g in graphs]
+
+    def refuse(*args):
+        raise AssertionError("a matrix check ran")
+
+    for name in ("_as_rows", "adjacency_matrix", "rank", "char_poly"):
+        monkeypatch.setattr(linalg, name, refuse)
+    built = []
+    rows = linalg._adjacency_rows
+    monkeypatch.setattr(linalg, "_adjacency_rows", lambda g: built.append(g) or rows(g))
+    for g, (eta_rank, eta_charpoly) in zip(graphs, want):
+        built.clear()
+        assert linalg.nullity_rank(g) == eta_rank
+        assert linalg.nullity_charpoly(g) == eta_charpoly
+        assert built == [g, g]
 
 
 def _names(module):
