@@ -169,6 +169,11 @@ def random_low_cyclomatic_graph(rng: random.Random, n: int, extra: int) -> Signe
     return SignedGraph._trusted(n, [(u, v, rng.choice((1, -1))) for u, v in sorted(edges)])
 
 
+#: Order of each kind's smallest base: two triangles joined by an edge
+#: (BPlus), two triangles sharing a vertex (BPlusPlus), the diamond (Theta).
+_SAMPLER_MIN_ORDER = {"BPlus": 6, "BPlusPlus": 5, "Theta": 4}
+
+
 def random_tree_attached_bicyclic(
     rng: random.Random, n: int, kind: str
 ) -> SignedGraph:
@@ -176,12 +181,15 @@ def random_tree_attached_bicyclic(
 
     ``kind`` selects the base: "BPlus" (two disjoint cycles joined by a path
     with at least 2 vertices), "BPlusPlus" (two cycles sharing a vertex), or
-    "Theta".  Signs are uniform at random.
+    "Theta".  Signs are uniform at random.  An ``n`` below the kind's
+    smallest base is refused, since no draw would ever fit.
     """
     from .families import gen_infinity, gen_theta
 
-    if kind not in ("BPlus", "BPlusPlus", "Theta"):
+    if kind not in _SAMPLER_MIN_ORDER:
         raise ValueError(f"unknown kind {kind!r}")
+    if n < _SAMPLER_MIN_ORDER[kind]:
+        raise ValueError(f"{kind} needs n >= {_SAMPLER_MIN_ORDER[kind]}, got n = {n}")
     while True:
         if kind == "BPlus":
             p, q, l = rng.randint(3, n), rng.randint(3, n), rng.randint(2, n)

@@ -290,10 +290,37 @@ def components(g: SignedGraph) -> list[tuple[SignedGraph, tuple[int, ...]]]:
 
 
 def _induced(g: SignedGraph, keep: Sequence[int]) -> SignedGraph:
-    """Induced subgraph on the ascending labels ``keep``, relabeled 0..len-1."""
+    """Induced subgraph on the ascending labels ``keep``, relabeled 0..len-1;
+    ``g`` itself when ``keep`` is every vertex."""
+    if len(keep) == g.n:
+        return g
     back = {old: new for new, old in enumerate(keep)}
     edges = [(back[u], back[v], s) for u, v, s in g.edges if u in back and v in back]
     return SignedGraph._trusted(len(keep), edges)
+
+
+#: How to sign an induced subgraph from any signing of its host's underlying
+#: graph: the subgraph's order, then, per subgraph edge in its normal order,
+#: the host edge's index and the relabeled endpoints.
+InducedPlan = tuple[int, tuple[tuple[int, int, int], ...]]
+
+
+def _induced_plan(g: SignedGraph, keep: Sequence[int]) -> InducedPlan:
+    """The plan of ``_induced(g, keep)``; it depends on g's underlying graph only."""
+    back = {old: new for new, old in enumerate(keep)}
+    return len(keep), tuple(
+        (i, back[u], back[v]) for i, (u, v, _) in enumerate(g.edges) if u in back and v in back
+    )
+
+
+def _signed_part(plan: InducedPlan, signs: Sequence[int]) -> SignedGraph:
+    """The planned subgraph with its edges signed by ``signs``, in plan order.
+
+    Relabeling ascending labels keeps the host's (u, v) order, so the edges
+    are already in normal form.
+    """
+    n, edge_map = plan
+    return SignedGraph._trusted(n, [(u, v, s) for (_, u, v), s in zip(edge_map, signs)])
 
 
 def cut_points(g: SignedGraph) -> frozenset[int]:

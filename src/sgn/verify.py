@@ -5,6 +5,16 @@ the exact rank/charpoly oracles over a documented parameter grid, and
 returns a VerificationReport whose failure records embed full edge lists so
 each counterexample is replayable.  Runs are deterministic: enumeration
 orders are fixed and all randomness is seeded.
+
+The cut-point and pendant sweeps do their sign-independent work once per
+underlying graph: a plan lists each cut point with the components of G - v
+(or each pendant pair), and each part G_i, G_i + v or G - {v, u} as an
+edge-index map that every switching class signs from its own sign vector.
+Each part memoizes its nullity by its tuple of edge signs, so a signed part
+is ranked once per underlying graph; the memo goes with the plan when the
+sweep moves to the next graph, and nothing is kept between sweeps.  The
+bicyclic sweep ``lem5.2`` skips the first switching class, the only
+balanced one, instead of testing each class for balance.
 """
 
 from __future__ import annotations
@@ -47,9 +57,20 @@ from .formulas import (
     nullity_theta,
     upper_bound,
 )
-from .graph import GraphError, SignedGraph, components, cut_points, delete_vertices, is_balanced, pendant_pairs, switch
+from .graph import (
+    GraphError,
+    SignedGraph,
+    _component_vertex_sets,
+    _induced_plan,
+    _signed_part,
+    components,
+    cut_points,
+    delete_vertices,
+    is_balanced,
+    pendant_pairs,
+    switch,
+)
 from .linalg import _charpoly_rows, adjacency_matrix, char_poly, nullity_rank
-from .reduction import _cutpoint_parts
 
 DEFAULT_SEED = 20260811
 
@@ -201,38 +222,75 @@ def verify_lem31(samples: int = 500, seed: int = DEFAULT_SEED) -> VerificationRe
 # -- cut-point rules and the pendant lemma -----------------------------------
 
 
-def _corpus_by_graph(n_max: int, facts):
+def _corpus_by_graph(n_max: int, plan):
     """The signed corpus, walked one underlying graph at a time.
 
-    ``facts(g)`` is computed once per underlying graph, on its all-positive
-    signing, and must depend on the underlying graph only (cut points and
-    pendant pairs do).  That signing is the first switching class, so each
-    graph is validated once.  Yields ``(g, facts)`` for every switching class
-    of each graph whose facts are non-empty, in corpus order; graphs with
-    empty facts are signed no further.
+    ``plan(g)`` is computed once per underlying graph, on its all-positive
+    signing, and must depend on the underlying graph only (cut points,
+    pendant pairs and the parts they cut off do).  That signing is the first
+    switching class, so each graph is validated once.  Yields ``(g, signs,
+    plan)`` for every switching class of each graph whose plan is non-empty,
+    in corpus order, ``signs`` being g's edge signs; graphs with an empty
+    plan are signed no further.  A plan, with the ranks its parts memoize,
+    is dropped when the walk moves on to the next graph.
     """
     for n, edges in enumeration.connected_graphs_upto_iso(n_max):
         signed = signed_graphs_mod_switching(n, edges)
         positive = next(signed)
-        found = facts(positive)
+        found = plan(positive)
         if found:
-            yield positive, found
-            for g in signed:
-                yield g, found
+            for g in itertools.chain((positive,), signed):
+                yield g, [s for _, _, s in g.edges], found
+
+
+class _Part:
+    """An induced subgraph of one underlying graph, ranked once per signing.
+
+    Switching classes of the host that agree on the part's edges sign it
+    alike, so its nullity is memoized by the tuple of its edge signs.  Each
+    miss calls the module's ``nullity_rank``.
+    """
+
+    __slots__ = ("plan", "indices", "etas")
+
+    def __init__(self, g: SignedGraph, keep):
+        self.plan = _induced_plan(g, keep)
+        self.indices = tuple(i for i, _, _ in self.plan[1])
+        self.etas: dict[tuple[int, ...], int] = {}
+
+    def nullity(self, signs) -> int:
+        key = tuple([signs[i] for i in self.indices])
+        eta = self.etas.get(key)
+        if eta is None:
+            eta = self.etas[key] = nullity_rank(_signed_part(self.plan, key))
+        return eta
+
+
+def _cutpoint_plan(g: SignedGraph):
+    """Per cut point v, ascending: v and, per component G_i of G - v, its
+    original labels and the parts G_i and G_i + v, as the structural
+    engine's ``_cutpoint_parts`` decomposes G at v."""
+    return [
+        (v, [
+            (tuple(comp), _Part(g, comp), _Part(g, sorted((*comp, v))))
+            for comp in _component_vertex_sets(g, skip=v)
+        ])
+        for v in sorted(cut_points(g))
+    ]
 
 
 def _cutpoint_cases(n_max: int, rule):
     """Outer loop shared by the two cut-point rules.
 
-    For every cut-point v of every corpus graph G, ``rule(g, parts)`` yields
-    ``(index, predicted eta(G))`` for each component of G - v that satisfies
-    the rule's hypothesis; ``parts`` is the structural engine's decomposition
-    of G at v.
+    For every cut-point v of every corpus graph G, ``rule(g, signs, parts)``
+    yields ``(index, predicted eta(G))`` for each component of G - v that
+    satisfies the rule's hypothesis; ``parts`` is v's entry of
+    ``_cutpoint_plan``.
     """
-    for g, cpts in _corpus_by_graph(n_max, lambda g: sorted(cut_points(g))):
+    for g, signs, plan in _corpus_by_graph(n_max, _cutpoint_plan):
         eta_g = nullity_rank(g)
-        for v in cpts:
-            for idx, want in rule(g, _cutpoint_parts(g, v)):
+        for v, parts in plan:
+            for idx, want in rule(g, signs, parts):
                 yield None if eta_g == want else dict(
                     n=g.n,
                     edges=_edge_list(g),
@@ -247,10 +305,10 @@ def verify_thm31(n_max: int = 7) -> VerificationReport:
     """Decrement rule: wherever eta(G_i) = eta(G_i + v) + 1 at a cut-point v,
     eta(G) = sum eta(G_j) - 1, over the exhaustive n <= n_max corpus."""
 
-    def decrement(g, parts):
-        etas = [nullity_rank(comp) for comp, _, _ in parts]
+    def decrement(g, signs, parts):
+        etas = [comp.nullity(signs) for _, comp, _ in parts]
         for idx, (_, _, plus_v) in enumerate(parts):
-            if etas[idx] == nullity_rank(plus_v) + 1:
+            if etas[idx] == plus_v.nullity(signs) + 1:
                 yield idx, sum(etas) - 1
 
     grid = f"iso-class connected corpus n<={n_max} x switching classes, all qualifying (g, v, component) triples"
@@ -261,10 +319,10 @@ def verify_thm32(n_max: int = 7) -> VerificationReport:
     """Split rule: wherever eta(G_i) = eta(G_i + v) - 1 at a cut-point v,
     eta(G) = eta(G_i) + eta(G - G_i), over the exhaustive n <= n_max corpus."""
 
-    def split(g, parts):
-        for idx, (comp, original, plus_v) in enumerate(parts):
-            eta_i = nullity_rank(comp)
-            if eta_i == nullity_rank(plus_v) - 1:
+    def split(g, signs, parts):
+        for idx, (original, comp, plus_v) in enumerate(parts):
+            eta_i = comp.nullity(signs)
+            if eta_i == plus_v.nullity(signs) - 1:
                 rest, _ = delete_vertices(g, original)
                 yield idx, eta_i + nullity_rank(rest)
 
@@ -272,16 +330,23 @@ def verify_thm32(n_max: int = 7) -> VerificationReport:
     return _run("thm3.2", grid, _cutpoint_cases(n_max, split))
 
 
+def _pendant_plan(g: SignedGraph):
+    """Per pendant pair (v, u), by label: v, u and the part G - {v, u}."""
+    return [
+        (v, u, _Part(g, [w for w in range(g.n) if w != v and w != u]))
+        for v, u in pendant_pairs(g)
+    ]
+
+
 def verify_pendant(n_max: int = 7) -> VerificationReport:
     """Deleting any pendant vertex together with its neighbor keeps the
     nullity, over the exhaustive n <= n_max corpus."""
 
     def cases():
-        for g, pairs in _corpus_by_graph(n_max, pendant_pairs):
+        for g, signs, plan in _corpus_by_graph(n_max, _pendant_plan):
             eta_g = nullity_rank(g)
-            for v, u in pairs:
-                reduced, _ = delete_vertices(g, (v, u))
-                got = nullity_rank(reduced)
+            for v, u, reduced in plan:
+                got = reduced.nullity(signs)
                 yield None if got == eta_g else dict(
                     n=g.n,
                     edges=_edge_list(g),
@@ -379,10 +444,12 @@ def verify_lem52(n_max: int = 6) -> VerificationReport:
     def cases():
         for n in range(4, n_max + 1):
             for edges in bicyclic_graphs_labeled(n):
-                for g in signed_graphs_mod_switching(n, edges):
-                    balanced, _ = is_balanced(g)
-                    if balanced:
-                        continue
+                classes = signed_graphs_mod_switching(n, edges)
+                # the first class is the only balanced one: its tree edges are
+                # positive, so each cotree edge closes a fundamental cycle of
+                # its own sign, and only the all-positive class has no negative
+                next(classes)
+                for g in classes:
                     eta = nullity_rank(g)
                     extremal = is_max_nullity_extremal(g)
                     if eta > n - 3:

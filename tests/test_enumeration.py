@@ -1,5 +1,6 @@
 """Corpus generators and random samplers used by the verification sweeps."""
 
+import hashlib
 import random
 
 import pytest
@@ -100,3 +101,39 @@ def test_force_unbalanced():
         assert h.underlying_edges == g.underlying_edges
     with pytest.raises(ValueError):
         force_unbalanced(rng, SignedGraph(3, [(0, 1, 1)]))
+
+
+def test_only_the_first_switching_class_is_balanced():
+    # lem5.2 skips the first class unchecked: its tree edges are positive, so
+    # each cotree edge closes a fundamental cycle of its own sign, and only
+    # the all-positive class has no negative cycle
+    graphs = [(n, edges) for n in range(4, 7) for edges in bicyclic_graphs_labeled(n)]
+    graphs += connected_graphs_upto_iso(7)
+    assert len(graphs) == 6907
+    for n, edges in graphs:
+        flags = [is_balanced(g)[0] for g in signed_graphs_mod_switching(n, edges)]
+        assert flags == [True] + [False] * (len(flags) - 1), (n, edges)
+
+
+@pytest.mark.parametrize("kind, n_min", [("BPlus", 6), ("BPlusPlus", 5), ("Theta", 4)])
+def test_tree_attached_sampler_refuses_orders_below_its_smallest_base(kind, n_min):
+    # no random generator is passed: a draw would raise AttributeError, so
+    # the refusal comes before the first draw (the draws never end there)
+    for n in range(n_min):
+        with pytest.raises(ValueError, match=f"{kind} needs n >= {n_min}, got n = {n}"):
+            random_tree_attached_bicyclic(None, n, kind)
+    g = random_tree_attached_bicyclic(random.Random(n_min), n_min, kind)
+    assert g.n == n_min and g.m == n_min + 1 and bicyclic_class(g) == kind
+
+
+def test_tree_attached_sampler_stream_is_pinned():
+    # the bounds.* sweeps and the benchmark's sparse jobs are drawn from this
+    # stream, so refusing small orders must leave it as it was
+    digest = hashlib.sha256()
+    rng = random.Random(20261019)
+    for kind, n_min in (("BPlus", 6), ("BPlusPlus", 5), ("Theta", 4)):
+        for n in range(n_min, n_min + 6):
+            for _ in range(20):
+                g = random_tree_attached_bicyclic(rng, n, kind)
+                digest.update(repr((g.n, g.edges)).encode())
+    assert digest.hexdigest() == "098b6f35c841b3535f3fb18929ac3e7bf437bdcaf5e6bbcbc580f8c6792ed20c"

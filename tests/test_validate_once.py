@@ -28,6 +28,8 @@ from sgn.families import parse_family_spec
 from sgn.graph import (
     SignedGraph,
     _induced,
+    _induced_plan,
+    _signed_part,
     canonical_signature,
     components,
     cut_points,
@@ -88,6 +90,34 @@ def test_derived_graphs_are_in_normal_form():
         assert parse_edge_list(_edge_list_text(g, rng)[0]) == g
         checked += len(derived)
     assert checked > 6000
+
+
+def test_whole_vertex_sets_return_the_graph_itself():
+    rng = random.Random(20261019)
+    for n, edges in connected_graphs_upto_iso(6)[::7]:
+        g = SignedGraph(n, [(u, v, rng.choice((1, -1))) for u, v in edges])
+        assert components(g)[0][0] is g
+        assert delete_vertices(g, ())[0] is g
+        assert _induced(g, range(n)) is g
+        derived = [comp for comp, _ in components(g)]
+        derived += [delete_vertices(g, ())[0], delete_vertices(g, (0,))[0], _induced(g, list(range(n)))]
+        for h in derived:
+            assert_normal(h)
+
+
+def test_planned_parts_equal_the_induced_subgraphs():
+    # a plan is made once per underlying graph and signed per switching class
+    rng = random.Random(20261020)
+    for n, edges in connected_graphs_upto_iso(6)[::5]:
+        positive = SignedGraph(n, [(u, v, 1) for u, v in edges])
+        keeps = [sorted(rng.sample(range(n), k)) for k in range(n + 1)]
+        plans = [_induced_plan(positive, keep) for keep in keeps]
+        for g in signed_graphs_mod_switching(n, edges):
+            signs = [s for _, _, s in g.edges]
+            for keep, plan in zip(keeps, plans):
+                part = _signed_part(plan, [signs[i] for i, _, _ in plan[1]])
+                assert part == _induced(g, keep)
+                assert_normal(part)
 
 
 class _CountingInit:

@@ -94,6 +94,24 @@ def test_cut_points_and_pendants_do_not_depend_on_signs():
             assert pendant_pairs(g) == pendant_pairs(positive)
 
 
+# nullity_rank calls of one sweep at n <= 6: one per switching class for G,
+# one per distinct signing of each planned part (and thm3.2's G - G_i)
+RANK_CALLS_AT_SIX = {"thm3.1": 1561, "thm3.2": 1699, "pendant": 723}
+
+
+@pytest.mark.parametrize("theorem_id", sorted(RANK_CALLS_AT_SIX))
+def test_corpus_sweeps_keep_no_ranks_between_calls(monkeypatch, theorem_id):
+    real = verify.nullity_rank
+    calls = []
+    monkeypatch.setattr(verify, "nullity_rank", lambda g: calls.append(g) or real(g))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert verify_theorem(theorem_id, n_max=6).cases_checked == SIX[theorem_id][1]
+        counts.append(len(calls))
+    assert counts == [RANK_CALLS_AT_SIX[theorem_id]] * 2
+
+
 EMPTY = {"set.theta": dict(n_lo=12, n_hi=6), "thm3.1": dict(n_max=2), "pendant": dict(n_max=1)}
 
 
