@@ -5,13 +5,18 @@ point is used anywhere.  The rank comes from fraction-free (Bareiss)
 elimination below order ``MODULAR_RANK_MIN_ORDER`` (48).  From there on it
 comes from one elimination modulo the prime 32 749, proved exact by an
 integer kernel basis checked over Z; a matrix whose check fails goes to
-Bareiss.  The characteristic polynomial comes from the power traces
-tr(A^k) and Newton's identities below order ``HESSENBERG_MIN_ORDER`` (35),
-each row of A^k packed into one integer with slots wide enough for every
-entry, as long as those slots are at most ``POWER_TRACE_MAX_WIDTH`` (173)
-bits wide, and otherwise from an O(n^3) Hessenberg reduction modulo the
-least power of the Mersenne prime 2^61 - 1 that exceeds twice a Hadamard
-bound on every coefficient, so the symmetric residues are the exact
+Bareiss.  The characteristic polynomial has three kernels; two rest on a
+Hadamard bound B on every coefficient.  A symmetric matrix below
+order ``KRONECKER_MAX_ORDER`` (15) gets it from one integer, det(X*I - A)
+at a power of two X > 2B, whose signed base-X digits are the coefficients
+(Kronecker substitution); a pivot-free fraction-free elimination computes
+it.  Any other matrix below order ``HESSENBERG_MIN_ORDER`` (35) gets it
+from the power traces tr(A^k) and Newton's identities, each row of A^k
+packed into one integer with slots wide enough for every entry, as long as
+those slots are at most ``_power_trace_max_width(n)`` bits wide (173 at
+order 34 and at or below 14, down to 153 at order 24).  Otherwise it comes
+from an O(n^3) Hessenberg reduction modulo the least power of the Mersenne
+prime 2^61 - 1 above 2B, so the symmetric residues are the exact
 coefficients.  The public matrix functions accept integer entries only,
 and the matrix routes refuse graphs above ``MAX_MATRIX_VERTICES`` vertices.
 A ``SignedGraph`` is validated when it is built, so the graph routes
@@ -330,6 +335,23 @@ def nullity_rank(g: SignedGraph) -> int:
 # -- characteristic polynomial -------------------------------------------
 
 
+#: Matrix order below which ``_charpoly_rows`` runs the Kronecker kernel on a
+#: symmetric matrix (measured crossover).  Its time, with the symmetry check
+#: and the width, over the power-trace kernel's, with the slot width, summed
+#: over 12 symmetric matrices per cell (each the median of 7 runs of 20
+#: calls; the mean of two such sums), on a 2-core x86-64 host under Python
+#: 3.11:
+#:
+#:     order                  4     7     8    10    12    13    14    15    16
+#:     p = 0.3              0.68  0.68  0.71  0.73  0.92  0.98  0.96  1.37  1.40
+#:     complete signed K_n  0.59  0.54  0.59  0.55  0.63  0.77  0.75  0.78  1.17
+#:     random tree          0.65  0.68  0.76  0.66  0.93  1.03  1.03  1.25  1.34
+#:     entries in [-5, 5]   0.50  0.48  0.50  0.46  0.56  0.60  0.63  0.71  0.85
+#:
+#: Below 15 the Kronecker kernel is the faster in sum, and on every kind but
+#: the sparsest, whose power traces add few rows, where the two are even.
+KRONECKER_MAX_ORDER = 15
+
 #: Matrix order from which ``_charpoly_rows`` runs the modular Hessenberg
 #: kernel (measured crossover).  The power-trace kernel's time over the
 #: Hessenberg kernel's on signed adjacency matrices, summed over 12 graphs per
@@ -347,34 +369,124 @@ def nullity_rank(g: SignedGraph) -> int:
 HESSENBERG_MIN_ORDER = 35
 
 #: Widest slot, in bits, with which ``_charpoly_rows`` runs the power-trace
-#: kernel: that of a signed K_34, bit_length(33^34) + 1.  Its cost grows
-#: with w as well as with n, and integer entries beyond +-1 widen the slots.
-#: The power-trace time over the Hessenberg time on matrices with entries
-#: uniform in [-5, 5], summed over 4 per order (each the median of 7 runs),
-#: on the same host, with the range of w at each order:
-#:
-#:     order                      20    24    25    26    27    28    30    34
-#:     w from                     122   151   160   169   175   184   198   231
-#:     w to                       127   154   161   172   179   186   202   237
-#:     power traces / Hessenberg  0.62  0.88  1.01  1.09  1.20  1.24  1.16  1.63
-#:
-#: So these matrices go to the Hessenberg kernel from order 27 on, and the
-#: kernels are within 10% of each other where w is just below the cut.
-#: Every +-1 matrix below order 35 has w <= 173 and keeps the power-trace
-#: kernel, which the table above ``HESSENBERG_MIN_ORDER`` times.
+#: kernel at order 34: that of a signed K_34, bit_length(33^34) + 1.  Every
+#: +-1 matrix below order 35 has w <= bit_length((n-1)^n) + 1, within
+#: ``_power_trace_max_width(n)``, and keeps the power-trace kernel, which
+#: the table above ``HESSENBERG_MIN_ORDER`` times.
 POWER_TRACE_MAX_WIDTH = 173
+
+#: Order at which ``_power_trace_max_width`` is narrowest (measured).  The
+#: power-trace kernel's cost grows with n and w, and with entries beyond +-1,
+#: which cost a multiplication where +-1 costs an add.  Its time over the
+#: Hessenberg kernel's on matrices with entries uniform in [-k, k] (k = 1:
+#: the signed K_n), summed over 6 per cell (each the median of 7 runs; the
+#: mean of two such sums), on the same host, with the median w of each cell:
+#:
+#:     order   k = 1       k = 2       k = 3       k = 5       k = 9
+#:     20       86  0.51   101  0.62   109  0.54   123  0.66   140  0.75
+#:     22       98  0.58   112  0.54   123  0.68   139  0.75   156  0.87
+#:     24      110  0.49   126  0.69   137  0.65   154  0.95   174  1.00
+#:     25      116  0.49   131  0.84   145  0.79   163  1.15   181  1.03
+#:     26      122  0.61   139  0.77   152  0.95   169  1.21   191  1.00
+#:     28      135  0.69   152  0.88   167  0.95   185  1.24   207  1.08
+#:     30      147  0.75   165  0.86   182  1.23   202  1.23   226  1.31
+#:     32      160  0.91   180  1.08   196  1.33   216  1.29   242  1.26
+#:     34      173  0.91   193  1.42   211  1.39   233  1.54   261  1.80
+#:
+#: The widest slot that still pays is narrowest near order 24 and widens on
+#: both sides: above it only +-1 entries keep paying, and below order 20
+#: every cell measured paid (0.39 to 0.66 at orders 14 to 18 in this grid,
+#: and 0.46 to 0.87 at w = 142 to 175 with entries up to +-257).
+POWER_TRACE_DIP_ORDER = 24
+
+
+def _power_trace_max_width(n: int) -> int:
+    """Widest slot with which ``_charpoly_rows`` runs the power-trace kernel
+    at order n: ``POWER_TRACE_MAX_WIDTH`` less 2 (10 - |n - 24|) bits within
+    10 orders of ``POWER_TRACE_DIP_ORDER`` = 24, so 153 bits at order 24,
+    157 at 22 and 26, and 173 at 34 and at or below 14."""
+    return POWER_TRACE_MAX_WIDTH - 2 * max(0, 10 - abs(n - POWER_TRACE_DIP_ORDER))
 
 
 def _charpoly_rows(a: list[list[int]]) -> list[int]:
     """Coefficients a_0..a_n of det(x*I - A) for an integer matrix given as
-    lists: power traces below ``HESSENBERG_MIN_ORDER`` while the slot width
-    is at most ``POWER_TRACE_MAX_WIDTH``, else the exact modular Hessenberg
+    lists: one Kronecker-substituted determinant for a symmetric matrix
+    below ``KRONECKER_MAX_ORDER``, else power traces below
+    ``HESSENBERG_MIN_ORDER`` while the slot width is at most
+    ``_power_trace_max_width(n)``, else the exact modular Hessenberg
     kernel."""
-    if len(a) < HESSENBERG_MIN_ORDER:
+    n = len(a)
+    if n < KRONECKER_MAX_ORDER and list(map(list, zip(*a))) == a:
+        # the least w with 2^(2w) > Q, that is 2w >= bit_length(Q)
+        return _charpoly_kronecker(a, (_coefficient_bound(a).bit_length() + 1) // 2)
+    if n < HESSENBERG_MIN_ORDER:
         w = _slot_width(a)
-        if w <= POWER_TRACE_MAX_WIDTH:
+        if w <= _power_trace_max_width(n):
             return _charpoly_power_traces(a, w)
     return _charpoly_modular(a)
+
+
+def _pivot_factor_getters(m: int) -> tuple[operator.itemgetter, operator.itemgetter]:
+    """Two getters for the Kronecker kernel's trailing upper triangle of
+    order m, stored row by row: applied to it, they give m_0i and m_0j, the
+    factors from the pivot row (its first m entries), of every entry (i, j)
+    with 1 <= i <= j < m, in the order those entries are stored."""
+    pairs = [(i, j) for i in range(1, m) for j in range(i, m)]
+    return operator.itemgetter(*[i for i, _ in pairs]), operator.itemgetter(*[j for _, j in pairs])
+
+
+#: ``_pivot_factor_getters(m)`` for every order m that an elimination step
+#: of ``_charpoly_kronecker`` starts from (3 <= m < ``KRONECKER_MAX_ORDER``).
+_PIVOT_FACTORS = {m: _pivot_factor_getters(m) for m in range(3, KRONECKER_MAX_ORDER)}
+
+
+def _charpoly_kronecker(a: list[list[int]], w: int) -> list[int]:
+    """a_0..a_n of a symmetric integer matrix A of order n below
+    ``KRONECKER_MAX_ORDER`` from the one integer phi(X) = det(X*I - A) at
+    X = 2^w, for a w with X^2 > Q = ``_coefficient_bound(a)``.
+
+    phi(X) is the last pivot of a fraction-free elimination of M = X*I - A
+    in pivot order (Bareiss): step k turns each later entry into
+    (p_k m_ij - m_ik m_kj) / p_(k-1), with p_k = m_kk and p_(-1) = 1.
+    Exactness, with B = prod(1 + |r_i|) over the Euclidean norms of the rows
+    of A, so that X > 2B (``_coefficient_bound``):
+    - No pivot is 0, so no pivot search is needed.  Pivot p_(k-1) is the
+      leading principal minor det(X*I - A_k) = phi_(A_k)(X), with A_k the
+      leading k x k block of A, and p_(n-1) = phi(X).  A_k is symmetric, so
+      its eigenvalues are real and each
+      |lambda| <= rho(A_k) <= ||A_k||_F <= ||A||_F <= sum |r_i| < B < X.
+      Every factor X - lambda of the minor is positive, and so is the minor.
+    - The divisions are exact.  After step k, entry (i, j) is the minor of M
+      on rows 0..k, i and columns 0..k, j (Sylvester's identity), an
+      integer.  The same identity makes it equal entry (j, i), the minor of
+      M^T = M on the same index sets, so only the upper triangle is kept
+      and updated, and the pivot row doubles as the pivot column.
+    - The digits are unique.  phi(X) = sum_k a_k X^(n-k) with every
+      |a_k| <= B < X/2.  Adding bias = sum_k (X/2) X^k turns it into the
+      base-X digits a_k + X/2, all in (0, X), and an integer has one base-X
+      expansion, so slot k read with a shift and a mask gives a_k back.
+    No floating point enters.
+    """
+    n = len(a)
+    if n < 2:
+        return [1] + [-row[0] for row in a]
+    x = 1 << w
+    t = [-v for i, row in enumerate(a) for v in row[i:]]
+    d = 0
+    for i in range(n):
+        t[d] += x
+        d += n - i
+    prev = 1
+    for m in range(n, 2, -1):
+        p = t[0]
+        gi, gj = _PIVOT_FACTORS[m]
+        t = [(v * p - s * u) // prev for v, s, u in zip(t[m:], gi(t), gj(t))]
+        prev = p
+    det = (t[0] * t[2] - t[1] * t[1]) // prev
+    half = x >> 1
+    mask = x - 1
+    det += ((1 << (w * (n + 1))) - 1) // mask * half
+    return [((det >> s) & mask) - half for s in range(w * n, -1, -w)]
 
 
 def _slot_width(a: list[list[int]]) -> int:
@@ -453,24 +565,31 @@ def _ceil_isqrt(x: int) -> int:
     return r + (r * r < x)
 
 
-def _hadamard_modulus(a: list[list[int]]) -> int:
-    """The least power M of ``HESSENBERG_PRIME`` that exceeds 2B, with
-    B = prod(1 + |r_i|) over the Euclidean norms of the rows.
+def _coefficient_bound(a: list[list[int]]) -> int:
+    """Q = 4 prod f(s_i), an integer such that every M with M^2 > Q exceeds
+    2B, with B = prod(1 + |r_i|) over the Euclidean norms |r_i| of the rows,
+    s_i = |r_i|^2 and f(s) = 1 + s + ceil(sqrt(4s)).
 
     B bounds every |a_k|: a_k is +-(sum of the principal k-minors), each
     minor is at most the product of its rows' norms (Hadamard), so
-    |a_k| <= e_k(|r_1|, ..., |r_n|) <= B.  The test stays in integers.
-    With s = |r|^2 let f(s) = 1 + s + ceil(sqrt(4s)).  Then
-    f(s) >= 1 + s + 2 sqrt(s) = (1 + |r|)^2, so M^2 > 4 prod f(s_i) gives
-    M > 2B, and every a_k is its residue mod M lifted to (-M/2, M/2].  And
-    2 sqrt(s) <= 1 + s (AM-GM) with 1 + s an integer gives
-    ceil(sqrt(4s)) <= 1 + s, so f(s) <= 2(1 + s): no matrix needs a higher
-    power than under the per-row factor 2(1 + s).
+    |a_k| <= e_k(|r_1|, ..., |r_n|) <= B.  The test stays in integers:
+    f(s) >= 1 + s + 2 sqrt(s) = (1 + |r|)^2, so M^2 > Q = 4 prod f(s_i)
+    gives M > 2B.  And 2 sqrt(s) <= 1 + s (AM-GM) with 1 + s an integer
+    gives ceil(sqrt(4s)) <= 1 + s, so f(s) <= 2(1 + s): no matrix needs a
+    larger M than under the per-row factor 2(1 + s).
     """
     bound = 4
     for row in a:
-        s = sum(x * x for x in row)
+        s = sum([x * x for x in row])
         bound *= 1 + s + _ceil_isqrt(4 * s)
+    return bound
+
+
+def _hadamard_modulus(a: list[list[int]]) -> int:
+    """The least power M of ``HESSENBERG_PRIME`` with M^2 above
+    ``_coefficient_bound``, so M > 2|a_k| and every a_k is its residue
+    mod M lifted to (-M/2, M/2]."""
+    bound = _coefficient_bound(a)
     modulus = HESSENBERG_PRIME
     while modulus * modulus <= bound:
         modulus *= HESSENBERG_PRIME
@@ -555,10 +674,12 @@ def _symmetric_residues(res: list[int], modulus: int) -> list[int]:
 
 
 def char_poly(m: Sequence[Sequence[int]]) -> CharPoly:
-    """Exact coefficients of det(lambda*I - M): power traces on packed rows
-    below ``HESSENBERG_MIN_ORDER`` with slots of at most
-    ``POWER_TRACE_MAX_WIDTH`` bits, otherwise the Hessenberg kernel modulo a
-    Hadamard-bounded power of ``HESSENBERG_PRIME``."""
+    """Exact coefficients of det(lambda*I - M): for a symmetric M below
+    ``KRONECKER_MAX_ORDER`` the digits of one determinant at a power of two,
+    else power traces on packed rows below ``HESSENBERG_MIN_ORDER`` with
+    slots of at most ``_power_trace_max_width(n)`` bits, otherwise the
+    Hessenberg kernel modulo a Hadamard-bounded power of
+    ``HESSENBERG_PRIME``."""
     if any(len(row) != len(m) for row in m):
         raise LinalgError("matrix must be square")
     return CharPoly(tuple(_charpoly_rows(_as_rows(m))))

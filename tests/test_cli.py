@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
 import json
+import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sgn
 from sgn.cli import main
 from sgn.graph import MAX_VERTICES
 from sgn.linalg import nullity_rank
@@ -263,6 +266,21 @@ def test_method_disagreement_exits_3(monkeypatch, capsys):
 def test_console_entry_point():
     code, out, _ = run_cli(["charpoly", "cycle:n=4,s=1"])
     assert code == 0 and "x^4 - 4x^2 + 4" in out
+
+
+def test_package_runs_as_a_module_from_a_checkout():
+    # python -m sgn with nothing but the source tree on the path, exit codes
+    # passed through
+    env = {**os.environ, "PYTHONPATH": str(Path(sgn.__file__).resolve().parent.parent)}
+
+    def run(*args):
+        proc = subprocess.run([sys.executable, "-m", "sgn", *args], capture_output=True, text=True, env=env)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    code, out, _ = run("charpoly", "cycle:n=4,s=1")
+    assert code == 0 and "x^4 - 4x^2 + 4" in out
+    code, out, err = run("nullity", "cycle:n=two")
+    assert code == 1 and out == "" and err.startswith("error: ")
 
 
 def _limit_address_space():

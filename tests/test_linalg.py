@@ -316,6 +316,7 @@ def test_adjacency_matrix_refuses_graphs_above_the_ceiling():
 # -- modular Hessenberg kernel ------------------------------------------------
 
 N0 = linalg.HESSENBERG_MIN_ORDER
+K0 = linalg.KRONECKER_MAX_ORDER
 
 
 def _signed_rows(rng, n, p=0.3):
@@ -329,6 +330,22 @@ def _signed_rows(rng, n, p=0.3):
 
 def _integer_rows(rng, n, size=5):
     return [[rng.randint(-size, size) for _ in range(n)] for _ in range(n)]
+
+
+def _tree_rows(rng, n):
+    a = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        j = rng.randrange(i)
+        a[i][j] = a[j][i] = rng.choice((1, -1))
+    return a
+
+
+def _symmetric_integer_rows(rng, n, size=5):
+    a = _integer_rows(rng, n, size)
+    for i in range(n):
+        for j in range(i):
+            a[i][j] = a[j][i]
+    return a
 
 
 def _seeded_matrices(seed, sizes):
@@ -463,19 +480,38 @@ def test_modular_kernel_matches_power_traces_and_sympy(n):
         assert char_poly(a).coeffs == tuple(kernel)
 
 
+def _refuse(kernel):
+    def refuse(a, *_):
+        raise AssertionError(f"{kernel} was called at order {len(a)}")
+
+    return refuse
+
+
+def _around_width(n, w):
+    """Two non-symmetric matrices of order n >= 2, one with slot width at
+    most w and one with a wider slot: the only nonzero entry, row 0's last,
+    is the largest r with bit_length(r^n) + 1 <= w, then r + 1."""
+    r = 1 << -(-(w - 1) // n)
+    while r**n >= 1 << (w - 1):
+        r -= 1
+    pair = []
+    for x in (r, r + 1):
+        a = [[0] * n for _ in range(n)]
+        a[0][n - 1] = x
+        pair.append(a)
+    assert linalg._slot_width(pair[0]) <= w < linalg._slot_width(pair[1])
+    return pair
+
+
 def test_charpoly_kernel_is_chosen_by_order_and_slot_width(monkeypatch):
-    # the power-trace kernel holds n^2 w bits, w growing with n log R, so
-    # it must never run from HESSENBERG_MIN_ORDER on, nor with slots wider
-    # than POWER_TRACE_MAX_WIDTH, and the Hessenberg kernel never below both;
-    # dense and sparse matrices on both sides of the order, and integer
+    # three tiers, each refused outside its range: the Kronecker kernel only
+    # on symmetric matrices below KRONECKER_MAX_ORDER; the power-trace
+    # kernel, which holds n^2 w bits, w growing with n log R, never from
+    # HESSENBERG_MIN_ORDER on, nor with slots wider than
+    # _power_trace_max_width(n); the Hessenberg kernel never below both;
+    # dense and sparse matrices on both sides of each order, and integer
     # entries on both sides of the width (a 1 x 1 matrix [[x]] has w =
     # bit_length(|x|) + 1)
-    def _refuse(kernel):
-        def refuse(a, *_):
-            raise AssertionError(f"{kernel} was called at order {len(a)}")
-
-        return refuse
-
     rng = random.Random(53)
     wmax = linalg.POWER_TRACE_MAX_WIDTH
     below = [_signed_rows(rng, N0 - 1, p) for p in (0.1, 1.0)]
@@ -484,6 +520,29 @@ def test_charpoly_kernel_is_chosen_by_order_and_slot_width(monkeypatch):
     wide = [[[1 << (wmax - 1)]], _integer_rows(rng, 28), [[1 << 50] * 4 for _ in range(4)]]
     assert linalg._slot_width(below[1]) == wmax  # the signed K_34
     assert all(linalg._slot_width(a) > wmax for a in wide)
+    small = [_signed_rows(rng, K0 - 1, p) for p in (0.1, 1.0)] + [_symmetric_integer_rows(rng, K0 - 1)]
+    from_cut = [_signed_rows(rng, K0, p) for p in (0.1, 1.0)]
+    unsymmetric = [_integer_rows(rng, n) for n in (2, 7, K0 - 1)]
+    assert all(a != [list(col) for col in zip(*a)] for a in unsymmetric)
+    # the power-trace width cut at orders 2, 24, 26, 33 and 34
+    around = [_around_width(n, linalg._power_trace_max_width(n)) for n in (2, 24, 26, 33, N0 - 1)]
+    fits, too_wide = [pair[0] for pair in around], [pair[1] for pair in around]
+    kernels = {
+        "_charpoly_kronecker": "the Kronecker kernel",
+        "_charpoly_power_traces": "the power-trace kernel",
+        "_charpoly_modular": "the Hessenberg kernel",
+    }
+    for chosen, matrices in (
+        ("_charpoly_kronecker", small + narrow + wide[::2]),
+        ("_charpoly_power_traces", below + from_cut + unsymmetric + fits),
+        ("_charpoly_modular", at + wide[1:2] + too_wide),
+    ):
+        with monkeypatch.context() as m:
+            for name, kernel in kernels.items():
+                if name != chosen:
+                    m.setattr(linalg, name, _refuse(kernel))
+            for a in matrices:
+                assert char_poly(a).coeffs == _sympy_charpoly(a)
     with monkeypatch.context() as m:
         m.setattr(linalg, "_charpoly_modular", _refuse("the Hessenberg kernel"))
         for a in below + narrow:
@@ -493,6 +552,108 @@ def test_charpoly_kernel_is_chosen_by_order_and_slot_width(monkeypatch):
         assert char_poly(a).coeffs == _sympy_charpoly(a)
     with pytest.raises(AssertionError, match="power-trace kernel was called"):
         char_poly(below[0])
+
+
+def test_power_trace_width_cut_weighs_the_order(monkeypatch):
+    # entries uniform in [-5, 5] at orders 25 and 26 have w from 160 to 173,
+    # within POWER_TRACE_MAX_WIDTH, yet the power-trace kernel is the slower
+    # there, so they go to the Hessenberg kernel; every +-1 matrix below
+    # order 35 keeps the power-trace kernel, the signed K_n (the widest,
+    # R = n - 1) at every order from KRONECKER_MAX_ORDER to 34 among them
+    rng = random.Random(59)
+    wmax = linalg.POWER_TRACE_MAX_WIDTH
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_charpoly_power_traces", _refuse("the power-trace kernel"))
+        for n in (25, 26):
+            for _ in range(3):
+                a = _integer_rows(rng, n)
+                assert linalg._power_trace_max_width(n) < linalg._slot_width(a) <= wmax
+                assert char_poly(a).coeffs == _sympy_charpoly(a)
+    for n in range(N0):
+        assert (n - 1 if n > 1 else 1) ** n < 1 << (linalg._power_trace_max_width(n) - 1)
+    monkeypatch.setattr(linalg, "_charpoly_modular", _refuse("the Hessenberg kernel"))
+    for n in range(K0, N0):
+        a = _signed_rows(rng, n, 1.0)
+        assert linalg._slot_width(a) <= linalg._power_trace_max_width(n)
+        assert char_poly(a).coeffs == tuple(_power_traces(a))
+    assert linalg._slot_width(a) == wmax
+
+
+# -- Kronecker kernel ---------------------------------------------------------
+
+
+def _kronecker_width(a):
+    """The least w with 2^(2w) above the coefficient bound Q."""
+    q, w = linalg._coefficient_bound(a), 0
+    while 4**w <= q:
+        w += 1
+    return w
+
+
+def _kronecker_cases(rng, n):
+    """+-1 kinds (sparse, p = 0.3, complete, tree) and integer entries."""
+    yield _signed_rows(rng, n, 0.1)
+    yield _signed_rows(rng, n)
+    yield _signed_rows(rng, n, 1.0)
+    yield _tree_rows(rng, n)
+    yield _symmetric_integer_rows(rng, n)
+    yield _symmetric_integer_rows(rng, n, 1000)
+
+
+@pytest.mark.parametrize("n", range(K0))
+def test_kronecker_kernel_is_exact_at_every_order_below_its_cut(n):
+    rng = random.Random(100 + n)
+    cases = list(_kronecker_cases(rng, n))
+    if n == 1:
+        cases += [[[x]] for x in (1, -7, 1 << 100, -(1 << 100))]
+    for a in cases:
+        kernel = linalg._charpoly_kronecker(a, _kronecker_width(a))
+        assert kernel == _power_traces(a) == linalg._charpoly_modular(a)
+        assert tuple(kernel) == (_sympy_charpoly(a) if n else (1,))
+        assert linalg._charpoly_rows(a) == kernel
+
+
+def test_kronecker_proof_holds_on_every_case():
+    # the three steps of the docstring's proof, each checked in integers:
+    # X = 2^w exceeds sum |r_i| >= rho(A_k), every leading principal minor
+    # of X*I - A (the pivots) is positive, and X > 2|a_k|
+    rng = random.Random(61)
+    for n in range(1, K0):
+        for a in _kronecker_cases(rng, n):
+            x = 1 << _kronecker_width(a)
+            assert x > sum(linalg._ceil_isqrt(sum(v * v for v in row)) for row in a)
+            m = [[x * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(a)]
+            for k in range(1, n + 1):
+                assert _sympy_matrix([row[:k] for row in m[:k]]).det() > 0
+            assert x > 2 * max(abs(c) for c in _sympy_charpoly(a))
+
+
+def test_kronecker_width_one_bit_short_gives_a_wrong_answer():
+    # 10^3 I plus a path: |a_11| and |a_12| = det A lie above 2^119, so they
+    # need X = 2^121 and wrap at X = 2^120
+    n = 12
+    a = [[1000 if i == j else (1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
+    exact = list(_sympy_charpoly(a))
+    w = _kronecker_width(a)
+    assert w == 121 and linalg._charpoly_rows(a) == linalg._charpoly_kronecker(a, w) == exact
+    short = linalg._charpoly_kronecker(a, w - 1)
+    assert [k for k, (x, y) in enumerate(zip(short, exact)) if x != y] == [11, 12]
+
+
+def test_non_symmetric_matrices_never_reach_the_kronecker_kernel(monkeypatch):
+    rng = random.Random(67)
+    matrices = []
+    for n in range(2, K0):
+        a = _signed_rows(rng, n, 1.0)
+        a[0][n - 1] = -a[n - 1][0]  # one entry off the mirror
+        b = _integer_rows(rng, n)
+        b[0][1] = b[1][0] + 1
+        matrices += [a, b]
+    monkeypatch.setattr(linalg, "_charpoly_kronecker", _refuse("the Kronecker kernel"))
+    for a in matrices:
+        assert char_poly(a).coeffs == _sympy_charpoly(a)
+    with pytest.raises(AssertionError, match="Kronecker kernel was called"):
+        char_poly(_signed_rows(rng, 5))
 
 
 # -- certified modular rank ---------------------------------------------------
@@ -611,7 +772,8 @@ def test_twin_graph_is_certified_without_bareiss(monkeypatch):
 def test_kernels_match_sympy_where_they_switch():
     # rank on both sides of the Bareiss/certified crossover, with and without
     # twin rows (a non-empty kernel the certificate must prove), the charpoly
-    # on both sides of the power-trace/Hessenberg one, and both at n = 100
+    # on both sides of the Kronecker/power-trace and the power-trace/
+    # Hessenberg ones, and both at n = 100
     rng = random.Random(43)
     for n in (R0 - 1, R0, R0 + 1):
         for twins in (0, 3):
@@ -620,7 +782,7 @@ def test_kernels_match_sympy_where_they_switch():
             assert r == _sympy_matrix(a).rank() <= n - twins
             if n >= R0:
                 assert linalg._rank_certified(a) == r
-    for n in (N0 - 1, N0, N0 + 1):
+    for n in (K0 - 1, K0, N0 - 1, N0, N0 + 1):
         a = _signed_rows(rng, n)
         assert char_poly(a).coeffs == _sympy_charpoly(a)
     a = _signed_rows(rng, 100)
