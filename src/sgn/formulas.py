@@ -230,6 +230,12 @@ def is_max_nullity_extremal(g: SignedGraph) -> bool:
     balanced, _ = is_balanced(g)
     if balanced:
         raise GraphError("extremal test needs an unbalanced graph")
+    return _is_extremal_diamond(g)
+
+
+def _is_extremal_diamond(g: SignedGraph) -> bool:
+    """``is_max_nullity_extremal`` for a g already known to be connected,
+    bicyclic and unbalanced: the diamond with both triangles unbalanced."""
     if g.n != 4:
         return False
     cycles = find_cycles(g)

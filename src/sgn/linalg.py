@@ -14,11 +14,13 @@ it.  Any other matrix below order ``HESSENBERG_MIN_ORDER`` (35) gets it
 from the power traces tr(A^k) and Newton's identities, each row of A^k
 packed into one integer with slots wide enough for every entry, as long as
 those slots are at most ``_power_trace_max_width(n)`` bits wide (173 at
-order 34 and at or below 14, down to 153 at order 24).  Otherwise it comes
-from an O(n^3) Hessenberg reduction modulo the least power of the Mersenne
-prime 2^61 - 1 above 2B, so the symmetric residues are the exact
-coefficients.  The public matrix functions accept integer entries only,
-and the matrix routes refuse graphs above ``MAX_MATRIX_VERTICES`` vertices.
+or below order 14, down to 113 at order 20, up to 166 at order 34).
+Otherwise it comes from an O(n^3) Hessenberg reduction modulo the least
+power of two M with M^2 above the bound's integer test, so M > 2B and the
+symmetric residues are the exact coefficients; every reduction is a mask
+and every pivot's factors of 2 are its trailing zero bits.  The public
+matrix functions accept integer entries only, and the matrix routes refuse
+graphs above ``MAX_MATRIX_VERTICES`` vertices.
 A ``SignedGraph`` is validated when it is built, so the graph routes
 (``nullity_rank``, ``nullity_charpoly``) build its adjacency rows as lists
 once and hand them to the kernels without checking them again.
@@ -352,60 +354,70 @@ def nullity_rank(g: SignedGraph) -> int:
 #: the sparsest, whose power traces add few rows, where the two are even.
 KRONECKER_MAX_ORDER = 15
 
-#: Matrix order from which ``_charpoly_rows`` runs the modular Hessenberg
-#: kernel (measured crossover).  The power-trace kernel's time over the
-#: Hessenberg kernel's on signed adjacency matrices, summed over 12 graphs per
-#: cell (each the median of 7 runs), on a 2-core x86-64 host under Python 3.11:
+#: Matrix order from which ``_charpoly_rows`` runs the Hessenberg kernel
+#: (measured crossover).  The power-trace kernel's time over the Hessenberg
+#: kernel's on signed adjacency matrices, summed over 12 graphs per cell
+#: (each kernel's least of 5 runs, the two kernels alternating), on a 2-core
+#: x86-64 host under Python 3.11:
 #:
-#:     order                      24    30    34    35    36    40    48
-#:     p = 0.3 with 4 twin rows   0.31  0.34  0.34  0.35  0.37  0.43  0.62
-#:     p = 0.6                    0.42  0.48  0.53  0.58  0.63  0.86  0.92
-#:     complete signed K_n        0.51  0.74  0.93  1.05  1.07  1.46  1.56
-#:     mean degree 3              0.19  0.19  0.20  0.20  0.23  0.22  0.21
+#:     order                      24    30    32    34    35    36    40    48
+#:     p = 0.3 with 4 twin rows   0.39  0.47  0.48  0.52  0.56  0.54  0.69  1.00
+#:     p = 0.6                    0.58  0.78  0.82  0.92  0.95  0.96  1.32  1.60
+#:     complete signed K_n        0.77  1.20  1.29  1.36  1.54  1.58  2.06  2.69
+#:     mean degree 3              0.23  0.24  0.25  0.25  0.26  0.28  0.29  0.28
 #:
-#: Up to 34 the power-trace kernel is the faster on every kind.  The order
-#: also bounds its memory, n^2 w bits of packed rows: at most 25 KB for a
-#: +-1 matrix of order 34 (w <= bit_length(33^34) + 1 = 173).
+#: No order parts the kinds: the densest, whose slots are the widest of any
+#: +-1 matrix, is the slower on power traces from order 30 on, and the
+#: sparsest is the faster at every order measured.  So below 35 the slot
+#: width decides (``_power_trace_max_width`` sends K_32 to K_34 to the
+#: Hessenberg kernel; K_30 and K_31 still fit), and from 35 on every kind
+#: goes to the Hessenberg kernel.  The order bounds the power-trace kernel's
+#: memory, n^2 w bits of packed rows: at most 24 KB at order 34 (w <= 166).
 HESSENBERG_MIN_ORDER = 35
 
 #: Widest slot, in bits, with which ``_charpoly_rows`` runs the power-trace
-#: kernel at order 34: that of a signed K_34, bit_length(33^34) + 1.  Every
-#: +-1 matrix below order 35 has w <= bit_length((n-1)^n) + 1, within
-#: ``_power_trace_max_width(n)``, and keeps the power-trace kernel, which
-#: the table above ``HESSENBERG_MIN_ORDER`` times.
+#: kernel at and below order 14.  There it is the faster at every width
+#: measured, up to w = 239 at order 4, 485 at 8 and 731 at 12 (entries up to
+#: +-2^58, 5 non-symmetric matrices per cell), and even with the Hessenberg
+#: kernel at w = 268 to 857 at order 14.
 POWER_TRACE_MAX_WIDTH = 173
 
 #: Order at which ``_power_trace_max_width`` is narrowest (measured).  The
 #: power-trace kernel's cost grows with n and w, and with entries beyond +-1,
 #: which cost a multiplication where +-1 costs an add.  Its time over the
 #: Hessenberg kernel's on matrices with entries uniform in [-k, k] (k = 1:
-#: the signed K_n), summed over 6 per cell (each the median of 7 runs; the
-#: mean of two such sums), on the same host, with the median w of each cell:
+#: the signed K_n), summed over 6 per cell (each kernel's least of 5 runs,
+#: the two alternating), on the same host, with the median w of each cell:
 #:
 #:     order   k = 1       k = 2       k = 3       k = 5       k = 9
-#:     20       86  0.51   101  0.62   109  0.54   123  0.66   140  0.75
-#:     22       98  0.58   112  0.54   123  0.68   139  0.75   156  0.87
-#:     24      110  0.49   126  0.69   137  0.65   154  0.95   174  1.00
-#:     25      116  0.49   131  0.84   145  0.79   163  1.15   181  1.03
-#:     26      122  0.61   139  0.77   152  0.95   169  1.21   191  1.00
-#:     28      135  0.69   152  0.88   167  0.95   185  1.24   207  1.08
-#:     30      147  0.75   165  0.86   182  1.23   202  1.23   226  1.31
-#:     32      160  0.91   180  1.08   196  1.33   216  1.29   242  1.26
-#:     34      173  0.91   193  1.42   211  1.39   233  1.54   261  1.80
+#:     14       53  0.46    62  0.58    70  0.65    81  0.75    92  0.73
+#:     16       64  0.53    75  0.65    82  0.77    94  0.74   106  0.87
+#:     18       75  0.59    87  0.74    96  0.83   107  0.93   123  1.03
+#:     20       86  0.65   100  0.83   109  0.94   123  1.11   139  1.03
+#:     22       98  0.77   113  0.92   122  1.03   138  1.23   155  1.32
+#:     24      110  0.77   125  1.03   137  1.22   153  1.39   172  1.59
+#:     26      122  0.93   137  1.17   152  1.22   170  1.64   190  1.58
+#:     28      135  1.03   152  1.38   164  1.50   184  1.78   205  1.93
+#:     30      147  1.13   165  1.31   180  1.76   199  1.91   225  2.19
+#:     32      160  1.48   179  1.52   194  1.99   215  2.16   241  2.48
+#:     34      173  1.32   193  1.90   211  2.09   233  2.64   259  2.88
 #:
-#: The widest slot that still pays is narrowest near order 24 and widens on
-#: both sides: above it only +-1 entries keep paying, and below order 20
-#: every cell measured paid (0.39 to 0.66 at orders 14 to 18 in this grid,
-#: and 0.46 to 0.87 at w = 142 to 175 with entries up to +-257).
-POWER_TRACE_DIP_ORDER = 24
+#: The widest slot that still pays falls fast above order 14 (at 16, w = 119
+#: pays and 183 does not) to about 110 bits at order 20, and widens slowly
+#: above it, where +-1 matrices sparser than K_n keep paying at wider slots
+#: (w = 146 at 30 and 161 at 34, p = 0.8 and 0.6) than wider entries.
+POWER_TRACE_DIP_ORDER = 20
 
 
 def _power_trace_max_width(n: int) -> int:
     """Widest slot with which ``_charpoly_rows`` runs the power-trace kernel
-    at order n: ``POWER_TRACE_MAX_WIDTH`` less 2 (10 - |n - 24|) bits within
-    10 orders of ``POWER_TRACE_DIP_ORDER`` = 24, so 153 bits at order 24,
-    157 at 22 and 26, and 173 at 34 and at or below 14."""
-    return POWER_TRACE_MAX_WIDTH - 2 * max(0, 10 - abs(n - POWER_TRACE_DIP_ORDER))
+    at order n: the larger of 173 - 10 (n - 14), capped at
+    ``POWER_TRACE_MAX_WIDTH`` = 173 at and below order 14, and
+    110 + 4 (n - 20), ``POWER_TRACE_DIP_ORDER`` = 20.  So 153 bits at order
+    16, 113 at 20, 126 at 24, 142 at 28, 150 at 30 and 166 at 34: every +-1
+    matrix keeps the power-trace kernel up to order 31, and all but the
+    densest up to 34."""
+    return max(POWER_TRACE_MAX_WIDTH - 10 * max(0, n - 14), 110 + 4 * (n - POWER_TRACE_DIP_ORDER))
 
 
 def _charpoly_rows(a: list[list[int]]) -> list[int]:
@@ -413,12 +425,12 @@ def _charpoly_rows(a: list[list[int]]) -> list[int]:
     lists: one Kronecker-substituted determinant for a symmetric matrix
     below ``KRONECKER_MAX_ORDER``, else power traces below
     ``HESSENBERG_MIN_ORDER`` while the slot width is at most
-    ``_power_trace_max_width(n)``, else the exact modular Hessenberg
-    kernel."""
+    ``_power_trace_max_width(n)``, else the exact Hessenberg kernel modulo
+    2^k.  The Kronecker width w and the Hessenberg exponent k are one
+    number, ``_half_width(a)``."""
     n = len(a)
     if n < KRONECKER_MAX_ORDER and list(map(list, zip(*a))) == a:
-        # the least w with 2^(2w) > Q, that is 2w >= bit_length(Q)
-        return _charpoly_kronecker(a, (_coefficient_bound(a).bit_length() + 1) // 2)
+        return _charpoly_kronecker(a, _half_width(a))
     if n < HESSENBERG_MIN_ORDER:
         w = _slot_width(a)
         if w <= _power_trace_max_width(n):
@@ -548,12 +560,6 @@ def _charpoly_power_traces(a: list[list[int]], w: int) -> list[int]:
     return coeffs
 
 
-#: Prime of the Hessenberg kernel's modulus, the Mersenne prime 2^61 - 1
-#: (Lucas-Lehmer).  The modulus is a power of it, so every nonzero residue is
-#: a power of this prime times a unit.
-HESSENBERG_PRIME = (1 << 61) - 1
-
-
 def _ceil_isqrt(x: int) -> int:
     """The least integer c >= 0 with c^2 >= x, for an integer x >= 0."""
     if x < 2:
@@ -563,6 +569,11 @@ def _ceil_isqrt(x: int) -> int:
     while (y := (r + x // r) // 2) < r:
         r = y
     return r + (r * r < x)
+
+
+#: f(s) = 1 + s + ceil(sqrt(4s)), the row factor of ``_coefficient_bound``,
+#: for every squared row norm s below 256 (a +-1 row of up to 255 nonzeros).
+_ROW_FACTORS = tuple(1 + s + _ceil_isqrt(4 * s) for s in range(256))
 
 
 def _coefficient_bound(a: list[list[int]]) -> int:
@@ -581,52 +592,59 @@ def _coefficient_bound(a: list[list[int]]) -> int:
     bound = 4
     for row in a:
         s = sum([x * x for x in row])
-        bound *= 1 + s + _ceil_isqrt(4 * s)
+        bound *= _ROW_FACTORS[s] if s < 256 else 1 + s + _ceil_isqrt(4 * s)
     return bound
 
 
-def _hadamard_modulus(a: list[list[int]]) -> int:
-    """The least power M of ``HESSENBERG_PRIME`` with M^2 above
-    ``_coefficient_bound``, so M > 2|a_k| and every a_k is its residue
-    mod M lifted to (-M/2, M/2]."""
-    bound = _coefficient_bound(a)
-    modulus = HESSENBERG_PRIME
-    while modulus * modulus <= bound:
-        modulus *= HESSENBERG_PRIME
-    return modulus
+def _half_width(a: list[list[int]]) -> int:
+    """The least k with 2^(2k) > Q = ``_coefficient_bound(a)``, that is
+    2k >= bit_length(Q): M = 2^k exceeds 2|a_k| for every coefficient."""
+    return (_coefficient_bound(a).bit_length() + 1) // 2
 
 
-def _hessenberg_mod(a: list[list[int]], modulus: int) -> list[int]:
-    """Residues of a_0..a_n modulo ``modulus``, a power of ``HESSENBERG_PRIME``.
+def _hessenberg_mod(a: list[list[int]], k: int) -> list[int]:
+    """Residues of a_0..a_n modulo M = 2^k, each in [0, M).
 
     Reduces A to upper Hessenberg form H by similarity steps over Z/MZ: at
-    column c the pivot, the entry P^e w (w a unit) with the fewest factors
-    of P, is moved to row c + 1; each lower entry is P^f z with f >= e, so
-    row i loses u_i = (h_ic / P^e) w^-1 times the pivot row, and column
-    c + 1 gains u_i times column i (Cohen, Alg. 2.2.9).  The reduction
-    never meets a pivot it cannot divide by.  Then p_0 = 1 and p_{k+1} =
-    (x - h_kk) p_k - sum_{i<k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_i gives
-    det(x*I - H) in O(n^3) ring operations.
+    column c the pivot, the entry 2^e w (w odd, so a unit) with the fewest
+    factors of 2, read off its lowest set bit, is moved to row c + 1; each
+    lower entry is 2^f z with f >= e, so row i loses u_i = (h_ic >> e) w^-1
+    times the pivot row, and column c + 1 gains u_i times column i (Cohen,
+    Alg. 2.2.9, over Z/p^kZ with p = 2).  Every reduction mod M is ``& mask``.
+    Then p_0 = 1 and p_{j+1} = (x - h_jj) p_j - sum_{i<j} h_ij (h_{i+1,i}
+    ... h_{j,j-1}) p_i gives det(x*I - H) in O(n^3) ring operations.
+
+    Exactness, for 2k >= bit_length(``_coefficient_bound(a)``)
+    (``_half_width``):
+    - M^2 > Q gives M > 2B >= 2|a_j| for every coefficient, so each a_j is
+      the one integer in (-M/2, M/2] of its residue class, which
+      ``_symmetric_residues`` returns.
+    - The reduction cannot fail: every entry below the pivot, and the pivot
+      itself, is divisible by 2^e, so h_ic >> e is exact and u_i 2^e w
+      = h_ic mod M; column c is cleared below row c + 1.
+    - Each step is H -> L H L^-1 with L a permutation or unit-triangular
+      (ones on the diagonal), invertible over any Z/MZ, so det(x*I - H)
+      = det(x*I - A) = phi(x) mod M.
+    No floating point enters.
     """
     n = len(a)
-    h = [[x % modulus for x in row] for row in a]
+    modulus = 1 << k
+    mask = modulus - 1
+    h = [[x & mask for x in row] for row in a]
     for m in range(1, n - 1):
         c = m - 1
         piv = None
         for i in range(m, n):
-            x, e = h[i][c], 0
+            x = h[i][c]
             if x:
-                while not x % HESSENBERG_PRIME:
-                    x //= HESSENBERG_PRIME
-                    e += 1
+                e = (x & -x).bit_length() - 1
                 if piv is None or e < fewest:
-                    piv, fewest, unit = i, e, x
+                    piv, fewest = i, e
                     if not e:
                         break
         if piv is None:
             continue
-        inv = pow(unit, -1, modulus)
-        scale = HESSENBERG_PRIME**fewest
+        inv = pow(h[piv][c] >> fewest, -1, modulus)
         if piv != m:
             h[m], h[piv] = h[piv], h[m]
             for row in h:
@@ -635,37 +653,37 @@ def _hessenberg_mod(a: list[list[int]], modulus: int) -> list[int]:
         us = []
         for i in range(m + 1, n):
             row = h[i]
-            u = row[c] // scale * inv % modulus
+            u = (row[c] >> fewest) * inv & mask
             us.append(u)
             if u:
                 row[c] = 0
-                row[m:] = [(x - u * y) % modulus for x, y in zip(row[m:], tail)]
+                row[m:] = [(x - u * y) & mask for x, y in zip(row[m:], tail)]
         if any(us):
             for row in h:
-                row[m] = (row[m] + sum([u * x for u, x in zip(us, row[m + 1:])])) % modulus
-    # characteristic polynomials of the leading k x k blocks, lowest degree first
+                row[m] = (row[m] + sum([u * x for u, x in zip(us, row[m + 1:])])) & mask
+    # characteristic polynomials of the leading j x j blocks, lowest degree first
     polys = [[1]]
-    for k in range(n):
+    for j in range(n):
         prev = polys[-1]
-        hkk = h[k][k]
+        hjj = h[j][j]
         new = [0] + prev
-        new[:k + 1] = [x - hkk * y for x, y in zip(new, prev)]
+        new[:j + 1] = [x - hjj * y for x, y in zip(new, prev)]
         t = 1
-        for i in range(k - 1, -1, -1):
-            t = t * h[i + 1][i] % modulus
+        for i in range(j - 1, -1, -1):
+            t = t * h[i + 1][i] & mask
             if not t:
                 break
-            s = h[i][k] * t % modulus
+            s = h[i][j] * t & mask
             if s:
                 new[:i + 1] = [x - s * y for x, y in zip(new, polys[i])]
-        polys.append([x % modulus for x in new])
+        polys.append([x & mask for x in new])
     return polys[-1][::-1]
 
 
 def _charpoly_modular(a: list[list[int]]) -> list[int]:
-    """Exact a_0..a_n from the Hessenberg kernel modulo ``_hadamard_modulus``."""
-    modulus = _hadamard_modulus(a)
-    return _symmetric_residues(_hessenberg_mod(a, modulus), modulus)
+    """Exact a_0..a_n from the Hessenberg kernel modulo 2^``_half_width(a)``."""
+    k = _half_width(a)
+    return _symmetric_residues(_hessenberg_mod(a, k), 1 << k)
 
 
 def _symmetric_residues(res: list[int], modulus: int) -> list[int]:
@@ -678,8 +696,7 @@ def char_poly(m: Sequence[Sequence[int]]) -> CharPoly:
     ``KRONECKER_MAX_ORDER`` the digits of one determinant at a power of two,
     else power traces on packed rows below ``HESSENBERG_MIN_ORDER`` with
     slots of at most ``_power_trace_max_width(n)`` bits, otherwise the
-    Hessenberg kernel modulo a Hadamard-bounded power of
-    ``HESSENBERG_PRIME``."""
+    Hessenberg kernel modulo a Hadamard-bounded power of two."""
     if any(len(row) != len(m) for row in m):
         raise LinalgError("matrix must be square")
     return CharPoly(tuple(_charpoly_rows(_as_rows(m))))

@@ -355,9 +355,6 @@ def _seeded_matrices(seed, sizes):
         yield _integer_rows(rng, n)
 
 
-P = linalg.HESSENBERG_PRIME
-
-
 def _row_factor(s):
     # f(s) = 1 + s + ceil(sqrt(4s)), at least (1 + sqrt(s))^2
     c = math.isqrt(4 * s)
@@ -382,39 +379,44 @@ def test_row_factor_bounds_the_squared_row_term():
         assert c * c >= x > (c - 1) ** 2
 
 
+def test_row_factor_table_leaves_the_bound_unchanged():
+    # the table holds f(s) for every s it covers, and the bound it gives
+    # equals 4 prod f(s_i) on corpus, dense and integer rows, with s_i on
+    # both sides of the table's end
+    assert len(linalg._ROW_FACTORS) == 256
+    assert list(linalg._ROW_FACTORS) == [_row_factor(s) for s in range(256)]
+    rng = random.Random(71)
+    matrices = [adjacency_matrix(g) for g in list(iter_signed_corpus(6))[::50]]
+    matrices += [_signed_rows(rng, n) for n in (30, 60, 90, 200)]
+    matrices += [_signed_rows(rng, n, 1.0) for n in (255, 256, 257, 300)]
+    matrices += [_integer_rows(rng, n, size) for n in (5, 12, 40) for size in (5, 9, 1000)]
+    matrices += [[[15, 5, 1], [16, 0, 0], [1, 0, 0]], [[0] * 3 for _ in range(3)]]  # s = 251, 256, 1, 0
+    for a in matrices:
+        assert linalg._coefficient_bound(a) == _hadamard_square(a)
+
+
 def test_modulus_is_never_above_the_former_bound():
-    # the former test M^2 > 4 prod 2(1 + |r_i|^2)
+    # the former test M^2 > 4 prod 2(1 + |r_i|^2), M a power of two
     for a in _seeded_matrices(11, [1, 2, 12, 30, 60]):
         former = 4 * math.prod(2 * (1 + sum(x * x for x in row)) for row in a)
-        m = P
-        while m * m <= former:
-            m *= P
-        assert linalg._hadamard_modulus(a) <= m
-
-
-def test_hessenberg_prime_is_the_mersenne_prime_2_61_minus_1():
-    # Lucas-Lehmer: for an odd prime q, 2^q - 1 is prime iff s_{q-2} = 0,
-    # with s_0 = 4 and s_{i+1} = s_i^2 - 2 mod 2^q - 1
-    q = 61
-    assert P == 2**q - 1 and all(q % d for d in range(2, q))
-    s = 4
-    for _ in range(q - 2):
-        s = (s * s - 2) % P
-    assert s == 0
+        k = 0
+        while 4**k <= former:
+            k += 1
+        assert linalg._half_width(a) <= k
 
 
 def test_modulus_is_the_least_power_of_the_prime_above_the_bound():
+    # M = 2^k with 2^(2k) > Q >= 2^(2k - 2), also for even entries and the
+    # zero matrix (Q = 4, so k = 2)
     rng = random.Random(5)
     matrices = list(_seeded_matrices(7, [1, 2, 12, 30, 60]))
-    matrices += [[[P * x for x in row] for row in _integer_rows(rng, n)] for n in (12, 20)]
+    matrices += [[[2**j * x for x in row] for row in _integer_rows(rng, n)] for n, j in ((12, 1), (20, 3))]
     matrices += [[[0] * 12 for _ in range(12)]]
     for a in matrices:
-        m, k = linalg._hadamard_modulus(a), 0
-        while m % P == 0:
-            m, k = m // P, k + 1
-        assert m == 1 and k >= 1
+        k = linalg._half_width(a)
         bound = _hadamard_square(a)
-        assert P ** (2 * k) > bound >= P ** (2 * k - 2)
+        assert 2 ** (2 * k) > bound >= 2 ** (2 * k - 2)
+    assert linalg._half_width(matrices[-1]) == 2
 
 
 def test_hadamard_bound_covers_every_coefficient():
@@ -423,30 +425,37 @@ def test_hadamard_bound_covers_every_coefficient():
     for a in _seeded_matrices(3, [1, 2, 3, 5, 8, 13, 21, 30]):
         biggest = max(abs(c) for c in _sympy_charpoly(a))
         assert biggest <= math.prod(1 + math.isqrt(sum(x * x for x in row)) for row in a)
-        assert linalg._hadamard_modulus(a) > 2 * biggest
+        assert 1 << linalg._half_width(a) > 2 * biggest
 
 
 def test_modulus_below_twice_the_coefficients_gives_a_wrong_answer():
-    # a_12 of 10^3 * I is 10^36, far beyond half of the 61-bit prime
+    # 10^3 I plus a path: |a_12| = det A lies above 2^119, so it needs
+    # M = 2^121 and wraps at M = 2^120, one bit short
     n = 12
     a = [[1000 if i == j else (1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
     exact = list(_sympy_charpoly(a))
-    assert 2 * max(abs(c) for c in exact) > P
-    assert linalg._symmetric_residues(linalg._hessenberg_mod(a, P), P) != exact
-    m = linalg._hadamard_modulus(a)
-    assert m > P and linalg._symmetric_residues(linalg._hessenberg_mod(a, m), m) == exact
+    k = linalg._half_width(a)
+    assert k == 121 and linalg._charpoly_modular(a) == exact
+    assert linalg._symmetric_residues(linalg._hessenberg_mod(a, k), 1 << k) == exact
+    short = linalg._symmetric_residues(linalg._hessenberg_mod(a, k - 1), 1 << (k - 1))
+    assert [j for j, (x, y) in enumerate(zip(short, exact)) if x != y] == [12]
 
 
 def _positive_valuation_matrices(rng, n):
-    """Matrices whose entries are multiples of P, so that pivots are not units."""
-    # P times a small integer matrix: every pivot carries exactly one factor
-    yield [[P * x for x in row] for row in _integer_rows(rng, n)]
-    # P B + I: units on the diagonal only, every subdiagonal pivot a multiple
-    yield [[P * x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(_integer_rows(rng, n))]
-    # P and P^2 multiples mixed, P^2 ones often first in a column: the pivot
-    # must be the entry with the fewest factors, not the first nonzero one
-    yield [[rng.choice((0, P, -P, P * P, P * P, -P * P)) for _ in range(n)] for _ in range(n)]
-    yield [[P ** rng.randint(1, 3) * rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    """Matrices with even entries, so that pivots are not units mod 2^k."""
+    # 2 B: every pivot carries at least one factor
+    yield [[2 * x for x in row] for row in _integer_rows(rng, n)]
+    # 2 B + I: units on the diagonal only, every subdiagonal pivot even
+    yield [[2 * x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(_integer_rows(rng, n))]
+    # multiples of 2, 4 and 8 mixed, a multiple of 4 first in every column
+    # and of 2 last: the pivot must be the entry with the fewest factors,
+    # not the first nonzero one
+    a = [[rng.choice((0, 2, -2, 4, -4, 8, -8)) for _ in range(n)] for _ in range(n)]
+    for c in range(n - 2):
+        a[c + 1][c] = rng.choice((4, -4, 12))
+        a[n - 1][c] = rng.choice((2, -2, 6))
+    yield a
+    yield [[2 ** rng.randint(1, 3) * rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
 
 
 def _lone_entry_fixture(n, p):
@@ -460,10 +469,11 @@ def _lone_entry_fixture(n, p):
 
 @pytest.mark.parametrize("n", [12, 16, 20])
 def test_kernel_is_exact_when_pivots_carry_factors_of_the_prime(n):
+    # the prime of the modulus is 2: even pivots take the non-unit path
     rng = random.Random(n)
     matrices = list(_positive_valuation_matrices(rng, n))
-    # a lone pivot that is a unit (the prime 2^62 - 57) and one that is P
-    matrices += [_lone_entry_fixture(n, (1 << 62) - 57), _lone_entry_fixture(n, P)]
+    # a lone pivot that is a unit (the odd prime 2^62 - 57) and one that is 2
+    matrices += [_lone_entry_fixture(n, (1 << 62) - 57), _lone_entry_fixture(n, 2)]
     for a in matrices:
         kernel = linalg._charpoly_modular(a)
         assert kernel == _power_traces(a)
@@ -518,12 +528,16 @@ def test_charpoly_kernel_is_chosen_by_order_and_slot_width(monkeypatch):
     at = [_signed_rows(rng, N0, p) for p in (0.1, 1.0)]
     narrow = [[[(1 << (wmax - 1)) - 1]], [[1 - (1 << (wmax - 1))]]]
     wide = [[[1 << (wmax - 1)]], _integer_rows(rng, 28), [[1 << 50] * 4 for _ in range(4)]]
-    assert linalg._slot_width(below[1]) == wmax  # the signed K_34
     assert all(linalg._slot_width(a) > wmax for a in wide)
     small = [_signed_rows(rng, K0 - 1, p) for p in (0.1, 1.0)] + [_symmetric_integer_rows(rng, K0 - 1)]
     from_cut = [_signed_rows(rng, K0, p) for p in (0.1, 1.0)]
     unsymmetric = [_integer_rows(rng, n) for n in (2, 7, K0 - 1)]
     assert all(a != [list(col) for col in zip(*a)] for a in unsymmetric)
+    # the signed K_31 fills its order's cap; the signed K_32 and K_34 do not fit
+    densest = [_signed_rows(rng, 32, 1.0), below.pop()]
+    below.append(_signed_rows(rng, 31, 1.0))
+    assert linalg._slot_width(below[1]) == linalg._power_trace_max_width(31)
+    assert all(linalg._slot_width(a) > linalg._power_trace_max_width(len(a)) for a in densest)
     # the power-trace width cut at orders 2, 24, 26, 33 and 34
     around = [_around_width(n, linalg._power_trace_max_width(n)) for n in (2, 24, 26, 33, N0 - 1)]
     fits, too_wide = [pair[0] for pair in around], [pair[1] for pair in around]
@@ -535,7 +549,7 @@ def test_charpoly_kernel_is_chosen_by_order_and_slot_width(monkeypatch):
     for chosen, matrices in (
         ("_charpoly_kronecker", small + narrow + wide[::2]),
         ("_charpoly_power_traces", below + from_cut + unsymmetric + fits),
-        ("_charpoly_modular", at + wide[1:2] + too_wide),
+        ("_charpoly_modular", at + wide[1:2] + too_wide + densest),
     ):
         with monkeypatch.context() as m:
             for name, kernel in kernels.items():
@@ -548,35 +562,63 @@ def test_charpoly_kernel_is_chosen_by_order_and_slot_width(monkeypatch):
         for a in below + narrow:
             assert char_poly(a).coeffs == _sympy_charpoly(a)
     monkeypatch.setattr(linalg, "_charpoly_power_traces", _refuse("the power-trace kernel"))
-    for a in at + wide:
+    for a in at + wide + densest:
         assert char_poly(a).coeffs == _sympy_charpoly(a)
     with pytest.raises(AssertionError, match="power-trace kernel was called"):
         char_poly(below[0])
 
 
 def test_power_trace_width_cut_weighs_the_order(monkeypatch):
-    # entries uniform in [-5, 5] at orders 25 and 26 have w from 160 to 173,
-    # within POWER_TRACE_MAX_WIDTH, yet the power-trace kernel is the slower
-    # there, so they go to the Hessenberg kernel; every +-1 matrix below
-    # order 35 keeps the power-trace kernel, the signed K_n (the widest,
-    # R = n - 1) at every order from KRONECKER_MAX_ORDER to 34 among them
+    # entries uniform in [-5, 5] at orders 25 and 26 have w from 160 to 173
+    # and at orders 20 and 22 from 120 to 140, within POWER_TRACE_MAX_WIDTH,
+    # yet the power-trace kernel is the slower there, so they go to the
+    # Hessenberg kernel; every +-1 matrix below order 32 keeps the
+    # power-trace kernel, the signed K_n (the widest, R = n - 1) at every
+    # order from KRONECKER_MAX_ORDER to 31 among them, and the signed K_32,
+    # K_33 and K_34, slower there, take the Hessenberg kernel
     rng = random.Random(59)
     wmax = linalg.POWER_TRACE_MAX_WIDTH
     with monkeypatch.context() as m:
         m.setattr(linalg, "_charpoly_power_traces", _refuse("the power-trace kernel"))
-        for n in (25, 26):
+        for n in (25, 26, 20, 22):
             for _ in range(3):
                 a = _integer_rows(rng, n)
                 assert linalg._power_trace_max_width(n) < linalg._slot_width(a) <= wmax
                 assert char_poly(a).coeffs == _sympy_charpoly(a)
-    for n in range(N0):
+        for n in range(32, N0):
+            a = _signed_rows(rng, n, 1.0)
+            assert linalg._slot_width(a) > linalg._power_trace_max_width(n)
+            assert char_poly(a).coeffs == _sympy_charpoly(a)
+    for n in range(32):
         assert (n - 1 if n > 1 else 1) ** n < 1 << (linalg._power_trace_max_width(n) - 1)
     monkeypatch.setattr(linalg, "_charpoly_modular", _refuse("the Hessenberg kernel"))
-    for n in range(K0, N0):
+    for n in range(K0, 32):
         a = _signed_rows(rng, n, 1.0)
         assert linalg._slot_width(a) <= linalg._power_trace_max_width(n)
         assert char_poly(a).coeffs == tuple(_power_traces(a))
-    assert linalg._slot_width(a) == wmax
+    assert linalg._slot_width(a) == linalg._power_trace_max_width(31)
+
+
+def test_dense_benchmark_shapes_keep_their_kernels(monkeypatch):
+    # p = 0.3 +-1 graphs with twin vertices, the shapes of the dense
+    # benchmark's charpoly jobs: order 30 stays on power traces, orders 60
+    # and 90 take the Hessenberg kernel, so a crossover move cannot shift
+    # them to another kernel unnoticed
+    rng = random.Random(73)
+    kernels = {
+        "_charpoly_kronecker": "the Kronecker kernel",
+        "_charpoly_power_traces": "the power-trace kernel",
+        "_charpoly_modular": "the Hessenberg kernel",
+    }
+    for chosen, orders in (("_charpoly_power_traces", (30, 30, 30)), ("_charpoly_modular", (60, 90))):
+        with monkeypatch.context() as m:
+            for name, kernel in kernels.items():
+                if name != chosen:
+                    m.setattr(linalg, name, _refuse(kernel))
+            for n in orders:
+                k = rng.randint(1, 4)
+                g = _graph_of(_add_twins(rng, _signed_rows(rng, n - k), k))
+                assert nullity_charpoly(g) == nullity_rank(g) >= k
 
 
 # -- Kronecker kernel ---------------------------------------------------------

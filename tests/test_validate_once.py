@@ -23,9 +23,10 @@ from sgn.enumeration import (
     random_tree_attached_bicyclic,
     signed_graphs_mod_switching,
 )
-from sgn import linalg
+from sgn import formulas, linalg
 from sgn.families import parse_family_spec
 from sgn.graph import (
+    GraphError,
     SignedGraph,
     _induced,
     _induced_plan,
@@ -164,6 +165,25 @@ def test_corpus_sweeps_validate_each_atlas_graph_once(monkeypatch, theorem_id):
     counter = _CountingInit(monkeypatch)
     assert verify_theorem(theorem_id, n_max=5).cases_checked > 0
     assert counter.calls == len(connected_graphs_upto_iso(5))
+
+
+def test_bicyclic_sweep_skips_the_extremal_tests_hypothesis_checks(monkeypatch):
+    # lem5.2's graphs are connected and bicyclic by construction and
+    # unbalanced by the skipped first class, so the sweep tests them for the
+    # diamond without the public function's three checks, which still raise
+    def refuse(*args):
+        raise AssertionError("a hypothesis check ran")
+
+    with monkeypatch.context() as m:
+        for name in ("components", "is_balanced"):
+            m.setattr(formulas, name, refuse)
+        report = verify_theorem("lem5.2", n_max=5)
+    assert report.passed and report.cases_checked == 633
+    for g, message in ((SignedGraph(5, [(0, 1, 1), (2, 3, 1)]), "connected"),
+                       (SignedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]), "bicyclic"),
+                       (SignedGraph(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1), (3, 0, 1)]), "unbalanced")):
+        with pytest.raises(GraphError, match=f"extremal test needs an? {message} graph"):
+            formulas.is_max_nullity_extremal(g)
 
 
 def test_matrix_routes_build_the_rows_once_and_check_nothing(monkeypatch):
