@@ -5,8 +5,9 @@ adjacency matrix.  This package computes it by
 
   1. exact integer rank (fraction-free elimination):  n - rank(A),
   2. the characteristic polynomial (traces of the powers of A and Newton's
-     identities over exact integers below order 35, a Hessenberg reduction
-     modulo a Hadamard-bounded prime power from there on): the number of
+     identities over exact integers below order 57 while their packed rows
+     stay narrow, a Hessenberg reduction modulo a Hadamard-bounded power of
+     two otherwise): the number of
      trailing zero coefficients,
   3. basic-figure enumeration: each vertex-disjoint union of edges and
      cycles covering i vertices contributes (-1)^(p+s) * 2^c to the

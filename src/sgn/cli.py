@@ -50,17 +50,20 @@ EXIT_INTERNAL = 3
 
 def load_graph(source: str) -> SignedGraph:
     """Resolve a CLI graph argument: '-' for stdin, an existing file, or a
-    spec string."""
+    spec string.  Stdin and files are decoded alike, as UTF-8 with
+    ``surrogateescape``: a byte that is not UTF-8 reaches the parser, which
+    names its line, whatever the locale."""
     if source == "-":
-        return parse_edge_list(sys.stdin.read())
-    if ":" in source and not os.path.isfile(source):
+        data = sys.stdin.buffer.read()
+    elif ":" in source and not os.path.isfile(source):
         return parse_family_spec(source)
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {source!r}: {exc}")
-    return parse_edge_list(text)
+    else:
+        try:
+            with open(source, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read {source!r}: {exc}")
+    return parse_edge_list(data.decode("utf-8", "surrogateescape"))
 
 
 def cmd_nullity(args) -> int:

@@ -10,11 +10,11 @@ Hadamard bound B on every coefficient.  A symmetric matrix below
 order ``KRONECKER_MAX_ORDER`` (15) gets it from one integer, det(X*I - A)
 at a power of two X > 2B, whose signed base-X digits are the coefficients
 (Kronecker substitution); a pivot-free fraction-free elimination computes
-it.  Any other matrix below order ``HESSENBERG_MIN_ORDER`` (35) gets it
+it.  Any other matrix below order ``HESSENBERG_MIN_ORDER`` (57) gets it
 from the power traces tr(A^k) and Newton's identities, each row of A^k
 packed into one integer with slots wide enough for every entry, as long as
 those slots are at most ``_power_trace_max_width(n)`` bits wide (173 at
-or below order 14, down to 113 at order 20, up to 166 at order 34).
+or below order 14, down to 113 at order 20, up to 254 at order 56).
 Otherwise it comes from an O(n^3) Hessenberg reduction modulo the least
 power of two M with M^2 above the bound's integer test, so M > 2B and the
 symmetric residues are the exact coefficients; every reduction is a mask
@@ -358,22 +358,54 @@ KRONECKER_MAX_ORDER = 15
 #: (measured crossover).  The power-trace kernel's time over the Hessenberg
 #: kernel's on signed adjacency matrices, summed over 12 graphs per cell
 #: (each kernel's least of 5 runs, the two kernels alternating), on a 2-core
-#: x86-64 host under Python 3.11:
+#: x86-64 host under Python 3.11 (orders 24 to 34 and 35 to 56 timed apart):
 #:
-#:     order                      24    30    32    34    35    36    40    48
-#:     p = 0.3 with 4 twin rows   0.39  0.47  0.48  0.52  0.56  0.54  0.69  1.00
-#:     p = 0.6                    0.58  0.78  0.82  0.92  0.95  0.96  1.32  1.60
-#:     complete signed K_n        0.77  1.20  1.29  1.36  1.54  1.58  2.06  2.69
-#:     mean degree 3              0.23  0.24  0.25  0.25  0.26  0.28  0.29  0.28
+#:     order                     24    30    32    34    35    36    38    40
+#:     p = 0.3 with 4 twin rows  0.39  0.47  0.48  0.52  0.55  0.57  0.65  0.71
+#:     p = 0.6                   0.58  0.78  0.82  0.92  0.98  0.86  0.96  1.24
+#:     complete signed K_n       0.77  1.20  1.29  1.36  1.43  1.49  1.70  2.10
+#:     mean degree 3             0.23  0.24  0.25  0.25  0.28  0.26  0.28  0.26
+#:
+#:     order                     42    44    46    48    50    52    54    56
+#:     p = 0.3 with 4 twin rows  0.67  0.81  0.83  0.95  0.99  0.97  1.10  1.22
+#:     p = 0.6                   1.34  1.45  1.37  1.62  1.71  1.87  2.01  1.97
+#:     complete signed K_n       1.97  2.23  2.44  2.72  2.25  2.96  3.07  3.49
+#:     mean degree 3             0.26  0.29  0.27  0.29  0.29  0.30  0.30  0.31
 #:
 #: No order parts the kinds: the densest, whose slots are the widest of any
 #: +-1 matrix, is the slower on power traces from order 30 on, and the
-#: sparsest is the faster at every order measured.  So below 35 the slot
-#: width decides (``_power_trace_max_width`` sends K_32 to K_34 to the
-#: Hessenberg kernel; K_30 and K_31 still fit), and from 35 on every kind
-#: goes to the Hessenberg kernel.  The order bounds the power-trace kernel's
-#: memory, n^2 w bits of packed rows: at most 24 KB at order 34 (w <= 166).
-HESSENBERG_MIN_ORDER = 35
+#: sparsest is the faster at every order measured, about 3.5 times up to 56.
+#: The slot width parts them.  The same ratio over only the matrices with w
+#: at most ``_power_trace_max_width(n)``, the ones it sends to power traces,
+#: summed over up to 8 per cell (fitted of drawn), and over up to 6 per cell
+#: for sparse matrices whose nonzero entries are +-1 to +-k:
+#:
+#:     order                 35        38        42        44        46
+#:     p = 0.3 + 4 twins     0.52 8/8  0.64 8/8  0.65 8/8  0.85 8/8  0.86 8/8
+#:     p = 0.45              0.67 8/8  0.77 8/8  0.97 8/16 1.08 8/17 1.18 1/60
+#:     p = 0.6               0.89 8/9  1.02 8/38 - 0/60    - 0/60    - 0/60
+#:     mean degree 3         0.26 8/8  0.29 8/8  0.24 8/8  0.26 8/8  0.26 8/8
+#:
+#:     order                 48        49        50        52        54        56
+#:     p = 0.3 + 4 twins     0.91 8/10 1.01 8/9  1.01 8/12 0.96 8/15 1.03 8/15 0.99 3/60
+#:     mean degree 3         0.28 8/8  0.25 8/8  0.30 8/8  0.30 8/8  0.32 8/8  0.32 8/8
+#:
+#:     order                 36        44        48        52        56
+#:     mean degree 3, k = 5  0.38 6/9  0.49 6/9  0.46 6/8  0.51 6/11 0.54 6/23
+#:     mean degree 6, k = 3  0.53 6/6  0.67 6/8  0.58 6/8  0.65 6/17 0.68 6/25
+#:     p = 0.2, k = 2        0.48 6/6  0.79 6/6  0.81 6/9  0.83 6/54 0.89 1/60
+#:     mean degree 10, k = 1 0.47 6/6  0.58 6/6  0.65 6/6  0.66 6/6  0.67 6/6
+#:
+#: p = 0.45 and 0.6 stop fitting by order 48.  Every kind that fits gains
+#: or is even up to 56, the last order measured, but for the p = 0.45
+#: matrices that still fit at 44 and 46 (1.08 and 1.18: width alone does
+#: not part them), and the sparse kinds gain the most.  So below 57 the
+#: slot width decides (``_power_trace_max_width`` sends the signed K_32 and
+#: every K_n above it to the Hessenberg kernel; K_30 and K_31 still fit),
+#: and from 57 on every kind goes to the Hessenberg kernel.  The order
+#: bounds the power-trace kernel's memory, n^2 w bits of packed rows: at
+#: most 100 KB at order 56 (w <= 254).
+HESSENBERG_MIN_ORDER = 57
 
 #: Widest slot, in bits, with which ``_charpoly_rows`` runs the power-trace
 #: kernel at and below order 14.  There it is the faster at every width
@@ -414,9 +446,9 @@ def _power_trace_max_width(n: int) -> int:
     at order n: the larger of 173 - 10 (n - 14), capped at
     ``POWER_TRACE_MAX_WIDTH`` = 173 at and below order 14, and
     110 + 4 (n - 20), ``POWER_TRACE_DIP_ORDER`` = 20.  So 153 bits at order
-    16, 113 at 20, 126 at 24, 142 at 28, 150 at 30 and 166 at 34: every +-1
-    matrix keeps the power-trace kernel up to order 31, and all but the
-    densest up to 34."""
+    16, 113 at 20, 126 at 24, 142 at 28, 150 at 30, 166 at 34 and 254 at
+    56: every +-1 matrix keeps the power-trace kernel up to order 31, and
+    the sparser ones up to 56."""
     return max(POWER_TRACE_MAX_WIDTH - 10 * max(0, n - 14), 110 + 4 * (n - POWER_TRACE_DIP_ORDER))
 
 

@@ -154,6 +154,24 @@ def test_parse_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+NOT_UTF8 = b"3 1\n0 1 \xff\n"
+NOT_UTF8_ERROR = "error: line 2: edge fields must be integers, got '0 1 \\udcff'\n"
+
+
+@pytest.mark.parametrize("args", [["nullity"], ["charpoly"], ["equiv", "path:n=3"]])
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, args):
+    # a file is decoded as stdin is, so its bad byte reaches the parser
+    # and both name its line
+    path = tmp_path / "bad.txt"
+    path.write_bytes(NOT_UTF8)
+    proc = subprocess.run([sys.executable, "-m", "sgn.cli", *args, str(path)], capture_output=True)
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert proc.stderr.decode() == NOT_UTF8_ERROR
+    from_stdin = subprocess.run([sys.executable, "-m", "sgn.cli", *args, "-"], input=NOT_UTF8,
+                                capture_output=True)
+    assert from_stdin.returncode == 1 and from_stdin.stderr == proc.stderr
+
+
 def test_generate_rejects_repeated_spec_keys(capsys):
     assert main(["generate", "cycle:n=4,n=5"]) == 1
     captured = capsys.readouterr()

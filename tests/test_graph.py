@@ -1,10 +1,12 @@
 """Signed-graph model: parsing, structure queries, switching, balance."""
 
 import itertools
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sgn import (
@@ -26,6 +28,7 @@ from sgn import (
     to_json,
 )
 from sgn.families import gen_cycle, gen_infinity, gen_path, gen_star
+from sgn.graph import _parse_columns, _parse_lines
 
 
 # -- hypothesis strategy ----------------------------------------------------
@@ -91,6 +94,136 @@ def test_parse_errors_name_the_line(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_edge_list(text)
     assert fragment in str(err.value)
+
+
+# -- the column parser against the line scan --------------------------------
+
+#: Line breaks that str.splitlines honours, and runs of whitespace that
+#: str.split honours, ASCII and not.
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028")
+FIELD_GAPS = (" ", "\t", " \t ", "\xa0", "\u3000", "\x1f")
+#: Lines both parsers skip: blank ones and comments, some indented.
+SKIPPED_LINES = ("", "   ", "\t", "# a comment", "  # 0 1 1", "#", "\u3000#x y")
+NON_INTEGERS = ("x", "1.0", "1__0", "0x1", "\u00bd", "--1")
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+MUTATIONS = ("drop field", "extra field", "non-integer", "out of range", "loop",
+             "bad sign", "duplicate", "count mismatch", "negative header")
+
+
+def _spell(draw, x):
+    """An integer as int() reads it: plain, with '+', leading zeros, an
+    underscore between two digits, or Arabic-Indic digits."""
+    digits = str(abs(x))
+    style = draw(st.sampled_from(("plain", "plus", "zeros", "underscore", "arabic-indic")))
+    if style == "zeros":
+        digits = "00" + digits
+    elif style == "underscore" and len(digits) > 1:
+        cut = draw(st.integers(1, len(digits) - 1))
+        digits = digits[:cut] + "_" + digits[cut:]
+    elif style == "arabic-indic":
+        digits = digits.translate(ARABIC_INDIC)
+    if x < 0:
+        return "-" + digits
+    return "+" + digits if style == "plus" else digits
+
+
+def _mutate(draw, rows, kind):
+    """Apply one mutation to the header-then-edges rows of fields, in place."""
+    n = rows[0][0]
+    edges = range(1, len(rows))
+    if kind in ("drop field", "extra field", "non-integer"):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        at = draw(st.integers(0, len(row) - 1))
+        if kind == "drop field":
+            del row[at]
+        elif kind == "extra field":
+            row.insert(at, draw(st.integers(-2, n + 2)))
+        else:
+            row[at] = draw(st.sampled_from(NON_INTEGERS))
+    elif kind == "count mismatch":
+        rows[0][1] += draw(st.sampled_from((-2, -1, 1, 2)))
+    elif kind == "negative header":
+        rows[0][draw(st.integers(0, 1))] = draw(st.sampled_from((-1, -7)))
+    else:
+        assume(edges)
+        row = rows[draw(st.sampled_from(edges))]
+        if kind == "out of range":
+            row[draw(st.integers(0, 1))] = draw(st.sampled_from((-1, n, n + 5)))
+        elif kind == "loop":
+            row[1] = row[0]
+        elif kind == "bad sign":
+            row[2] = draw(st.sampled_from((0, 2, -2)))
+        else:
+            u, v, s = row
+            twin = [u, v, -s] if draw(st.booleans()) else [v, u, s]
+            rows.insert(draw(st.integers(1, len(rows))), twin)
+            if draw(st.booleans()):
+                rows[0][1] += 1
+
+
+@st.composite
+def edge_list_texts(draw):
+    """An edge list with shuffled lines, edges in either orientation, every
+    kind of line break, gap and integer spelling, blank and comment lines,
+    and at most one mutation."""
+    g = draw(signed_graphs(max_n=14))
+    edges = [[v, u, s] if draw(st.booleans()) else [u, v, s] for u, v, s in g.edges]
+    rows = [[g.n, g.m]] + draw(st.permutations(edges))
+    kind = draw(st.sampled_from((None,) + MUTATIONS))
+    if kind is not None:
+        _mutate(draw, rows, kind)
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(SKIPPED_LINES), max_size=2))
+        gap = draw(st.sampled_from(FIELD_GAPS))
+        fields = gap.join(_spell(draw, x) if isinstance(x, int) else x for x in row)
+        lines.append(draw(st.sampled_from(("", " ", "\u2003"))) + fields + draw(st.sampled_from(("", "\t"))))
+    lines += draw(st.lists(st.sampled_from(SKIPPED_LINES), max_size=2))
+    text = "".join(line + draw(st.sampled_from(LINE_BREAKS)) for line in lines)
+    return text[: draw(st.sampled_from((len(text), len(text.rstrip()))))]
+
+
+@given(edge_list_texts())
+@settings(max_examples=400)
+def test_column_parser_matches_the_line_scan(text):
+    # the column parser accepts exactly the texts the line scan accepts, and
+    # the line scan names the error of every other one
+    try:
+        want = _parse_lines(text)
+    except ParseError as exc:
+        assert _parse_columns(text) is None
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == str(exc)
+    else:
+        assert _parse_columns(text) == want == parse_edge_list(text)
+
+
+def test_column_parser_keeps_the_first_error_of_the_line_scan():
+    # two faults: the first line's error wins in both parsers, and a count
+    # mismatch is reported before a duplicate
+    for text, message in (
+        ("3 2\n0 3 1\n1 1 1\n", "line 2: vertex out of range 0..2 in '0 3 1'"),
+        ("3 2\n0 1 1\n1 0 1\n2 0 1\n", "header announced 2 edges but 3 were given"),
+        ("3 2\r\n# c\r\n2 1 1\r\n1 2 -1\r\n", "line 4: duplicate edge (1,2), first at line 3"),
+    ):
+        assert _parse_columns(text) is None
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_edge_list(text)
+
+
+def test_a_long_comment_is_never_tokenized():
+    # 10^7 bytes of short words on one comment line: split into words they
+    # would take some 20 times the text's size
+    text = "# " + "ab " * 3_333_333 + "\n2 1\n1 0 -1\n"
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edges == ((0, 1, -1),)
+    assert peak < 3 * len(text)
 
 
 def test_constructor_rejects_bad_edges():

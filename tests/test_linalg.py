@@ -533,12 +533,12 @@ def test_charpoly_kernel_is_chosen_by_order_and_slot_width(monkeypatch):
     from_cut = [_signed_rows(rng, K0, p) for p in (0.1, 1.0)]
     unsymmetric = [_integer_rows(rng, n) for n in (2, 7, K0 - 1)]
     assert all(a != [list(col) for col in zip(*a)] for a in unsymmetric)
-    # the signed K_31 fills its order's cap; the signed K_32 and K_34 do not fit
+    # the signed K_31 fills its order's cap; the signed K_32 and K_56 do not fit
     densest = [_signed_rows(rng, 32, 1.0), below.pop()]
     below.append(_signed_rows(rng, 31, 1.0))
     assert linalg._slot_width(below[1]) == linalg._power_trace_max_width(31)
     assert all(linalg._slot_width(a) > linalg._power_trace_max_width(len(a)) for a in densest)
-    # the power-trace width cut at orders 2, 24, 26, 33 and 34
+    # the power-trace width cut at orders 2, 24, 26, 33 and 56
     around = [_around_width(n, linalg._power_trace_max_width(n)) for n in (2, 24, 26, 33, N0 - 1)]
     fits, too_wide = [pair[0] for pair in around], [pair[1] for pair in around]
     kernels = {
@@ -574,8 +574,8 @@ def test_power_trace_width_cut_weighs_the_order(monkeypatch):
     # yet the power-trace kernel is the slower there, so they go to the
     # Hessenberg kernel; every +-1 matrix below order 32 keeps the
     # power-trace kernel, the signed K_n (the widest, R = n - 1) at every
-    # order from KRONECKER_MAX_ORDER to 31 among them, and the signed K_32,
-    # K_33 and K_34, slower there, take the Hessenberg kernel
+    # order from KRONECKER_MAX_ORDER to 31 among them, and the signed K_32
+    # to K_56, slower there, take the Hessenberg kernel
     rng = random.Random(59)
     wmax = linalg.POWER_TRACE_MAX_WIDTH
     with monkeypatch.context() as m:
@@ -597,6 +597,27 @@ def test_power_trace_width_cut_weighs_the_order(monkeypatch):
         assert linalg._slot_width(a) <= linalg._power_trace_max_width(n)
         assert char_poly(a).coeffs == tuple(_power_traces(a))
     assert linalg._slot_width(a) == linalg._power_trace_max_width(31)
+
+
+def test_slot_width_alone_routes_from_order_35_to_the_hessenberg_order(monkeypatch):
+    # from order 35 to HESSENBERG_MIN_ORDER - 1 the width line goes on:
+    # sparse matrices, +-1 and with entries up to +-3, and p = 0.3 graphs
+    # with twin rows fit it and take the power-trace kernel; p = 0.6 and
+    # the signed K_n do not and take the Hessenberg kernel
+    rng = random.Random(89)
+    fit, wide = [], []
+    for n in (35, 40, 48, N0 - 1):
+        sparse = _signed_rows(rng, n, 3 / (n - 1))
+        fit += [sparse, [[x * rng.randint(1, 3) for x in row] for row in sparse]]
+        wide.append(_signed_rows(rng, n, 0.6 if n > 35 else 1.0))
+    fit += [_add_twins(rng, _signed_rows(rng, n - 4), 4) for n in (35, 42, 48)]
+    assert all(linalg._slot_width(a) <= linalg._power_trace_max_width(len(a)) for a in fit)
+    assert all(linalg._slot_width(a) > linalg._power_trace_max_width(len(a)) for a in wide)
+    for refused, matrices in (("_charpoly_modular", fit), ("_charpoly_power_traces", wide)):
+        with monkeypatch.context() as m:
+            m.setattr(linalg, refused, _refuse(refused))
+            for a in matrices:
+                assert char_poly(a).coeffs == _sympy_charpoly(a)
 
 
 def test_dense_benchmark_shapes_keep_their_kernels(monkeypatch):
