@@ -481,7 +481,7 @@ def test_kernel_is_exact_when_pivots_carry_factors_of_the_prime(n):
         assert linalg._charpoly_rows(a) == kernel
 
 
-@pytest.mark.parametrize("n", [N0 - 1, N0, N0 + 1, 40])
+@pytest.mark.parametrize("n", [34, 35, 36, 40, N0 - 1, N0, N0 + 1])
 def test_modular_kernel_matches_power_traces_and_sympy(n):
     for a in _seeded_matrices(n, [n]):
         kernel = linalg._charpoly_modular(a)
