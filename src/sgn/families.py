@@ -4,9 +4,12 @@ the figure graphs G1..G8 / H1..H13, and nullity-set realizers.
 Negative edges are always placed at canonical positions (the first edges of
 a cycle or path); correctness under repositioning is covered by switching
 invariance, which the verification suites test separately.  Realizers
-re-check their own output against the exact rank oracle before returning, so
-a mis-transcribed construction fails loudly instead of producing a wrong
-witness.
+re-check their own output with the structural route before returning, so a
+mis-transcribed construction fails loudly instead of producing a wrong
+witness.  Their outputs are bicyclic (c = 2), which pendant peeling and the
+closed forms decide with no matrix, so the check holds at every order up to
+the adjacency-list ceiling; the set sweeps check every witness against the
+rank oracle on top.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import inspect
 
 from .graph import MAX_VERTICES, GraphError, SignedGraph, find_cycles, is_connected
-from .linalg import nullity_rank
+from .reduction import nullity_structural
 
 
 class InternalError(RuntimeError):
@@ -375,7 +378,7 @@ def realize_nullity(class_name: str, n: int, k: int) -> SignedGraph:
     The construction follows the class's case split (k = 0 from an exact
     infinity-formula instance or the theta chain G5, maximal k from G1/G3/G6,
     intermediate k from G2/G4/G7/G8 chosen by the parity of n - k).  The
-    output is re-verified with the rank oracle before being returned.
+    output is re-verified with the structural route before being returned.
     """
     if class_name not in _CLASS_RANGES:
         raise GraphError(
@@ -415,7 +418,7 @@ def realize_nullity(class_name: str, n: int, k: int) -> SignedGraph:
         g = _fig_G7(n, k)
     else:
         g = _fig_G8(n, k)
-    got = nullity_rank(g)
+    got, _ = nullity_structural(g)
     if got != k:
         raise InternalError(
             f"realize_nullity({class_name}, n={n}, k={k}) built a graph with "

@@ -32,6 +32,7 @@ import operator
 import sys
 from array import array
 from dataclasses import dataclass
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .graph import SignedGraph
@@ -191,12 +192,6 @@ RECONSTRUCTION_BOUND = 127
 _SLOT = (1 << 64) - 1
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def _reconstruct(x: int) -> tuple[int, int] | None:
     """(a, b) with a = b x (mod ``RANK_PRIME``), |a| <= N, 0 < b <= N and
     gcd(a, b) = 1, for N = ``RECONSTRUCTION_BOUND``; None if there is none.
@@ -211,7 +206,7 @@ def _reconstruct(x: int) -> tuple[int, int] | None:
         t0, t1 = t1, t0 - q * t1
     if t1 < 0:
         r1, t1 = -r1, -t1
-    if t1 > RECONSTRUCTION_BOUND or _gcd(r1, t1) != 1:
+    if t1 > RECONSTRUCTION_BOUND or gcd(r1, t1) != 1:
         return None
     return r1, t1
 
@@ -292,7 +287,7 @@ def _rank_certified(rows: Sequence[Sequence[int]]) -> int | None:
             if frac is None:
                 return None
             fracs.append((t, frac))
-            den = den * frac[1] // _gcd(den, frac[1])
+            den = lcm(den, frac[1])
         product = [0] * len(rows)
         for t, (a, b) in fracs:
             yt = a * (den // b)
@@ -592,20 +587,15 @@ def _charpoly_power_traces(a: list[list[int]], w: int) -> list[int]:
     return coeffs
 
 
-def _ceil_isqrt(x: int) -> int:
-    """The least integer c >= 0 with c^2 >= x, for an integer x >= 0."""
-    if x < 2:
-        return x
-    # Newton's iteration from above descends to floor(sqrt(x)) and stops
-    r = 1 << ((x.bit_length() + 1) // 2)
-    while (y := (r + x // r) // 2) < r:
-        r = y
-    return r + (r * r < x)
+def _row_factor(s: int) -> int:
+    """f(s) = 1 + s + ceil(sqrt(4s)) for an integer s >= 0, where
+    ceil(sqrt(x)) = isqrt(x - 1) + 1 for x >= 1."""
+    return 2 + s + isqrt(4 * s - 1) if s else 1
 
 
-#: f(s) = 1 + s + ceil(sqrt(4s)), the row factor of ``_coefficient_bound``,
-#: for every squared row norm s below 256 (a +-1 row of up to 255 nonzeros).
-_ROW_FACTORS = tuple(1 + s + _ceil_isqrt(4 * s) for s in range(256))
+#: f(s), the row factor of ``_coefficient_bound``, for every squared row
+#: norm s below 256 (a +-1 row of up to 255 nonzeros).
+_ROW_FACTORS = tuple(map(_row_factor, range(256)))
 
 
 def _coefficient_bound(a: list[list[int]]) -> int:
@@ -624,7 +614,7 @@ def _coefficient_bound(a: list[list[int]]) -> int:
     bound = 4
     for row in a:
         s = sum([x * x for x in row])
-        bound *= _ROW_FACTORS[s] if s < 256 else 1 + s + _ceil_isqrt(4 * s)
+        bound *= _ROW_FACTORS[s] if s < 256 else _row_factor(s)
     return bound
 
 

@@ -6,17 +6,29 @@ returns a VerificationReport whose failure records embed full edge lists so
 each counterexample is replayable.  Runs are deterministic: enumeration
 orders are fixed and all randomness is seeded.
 
-The cut-point and pendant sweeps do their sign-independent work once per
-underlying graph: a plan lists each cut point with the components of G - v
-(or each pendant pair), and each part G_i, G_i + v or G - {v, u} as an
-edge-index map that every switching class signs from its own sign vector.
-Each part memoizes its nullity by its tuple of edge signs, so a signed part
-is ranked once per underlying graph; the memo goes with the plan when the
-sweep moves to the next graph, and nothing is kept between sweeps.  The
-bicyclic sweep ``lem5.2`` skips the first switching class, the only
-balanced one, instead of testing each class for balance, and tests the
-rest for the extremal diamond without re-checking that they are connected,
-bicyclic and unbalanced.
+A sweep states its grid and its rule; one driver per kind of check does the
+rest.  ``_run`` counts the cases and collects the failures.  ``_outcome``
+builds every record of an equality check: the case's parameters, then
+``expected`` (the oracle or the theorem's prediction), then ``got``.
+``_closed_form`` runs the path, cycle, infinity and theta formulas against
+the rank oracle; ``_corpus_cases`` runs the cut-point and pendant rules over
+the corpus, ranking each signed graph once; ``_verify_set`` builds a
+realizer per (n, k), ranks it and checks it as a witness, counting a
+construction error as a failed case.  The bicyclic bound ``lem5.2``, the
+sampled bounds and ``set.bicyclic``'s witness rule are not equality checks
+and write their own records.
+
+The corpus driver does its sign-independent work once per underlying graph:
+a plan lists each cut point with the components of G - v (or each pendant
+pair), and each part G_i, G_i + v or G - {v, u} as an edge-index map that
+every switching class signs from its own sign vector.  Each part memoizes
+its nullity by its tuple of edge signs, so a signed part is ranked once per
+underlying graph; the memo goes with the plan when the sweep moves to the
+next graph, and nothing is kept between sweeps.  The bicyclic sweep
+``lem5.2`` skips the first switching class, the only balanced one, instead
+of testing each class for balance, and tests the rest for the extremal
+diamond without re-checking that they are connected, bicyclic and
+unbalanced.
 """
 
 from __future__ import annotations
@@ -129,6 +141,19 @@ def _run(theorem_id: str, grid: str, cases) -> VerificationReport:
     return VerificationReport(theorem_id, grid, count, failures, time.perf_counter() - t0)
 
 
+def _outcome(fields: dict, expected, got):
+    """None when ``got`` equals ``expected``, else the failure record:
+    ``fields``, then ``expected``, then ``got``."""
+    return None if got == expected else dict(fields, expected=expected, got=got)
+
+
+def _closed_form(points, build, formula):
+    """Cases of a closed form: per parameter dict of ``points``, the rank
+    oracle on ``build(**params)`` against ``formula(**params)``."""
+    for params in points:
+        yield _outcome(params, nullity_rank(build(**params)), formula(**params))
+
+
 # -- coefficient theorem ---------------------------------------------------
 
 
@@ -155,25 +180,16 @@ def verify_cor21(n_max: int = 6, samples: int = 500, seed: int = DEFAULT_SEED) -
                             neg |= 1 << i
                     got = figures._eval_profile(profile, neg)
                     want = _charpoly_rows(rows)
-                    yield None if got == want else dict(
-                        case="exhaustive",
-                        n=n,
-                        edges=[[u, v, s] for (u, v), s in zip(edges, signs)],
-                        expected=want,
-                        got=got,
+                    # the hot loop builds the edge list only on a mismatch
+                    yield None if got == want else _outcome(
+                        dict(case="exhaustive", n=n, edges=[[u, v, s] for (u, v), s in zip(edges, signs)]), want, got
                     )
         rng = random.Random(seed)
         for _ in range(samples):
             g = random_signed_graph(rng, rng.randint(7, 10), edge_prob=0.4)
             want = char_poly(adjacency_matrix(g))
             got = figures.char_poly_figures(g)
-            yield None if got == want else dict(
-                case="random",
-                n=g.n,
-                edges=_edge_list(g),
-                expected=list(want.coeffs),
-                got=list(got.coeffs),
-            )
+            yield _outcome(dict(case="random", n=g.n, edges=_edge_list(g)), list(want.coeffs), list(got.coeffs))
 
     grid = (
         f"all labeled connected graphs n<={n_max} x switching classes; "
@@ -186,24 +202,13 @@ def verify_cor21(n_max: int = 6, samples: int = 500, seed: int = DEFAULT_SEED) -
 
 
 def verify_thm22(n_max: int = 20) -> VerificationReport:
-    def cases():
-        for n in range(3, n_max + 1):
-            for s in (0, 1):
-                want = nullity_rank(gen_cycle(n, s))
-                got = nullity_cycle(n, s)
-                yield None if got == want else dict(n=n, s=s, expected=want, got=got)
-
-    return _run("thm2.2", f"cycles n in [3,{n_max}], s in {{0,1}}", cases())
+    points = (dict(n=n, s=s) for n in range(3, n_max + 1) for s in (0, 1))
+    return _run("thm2.2", f"cycles n in [3,{n_max}], s in {{0,1}}", _closed_form(points, gen_cycle, nullity_cycle))
 
 
 def verify_prop21(n_max: int = 20) -> VerificationReport:
-    def cases():
-        for n in range(1, n_max + 1):
-            want = nullity_rank(gen_path(n))
-            got = nullity_path(n)
-            yield None if got == want else dict(n=n, expected=want, got=got)
-
-    return _run("prop2.1", f"paths n in [1,{n_max}]", cases())
+    points = (dict(n=n) for n in range(1, n_max + 1))
+    return _run("prop2.1", f"paths n in [1,{n_max}]", _closed_form(points, gen_path, nullity_path))
 
 
 # -- component additivity ----------------------------------------------------
@@ -216,7 +221,7 @@ def verify_lem31(samples: int = 500, seed: int = DEFAULT_SEED) -> VerificationRe
             g = random_signed_graph(rng, rng.randint(2, 10), edge_prob=0.25)
             whole = nullity_rank(g)
             split = sum(nullity_rank(comp) for comp, _ in components(g))
-            yield None if whole == split else dict(n=g.n, edges=_edge_list(g), expected=whole, got=split)
+            yield _outcome(dict(n=g.n, edges=_edge_list(g)), whole, split)
 
     grid = f"{samples} random signed graphs n<=10, possibly disconnected (seed {seed})"
     return _run("lem3.1", grid, cases())
@@ -282,55 +287,49 @@ def _cutpoint_plan(g: SignedGraph):
     ]
 
 
-def _cutpoint_cases(n_max: int, rule):
-    """Outer loop shared by the two cut-point rules.
-
-    For every cut-point v of every corpus graph G, ``rule(g, signs, parts)``
-    yields ``(index, predicted eta(G))`` for each component of G - v that
-    satisfies the rule's hypothesis; ``parts`` is v's entry of
-    ``_cutpoint_plan``.
-    """
-    for g, signs, plan in _corpus_by_graph(n_max, _cutpoint_plan):
+def _corpus_cases(n_max: int, plan, check):
+    """Cases of a rule over the corpus: for every switching class G whose
+    ``plan`` is non-empty, eta(G) is ranked once and ``check(g, eta_g,
+    signs, entry)`` yields ``(fields, expected, got)`` per case of each plan
+    entry.  Each record starts with G's ``n`` and ``edges``."""
+    for g, signs, found in _corpus_by_graph(n_max, plan):
         eta_g = nullity_rank(g)
-        for v, parts in plan:
-            for idx, want in rule(g, signs, parts):
-                yield None if eta_g == want else dict(
-                    n=g.n,
-                    edges=_edge_list(g),
-                    cut_point=v,
-                    component=idx,
-                    expected=want,
-                    got=eta_g,
-                )
+        graph = dict(n=g.n, edges=_edge_list(g))
+        for entry in found:
+            for fields, expected, got in check(g, eta_g, signs, entry):
+                yield _outcome(dict(graph, **fields), expected, got)
+
+
+_CUTPOINT_GRID = "iso-class connected corpus n<={} x switching classes, all qualifying (g, v, component) triples"
 
 
 def verify_thm31(n_max: int = 7) -> VerificationReport:
     """Decrement rule: wherever eta(G_i) = eta(G_i + v) + 1 at a cut-point v,
     eta(G) = sum eta(G_j) - 1, over the exhaustive n <= n_max corpus."""
 
-    def decrement(g, signs, parts):
+    def decrement(g, eta_g, signs, entry):
+        v, parts = entry
         etas = [comp.nullity(signs) for _, comp, _ in parts]
         for idx, (_, _, plus_v) in enumerate(parts):
             if etas[idx] == plus_v.nullity(signs) + 1:
-                yield idx, sum(etas) - 1
+                yield dict(cut_point=v, component=idx), sum(etas) - 1, eta_g
 
-    grid = f"iso-class connected corpus n<={n_max} x switching classes, all qualifying (g, v, component) triples"
-    return _run("thm3.1", grid, _cutpoint_cases(n_max, decrement))
+    return _run("thm3.1", _CUTPOINT_GRID.format(n_max), _corpus_cases(n_max, _cutpoint_plan, decrement))
 
 
 def verify_thm32(n_max: int = 7) -> VerificationReport:
     """Split rule: wherever eta(G_i) = eta(G_i + v) - 1 at a cut-point v,
     eta(G) = eta(G_i) + eta(G - G_i), over the exhaustive n <= n_max corpus."""
 
-    def split(g, signs, parts):
+    def split(g, eta_g, signs, entry):
+        v, parts = entry
         for idx, (original, comp, plus_v) in enumerate(parts):
             eta_i = comp.nullity(signs)
             if eta_i == plus_v.nullity(signs) - 1:
                 rest, _ = delete_vertices(g, original)
-                yield idx, eta_i + nullity_rank(rest)
+                yield dict(cut_point=v, component=idx), eta_i + nullity_rank(rest), eta_g
 
-    grid = f"iso-class connected corpus n<={n_max} x switching classes, all qualifying (g, v, component) triples"
-    return _run("thm3.2", grid, _cutpoint_cases(n_max, split))
+    return _run("thm3.2", _CUTPOINT_GRID.format(n_max), _corpus_cases(n_max, _cutpoint_plan, split))
 
 
 def _pendant_plan(g: SignedGraph):
@@ -345,22 +344,12 @@ def verify_pendant(n_max: int = 7) -> VerificationReport:
     """Deleting any pendant vertex together with its neighbor keeps the
     nullity, over the exhaustive n <= n_max corpus."""
 
-    def cases():
-        for g, signs, plan in _corpus_by_graph(n_max, _pendant_plan):
-            eta_g = nullity_rank(g)
-            for v, u, reduced in plan:
-                got = reduced.nullity(signs)
-                yield None if got == eta_g else dict(
-                    n=g.n,
-                    edges=_edge_list(g),
-                    pendant=v,
-                    neighbor=u,
-                    expected=eta_g,
-                    got=got,
-                )
+    def deletion(g, eta_g, signs, entry):
+        v, u, reduced = entry
+        yield dict(pendant=v, neighbor=u), eta_g, reduced.nullity(signs)
 
     grid = f"iso-class connected corpus n<={n_max} x switching classes, every pendant pair"
-    return _run("pendant", grid, cases())
+    return _run("pendant", grid, _corpus_cases(n_max, _pendant_plan, deletion))
 
 
 # -- infinity-graph formula ---------------------------------------------------
@@ -370,19 +359,13 @@ def verify_thm41(p_max: int = 8, l_max: int = 5) -> VerificationReport:
     """Infinity-graph nullity formula against the rank oracle on the full
     grid p, q in [3, p_max], l in [1, l_max], sign parities in {0, 1}."""
 
-    def cases():
-        for p in range(3, p_max + 1):
-            for q in range(3, p_max + 1):
-                for l in range(1, l_max + 1):
-                    for sp in (0, 1):
-                        for sq in (0, 1):
-                            want = nullity_rank(gen_infinity(p, q, l, sp, sq))
-                            got = nullity_infinity(InfinitySpec(p, q, l, sp, sq))
-                            yield None if got == want else dict(
-                                p=p, q=q, l=l, sp=sp, sq=sq, expected=want, got=got
-                            )
-
-    return _run("thm4.1", f"p,q in [3,{p_max}], l in [1,{l_max}], sp,sq in {{0,1}}", cases())
+    cycles, bars, parities = range(3, p_max + 1), range(1, l_max + 1), (0, 1)
+    points = (
+        dict(p=p, q=q, l=l, sp=sp, sq=sq)
+        for p, q, l, sp, sq in itertools.product(cycles, cycles, bars, parities, parities)
+    )
+    cases = _closed_form(points, gen_infinity, lambda **spec: nullity_infinity(InfinitySpec(**spec)))
+    return _run("thm4.1", f"p,q in [3,{p_max}], l in [1,{l_max}], sp,sq in {{0,1}}", cases)
 
 
 # -- theta-graph formula ---------------------------------------------------------
@@ -392,21 +375,19 @@ def verify_thm_theta(l_max: int = 12) -> VerificationReport:
     """Theta-graph nullity formula against the rank oracle for every path
     length triple in [1, l_max]^3 with at most one 1, and every parity triple."""
 
-    def cases():
-        for lengths in itertools.product(range(1, l_max + 1), repeat=3):
-            if lengths.count(1) > 1:
-                continue
-            for parities in itertools.product((0, 1), repeat=3):
-                want = nullity_rank(gen_theta(*lengths, parities))
-                got = nullity_theta(lengths, parities)
-                yield None if got == want else dict(
-                    p=lengths[0], q=lengths[1], l=lengths[2],
-                    s1=parities[0], s2=parities[1], s3=parities[2],
-                    expected=want, got=got,
-                )
-
+    points = (
+        dict(p=p, q=q, l=l, s1=s1, s2=s2, s3=s3)
+        for p, q, l in itertools.product(range(1, l_max + 1), repeat=3)
+        if (p, q, l).count(1) <= 1
+        for s1, s2, s3 in itertools.product((0, 1), repeat=3)
+    )
+    cases = _closed_form(
+        points,
+        lambda p, q, l, s1, s2, s3: gen_theta(p, q, l, (s1, s2, s3)),
+        lambda p, q, l, s1, s2, s3: nullity_theta((p, q, l), (s1, s2, s3)),
+    )
     grid = f"p,q,l in [1,{l_max}] with at most one 1, s1,s2,s3 in {{0,1}}"
-    return _run("thm.theta", grid, cases())
+    return _run("thm.theta", grid, cases)
 
 
 # -- bowtie balanceness lemma -------------------------------------------------
@@ -425,13 +406,7 @@ def verify_lem51(samples: int = 25, seed: int = DEFAULT_SEED) -> VerificationRep
                 for k in range(samples + 1):
                     # stream the switched variants; k = 0 checks the base itself
                     g = switch(base, random_switching(rng, base.n)) if k else base
-                    got = nullity_rank(g)
-                    yield None if got == expected else dict(
-                        sp=sp, sq=sq,
-                        edges=_edge_list(g),
-                        expected=expected,
-                        got=got,
-                    )
+                    yield _outcome(dict(sp=sp, sq=sq, edges=_edge_list(g)), expected, nullity_rank(g))
 
     grid = f"triangle parities {{0,1}}^2, each with {samples} random switchings (seed {seed})"
     return _run("lem5.1", grid, cases())
@@ -503,7 +478,26 @@ def verify_bounds_theta(samples: int = 5000, seed: int = DEFAULT_SEED) -> Verifi
 # -- nullity sets ----------------------------------------------------------------
 
 
-def _verify_set(theorem_id, class_name, n_lo, n_hi):
+def _witness(class_name, n, k, g, eta, balanced):
+    """A realizer of ``class_name`` is an unbalanced graph of that class with
+    nullity k."""
+    try:
+        cls = bicyclic_class(g)
+    except GraphError as exc:  # not a connected bicyclic graph
+        cls = repr(exc)
+    return _outcome(
+        dict(n=n, k=k, edges=_edge_list(g), kind="witness"),
+        {"eta": k, "balanced": False, "class": class_name},
+        {"eta": eta, "balanced": balanced, "class": cls},
+    )
+
+
+def _verify_set(theorem_id, class_name, n_lo, n_hi, witness=_witness,
+                grid="{class_name}: n in [{n_lo},{n_hi}], k in [0, n-{k_offset}]"):
+    """Every k of the class's nullity set at each n in [n_lo, n_hi] has a
+    realizer that ``witness`` accepts, given its rank-oracle nullity and
+    balance; a realizer that raises is a failed case of kind
+    ``construction``."""
     n_min, k_offset = _CLASS_RANGES[class_name]
     if n_lo < n_min:  # no realizer exists there: refuse before sweeping
         raise ValueError(f"{theorem_id} needs n >= {n_min}, got n_lo = {n_lo}")
@@ -516,24 +510,11 @@ def _verify_set(theorem_id, class_name, n_lo, n_hi):
                 except Exception as exc:  # construction failure is a counterexample
                     yield dict(n=n, k=k, kind="construction", got=repr(exc))
                     continue
-                eta = nullity_rank(g)
                 balanced, _ = is_balanced(g)
-                try:
-                    cls = bicyclic_class(g)
-                except GraphError as exc:  # not a connected bicyclic graph
-                    cls = repr(exc)
-                if eta != k or balanced or cls != class_name:
-                    yield dict(
-                        n=n, k=k,
-                        edges=_edge_list(g),
-                        kind="witness",
-                        expected={"eta": k, "balanced": False, "class": class_name},
-                        got={"eta": eta, "balanced": balanced, "class": cls},
-                    )
-                else:
-                    yield None
+                yield witness(class_name, n, k, g, nullity_rank(g), balanced)
 
-    return _run(theorem_id, f"{class_name}: n in [{n_lo},{n_hi}], k in [0, n-{k_offset}]", cases())
+    grid = grid.format(class_name=class_name, n_lo=n_lo, n_hi=n_hi, k_offset=k_offset)
+    return _run(theorem_id, grid, cases())
 
 
 def verify_set_bplus(n_lo: int = 8, n_hi: int = 12) -> VerificationReport:
@@ -550,20 +531,13 @@ def verify_set_theta(n_lo: int = 6, n_hi: int = 12) -> VerificationReport:
 
 def verify_set_bicyclic(n_lo: int = 8, n_hi: int = 12) -> VerificationReport:
     """Every k in [0, n-4] is attained by an unbalanced bicyclic signed graph."""
-    n_min, k_offset = _CLASS_RANGES["Theta"]
-    if n_lo < n_min:
-        raise ValueError(f"set.bicyclic needs n >= {n_min}, got n_lo = {n_lo}")
 
-    def cases():
-        for n in range(n_lo, n_hi + 1):
-            for k in range(0, n - k_offset + 1):
-                g = realize_nullity("Theta", n, k)
-                eta = nullity_rank(g)
-                balanced, _ = is_balanced(g)
-                ok = eta == k and not balanced and g.m == g.n + 1
-                yield None if ok else dict(n=n, k=k, edges=_edge_list(g), expected=k, got=eta)
+    def bicyclic(class_name, n, k, g, eta, balanced):
+        ok = eta == k and not balanced and g.m == g.n + 1
+        return None if ok else dict(n=n, k=k, edges=_edge_list(g), expected=k, got=eta)
 
-    return _run("set.bicyclic", f"n in [{n_lo},{n_hi}], k in [0, n-{k_offset}] via theta realizers", cases())
+    grid = "n in [{n_lo},{n_hi}], k in [0, n-{k_offset}] via theta realizers"
+    return _verify_set("set.bicyclic", "Theta", n_lo, n_hi, bicyclic, grid)
 
 
 # -- registry --------------------------------------------------------------------

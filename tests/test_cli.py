@@ -138,6 +138,11 @@ def test_generate_realize(capsys):
     assert capsys.readouterr().out.splitlines()[0].startswith("12 ")
 
 
+def test_generate_realize_beyond_the_matrix_ceiling(capsys):
+    assert main(["generate", "realize:class=BPlus,n=2500,k=3"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "2500 2501"
+
+
 def test_equiv_exit_codes(tmp_path):
     a = tmp_path / "a.sg"
     b = tmp_path / "b.sg"

@@ -4,15 +4,19 @@ import hashlib
 
 import pytest
 
+import sgn.families as families
 from sgn import (
     GraphError,
     canonical_signature,
     find_cycles,
     is_balanced,
     nullity_rank,
+    nullity_structural,
     serialize_edge_list,
 )
 from sgn.families import (
+    _CLASS_RANGES,
+    InternalError,
     bicyclic_class,
     gen_cycle,
     gen_figure,
@@ -307,6 +311,26 @@ def test_realize_theta_full_range():
             assert g.n == n and nullity_rank(g) == k
             assert not is_balanced(g)[0]
             assert bicyclic_class(g) == "Theta"
+
+
+@pytest.mark.parametrize("cls", sorted(_CLASS_RANGES))
+def test_realizers_beyond_the_matrix_ceiling(cls):
+    # c = 2: the self-check and this test decide nullity with no matrix
+    n = 20_000
+    top = n - _CLASS_RANGES[cls][1]
+    for k in (0, 3, n // 2, top):
+        g = realize_nullity(cls, n, k)
+        eta, trace = nullity_structural(g)
+        assert g.n == n and eta == k
+        assert all(step.method != "RankOracle" for step in trace.steps)
+        assert bicyclic_class(g) == cls and not is_balanced(g)[0]
+
+
+def test_realizer_self_check_failure_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(families, "nullity_structural", lambda g: (99, None))
+    with pytest.raises(InternalError, match=r"^realize_nullity\(Theta, n=8, k=2\) built a graph with nullity 99; "
+                       r"the construction is mis-transcribed$"):
+        realize_nullity("Theta", 8, 2)
 
 
 def test_realize_range_errors():

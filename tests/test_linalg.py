@@ -355,10 +355,14 @@ def _seeded_matrices(seed, sizes):
         yield _integer_rows(rng, n)
 
 
+def _ceil_sqrt(x):
+    c = math.isqrt(x)
+    return c + (c * c < x)
+
+
 def _row_factor(s):
     # f(s) = 1 + s + ceil(sqrt(4s)), at least (1 + sqrt(s))^2
-    c = math.isqrt(4 * s)
-    return 1 + s + c + (c * c < 4 * s)
+    return 1 + s + _ceil_sqrt(4 * s)
 
 
 def _hadamard_square(a):
@@ -369,14 +373,11 @@ def _hadamard_square(a):
 def test_row_factor_bounds_the_squared_row_term():
     # f(s) >= (1 + |r|)^2 iff (f(s) - 1 - s)^2 >= 4s, and f(s) <= 2(1 + s)
     # keeps every modulus at or below the one of the factor 2(1 + s)
-    for s in range(10**5 + 1):
-        c = linalg._ceil_isqrt(4 * s)
-        f = 1 + s + c
-        assert (f - 1 - s) ** 2 >= 4 * s and f <= 2 * (1 + s)
+    for s in [*range(10**5 + 1), 2**120 - 1, 2**120, 2**120 + 1, 10**40]:
+        f = linalg._row_factor(s)
+        c = f - 1 - s
+        assert c * c >= 4 * s and f <= 2 * (1 + s)
         assert c == 0 or (c - 1) ** 2 < 4 * s  # the least such c
-    for x in (2**122 - 1, 2**122, 2**122 + 1, 10**40):
-        c = linalg._ceil_isqrt(x)
-        assert c * c >= x > (c - 1) ** 2
 
 
 def test_row_factor_table_leaves_the_bound_unchanged():
@@ -684,7 +685,7 @@ def test_kronecker_proof_holds_on_every_case():
     for n in range(1, K0):
         for a in _kronecker_cases(rng, n):
             x = 1 << _kronecker_width(a)
-            assert x > sum(linalg._ceil_isqrt(sum(v * v for v in row)) for row in a)
+            assert x > sum(_ceil_sqrt(sum(v * v for v in row)) for row in a)
             m = [[x * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(a)]
             for k in range(1, n + 1):
                 assert _sympy_matrix([row[:k] for row in m[:k]]).det() > 0

@@ -1,5 +1,6 @@
 """Theorem sweeps at small grids: pinned summaries and exact failure records."""
 
+import hashlib
 import inspect
 import json
 import re
@@ -10,7 +11,7 @@ import pytest
 import sgn.verify as verify
 from sgn.cli import main
 from sgn.enumeration import connected_graphs_upto_iso, signed_graphs_mod_switching
-from sgn.families import gen_path
+from sgn.families import InternalError, gen_cycle, gen_path
 from sgn.graph import SignedGraph, cut_points, pendant_pairs
 from sgn.verify import THEOREM_IDS, verify_theorem
 
@@ -68,6 +69,33 @@ def test_small_grid_summary(theorem_id):
         "status": "pass",
     }
     assert report.elapsed > 0
+
+
+# sha256 of every sweep's json_lines() at its SMALL grid, in THEOREM_IDS
+# order: clean, and under a fault that makes every sweep record failures
+REPORT_DIGESTS = {
+    "clean": "7beaf3e76fd70682f97b1ffeb11447b8cfacb8ad979950ca6fa9016ece41f6fa",
+    "faulty": "d71eeac3e6348f9e04002fccd77c3b48f2607f9c4273daf8eb855bb38fca7a00",
+}
+
+
+def _report_digest():
+    digest = hashlib.sha256()
+    failing = set()
+    for theorem_id in THEOREM_IDS:
+        report = verify_theorem(theorem_id, **SMALL[theorem_id][0])
+        digest.update(report.json_lines().encode())
+        if report.failures:
+            failing.add(theorem_id)
+    return digest.hexdigest(), failing
+
+
+def test_report_bytes_are_pinned(monkeypatch):
+    assert _report_digest() == (REPORT_DIGESTS["clean"], set())
+    rank, charpoly = verify.nullity_rank, verify._charpoly_rows
+    monkeypatch.setattr(verify, "nullity_rank", lambda g: rank(g) + (g.n in (4, 5, 8)))
+    monkeypatch.setattr(verify, "_charpoly_rows", lambda rows: [c + (len(rows) == 3) for c in charpoly(rows)])
+    assert _report_digest() == (REPORT_DIGESTS["faulty"], set(THEOREM_IDS))
 
 
 # the three corpus sweeps one size up, where every rule has cases on many shapes
@@ -231,22 +259,6 @@ def test_pendant_failure_records(monkeypatch):
     ]
 
 
-def test_set_construction_failure_is_a_counted_case(monkeypatch):
-    real = verify.realize_nullity
-
-    def realize(class_name, n, k):
-        if k == 0:
-            raise ValueError("no witness")
-        return real(class_name, n, k)
-
-    monkeypatch.setattr(verify, "realize_nullity", realize)
-    report = verify_theorem("set.theta", n_lo=6, n_hi=6)
-    assert report.cases_checked == 3
-    assert report.failures == [
-        {"n": 6, "k": 0, "kind": "construction", "got": "ValueError('no witness')"},
-    ]
-
-
 def test_set_non_bicyclic_output_is_a_counted_case(monkeypatch, capsys):
     real = verify.realize_nullity
 
@@ -272,8 +284,39 @@ def test_set_non_bicyclic_output_is_a_counted_case(monkeypatch, capsys):
     assert "cases checked: 3, failures: 1" in capsys.readouterr().out
 
 
+def test_set_bicyclic_witness_must_be_bicyclic(monkeypatch):
+    # an unbalanced 5-cycle has the nullity asked for, but m = n
+    real = verify.realize_nullity
+    monkeypatch.setattr(verify, "realize_nullity", lambda cls, n, k: gen_cycle(5, 1) if k == 0 else real(cls, n, k))
+    report = verify_theorem("set.bicyclic", n_lo=6, n_hi=6)
+    assert report.cases_checked == 3
+    assert report.failures == [
+        {"n": 6, "k": 0, "edges": [[0, 1, -1], [0, 4, 1], [1, 2, 1], [2, 3, 1], [3, 4, 1]], "expected": 0, "got": 0},
+    ]
+
+
 # the smallest order of each set sweep's class
 SET_MINIMUM = {"set.bplus": 7, "set.bplusplus": 8, "set.theta": 6, "set.bicyclic": 6}
+
+
+@pytest.mark.parametrize("theorem_id", sorted(SET_MINIMUM))
+def test_set_construction_failure_is_a_counted_case(monkeypatch, capsys, theorem_id):
+    real = verify.realize_nullity
+
+    def realize(class_name, n, k):
+        if k == 0:
+            raise InternalError("no witness")
+        return real(class_name, n, k)
+
+    monkeypatch.setattr(verify, "realize_nullity", realize)
+    n = SET_MINIMUM[theorem_id]
+    report = verify_theorem(theorem_id, n_lo=n, n_hi=n)
+    assert report.cases_checked == (2 if theorem_id == "set.bplus" else 3)
+    assert report.failures == [
+        {"n": n, "k": 0, "kind": "construction", "got": "InternalError('no witness')"},
+    ]
+    assert main(["verify", theorem_id, "--n", f"{n}..{n}"]) == 2
+    assert "failures: 1" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("theorem_id", sorted(SET_MINIMUM))
