@@ -3,15 +3,13 @@
 The reduction engine shrinks a graph with nullity-preserving or
 nullity-accounting moves and records every step:
 
-  * component split        eta(G) = sum of component nullities
+  * component split        eta(G) = sum of component nullities, with
+                           every isolated vertex in one edgeless part
   * pendant peeling        delete a leaf and its neighbor, eta unchanged,
                            until no leaf is left; one step lists every pair
-  * cut-point decrement    if eta(G_1) = eta(G_1 + v) + 1 at cut-point v,
-                           then eta(G) = sum eta(G_i) - 1
-  * cut-point split        if eta(G_1) = eta(G_1 + v) - 1,
-                           then eta(G) = eta(G_1) + eta(G - G_1)
-  * base cases             edgeless graphs / cycles by closed form,
-                           anything else by the exact rank oracle
+  * base cases             edgeless graphs, cycles, theta and infinity
+                           graphs by closed form, anything else by the
+                           exact rank oracle
 
 The trace can be replayed to reproduce the result, and each step's relation
 can be re-checked independently with the rank oracle.
@@ -31,8 +29,6 @@ def show(name, g):
         extra = ""
         if step.kind == "PendantDelete":
             extra = " [pendant pairs " + " ".join(f"({v},{u})" for v, u in step.pairs) + "]"
-        elif step.kind.startswith("CutPoint"):
-            extra = f" [cut-point {step.cut_point}, component {step.component_index}]"
         elif step.kind == "BaseCase":
             extra = f" [{step.method} -> {step.value}]"
         print(f"    {step.kind:<18} before n={step.before.n},m={step.before.m}"

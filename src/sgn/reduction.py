@@ -1,25 +1,27 @@
 """Structural nullity computation with replayable certificates.
 
-The engine applies, in order: the edgeless base case, component splitting,
-pendant peeling (delete a degree-1 vertex together with its neighbor, which
-keeps the nullity, until no pendant is left; one step records every pair),
-the closed forms for connected pendant-free graphs with cyclomatic number
-c = m - n + 1 <= 2, and the two cut-point rules.  Such a graph with c = 1 is
-a cycle; with c = 2 it is a theta or an infinity graph, whose parameters are
-read off its branches in O(n): the paths between its vertices of degree
->= 3 through vertices of degree 2.  At a cut-point v of a graph with c >= 3,
-with components G_1..G_s of G - v:
+The engine applies, in order: the edgeless base case, component splitting
+(every isolated vertex goes into one edgeless part), pendant peeling (delete
+a degree-1 vertex together with its neighbor, which keeps the nullity, until
+no pendant is left; one step records every pair), and the base case of a
+connected pendant-free graph.  Such a graph with cyclomatic number
+c = m - n + 1 = 1 is a cycle; with c = 2 it is a theta or an infinity graph,
+whose parameters are read off its branches in O(n): the paths between its
+vertices of degree >= 3 through vertices of degree 2.  Those are closed
+forms, so a graph with c <= 2 never reaches a matrix; a graph with c >= 3 is
+decided by the exact rank oracle, and that base case is the engine's only
+rank call.
+
+``try_cutpoint_case1/2`` are standalone helpers for the paper's Theorems 3.1
+and 3.2.  At a cut-point v of G, with components G_1..G_s of G - v:
 
 * decrement rule: if some G_i has eta(G_i) = eta(G_i + v) + 1, then
   eta(G) = sum_i eta(G_i) - 1;
 * split rule: if some G_i has eta(G_i) = eta(G_i + v) - 1, then
   eta(G) = eta(G_i) + eta(G - G_i).
 
-Whether a rule applies is decided with the exact rank oracle (there is no
-known syntactic criterion), and when neither applies the graph falls back
-to a rank-oracle base case.  Graphs with c <= 2 never reach either: pendant
-peeling and the cycle, theta and infinity closed forms decide them with no
-matrix.
+Each decides its hypothesis with the rank oracle, as there is no known
+syntactic criterion; the engine does not use them.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .graph import (
     components,
     cut_points,
     delete_vertices,
-    is_connected,
     pendant_pairs,
 )
 from .linalg import nullity_rank
@@ -118,10 +119,6 @@ class ReductionTrace:
                 value[step.before] = parts[0]
             elif step.kind == KIND_COMPONENT_SPLIT:
                 value[step.before] = sum(parts)
-            elif step.kind == KIND_CUTPOINT_DECREMENT:
-                value[step.before] = sum(parts) - 1
-            elif step.kind == KIND_CUTPOINT_SPLIT:
-                value[step.before] = sum(parts)
             else:
                 raise GraphError(f"trace replay: unknown step kind {step.kind!r}")
         if self.root not in value:
@@ -192,19 +189,33 @@ def _cutpoint_parts(g: SignedGraph, v: int):
     ]
 
 
-def _deltas(parts, ranked: dict[SignedGraph, int]):
-    """eta(G_i) - eta(G_i + v) for each part in order, ranked lazily: +1 is
-    the decrement rule's hypothesis, -1 the split rule's.  ``ranked`` holds
-    the nullities found so far in one decision, so a graph value that recurs
-    at another cut point is ranked once."""
-    for comp, _, plus_v in parts:
-        for h in (comp, plus_v):
-            if h not in ranked:
-                ranked[h] = nullity_rank(h)
-        yield ranked[comp] - ranked[plus_v]
+def _cutpoint_witness(g: SignedGraph, v: int, delta: int):
+    """(parts, idx) for the first component G_i of G - v, in ``_cutpoint_parts``
+    order, with eta(G_i) - eta(G_i + v) = delta, or None when none has it:
+    +1 is the decrement rule's hypothesis, -1 the split rule's.  The parts
+    are ranked lazily, so the search stops at the witness."""
+    if v not in cut_points(g):
+        raise GraphError(f"vertex {v} is not a cut-point")
+    parts = _cutpoint_parts(g, v)
+    for idx, (comp, _, plus_v) in enumerate(parts):
+        if nullity_rank(comp) - nullity_rank(plus_v) == delta:
+            return parts, idx
+    return None
 
 
-def _decrement(g: SignedGraph, v: int, parts, idx: int):
+def try_cutpoint_case1(
+    g: SignedGraph, v: int
+) -> tuple[tuple[SignedGraph, ...], ReductionStep] | None:
+    """Decrement rule at cut-point v.
+
+    Applicable when some component G_i of G - v satisfies
+    eta(G_i) = eta(G_i + v) + 1; then eta(G) = sum eta(G_i) - 1.
+    The qualifying component of lowest index is recorded as witness.
+    """
+    hit = _cutpoint_witness(g, v, 1)
+    if hit is None:
+        return None
+    parts, idx = hit
     after = tuple(comp for comp, _, _ in parts)
     step = ReductionStep(
         kind=KIND_CUTPOINT_DECREMENT,
@@ -217,7 +228,19 @@ def _decrement(g: SignedGraph, v: int, parts, idx: int):
     return after, step
 
 
-def _split(g: SignedGraph, v: int, parts, idx: int):
+def try_cutpoint_case2(
+    g: SignedGraph, v: int
+) -> tuple[tuple[SignedGraph, SignedGraph], ReductionStep] | None:
+    """Split rule at cut-point v.
+
+    Applicable when some component G_i of G - v satisfies
+    eta(G_i) = eta(G_i + v) - 1; then eta(G) = eta(G_i) + eta(G - G_i),
+    where G - G_i keeps v (and every other component).
+    """
+    hit = _cutpoint_witness(g, v, -1)
+    if hit is None:
+        return None
+    parts, idx = hit
     comp, original, _ = parts[idx]
     rest, _ = delete_vertices(g, original)
     pair = (comp, rest)
@@ -232,57 +255,22 @@ def _split(g: SignedGraph, v: int, parts, idx: int):
     return pair, step
 
 
-def _try_cutpoint(g: SignedGraph, v: int, delta: int, build):
-    if v not in cut_points(g):
-        raise GraphError(f"vertex {v} is not a cut-point")
-    parts = _cutpoint_parts(g, v)
-    for idx, d in enumerate(_deltas(parts, {})):
-        if d == delta:
-            return build(g, v, parts, idx)
-    return None
-
-
-def try_cutpoint_case1(
-    g: SignedGraph, v: int
-) -> tuple[tuple[SignedGraph, ...], ReductionStep] | None:
-    """Decrement rule at cut-point v.
-
-    Applicable when some component G_i of G - v satisfies
-    eta(G_i) = eta(G_i + v) + 1; then eta(G) = sum eta(G_i) - 1.
-    The qualifying component of lowest index is recorded as witness.
-    """
-    return _try_cutpoint(g, v, 1, _decrement)
-
-
-def try_cutpoint_case2(
-    g: SignedGraph, v: int
-) -> tuple[tuple[SignedGraph, SignedGraph], ReductionStep] | None:
-    """Split rule at cut-point v.
-
-    Applicable when some component G_i of G - v satisfies
-    eta(G_i) = eta(G_i + v) - 1; then eta(G) = eta(G_i) + eta(G - G_i),
-    where G - G_i keeps v (and every other component).
-    """
-    return _try_cutpoint(g, v, -1, _split)
-
-
 def nullity_structural(g: SignedGraph) -> tuple[int, ReductionTrace]:
     """Nullity via structural reduction, with a replayable certificate.
 
-    Rule order: edgeless base case, components, pendant peeling, the
-    closed-form base case of a cycle, theta or infinity graph (a connected
-    pendant-free graph with m <= n + 1), cut-point decrement rule, cut-point
-    split rule, rank-oracle base case.  Cut-points are tried in ascending
-    label order, and only on graphs with c >= 3, so a graph with c <= 2 is
-    decided in O(n log n) with no matrix.  An explicit stack replaces
-    recursion: each popped graph records one step and pushes its parts in
-    reverse, which keeps the steps in pre-order.
-    Every rule sets eta(G) to the sum of its parts' nullities, less one for
-    the decrement rule, so the result is the sum of the base-case values
-    minus the number of decrement steps.  It always equals the rank-oracle
-    nullity; ``replay`` re-derives it from the steps alone.  A graph above
-    the adjacency-list ceiling is refused even when no rule would traverse
-    it (an edgeless one).
+    Rule order: edgeless base case, components (all isolated vertices in
+    one edgeless part, after the others), pendant peeling, then the base
+    case of a connected pendant-free graph: the closed form of a cycle,
+    theta or infinity graph when m <= n + 1, so a graph with c <= 2 is
+    decided in O(n log n) with no matrix, else the rank oracle.  The
+    cut-point rules are not tried; ``try_cutpoint_case1/2`` apply them on
+    request.  An explicit stack replaces recursion: each popped graph
+    records one step and pushes its parts in reverse, which keeps the steps
+    in pre-order.  Every rule sets eta(G) to the sum of its parts'
+    nullities, so the result is the sum of the base-case values.  It always
+    equals the rank-oracle nullity; ``replay`` re-derives it from the steps
+    alone.  A graph above the adjacency-list ceiling is refused even when
+    no rule would traverse it (an edgeless one).
     """
     check_vertex_ceiling(g.n)
     steps: list[ReductionStep] = []
@@ -298,8 +286,6 @@ def nullity_structural(g: SignedGraph) -> tuple[int, ReductionTrace]:
         steps.append(step)
         if step.kind == KIND_BASE_CASE:
             result += step.value
-        elif step.kind == KIND_CUTPOINT_DECREMENT:
-            result -= 1
         stack.extend(reversed(parts))
     return result, ReductionTrace(root=g, steps=tuple(steps), result=result)
 
@@ -308,8 +294,12 @@ def _rule(g: SignedGraph) -> tuple[tuple[SignedGraph, ...], ReductionStep]:
     """(parts, step) for the first rule that applies to ``g``."""
     if g.m == 0:
         return (), _base_case(g)
-    if not is_connected(g):
-        parts = tuple(comp for comp, _ in components(g))
+    split = components(g)
+    if len(split) > 1:
+        parts = tuple(comp for comp, _ in split if comp.n > 1)
+        isolated = [labels[0] for comp, labels in split if comp.n == 1]
+        if isolated:
+            parts += (_induced(g, isolated),)
         step = ReductionStep(
             kind=KIND_COMPONENT_SPLIT,
             before=g,
@@ -321,23 +311,6 @@ def _rule(g: SignedGraph) -> tuple[tuple[SignedGraph, ...], ReductionStep]:
     if hit is not None:
         reduced, step = hit
         return (reduced,), step
-    if g.m <= g.n + 1:
-        # connected and pendant-free with c <= 2: a cycle, theta or infinity graph
-        return (), _base_case(g)
-    # each cut point is decomposed once and each graph value ranked once:
-    # the decrement rule at any cut point wins, else the split rule at the
-    # first cut point that admits it
-    split = None
-    ranked: dict[SignedGraph, int] = {}
-    for v in sorted(cut_points(g)):
-        parts = _cutpoint_parts(g, v)
-        for idx, delta in enumerate(_deltas(parts, ranked)):
-            if delta == 1:
-                return _decrement(g, v, parts, idx)
-            if delta == -1 and split is None:
-                split = (v, parts, idx)
-    if split is not None:
-        return _split(g, *split)
     return (), _base_case(g)
 
 

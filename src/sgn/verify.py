@@ -14,9 +14,9 @@ builds every record of an equality check: the case's parameters, then
 the rank oracle; ``_corpus_cases`` runs the cut-point and pendant rules over
 the corpus, ranking each signed graph once; ``_verify_set`` builds a
 realizer per (n, k), ranks it and checks it as a witness, counting a
-construction error as a failed case.  The bicyclic bound ``lem5.2``, the
-sampled bounds and ``set.bicyclic``'s witness rule are not equality checks
-and write their own records.
+construction error as a failed case; ``set.bicyclic`` checks the theta
+realizers as witnesses of their class.  The bicyclic bound ``lem5.2`` and
+the sampled bounds are not equality checks and write their own records.
 
 The corpus driver does its sign-independent work once per underlying graph:
 a plan lists each cut point with the components of G - v (or each pendant
@@ -276,8 +276,8 @@ class _Part:
 
 def _cutpoint_plan(g: SignedGraph):
     """Per cut point v, ascending: v and, per component G_i of G - v, its
-    original labels and the parts G_i and G_i + v, as the structural
-    engine's ``_cutpoint_parts`` decomposes G at v."""
+    original labels and the parts G_i and G_i + v, as
+    ``reduction._cutpoint_parts`` decomposes G at v."""
     return [
         (v, [
             (tuple(comp), _Part(g, comp), _Part(g, sorted((*comp, v))))
@@ -492,10 +492,10 @@ def _witness(class_name, n, k, g, eta, balanced):
     )
 
 
-def _verify_set(theorem_id, class_name, n_lo, n_hi, witness=_witness,
+def _verify_set(theorem_id, class_name, n_lo, n_hi,
                 grid="{class_name}: n in [{n_lo},{n_hi}], k in [0, n-{k_offset}]"):
     """Every k of the class's nullity set at each n in [n_lo, n_hi] has a
-    realizer that ``witness`` accepts, given its rank-oracle nullity and
+    realizer that ``_witness`` accepts, given its rank-oracle nullity and
     balance; a realizer that raises is a failed case of kind
     ``construction``."""
     n_min, k_offset = _CLASS_RANGES[class_name]
@@ -511,7 +511,7 @@ def _verify_set(theorem_id, class_name, n_lo, n_hi, witness=_witness,
                     yield dict(n=n, k=k, kind="construction", got=repr(exc))
                     continue
                 balanced, _ = is_balanced(g)
-                yield witness(class_name, n, k, g, nullity_rank(g), balanced)
+                yield _witness(class_name, n, k, g, nullity_rank(g), balanced)
 
     grid = grid.format(class_name=class_name, n_lo=n_lo, n_hi=n_hi, k_offset=k_offset)
     return _run(theorem_id, grid, cases())
@@ -530,14 +530,10 @@ def verify_set_theta(n_lo: int = 6, n_hi: int = 12) -> VerificationReport:
 
 
 def verify_set_bicyclic(n_lo: int = 8, n_hi: int = 12) -> VerificationReport:
-    """Every k in [0, n-4] is attained by an unbalanced bicyclic signed graph."""
-
-    def bicyclic(class_name, n, k, g, eta, balanced):
-        ok = eta == k and not balanced and g.m == g.n + 1
-        return None if ok else dict(n=n, k=k, edges=_edge_list(g), expected=k, got=eta)
-
+    """Every k in [0, n-4] is attained by an unbalanced bicyclic signed graph:
+    the theta realizers, checked as witnesses of their class."""
     grid = "n in [{n_lo},{n_hi}], k in [0, n-{k_offset}] via theta realizers"
-    return _verify_set("set.bicyclic", "Theta", n_lo, n_hi, bicyclic, grid)
+    return _verify_set("set.bicyclic", "Theta", n_lo, n_hi, grid)
 
 
 # -- registry --------------------------------------------------------------------

