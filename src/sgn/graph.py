@@ -351,9 +351,14 @@ def components(g: SignedGraph) -> list[tuple[SignedGraph, tuple[int, ...]]]:
 
     Returns one ``(subgraph, vertex_map)`` pair per component where
     ``vertex_map[i]`` is the original label of the component's vertex ``i``.
-    Components are ordered by smallest original vertex.
+    Components are ordered by smallest original vertex.  A connected ``g``
+    is returned itself; an isolated vertex of a larger graph is built as an
+    edgeless graph, without a scan of ``g``'s edges.
     """
-    return [(_induced(g, comp), tuple(comp)) for comp in _component_vertex_sets(g)]
+    return [
+        (_induced(g, comp) if len(comp) > 1 or g.n == 1 else SignedGraph._trusted(1, ()), tuple(comp))
+        for comp in _component_vertex_sets(g)
+    ]
 
 
 def _induced(g: SignedGraph, keep: Sequence[int]) -> SignedGraph:

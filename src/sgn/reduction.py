@@ -10,7 +10,9 @@ whose parameters are read off its branches in O(n): the paths between its
 vertices of degree >= 3 through vertices of degree 2.  Those are closed
 forms, so a graph with c <= 2 never reaches a matrix; a graph with c >= 3 is
 decided by the exact rank oracle, and that base case is the engine's only
-rank call.
+rank call.  A certificate holds three step kinds: ``ComponentSplit`` and
+``PendantDelete``, whose graph's nullity is the sum of its parts', and
+``BaseCase``, which states a value.
 
 ``try_cutpoint_case1/2`` are standalone helpers for the paper's Theorems 3.1
 and 3.2.  At a cut-point v of G, with components G_1..G_s of G - v:
@@ -20,7 +22,8 @@ and 3.2.  At a cut-point v of G, with components G_1..G_s of G - v:
 * split rule: if some G_i has eta(G_i) = eta(G_i + v) - 1, then
   eta(G) = eta(G_i) + eta(G - G_i).
 
-Each decides its hypothesis with the rank oracle, as there is no known
+Each returns its parts and the index of its witness G_i, not a certificate
+step, and decides its hypothesis with the rank oracle, as there is no known
 syntactic criterion; the engine does not use them.
 """
 
@@ -46,8 +49,6 @@ from .linalg import nullity_rank
 
 KIND_COMPONENT_SPLIT = "ComponentSplit"
 KIND_PENDANT_DELETE = "PendantDelete"
-KIND_CUTPOINT_DECREMENT = "CutPointDecrement"
-KIND_CUTPOINT_SPLIT = "CutPointSplit"
 KIND_BASE_CASE = "BaseCase"
 
 METHOD_RANK_ORACLE = "RankOracle"
@@ -58,7 +59,11 @@ METHOD_CLOSED_FORM = "ClosedForm"
 class ReductionStep:
     """One certificate step; ``before``/``after`` are full graph snapshots.
 
-    A ``PendantDelete`` step lists in ``pairs`` every (pendant, neighbor)
+    ``kind`` is one of the three ``KIND_*`` constants.  A ``ComponentSplit``
+    or ``PendantDelete`` step's ``before`` has the nullity of its ``after``
+    parts summed; a ``BaseCase`` step has no parts, and its ``method`` and
+    ``value`` state how ``before`` was decided and its nullity.  A
+    ``PendantDelete`` step lists in ``pairs`` every (pendant, neighbor)
     pair it deleted, in deletion order and in ``before``'s labels; its one
     ``after`` graph is ``before`` less all of them, relabeled contiguously.
     """
@@ -68,8 +73,6 @@ class ReductionStep:
     after: tuple[SignedGraph, ...]
     relation: str
     pairs: tuple[tuple[int, int], ...] | None = None
-    cut_point: int | None = None
-    component_index: int | None = None
     method: str | None = None
     value: int | None = None
 
@@ -80,7 +83,7 @@ class ReductionStep:
             "before": _graph_dict(self.before),
             "after": [_graph_dict(h) for h in self.after],
         }
-        for key in ("pairs", "cut_point", "component_index", "method", "value"):
+        for key in ("pairs", "method", "value"):
             val = getattr(self, key)
             if val is not None:
                 d[key] = val
@@ -103,7 +106,8 @@ class ReductionTrace:
         """Recompute the nullity from the recorded steps alone.
 
         Steps are recorded in pre-order, so a reverse pass resolves every
-        subgraph before its parent.  Equal labeled graphs have equal nullity,
+        subgraph before its parent: a base case to its value, any other step
+        to the sum of its parts.  Equal labeled graphs have equal nullity,
         which makes memoizing by graph value safe.
         """
         value: dict[SignedGraph, int] = {}
@@ -112,15 +116,12 @@ class ReductionTrace:
                 value[step.before] = step.value
                 continue
             try:
-                parts = [value[h] for h in step.after]
+                total = sum(value[h] for h in step.after)
             except KeyError:
                 raise GraphError("trace replay: step references an unresolved graph")
-            if step.kind == KIND_PENDANT_DELETE:
-                value[step.before] = parts[0]
-            elif step.kind == KIND_COMPONENT_SPLIT:
-                value[step.before] = sum(parts)
-            else:
+            if step.kind not in (KIND_PENDANT_DELETE, KIND_COMPONENT_SPLIT):
                 raise GraphError(f"trace replay: unknown step kind {step.kind!r}")
+            value[step.before] = total
         if self.root not in value:
             raise GraphError("trace replay: root graph never resolved")
         return value[self.root]
@@ -203,56 +204,38 @@ def _cutpoint_witness(g: SignedGraph, v: int, delta: int):
     return None
 
 
-def try_cutpoint_case1(
-    g: SignedGraph, v: int
-) -> tuple[tuple[SignedGraph, ...], ReductionStep] | None:
-    """Decrement rule at cut-point v.
+def try_cutpoint_case1(g: SignedGraph, v: int) -> tuple[tuple[SignedGraph, ...], int] | None:
+    """Decrement rule (Theorem 3.1) at cut-point v: eta(G) = sum eta(G_i) - 1.
 
     Applicable when some component G_i of G - v satisfies
-    eta(G_i) = eta(G_i + v) + 1; then eta(G) = sum eta(G_i) - 1.
-    The qualifying component of lowest index is recorded as witness.
+    eta(G_i) = eta(G_i + v) + 1.  Returns ``(parts, idx)``: every component
+    G_i of G - v, ordered by smallest label, and the lowest index of one
+    that qualifies; None when none does.  Raises ``GraphError`` when v is
+    not a cut-point.
     """
     hit = _cutpoint_witness(g, v, 1)
     if hit is None:
         return None
     parts, idx = hit
-    after = tuple(comp for comp, _, _ in parts)
-    step = ReductionStep(
-        kind=KIND_CUTPOINT_DECREMENT,
-        before=g,
-        after=after,
-        relation=f"eta(G) = sum(eta(G_i) for G_i in G - {v}) - 1",
-        cut_point=v,
-        component_index=idx,
-    )
-    return after, step
+    return tuple(comp for comp, _, _ in parts), idx
 
 
-def try_cutpoint_case2(
-    g: SignedGraph, v: int
-) -> tuple[tuple[SignedGraph, SignedGraph], ReductionStep] | None:
-    """Split rule at cut-point v.
+def try_cutpoint_case2(g: SignedGraph, v: int) -> tuple[tuple[SignedGraph, SignedGraph], int] | None:
+    """Split rule (Theorem 3.2) at cut-point v: eta(G) = eta(G_i) + eta(G - G_i).
 
     Applicable when some component G_i of G - v satisfies
-    eta(G_i) = eta(G_i + v) - 1; then eta(G) = eta(G_i) + eta(G - G_i),
-    where G - G_i keeps v (and every other component).
+    eta(G_i) = eta(G_i + v) - 1.  Returns ``((G_i, G - G_i), idx)`` for the
+    qualifying G_i of lowest index ``idx`` among the components of G - v,
+    ordered by smallest label, where G - G_i keeps v and every other
+    component; None when none qualifies.  Raises ``GraphError`` when v is
+    not a cut-point.
     """
     hit = _cutpoint_witness(g, v, -1)
     if hit is None:
         return None
     parts, idx = hit
     comp, original, _ = parts[idx]
-    rest, _ = delete_vertices(g, original)
-    pair = (comp, rest)
-    step = ReductionStep(
-        kind=KIND_CUTPOINT_SPLIT,
-        before=g,
-        after=pair,
-        relation=f"eta(G) = eta(G_{idx + 1}) + eta(G - G_{idx + 1}), split at {v}",
-        cut_point=v,
-        component_index=idx,
-    )
-    return pair, step
+    return (comp, delete_vertices(g, original)[0]), idx
 
 
 def nullity_structural(g: SignedGraph) -> tuple[int, ReductionTrace]:

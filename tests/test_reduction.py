@@ -27,14 +27,13 @@ from sgn import (
     try_cutpoint_case2,
 )
 from sgn import reduction
-from sgn.enumeration import random_low_cyclomatic_graph, random_signed_graph, random_switching
+from sgn.enumeration import iter_signed_corpus, random_low_cyclomatic_graph, random_signed_graph, random_switching
 from sgn.families import bicyclic_class, gen_cycle, gen_figure, gen_infinity, gen_path, gen_star, gen_theta
 from sgn.formulas import InfinitySpec, nullity_infinity, nullity_theta
 from sgn.graph import _induced, switch
 from sgn.reduction import (
     KIND_BASE_CASE,
     KIND_COMPONENT_SPLIT,
-    KIND_CUTPOINT_SPLIT,
     KIND_PENDANT_DELETE,
     METHOD_CLOSED_FORM,
 )
@@ -260,9 +259,9 @@ def test_large_bicyclic_graphs_reduce_without_the_rank_oracle(monkeypatch):
 
 
 def test_cutpoint_case1_p3_center():
-    parts, step = try_cutpoint_case1(gen_path(3), 1)
+    parts, idx = try_cutpoint_case1(gen_path(3), 1)
     assert len(parts) == 2 and all(p.n == 1 for p in parts)
-    assert step.cut_point == 1
+    assert idx == 0
     # eta = 1 + 1 - 1 matches the path closed form
     assert sum(nullity_rank(p) for p in parts) - 1 == 1 == nullity_rank(gen_path(3))
 
@@ -273,7 +272,7 @@ def test_cutpoint_case1_even_cycle_with_nullity_zero():
     g = gen_infinity(4, 3, 2, 1, 0)
     got = try_cutpoint_case1(g, 0)
     assert got is not None
-    parts, step = got
+    parts, _ = got
     assert nullity_rank(g) == sum(nullity_rank(p) for p in parts) - 1
 
 
@@ -288,9 +287,11 @@ def test_cutpoint_case2_balanced_c4():
     g = gen_infinity(4, 3, 2, 0, 0)
     got = try_cutpoint_case2(g, 0)
     assert got is not None
-    (part, rest), step = got
+    (part, rest), idx = got
     assert nullity_rank(g) == nullity_rank(part) + nullity_rank(rest)
-    assert step.kind == KIND_CUTPOINT_SPLIT
+    # G - 0 is the path 1-2-3, left of the quadrangle, and the triangle
+    # 4-5-6; the path has eta 1 against the balanced C4's 2, so it is G_1
+    assert idx == 0 and part.n == 3
 
 
 def test_cutpoint_requires_cut_point():
@@ -298,6 +299,31 @@ def test_cutpoint_requires_cut_point():
         try_cutpoint_case1(gen_cycle(4, 0), 0)
     with pytest.raises(GraphError):
         try_cutpoint_case2(gen_cycle(4, 0), 0)
+
+
+def test_cutpoint_helpers_on_the_corpus_to_order_6():
+    # every (G, v) at a cut point: a helper returns None exactly when no
+    # component has the rule's rank difference, else the first one that has
+    # it, and the rule's formula holds on the parts it returns
+    hits = {1: 0, -1: 0}
+    pairs = 0
+    for g in iter_signed_corpus(6):
+        for v in sorted(cut_points(g)):
+            pairs += 1
+            deltas = [
+                nullity_rank(comp) - nullity_rank(plus_v) for comp, _, plus_v in reduction._cutpoint_parts(g, v)
+            ]
+            eta = nullity_rank(g)
+            for delta, helper, offset in ((1, try_cutpoint_case1, -1), (-1, try_cutpoint_case2, 0)):
+                got = helper(g, v)
+                if delta not in deltas:
+                    assert got is None
+                    continue
+                parts, idx = got
+                assert idx == deltas.index(delta)
+                assert eta == sum(nullity_rank(h) for h in parts) + offset
+                hits[delta] += 1
+    assert (pairs, hits) == (543, {1: 478, -1: 132})
 
 
 def test_tree_reduces_by_pendant_deletion_only():
@@ -497,6 +523,9 @@ def test_pinned_certificates_cover_every_step_kind_and_method():
         (KIND_BASE_CASE, METHOD_CLOSED_FORM),
         (KIND_BASE_CASE, reduction.METHOD_RANK_ORACLE),
     }
+    # the step vocabulary is closed: no kind is defined that no certificate holds
+    defined = {value for name, value in vars(reduction).items() if name.startswith("KIND_")}
+    assert {kind for kind, _ in seen} == defined
 
 
 @pytest.mark.parametrize("spec", sorted(CERTIFICATE_SHA256))

@@ -23,8 +23,8 @@ from sgn.enumeration import (
     random_tree_attached_bicyclic,
     signed_graphs_mod_switching,
 )
-from sgn import formulas, linalg
-from sgn.families import parse_family_spec
+from sgn import formulas, graph, linalg
+from sgn.families import gen_theta, parse_family_spec
 from sgn.graph import (
     GraphError,
     SignedGraph,
@@ -104,6 +104,25 @@ def test_whole_vertex_sets_return_the_graph_itself():
         derived += [delete_vertices(g, ())[0], delete_vertices(g, (0,))[0], _induced(g, list(range(n)))]
         for h in derived:
             assert_normal(h)
+
+
+def test_isolated_vertices_are_split_off_without_an_edge_scan(monkeypatch):
+    theta = gen_theta(5, 6, 7)
+    g = SignedGraph(theta.n + 2000, theta.edges)
+    calls = []
+
+    def spy(host, keep):
+        calls.append(len(keep))
+        return _induced(host, keep)
+
+    monkeypatch.setattr(graph, "_induced", spy)
+    split = components(g)
+    assert calls == [theta.n]
+    assert split[0] == (theta, tuple(range(theta.n)))
+    assert [labels for _, labels in split[1:]] == [(v,) for v in range(theta.n, g.n)]
+    for h, _ in split[1:]:
+        assert h == SignedGraph(1, [])
+        assert_normal(h)
 
 
 def test_planned_parts_equal_the_induced_subgraphs():
