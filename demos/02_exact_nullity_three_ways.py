@@ -4,11 +4,14 @@ The nullity is the multiplicity of the eigenvalue zero of the signed
 adjacency matrix.  This package computes it by
 
   1. exact integer rank (fraction-free elimination):  n - rank(A),
-  2. the characteristic polynomial (traces of the powers of A and Newton's
-     identities over exact integers below order 57 while their packed rows
-     stay narrow, a Hessenberg reduction modulo a Hadamard-bounded power of
-     two otherwise): the number of
-     trailing zero coefficients,
+  2. the characteristic polynomial: the number of trailing zero
+     coefficients.  A symmetric matrix below order 15, such as both
+     adjacency matrices below (orders 6 and 11), gets it from one integer
+     determinant det(X*I - A) at a power of two X, whose base-X digits are
+     the coefficients (Kronecker substitution).  Other matrices below order
+     57 take the traces of the powers of A and Newton's identities while
+     their packed rows stay narrow, and a Hessenberg reduction modulo a
+     Hadamard-bounded power of two otherwise,
   3. basic-figure enumeration: each vertex-disjoint union of edges and
      cycles covering i vertices contributes (-1)^(p+s) * 2^c to the
      coefficient a_i, so the polynomial can be rebuilt combinatorially.

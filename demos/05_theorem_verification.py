@@ -7,9 +7,10 @@ documented grid and returns a report with replayable counterexample records
     sgn verify thm2.2
     sgn verify set.theta --n 6..12 --json report.jsonl
 
-Heavier sweeps (cor2.1, thm3.1/thm3.2/pendant over the exhaustive n <= 7
-corpus) take tens of seconds; this demo sticks to the quick ones and a
-reduced cut-point sweep.
+The cut-point and pendant sweeps (thm3.1, thm3.2, pendant) over the
+exhaustive n <= 7 corpus take about a second each; only cor2.1's default
+grid is heavy, at about 20 seconds.  This demo sticks to the quick ones and
+reduced cut-point and cor2.1 grids.
 
 Run:  python demos/05_theorem_verification.py
 """

@@ -22,7 +22,7 @@ import random
 from itertools import combinations
 from typing import Iterator
 
-from .graph import SignedGraph
+from .graph import SignedGraph, is_balanced
 
 Edge = tuple[int, int]
 
@@ -221,8 +221,6 @@ def force_unbalanced(rng: random.Random, g: SignedGraph) -> SignedGraph:
     Flipping an edge that lies on a cycle flips that cycle's sign, so the
     result cannot be balanced.  Requires the graph to contain a cycle.
     """
-    from .graph import is_balanced
-
     balanced, _ = is_balanced(g)
     if not balanced:
         return g

@@ -3,13 +3,15 @@ the figure graphs G1..G8 / H1..H13, and nullity-set realizers.
 
 Negative edges are always placed at canonical positions (the first edges of
 a cycle or path); correctness under repositioning is covered by switching
-invariance, which the verification suites test separately.  Realizers
-re-check their own output with the structural route before returning, so a
-mis-transcribed construction fails loudly instead of producing a wrong
-witness.  Their outputs are bicyclic (c = 2), which pendant peeling and the
-closed forms decide with no matrix, so the check holds at every order up to
-the adjacency-list ceiling; the set sweeps check every witness against the
-rank oracle on top.
+invariance, which the verification suites test separately.  Each bicyclic
+class has one realizer row in ``_REALIZERS``: its least order, the offset
+that ends its nullity set [0, n - offset], and one builder each for k = 0,
+the top k and the k between.  Realizers re-check their own output with the
+structural route before returning, so a mis-transcribed construction fails
+loudly instead of producing a wrong witness.  Their outputs are bicyclic
+(c = 2), which pendant peeling and the closed forms decide with no matrix,
+so the check holds at every order up to the adjacency-list ceiling; the set
+sweeps check every witness against the rank oracle on top.
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ def _fig_G2(n: int, k: int) -> SignedGraph:
     path with n - k - 7 interior vertices leads to the second triangle's
     junction.  Valid for 1 <= k <= n - 7; the nullity is k.
     """
-    _check_nk(n, k, low=1, high_offset=7, name="G2")
+    _check_nk(n, k, high_offset=7, name="G2")
     t = n - 3  # second triangle {t, t+1, t+2}, junction t
     chain = [2, *range(k + 4, t + 1)]
     edges = _TRIANGLE + [(2, j, 1) for j in range(3, k + 4)]
@@ -241,7 +243,7 @@ def _fig_G4(n: int, k: int) -> SignedGraph:
 
     Valid for 1 <= k <= n - 7; the nullity is k.
     """
-    _check_nk(n, k, low=1, high_offset=7, name="G4")
+    _check_nk(n, k, high_offset=7, name="G4")
     return _broom(n, _bowtie(), 4, n - k - 6)
 
 
@@ -267,7 +269,7 @@ def _fig_G7(n: int, k: int) -> SignedGraph:
 
     Needs k >= 1.  Realizes nullity k when n - k is odd.
     """
-    _check_nk(n, k, low=1, high_offset=5, name="G7")
+    _check_nk(n, k, high_offset=5, name="G7")
     return _broom(n, _DIAMOND, 3, n - k - 4)
 
 
@@ -280,16 +282,16 @@ def _fig_G8(n: int, k: int) -> SignedGraph:
     then ends at the theta core itself, whose nullity is 1.  Realizes
     nullity k when n - k is even.
     """
-    _check_nk(n, k, low=1, high_offset=5, name="G8")
+    _check_nk(n, k, high_offset=5, name="G8")
     core = [(0, 1, 1), (0, 2, -1), (1, 2, 1), (0, 3, 1), (3, 4, 1), (1, 4, 1)]
     return _broom(n, core, 2, n - k - 4)
 
 
-def _check_nk(n, k, *, low, high_offset, name):
+def _check_nk(n, k, *, high_offset, name):
     if n is None or k is None:
         raise GraphError(f"{name} needs both n and k")
-    if k < low:
-        raise GraphError(f"{name} needs k >= {low}, got k={k}")
+    if k < 1:
+        raise GraphError(f"{name} needs k >= 1, got k={k}")
     if n - k < high_offset:
         raise GraphError(f"{name} needs k <= n - {high_offset}, got n={n}, k={k}")
 
@@ -359,13 +361,24 @@ def gen_figure(fig_id: str, n: int | None = None, k: int | None = None, **signs)
 # -- nullity-set realizers ------------------------------------------------
 
 
-def _lowest_eta0_parities(q: int) -> int:
-    # parity making an even cycle C_q have nullity 0
-    return 1 if q % 4 == 0 else 0
+def _bplusplus_zero(n: int) -> SignedGraph:
+    # negative triangle sharing a vertex with C_q, q = n - 2, whose parity
+    # (q - 1) // 2 mod 2 gives nullity 0 in both infinity cases: for odd q
+    # it makes the odd-odd invariant even, for even q it leaves C_q itself
+    # with nullity 0
+    q = n - 2
+    return gen_infinity(3, q, 1, 1, (q - 1) // 2 % 2)
 
 
-# class -> (smallest n, offset): the nullity set at n is [0, n - offset]
-_CLASS_RANGES = {"BPlus": (7, 6), "BPlusPlus": (8, 6), "Theta": (6, 4)}
+# class -> (least n, offset, builder at k = 0, builder at k = n - offset,
+# builder for the k between): the nullity set at n is [0, n - offset].
+# The builders look gen_infinity up by name when called, so a rebinding of
+# the module's name (perfbench/tracing.py makes one) reaches them.
+_REALIZERS = {
+    "BPlus": (7, 6, lambda n: gen_infinity(3, 3, n - 4, 1, 1), _fig_G1, _fig_G2),
+    "BPlusPlus": (8, 6, _bplusplus_zero, _fig_G3, _fig_G4),
+    "Theta": (6, 4, _fig_G5, _fig_G6, lambda n, k: (_fig_G7 if (n - k) % 2 else _fig_G8)(n, k)),
+}
 
 
 def realize_nullity(class_name: str, n: int, k: int) -> SignedGraph:
@@ -375,49 +388,22 @@ def realize_nullity(class_name: str, n: int, k: int) -> SignedGraph:
     0 <= k <= n - 6.  ``BPlusPlus`` (infinity base, shared vertex): n >= 8,
     0 <= k <= n - 6.  ``Theta``: n >= 6, 0 <= k <= n - 4.
 
-    The construction follows the class's case split (k = 0 from an exact
-    infinity-formula instance or the theta chain G5, maximal k from G1/G3/G6,
-    intermediate k from G2/G4/G7/G8 chosen by the parity of n - k).  The
-    output is re-verified with the structural route before being returned.
+    Each class is one ``_REALIZERS`` row: k = 0 comes from an exact
+    infinity-formula instance or the theta chain G5, maximal k from
+    G1/G3/G6, and the k between from G2/G4, or for theta from G7/G8 by the
+    parity of n - k.  The output is re-verified with the structural route
+    before being returned.
     """
-    if class_name not in _CLASS_RANGES:
+    if class_name not in _REALIZERS:
         raise GraphError(
             f"unknown class {class_name!r}; expected BPlus, BPlusPlus, or Theta"
         )
-    n_min, offset = _CLASS_RANGES[class_name]
+    n_min, offset, zero, top, between = _REALIZERS[class_name]
     if n < n_min:
         raise GraphError(f"{class_name} realizer needs n >= {n_min}")
     if not (0 <= k <= n - offset):
         raise GraphError(f"{class_name} nullity set at n={n} is [0,{n - offset}], got k={k}")
-    if class_name == "BPlus":
-        if k == 0:
-            g = gen_infinity(3, 3, n - 4, 1, 1)
-        elif k == n - 6:
-            g = _fig_G1(n)
-        else:
-            g = _fig_G2(n, k)
-    elif class_name == "BPlusPlus":
-        if k == 0:
-            q = n - 2
-            if q % 2 == 1:
-                # both cycles odd: make the parity invariant even, triangle negative
-                sq = (1 + ((q - 3) // 2)) % 2
-                g = gen_infinity(3, q, 1, 1, sq)
-            else:
-                # even partner cycle with nullity 0; keep the triangle negative
-                g = gen_infinity(3, q, 1, 1, _lowest_eta0_parities(q))
-        elif k == n - 6:
-            g = _fig_G3(n)
-        else:
-            g = _fig_G4(n, k)
-    elif k == 0:  # Theta from here on
-        g = _fig_G5(n)
-    elif k == n - 4:
-        g = _fig_G6(n)
-    elif (n - k) % 2 == 1:
-        g = _fig_G7(n, k)
-    else:
-        g = _fig_G8(n, k)
+    g = zero(n) if k == 0 else top(n) if k == n - offset else between(n, k)
     got, _ = nullity_structural(g)
     if got != k:
         raise InternalError(
@@ -503,7 +489,6 @@ def parse_family_spec(spec: str) -> SignedGraph:
             raise GraphError("family 'figure' needs parameter id")
         extra = {key: intval(key) for key in list(args)}
         g = gen_figure(fig_id, extra.pop("n", None), extra.pop("k", None), **extra)
-        return g
     elif kind == "realize":
         cls = args.pop("class", None)
         if cls is None:

@@ -238,8 +238,6 @@ def _is_extremal_diamond(g: SignedGraph) -> bool:
     bicyclic and unbalanced: the diamond with both triangles unbalanced."""
     if g.n != 4:
         return False
-    cycles = find_cycles(g)
-    triangles = [w for w in cycles if len(w.vertices) == 3]
-    if len(cycles) != 3 or len(triangles) != 2:
-        return False
-    return all(w.sign == -1 for w in triangles)
+    # a connected bicyclic graph on 4 vertices is K4 - e: two triangles and
+    # a quadrangle
+    return all(w.sign == -1 for w in find_cycles(g) if len(w.vertices) == 3)

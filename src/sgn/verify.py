@@ -53,7 +53,7 @@ from .enumeration import (
     switching_class_signs,
 )
 from .families import (
-    _CLASS_RANGES,
+    _REALIZERS,
     bicyclic_class,
     gen_cycle,
     gen_figure,
@@ -498,7 +498,7 @@ def _verify_set(theorem_id, class_name, n_lo, n_hi,
     realizer that ``_witness`` accepts, given its rank-oracle nullity and
     balance; a realizer that raises is a failed case of kind
     ``construction``."""
-    n_min, k_offset = _CLASS_RANGES[class_name]
+    n_min, k_offset = _REALIZERS[class_name][:2]
     if n_lo < n_min:  # no realizer exists there: refuse before sweeping
         raise ValueError(f"{theorem_id} needs n >= {n_min}, got n_lo = {n_lo}")
 

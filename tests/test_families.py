@@ -15,7 +15,7 @@ from sgn import (
     serialize_edge_list,
 )
 from sgn.families import (
-    _CLASS_RANGES,
+    _REALIZERS,
     InternalError,
     bicyclic_class,
     gen_cycle,
@@ -27,6 +27,7 @@ from sgn.families import (
     parse_family_spec,
     realize_nullity,
 )
+from sgn.formulas import InfinitySpec, nullity_infinity, upper_bound
 
 
 def test_gen_cycle_signed():
@@ -247,7 +248,7 @@ def test_figure_labelings_are_pinned(fid):
 
 @pytest.mark.parametrize("cls", sorted(REALIZER_DIGESTS))
 def test_realizer_labelings_are_pinned(cls):
-    n_min, offset = {"BPlus": (7, 6), "BPlusPlus": (8, 6), "Theta": (6, 4)}[cls]
+    n_min, offset = _REALIZERS[cls][:2]
     graphs = [realize_nullity(cls, n, k) for n in range(n_min, 13) for k in range(n - offset + 1)]
     assert _digest(graphs) == REALIZER_DIGESTS[cls]
 
@@ -313,17 +314,37 @@ def test_realize_theta_full_range():
             assert bicyclic_class(g) == "Theta"
 
 
-@pytest.mark.parametrize("cls", sorted(_CLASS_RANGES))
+@pytest.mark.parametrize("cls", sorted(_REALIZERS))
 def test_realizers_beyond_the_matrix_ceiling(cls):
     # c = 2: the self-check and this test decide nullity with no matrix
     n = 20_000
-    top = n - _CLASS_RANGES[cls][1]
+    top = n - _REALIZERS[cls][1]
     for k in (0, 3, n // 2, top):
         g = realize_nullity(cls, n, k)
         eta, trace = nullity_structural(g)
         assert g.n == n and eta == k
         assert all(step.method != "RankOracle" for step in trace.steps)
         assert bicyclic_class(g) == cls and not is_balanced(g)[0]
+
+
+# realizer class -> its class in formulas.upper_bound
+BOUND_CLASSES = {"BPlus": "BPlus", "BPlusPlus": "BPlusPlus", "Theta": "ThetaUnbalanced"}
+
+
+@pytest.mark.parametrize("cls", sorted(_REALIZERS))
+def test_realizers_reach_the_nullity_bound_and_no_further(cls):
+    n_min, offset = _REALIZERS[cls][:2]
+    for n in range(n_min, 200):
+        assert n - offset == upper_bound(BOUND_CLASSES[cls], n)
+        with pytest.raises(GraphError):
+            realize_nullity(cls, n, n - offset + 1)
+
+
+def test_bplusplus_zero_parity_gives_nullity_zero_for_odd_and_even_cycles():
+    # the k = 0 BPlusPlus realizer: a negative triangle sharing a vertex with
+    # C_q carrying (q - 1) // 2 mod 2 negative edges
+    for q in range(3, 5000):
+        assert nullity_infinity(InfinitySpec(3, q, 1, 1, (q - 1) // 2 % 2)) == 0
 
 
 def test_realizer_self_check_failure_is_an_internal_error(monkeypatch):

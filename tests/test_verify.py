@@ -10,9 +10,10 @@ import pytest
 
 import sgn.verify as verify
 from sgn.cli import main
-from sgn.enumeration import connected_graphs_upto_iso, signed_graphs_mod_switching
+from sgn.enumeration import connected_graphs_upto_iso, iter_signed_corpus, signed_graphs_mod_switching
 from sgn.families import InternalError, gen_cycle, gen_path
-from sgn.graph import SignedGraph, cut_points, pendant_pairs
+from sgn.graph import SignedGraph, _signed_part, cut_points, pendant_pairs
+from sgn.reduction import _cutpoint_parts
 from sgn.verify import THEOREM_IDS, verify_theorem
 
 CORPUS_GRID = "iso-class connected corpus n<={} x switching classes, all qualifying (g, v, component) triples"
@@ -120,6 +121,27 @@ def test_cut_points_and_pendants_do_not_depend_on_signs():
         for g in signed_graphs_mod_switching(n, edges):
             assert cut_points(g) == cut_points(positive)
             assert pendant_pairs(g) == pendant_pairs(positive)
+
+
+def test_cutpoint_plan_decomposes_as_the_reduction_does():
+    # the sweeps plan each cut point's parts on the underlying graph and sign
+    # them per switching class; signed with g's signs they must be the parts
+    # reduction cuts g into at v, in the same order
+    graphs = pairs = 0
+    for g in iter_signed_corpus(6):
+        plan = verify._cutpoint_plan(g)
+        assert [v for v, _ in plan] == sorted(cut_points(g))
+        signs = [s for _, _, s in g.edges]
+
+        def signed(part):
+            return _signed_part(part.plan, [signs[i] for i in part.indices])
+
+        for v, entries in plan:
+            planned = [(signed(comp), labels, signed(plus_v)) for labels, comp, plus_v in entries]
+            assert planned == _cutpoint_parts(g, v)
+            pairs += 1
+        graphs += bool(plan)
+    assert (graphs, pairs) == (458, 543)
 
 
 # nullity_rank calls of one sweep at n <= 6: one per switching class for G,
