@@ -1,16 +1,18 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage or parse error (also a graph above the
-matrix routes' vertex ceiling, or a ``verify --json`` path that cannot be
-written), 2 verification failure (including "not switching equivalent" for
-``equiv``), 3 internal inconsistency (the nullity methods disagreed, which
-signals a library bug).
+Exit codes: 0 success, 1 usage or parse error (argparse's usage errors
+included, also a graph above the matrix routes' vertex ceiling, or a
+``verify --json`` path that cannot be written), 2 verification failure
+(including "not switching equivalent" for ``equiv``), 3 internal
+inconsistency (the nullity methods disagreed, which signals a library bug).
 
 Graph arguments accept a file path, ``-`` for stdin, or a family spec such
 as ``cycle:n=6,s=1`` (an argument naming an existing file is read as a file;
 any other argument containing a colon is treated as a spec).
 ``nullity --method all`` skips, with a note on stderr, the figure route on a
-graph it refuses (``figures.FIGURE_BOUND``); ``--method figures`` exits 1.
+graph it refuses (``figures.FIGURE_BOUND``) and the rank and charpoly routes
+on a graph above ``linalg.MAX_MATRIX_VERTICES``; a single ``--method`` that
+refuses the graph exits 1.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .graph import (
     switching_equivalent,
 )
 from .linalg import (
+    MAX_MATRIX_VERTICES,
     LinalgError,
     adjacency_matrix,
     char_poly,
@@ -71,21 +74,24 @@ def cmd_nullity(args) -> int:
     methods = [args.method] if args.method != "all" else ["rank", "charpoly", "figures", "structural"]
     results: dict[str, int] = {}
     trace = None
+    # the errors that ``all`` reports as a skipped route
+    skips = {}
+    if args.method == "all":
+        skips["figures"] = SizeGuardError
+        if g.n > MAX_MATRIX_VERTICES:
+            skips.update(rank=LinalgError, charpoly=LinalgError)
     for method in methods:
-        if method == "rank":
-            results["rank"] = nullity_rank(g)
-        elif method == "charpoly":
-            results["charpoly"] = nullity_charpoly(g)
-        elif method == "figures":
-            try:
+        try:
+            if method == "rank":
+                results["rank"] = nullity_rank(g)
+            elif method == "charpoly":
+                results["charpoly"] = nullity_charpoly(g)
+            elif method == "figures":
                 results["figures"] = zero_multiplicity(char_poly_figures(g))
-            except SizeGuardError as exc:
-                if args.method != "all":
-                    raise
-                print(f"figures: skipped ({exc})", file=sys.stderr)
-        elif method == "structural":
-            value, trace = nullity_structural(g)
-            results["structural"] = value
+            elif method == "structural":
+                results["structural"], trace = nullity_structural(g)
+        except skips.get(method, ()) as exc:
+            print(f"{method}: skipped ({exc})", file=sys.stderr)
     for method, value in results.items():
         print(f"{method}: {value}")
     if args.trace and trace is not None:
@@ -184,8 +190,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors on ``EXIT_USAGE``; the subcommand
+    parsers take this class from their parent."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sgn",
         description="Exact nullity and characteristic polynomials of signed graphs.",
     )

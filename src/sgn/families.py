@@ -332,14 +332,16 @@ _FIGURES = {
 }
 
 
-def gen_figure(fig_id: str, n: int | None = None, k: int | None = None, **signs) -> SignedGraph:
+def gen_figure(fig_id: str, /, n: int | None = None, k: int | None = None, **signs) -> SignedGraph:
     """Build a figure graph by identifier (H1..H13, G1..G8).
 
     H3 and G1/G3/G5/G6 take ``n``; G2/G4/G7/G8 take ``n`` and ``k``; the
     fixed-size H graphs take neither, and an ``n`` or ``k`` given to a figure
     that does not take it is rejected.  H10 takes ``s`` (parity of the
     pendant-free quadrangle, default balanced); H13 takes ``sp``/``sq``
-    (triangle parities, default both unbalanced).
+    (triangle parities, default both unbalanced).  ``fig_id`` is
+    positional-only, so a ``fig_id`` keyword is one more sign parameter,
+    rejected as any other a figure does not take.
     """
     fid = fig_id.upper()
     builder = _FIGURES.get(fid)
@@ -433,12 +435,32 @@ def bicyclic_class(g: SignedGraph) -> str:
 # -- family-spec strings (CLI surface) ------------------------------------
 
 
+# spec kind -> builder; the builder's signature names the spec's keys.  The
+# figure row is an adapter so that every key after ``id``, ``n`` and ``k``
+# included, is converted in spec order, and the id reaches gen_figure
+# positionally.
+_SPECS = {
+    "path": gen_path,
+    "cycle": gen_cycle,
+    "star": gen_star,
+    "infinity": gen_infinity,
+    "theta": lambda p, q, l, s1=0, s2=0, s3=0: gen_theta(p, q, l, (s1, s2, s3)),
+    "figure": lambda id, **params: gen_figure(id, **params),
+    "realize": realize_nullity,
+}
+
+
 def parse_family_spec(spec: str) -> SignedGraph:
     """Build a graph from a spec string like ``cycle:n=6,s=1`` or
     ``figure:id=G1,n=10`` or ``realize:class=BPlus,n=12,k=6``.
 
-    Kinds: path, cycle, star, infinity, theta, figure, realize.  A leading
-    ``family:`` prefix is accepted and ignored.
+    The kinds are the keys of ``_SPECS``, and a spec's keys are the
+    parameters of its kind's builder, bound in signature order: one with no
+    default is required, ``**`` takes the remaining keys in spec order, and
+    a key left over after the build is an error.  ``id`` and ``class``
+    (``realize_nullity``'s ``class_name``) are text, every other value an
+    integer no larger than ``MAX_VERTICES``.  A leading ``family:`` prefix
+    is accepted and ignored.
     """
     text = spec.strip()
     if text.startswith("family:"):
@@ -456,11 +478,7 @@ def parse_family_spec(spec: str) -> SignedGraph:
                 raise GraphError(f"family parameter {key} given more than once")
             args[key] = val.strip()
 
-    def intval(key, default=None):
-        if key not in args:
-            if default is None:
-                raise GraphError(f"family {kind!r} needs parameter {key}")
-            return default
+    def intval(key):
         raw = args.pop(key)
         try:
             val = int(raw)
@@ -470,32 +488,19 @@ def parse_family_spec(spec: str) -> SignedGraph:
             raise GraphError(f"parameter {key} = {val} exceeds the {MAX_VERTICES}-vertex ceiling")
         return val
 
-    if kind == "path":
-        g = gen_path(intval("n"))
-    elif kind == "cycle":
-        g = gen_cycle(intval("n"), intval("s", 0))
-    elif kind == "star":
-        g = gen_star(intval("k"))
-    elif kind == "infinity":
-        g = gen_infinity(intval("p"), intval("q"), intval("l"), intval("sp", 0), intval("sq", 0))
-    elif kind == "theta":
-        g = gen_theta(
-            intval("p"), intval("q"), intval("l"),
-            (intval("s1", 0), intval("s2", 0), intval("s3", 0)),
-        )
-    elif kind == "figure":
-        fig_id = args.pop("id", None)
-        if fig_id is None:
-            raise GraphError("family 'figure' needs parameter id")
-        extra = {key: intval(key) for key in list(args)}
-        g = gen_figure(fig_id, extra.pop("n", None), extra.pop("k", None), **extra)
-    elif kind == "realize":
-        cls = args.pop("class", None)
-        if cls is None:
-            raise GraphError("family 'realize' needs parameter class")
-        g = realize_nullity(cls, intval("n"), intval("k"))
-    else:
+    builder = _SPECS.get(kind)
+    if builder is None:
         raise GraphError(f"unknown family kind {kind!r}")
+    kwargs = {}
+    for name, param in inspect.signature(builder).parameters.items():
+        key = "class" if name == "class_name" else name
+        if param.kind is param.VAR_KEYWORD:
+            kwargs.update({rest: intval(rest) for rest in list(args)})
+        elif key in args:
+            kwargs[name] = args.pop(key) if key in ("id", "class") else intval(key)
+        elif param.default is param.empty:
+            raise GraphError(f"family {kind!r} needs parameter {key}")
+    g = builder(**kwargs)
     if args:
         raise GraphError(f"unused family parameters {sorted(args)}")
     return g

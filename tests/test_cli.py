@@ -71,6 +71,18 @@ def test_nullity_structural_of_a_bicyclic_graph_above_the_matrix_ceiling(capsys)
     assert capsys.readouterr().out == "structural: 2\n"
 
 
+def test_nullity_all_skips_the_matrix_routes_above_their_ceiling(capsys):
+    assert main(["nullity", "cycle:n=3000,s=1"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "structural: 0\n"
+    ceiling = "n = 3000 exceeds the 2000-vertex ceiling of the matrix routes"
+    assert err == (
+        f"rank: skipped ({ceiling})\n"
+        f"charpoly: skipped ({ceiling})\n"
+        "figures: skipped (figure enumeration guard: n = 3000, prod(deg(v) + 1) exceeds 10000000000)\n"
+    )
+
+
 def test_nullity_infinity_example(capsys):
     assert main(["nullity", "infinity:p=3,q=4,l=2,sp=1,sq=0"]) == 0
     assert capsys.readouterr().out.count(": 1") == 4
@@ -200,6 +212,35 @@ def test_unknown_theorem_exit_code(capsys):
     assert "unknown theorem" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "thm2.2", "--n-max", "x"], "argument --n-max: invalid int value: 'x'"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+        (["nullity", "--method", "bogus", "cycle:n=4"], "argument --method: invalid choice: 'bogus'"),
+    ],
+    ids=["bad-int", "unknown-command", "no-command", "bad-choice"],
+)
+def test_usage_errors_exit_1(capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert err.startswith("usage: sgn") and message in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["nullity", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: sgn nullity")
+
+
+def test_a_fig_id_key_exits_1_without_a_traceback(capsys):
+    assert main(["generate", "figure:id=G1,fig_id=3"]) == 1
+    assert capsys.readouterr() == ("", "error: G1 takes no sign parameters, got ['fig_id']\n")
+
+
 def test_verify_thm22(capsys, tmp_path):
     report_path = tmp_path / "report.jsonl"
     assert main(["verify", "thm2.2", "--json", str(report_path)]) == 0
@@ -304,6 +345,8 @@ def test_package_runs_as_a_module_from_a_checkout():
     assert code == 0 and "x^4 - 4x^2 + 4" in out
     code, out, err = run("nullity", "cycle:n=two")
     assert code == 1 and out == "" and err.startswith("error: ")
+    code, out, err = run()
+    assert code == 1 and out == "" and err.startswith("usage: sgn")
 
 
 def _limit_address_space():

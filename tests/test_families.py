@@ -1,6 +1,7 @@
 """Family generators, figure graphs, and nullity-set realizers."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -271,6 +272,7 @@ def test_realizer_labelings_are_pinned(cls):
         (lambda: gen_figure("H4", n=99), "H4 got unexpected parameters ['n']"),
         (lambda: gen_figure("H10", n=3, k=2), "H10 got unexpected parameters ['k', 'n']"),
         (lambda: gen_figure("G1", n=8, k=3), "G1 got unexpected parameters ['k']"),
+        (lambda: gen_figure("G1", n=8, fig_id=3), "G1 takes no sign parameters, got ['fig_id']"),
         (lambda: realize_nullity("Theta", 5, 0), "Theta realizer needs n >= 6"),
         (lambda: realize_nullity("BPlusPlus", 9, 4), "BPlusPlus nullity set at n=9 is [0,3], got k=4"),
         (lambda: realize_nullity("Diamond", 10, 1),
@@ -416,6 +418,92 @@ def test_spec_rejects_repeated_keys(spec, key):
     with pytest.raises(GraphError) as exc:
         parse_family_spec(spec)
     assert str(exc.value) == f"family parameter {key} given more than once"
+
+
+# The seeded spec set: every kind with and without the ``family:`` prefix,
+# with keys dropped, repeated, reordered, stray or malformed and values
+# malformed or out of range, plus figure specs with two bad keys.  The
+# digest is sha256 over each spec and its result, the serialize_edge_list
+# text or the error's type and message; it was taken from the if/elif
+# parser that the signature-bound table replaced.
+
+_SPEC_KEYS = {
+    "path": "n",
+    "cycle": "n s",
+    "star": "k",
+    "infinity": "p q l sp sq",
+    "theta": "p q l s1 s2 s3",
+    "realize": "class n k",
+}
+_FIGURE_KEYS = {"H3": "n", "H10": "s", "H13": "sp sq", **dict.fromkeys(["G1", "G3", "G5", "G6"], "n"),
+                **dict.fromkeys(["G2", "G4", "G7", "G8"], "n k")}
+_SPEC_KINDS = [*_SPEC_KEYS, "figure", "pyramid", "", "Cycle", " theta "]
+_STRAY_KEYS = ["x", "n", "k", "s", "sp", "id", "class", "N", " n", "", "s4", "signs"]
+_BAD_VALUES = ["-1", "", "x", " 4 ", "1.5", "+3", "007", "1_0", "200001"]
+_FIGURE_IDS = [*families._FIGURES, "g1", "h13", "Q9", ""]
+_CLASSES = [*_REALIZERS, "bplus", "Diamond", ""]
+
+
+def _spec_value(rng, key):
+    if rng.random() < 0.1:
+        return rng.choice(_BAD_VALUES + _FIGURE_IDS)
+    if key in ("id", "class"):
+        return rng.choice(_FIGURE_IDS if key == "id" else _CLASSES)
+    return str(rng.randrange(3 if key.startswith("s") else 13))
+
+
+def _random_spec(rng):
+    kind, fid = rng.choice(_SPEC_KINDS), rng.choice(_FIGURE_IDS)
+    if kind == "figure":
+        keys = ["id", *_FIGURE_KEYS.get(fid.upper(), "").split()]
+        keys += [key for key in ("n", "k", "s", "sp", "sq") if key not in keys and rng.random() < 0.05]
+    else:
+        keys = _SPEC_KEYS.get(kind.strip().lower(), "n").split()
+    keys = [key for key in keys if rng.random() < 0.92]
+    if rng.random() < 0.3:
+        rng.shuffle(keys)
+    if rng.random() < 0.15:
+        keys.insert(rng.randrange(len(keys) + 1), rng.choice(_STRAY_KEYS))
+    if keys and rng.random() < 0.05:
+        keys.append(rng.choice(keys))
+    items = [f"{key}={fid if key == 'id' and rng.random() < 0.9 else _spec_value(rng, key)}"
+             for key in keys]
+    if rng.random() < 0.05:
+        items.insert(rng.randrange(len(items) + 1), rng.choice(["n", "", "=3", "k:2"]))
+    prefix = rng.choice(["", "family:", " family:"])
+    sep = ":" if items or rng.random() < 0.5 else ""
+    return f"{prefix}{kind}{sep}{','.join(items)}"
+
+
+def _two_bad_figure_keys(rng):
+    fid = rng.choice(list(families._FIGURES))
+    keys = rng.sample(["n", "k", "s", "sp", "sq", "x"], 4)
+    bad = rng.sample(range(4), 2)
+    items = [f"{key}={rng.choice(['x', '', '-1', '1.5', '200001']) if i in bad else rng.randrange(13)}"
+             for i, key in enumerate(keys)]
+    return f"figure:id={fid}," + ",".join(items)
+
+
+def _seeded_specs():
+    rng = random.Random(2029)
+    specs = dict.fromkeys(_two_bad_figure_keys(rng) for _ in range(6_000))
+    while len(specs) < 36_000:
+        specs[_random_spec(rng)] = None
+    return list(specs)
+
+
+def test_seeded_spec_set_is_pinned():
+    h = hashlib.sha256()
+    for spec in _seeded_specs():
+        try:
+            result = serialize_edge_list(parse_family_spec(spec))
+        except GraphError as exc:
+            result = f"{type(exc).__name__}: {exc}"
+        h.update(f"{spec}\t{result}\n".encode())
+    assert h.hexdigest() == SPEC_SET_DIGEST
+
+
+SPEC_SET_DIGEST = "3e1c0e2f72afe2a3ae9cb47cc1620ec3c2651aa0b7ac4936f900cfff85a8aab7"
 
 
 def test_gen_cycle_sign_positions_are_canonical_but_free():
