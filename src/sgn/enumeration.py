@@ -6,10 +6,12 @@ Two exhaustive corpora are used by the verification sweeps:
   enumeration), used where a theorem is quantified over all signed graphs
   and labeled enumeration is still cheap;
 * one representative per *isomorphism class* of connected graphs on up to 7
-  vertices (the networkx graph atlas), used for the cut-point/pendant/
-  agreement sweeps.  Nullity, balance, and the cut-point relations are all
-  invariant under relabeling, so iso-class representatives are exhaustive
-  for those checks.
+  vertices, used for the cut-point/pendant/agreement sweeps.  Nullity,
+  balance, and the cut-point relations are all invariant under relabeling,
+  so iso-class representatives are exhaustive for those checks.  The 996
+  representatives are decoded from the checked-in table in ``sgn.atlas``,
+  generated once from the networkx graph atlas; networkx is not needed at
+  run time, and ``tests/test_enumeration.py`` checks the table against it.
 
 Signatures are always enumerated modulo switching: fixing a spanning tree,
 the 2^(m-n+1) sign patterns on the cotree edges hit every switching class
@@ -19,9 +21,11 @@ exactly once, and nullity is a switching invariant.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
+from operator import itemgetter
 from typing import Iterator
 
+from .atlas import EDGE_MASKS
 from .graph import SignedGraph, is_balanced
 
 Edge = tuple[int, int]
@@ -88,16 +92,17 @@ def switching_class_signs(n: int, edges: tuple[Edge, ...]) -> Iterator[tuple[int
     """
     m = len(edges)
     tree = spanning_tree_indices(n, edges)
+    if m <= 1:  # itemgetter of one index returns a bare item, not a tuple
+        yield from product(*[(1,) if i in tree else (1, -1) for i in range(m)])
+        return
     cotree = [i for i in range(m) if i not in tree]
-    base = [1] * m
-    for sub in range(1 << len(cotree)):
-        signs = base[:]
-        s = sub
-        while s:
-            b = s & -s
-            signs[cotree[b.bit_length() - 1]] = -1
-            s ^= b
-        yield tuple(signs)
+    k = len(cotree)
+    # the product varies its last factor fastest, so it runs over the cotree
+    # reversed and cotree edge 0 flips first; slot k is the constant 1 that
+    # every tree edge reads
+    slot = {i: pos for pos, i in enumerate(reversed(cotree))}
+    signs = itemgetter(*(slot.get(i, k) for i in range(m)))
+    yield from map(signs, product(*[(1, -1)] * k, (1,)))
 
 
 def signed_graphs_mod_switching(n: int, edges: tuple[Edge, ...]) -> Iterator[SignedGraph]:
@@ -110,22 +115,20 @@ def signed_graphs_mod_switching(n: int, edges: tuple[Edge, ...]) -> Iterator[Sig
 def connected_graphs_upto_iso(max_n: int = 7) -> list[tuple[int, tuple[Edge, ...]]]:
     """One representative per isomorphism class of connected graphs, n <= 7.
 
-    Backed by the networkx graph atlas (all graphs on up to seven vertices).
-    Returns (n, edges) pairs in a deterministic order.
+    Decoded on every call from the edge masks in ``sgn.atlas``, which were
+    taken from the networkx graph atlas (all graphs on up to seven vertices);
+    ``tests/test_enumeration.py::test_atlas_table_matches_networkx`` checks
+    the table against it.  Returns (n, edges) pairs sorted by n, edge count
+    and edge tuple.
     """
     if max_n > 7:
         raise ValueError("the graph atlas only covers up to 7 vertices")
-    from networkx.generators.atlas import graph_atlas_g
-
     out = []
-    for g in graph_atlas_g():
-        n = g.number_of_nodes()
-        if n == 0 or n > max_n:
-            continue
-        edges = tuple(sorted((min(u, v), max(u, v)) for u, v in g.edges()))
-        if len(spanning_tree_indices(n, edges)) == n - 1:
-            out.append((n, edges))
-    out.sort(key=lambda t: (t[0], len(t[1]), t[1]))
+    for n, masks in enumerate(EDGE_MASKS[:max(max_n, 0)], 1):
+        univ = edge_universe(n)
+        for mask in masks.split():
+            bits = int(mask, 16)
+            out.append((n, tuple(e for i, e in enumerate(univ) if bits >> i & 1)))
     return out
 
 

@@ -6,16 +6,19 @@ import random
 import pytest
 
 from sgn import SignedGraph, is_balanced, is_connected
+from sgn.atlas import EDGE_MASKS
 from sgn.enumeration import (
     bicyclic_graphs_labeled,
     connected_graphs_labeled,
     connected_graphs_upto_iso,
+    edge_universe,
     force_unbalanced,
     iter_signed_corpus,
     random_low_cyclomatic_graph,
     random_signed_graph,
     random_tree_attached_bicyclic,
     signed_graphs_mod_switching,
+    spanning_tree_indices,
     switching_class_signs,
 )
 from sgn.families import bicyclic_class, gen_cycle
@@ -59,6 +62,72 @@ def test_iso_corpus_counts():
 def test_iso_corpus_bound():
     with pytest.raises(ValueError):
         connected_graphs_upto_iso(8)
+
+
+def _atlas_from_networkx():
+    """The connected graphs of the networkx graph atlas, sorted by n, edge
+    count and edge tuple: the list ``sgn.atlas`` was generated from."""
+    atlas = pytest.importorskip("networkx.generators.atlas")
+    out = []
+    for g in atlas.graph_atlas_g():
+        n = g.number_of_nodes()
+        if n == 0:
+            continue
+        edges = tuple(sorted((min(u, v), max(u, v)) for u, v in g.edges()))
+        if len(spanning_tree_indices(n, edges)) == n - 1:
+            out.append((n, edges))
+    out.sort(key=lambda t: (t[0], len(t[1]), t[1]))
+    return out
+
+
+def test_atlas_table_matches_networkx():
+    # the recipe for regenerating sgn.atlas.EDGE_MASKS: each graph's edge
+    # mask over edge_universe(n) in hex, space-separated, one string per n
+    graphs = _atlas_from_networkx()
+    masks = [[] for _ in range(7)]
+    for n, edges in graphs:
+        univ = edge_universe(n)
+        masks[n - 1].append(format(sum(1 << univ.index(e) for e in edges), "x"))
+    assert EDGE_MASKS == tuple(" ".join(row) for row in masks)
+    for max_n in range(-1, 8):
+        assert connected_graphs_upto_iso(max_n) == [t for t in graphs if t[0] <= max_n]
+
+
+def test_atlas_table_digest_is_pinned():
+    # pins the decoded corpus, order included, where networkx is absent
+    digest = hashlib.sha256(repr(connected_graphs_upto_iso(7)).encode()).hexdigest()
+    assert digest == "6b0ba6082d7a087fd8dae079fac57b2beb2f445c78715ea2ea7f4e763abce79b"
+
+
+def test_atlas_graphs_are_connected_with_197349_switching_classes():
+    graphs = connected_graphs_upto_iso(7)
+    assert len(set(graphs)) == len(graphs) == 996
+    for n, edges in graphs:
+        assert is_connected(SignedGraph(n, [(u, v, 1) for u, v in edges]))
+    assert sum(sum(1 for _ in switching_class_signs(n, edges)) for n, edges in graphs) == 197349
+
+
+def _switching_class_signs_by_bitmask(n, edges):
+    """The bitmask loop switching_class_signs replaced: sub's bit j makes
+    cotree edge j negative, so cotree edge 0 flips first."""
+    tree = spanning_tree_indices(n, edges)
+    cotree = [i for i in range(len(edges)) if i not in tree]
+    for sub in range(1 << len(cotree)):
+        signs = [1] * len(edges)
+        for j, i in enumerate(cotree):
+            if sub >> j & 1:
+                signs[i] = -1
+        yield tuple(signs)
+
+
+def test_switching_class_signs_match_the_bitmask_loop():
+    graphs = connected_graphs_upto_iso(7)
+    graphs += [(n, edges) for n in range(7) for edges in connected_graphs_labeled(n)]
+    # no edge, a disconnected graph, a repeated edge, a lone loop (its one
+    # edge is a cotree edge)
+    graphs += [(3, ()), (4, ((0, 1), (2, 3))), (3, ((0, 1), (0, 1), (1, 2))), (1, ((0, 0),))]
+    for n, edges in graphs:
+        assert list(switching_class_signs(n, edges)) == list(_switching_class_signs_by_bitmask(n, edges)), (n, edges)
 
 
 def test_signed_corpus_sample():

@@ -1,8 +1,12 @@
-"""Every name a module imports is used in it, the closed forms import no
-route module, the package reads no environment variable, and every basic
-figure comes through one guarded entry to the figure stream."""
+"""Every name a module imports is used in it, the package imports only the
+standard library, the closed forms import no route module, the package reads
+no environment variable, and every basic figure comes through one guarded
+entry to the figure stream."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +36,36 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _top_level_imports(path: Path) -> set[str]:
+    """The first component of every absolute import in ``path``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_imports_only_the_standard_library(path):
+    # networkx in particular: the n <= 7 corpus comes from sgn.atlas
+    assert _top_level_imports(path) - sys.stdlib_module_names == set()
+
+
+def test_corpus_sweeps_run_without_networkx():
+    # a None entry in sys.modules makes every import of networkx fail
+    code = (
+        "import sys; sys.modules['networkx'] = None\n"
+        "from sgn import verify_theorem\n"
+        "for tid in ('thm3.1', 'thm3.2', 'pendant'):\n"
+        "    assert verify_theorem(tid, n_max=5).passed, tid\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # the closed forms are a route of their own: no rank, figure, reduction or
