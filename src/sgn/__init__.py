@@ -51,8 +51,6 @@ from .reduction import (
     ReductionTrace,
     nullity_structural,
     peel_pendants,
-    try_cutpoint_case1,
-    try_cutpoint_case2,
 )
 from .formulas import (
     InfinitySpec,
@@ -76,5 +74,6 @@ from .families import (
     realize_nullity,
 )
 from .verify import THEOREM_IDS, VerificationReport, verify_theorem
+from .verify import try_cutpoint_case1, try_cutpoint_case2
 
 __version__ = "0.1.0"

@@ -156,22 +156,6 @@ def random_switching(rng: random.Random, n: int) -> dict[int, int]:
     return {v: rng.choice((1, -1)) for v in range(n)}
 
 
-def random_low_cyclomatic_graph(rng: random.Random, n: int, extra: int) -> SignedGraph:
-    """Random connected graph with cyclomatic number exactly ``extra`` <= 2:
-    a random tree plus ``extra`` random non-tree edges, random signs."""
-    if extra > 2:
-        raise ValueError("cyclomatic number above 2 is not supported here")
-    edges: set[Edge] = set()
-    for v in range(1, n):
-        u = rng.randrange(v)
-        edges.add((u, v))
-    candidates = [e for e in edge_universe(n) if e not in edges]
-    rng.shuffle(candidates)
-    for e in candidates[:extra]:
-        edges.add(e)
-    return SignedGraph._trusted(n, [(u, v, rng.choice((1, -1))) for u, v in sorted(edges)])
-
-
 #: Order of each kind's smallest base: two triangles joined by an edge
 #: (BPlus), two triangles sharing a vertex (BPlusPlus), the diamond (Theta).
 _SAMPLER_MIN_ORDER = {"BPlus": 6, "BPlusPlus": 5, "Theta": 4}

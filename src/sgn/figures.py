@@ -25,6 +25,7 @@ simple graphs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph import CycleWitness, GraphError, SignedGraph, check_vertex_ceiling, cycle_witness
@@ -82,22 +83,24 @@ def _guarded_neighbors(n: int, edges):
     is ``labels[k]``.  ``neighbors[v]`` maps each neighbor, ascending by the
     edge order, to its edge's bit, bit k for ``edges[k]``.  The vertex
     ceiling (GraphError) and the figure guard (SizeGuardError) are checked
-    before anything is enumerated.
+    from degree counts, before any edge bit is built: the bits of m edges
+    take O(m^2) bits in all.
     """
     check_vertex_ceiling(n)
-    labels = sorted({x for e in edges for x in e})
+    degree = Counter(x for e in edges for x in e)
+    labels = sorted(degree)
+    bound = 1
+    for v in labels:
+        bound *= degree[v] + 1
+        if bound > FIGURE_BOUND:
+            raise SizeGuardError(
+                f"figure enumeration guard: n = {n}, prod(deg(v) + 1) exceeds {FIGURE_BOUND}"
+            )
     index = {v: k for k, v in enumerate(labels)}
     neighbors = [{} for _ in labels]
     for k, (u, v) in enumerate(edges):
         u, v = index[u], index[v]
         neighbors[u][v] = neighbors[v][u] = 1 << k
-    bound = 1
-    for nb in neighbors:
-        bound *= len(nb) + 1
-        if bound > FIGURE_BOUND:
-            raise SizeGuardError(
-                f"figure enumeration guard: n = {n}, prod(deg(v) + 1) exceeds {FIGURE_BOUND}"
-            )
     return labels, neighbors
 
 
@@ -321,5 +324,6 @@ def char_poly_figures(g: SignedGraph) -> CharPoly:
     Raises SizeGuardError when prod(deg(v) + 1) exceeds ``FIGURE_BOUND``;
     this route exists as an independent oracle, not a production engine.
     """
+    profile = _profile_from(g.n, g.underlying_edges)  # refused before any edge bit is built
     neg_mask = sum(1 << k for k, (_, _, s) in enumerate(g.edges) if s == -1)
-    return CharPoly(tuple(_eval_profile(_profile_from(g.n, g.underlying_edges), neg_mask)))
+    return CharPoly(tuple(_eval_profile(profile, neg_mask)))

@@ -13,18 +13,6 @@ decided by the exact rank oracle, and that base case is the engine's only
 rank call.  A certificate holds three step kinds: ``ComponentSplit`` and
 ``PendantDelete``, whose graph's nullity is the sum of its parts', and
 ``BaseCase``, which states a value.
-
-``try_cutpoint_case1/2`` are standalone helpers for the paper's Theorems 3.1
-and 3.2.  At a cut-point v of G, with components G_1..G_s of G - v:
-
-* decrement rule: if some G_i has eta(G_i) = eta(G_i + v) + 1, then
-  eta(G) = sum_i eta(G_i) - 1;
-* split rule: if some G_i has eta(G_i) = eta(G_i + v) - 1, then
-  eta(G) = eta(G_i) + eta(G - G_i).
-
-Each returns its parts and the index of its witness G_i, not a certificate
-step, and decides its hypothesis with the rank oracle, as there is no known
-syntactic criterion; the engine does not use them.
 """
 
 from __future__ import annotations
@@ -37,12 +25,11 @@ from .formulas import InfinitySpec, nullity_cycle, nullity_infinity, nullity_the
 from .graph import (
     GraphError,
     SignedGraph,
-    _component_vertex_sets,
     _induced,
     check_vertex_ceiling,
     components,
-    cut_points,
-    delete_vertices,
+    cut_points,  # unused; perfbench/tracing.py patches this name
+    delete_vertices,  # unused; perfbench/tracing.py patches this name
     pendant_pairs,
 )
 from .linalg import nullity_rank
@@ -179,65 +166,6 @@ def peel_pendants(g: SignedGraph) -> tuple[SignedGraph, ReductionStep] | None:
     return reduced, step
 
 
-def _cutpoint_parts(g: SignedGraph, v: int):
-    """Components G_i of G - v, each as (G_i, its original labels, G_i + v).
-
-    ``v`` must be a cut-point of ``g``; callers check that.
-    """
-    return [
-        (_induced(g, comp), tuple(comp), _induced(g, sorted((*comp, v))))
-        for comp in _component_vertex_sets(g, skip=v)
-    ]
-
-
-def _cutpoint_witness(g: SignedGraph, v: int, delta: int):
-    """(parts, idx) for the first component G_i of G - v, in ``_cutpoint_parts``
-    order, with eta(G_i) - eta(G_i + v) = delta, or None when none has it:
-    +1 is the decrement rule's hypothesis, -1 the split rule's.  The parts
-    are ranked lazily, so the search stops at the witness."""
-    if v not in cut_points(g):
-        raise GraphError(f"vertex {v} is not a cut-point")
-    parts = _cutpoint_parts(g, v)
-    for idx, (comp, _, plus_v) in enumerate(parts):
-        if nullity_rank(comp) - nullity_rank(plus_v) == delta:
-            return parts, idx
-    return None
-
-
-def try_cutpoint_case1(g: SignedGraph, v: int) -> tuple[tuple[SignedGraph, ...], int] | None:
-    """Decrement rule (Theorem 3.1) at cut-point v: eta(G) = sum eta(G_i) - 1.
-
-    Applicable when some component G_i of G - v satisfies
-    eta(G_i) = eta(G_i + v) + 1.  Returns ``(parts, idx)``: every component
-    G_i of G - v, ordered by smallest label, and the lowest index of one
-    that qualifies; None when none does.  Raises ``GraphError`` when v is
-    not a cut-point.
-    """
-    hit = _cutpoint_witness(g, v, 1)
-    if hit is None:
-        return None
-    parts, idx = hit
-    return tuple(comp for comp, _, _ in parts), idx
-
-
-def try_cutpoint_case2(g: SignedGraph, v: int) -> tuple[tuple[SignedGraph, SignedGraph], int] | None:
-    """Split rule (Theorem 3.2) at cut-point v: eta(G) = eta(G_i) + eta(G - G_i).
-
-    Applicable when some component G_i of G - v satisfies
-    eta(G_i) = eta(G_i + v) - 1.  Returns ``((G_i, G - G_i), idx)`` for the
-    qualifying G_i of lowest index ``idx`` among the components of G - v,
-    ordered by smallest label, where G - G_i keeps v and every other
-    component; None when none qualifies.  Raises ``GraphError`` when v is
-    not a cut-point.
-    """
-    hit = _cutpoint_witness(g, v, -1)
-    if hit is None:
-        return None
-    parts, idx = hit
-    comp, original, _ = parts[idx]
-    return (comp, delete_vertices(g, original)[0]), idx
-
-
 def nullity_structural(g: SignedGraph) -> tuple[int, ReductionTrace]:
     """Nullity via structural reduction, with a replayable certificate.
 
@@ -246,14 +174,14 @@ def nullity_structural(g: SignedGraph) -> tuple[int, ReductionTrace]:
     case of a connected pendant-free graph: the closed form of a cycle,
     theta or infinity graph when m <= n + 1, so a graph with c <= 2 is
     decided in O(n log n) with no matrix, else the rank oracle.  The
-    cut-point rules are not tried; ``try_cutpoint_case1/2`` apply them on
-    request.  An explicit stack replaces recursion: each popped graph
-    records one step and pushes its parts in reverse, which keeps the steps
-    in pre-order.  Every rule sets eta(G) to the sum of its parts'
-    nullities, so the result is the sum of the base-case values.  It always
-    equals the rank-oracle nullity; ``replay`` re-derives it from the steps
-    alone.  A graph above the adjacency-list ceiling is refused even when
-    no rule would traverse it (an edgeless one).
+    cut-point rules are not tried.  An explicit stack replaces recursion:
+    each popped graph records one step and pushes its parts in reverse,
+    which keeps the steps in pre-order.  Every rule sets eta(G) to the sum
+    of its parts' nullities, so the result is the sum of the base-case
+    values.  It always equals the rank-oracle nullity; ``replay``
+    re-derives it from the steps alone.  A graph above the adjacency-list
+    ceiling is refused even when no rule would traverse it (an edgeless
+    one).
     """
     check_vertex_ceiling(g.n)
     steps: list[ReductionStep] = []
@@ -374,3 +302,8 @@ def _bicyclic_closed_form(g: SignedGraph) -> tuple[int, str]:
     l = 1 + sum(length for a, b, length, _ in branches if a != b)
     value = nullity_infinity(InfinitySpec(p, q, l, sp, sq))
     return value, f"eta = {value} (infinity closed form, p={p}, q={q}, l={l}, s parities ({sp}, {sq}))"
+
+
+# unused; perfbench/tracing.py patches these names.  verify imports this
+# module through families, so they are bound last.
+from .verify import try_cutpoint_case1, try_cutpoint_case2  # noqa: E402

@@ -24,7 +24,11 @@ pair), and each part G_i, G_i + v or G - {v, u} as an edge-index map that
 every switching class signs from its own sign vector.  Each part memoizes
 its nullity by its tuple of edge signs, so a signed part is ranked once per
 underlying graph; the memo goes with the plan when the sweep moves to the
-next graph, and nothing is kept between sweeps.  The bicyclic sweep
+next graph, and nothing is kept between sweeps.  The cut at a vertex v
+is made in one place, ``_cutpoint_parts``, and ``_rank_differences``
+ranks its parts: ``thm3.1`` and ``thm3.2`` read it per switching class,
+and ``try_cutpoint_case1/2`` apply the two rules to one signed graph on
+request, stopping at the lowest witness G_i.  The bicyclic sweep
 ``lem5.2`` skips the first switching class, the only balanced one, instead
 of testing each class for balance, and tests the rest for the extremal
 diamond without re-checking that they are connected, bicyclic and
@@ -147,6 +151,13 @@ def _outcome(fields: dict, expected, got):
     return None if got == expected else dict(fields, expected=expected, got=got)
 
 
+def _refuse_beyond(theorem_id: str, n_max: int, limit: int) -> None:
+    """Refuse, before sweeping, an exhaustive grid that cannot finish: one
+    order more multiplies its graphs many times over."""
+    if n_max > limit:
+        raise ValueError(f"{theorem_id} is exhaustive up to n_max = {limit}, got n_max = {n_max}")
+
+
 def _closed_form(points, build, formula):
     """Cases of a closed form: per parameter dict of ``points``, the rank
     oracle on ``build(**params)`` against ``formula(**params)``."""
@@ -160,10 +171,11 @@ def _closed_form(points, build, formula):
 def verify_cor21(n_max: int = 6, samples: int = 500, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Figure-enumeration coefficients against the exact charpoly.
 
-    Exhaustive over every labeled connected graph on up to ``n_max``
+    Exhaustive over every labeled connected graph on up to ``n_max`` <= 6
     vertices with one signature per switching class, then ``samples`` random
     signed graphs on 7..10 vertices through the public API.
     """
+    _refuse_beyond("cor2.1", n_max, 6)
 
     def cases():
         for n in range(1, n_max + 1):
@@ -266,6 +278,10 @@ class _Part:
         self.indices = tuple(i for i, _, _ in self.plan[1])
         self.etas: dict[tuple[int, ...], int] = {}
 
+    def graph(self, signs) -> SignedGraph:
+        """The part signed by the host's edge signs ``signs``."""
+        return _signed_part(self.plan, [signs[i] for i in self.indices])
+
     def nullity(self, signs) -> int:
         key = tuple([signs[i] for i in self.indices])
         eta = self.etas.get(key)
@@ -274,17 +290,27 @@ class _Part:
         return eta
 
 
-def _cutpoint_plan(g: SignedGraph):
-    """Per cut point v, ascending: v and, per component G_i of G - v, its
-    original labels and the parts G_i and G_i + v, as
-    ``reduction._cutpoint_parts`` decomposes G at v."""
+def _cutpoint_parts(g: SignedGraph, v: int):
+    """Per component G_i of G - v, ordered by smallest label: its original
+    labels and the parts G_i and G_i + v.  ``v`` must be a cut point."""
     return [
-        (v, [
-            (tuple(comp), _Part(g, comp), _Part(g, sorted((*comp, v))))
-            for comp in _component_vertex_sets(g, skip=v)
-        ])
-        for v in sorted(cut_points(g))
+        (tuple(comp), _Part(g, comp), _Part(g, sorted((*comp, v))))
+        for comp in _component_vertex_sets(g, skip=v)
     ]
+
+
+def _cutpoint_plan(g: SignedGraph):
+    """Per cut point v, ascending: v and ``_cutpoint_parts(g, v)``."""
+    return [(v, _cutpoint_parts(g, v)) for v in sorted(cut_points(g))]
+
+
+def _rank_differences(parts, signs):
+    """(eta(G_i), eta(G_i) - eta(G_i + v)) per part, ranked lazily.  A
+    difference of +1 is the decrement rule's hypothesis, -1 the split
+    rule's; neither has a known syntactic criterion, so both are ranked."""
+    for _, comp, plus_v in parts:
+        eta_i = comp.nullity(signs)
+        yield eta_i, eta_i - plus_v.nullity(signs)
 
 
 def _corpus_cases(n_max: int, plan, check):
@@ -309,9 +335,9 @@ def verify_thm31(n_max: int = 7) -> VerificationReport:
 
     def decrement(g, eta_g, signs, entry):
         v, parts = entry
-        etas = [comp.nullity(signs) for _, comp, _ in parts]
-        for idx, (_, _, plus_v) in enumerate(parts):
-            if etas[idx] == plus_v.nullity(signs) + 1:
+        etas, deltas = zip(*_rank_differences(parts, signs))
+        for idx, delta in enumerate(deltas):
+            if delta == 1:
                 yield dict(cut_point=v, component=idx), sum(etas) - 1, eta_g
 
     return _run("thm3.1", _CUTPOINT_GRID.format(n_max), _corpus_cases(n_max, _cutpoint_plan, decrement))
@@ -323,13 +349,57 @@ def verify_thm32(n_max: int = 7) -> VerificationReport:
 
     def split(g, eta_g, signs, entry):
         v, parts = entry
-        for idx, (original, comp, plus_v) in enumerate(parts):
-            eta_i = comp.nullity(signs)
-            if eta_i == plus_v.nullity(signs) - 1:
-                rest, _ = delete_vertices(g, original)
+        for idx, (eta_i, delta) in enumerate(_rank_differences(parts, signs)):
+            if delta == -1:
+                rest, _ = delete_vertices(g, parts[idx][0])
                 yield dict(cut_point=v, component=idx), eta_i + nullity_rank(rest), eta_g
 
     return _run("thm3.2", _CUTPOINT_GRID.format(n_max), _corpus_cases(n_max, _cutpoint_plan, split))
+
+
+def _cutpoint_witness(g: SignedGraph, v: int, delta: int):
+    """(parts, signs, idx): the parts of G at v, G's edge signs and the
+    lowest index of a component with rank difference ``delta``, idx None
+    when none has it; the search stops at the witness."""
+    if v not in cut_points(g):
+        raise GraphError(f"vertex {v} is not a cut-point")
+    parts = _cutpoint_parts(g, v)
+    signs = [s for _, _, s in g.edges]
+    ranked = _rank_differences(parts, signs)
+    idx = next((idx for idx, (_, d) in enumerate(ranked) if d == delta), None)
+    return parts, signs, idx
+
+
+def try_cutpoint_case1(g: SignedGraph, v: int) -> tuple[tuple[SignedGraph, ...], int] | None:
+    """Decrement rule (Theorem 3.1) at cut-point v: eta(G) = sum eta(G_i) - 1.
+
+    Applicable when some component G_i of G - v satisfies
+    eta(G_i) = eta(G_i + v) + 1.  Returns ``(parts, idx)``: every component
+    G_i of G - v, ordered by smallest label, and the lowest index of one
+    that qualifies; None when none does.  Raises ``GraphError`` when v is
+    not a cut-point.
+    """
+    parts, signs, idx = _cutpoint_witness(g, v, 1)
+    if idx is None:
+        return None
+    return tuple(comp.graph(signs) for _, comp, _ in parts), idx
+
+
+def try_cutpoint_case2(g: SignedGraph, v: int) -> tuple[tuple[SignedGraph, SignedGraph], int] | None:
+    """Split rule (Theorem 3.2) at cut-point v: eta(G) = eta(G_i) + eta(G - G_i).
+
+    Applicable when some component G_i of G - v satisfies
+    eta(G_i) = eta(G_i + v) - 1.  Returns ``((G_i, G - G_i), idx)`` for the
+    qualifying G_i of lowest index ``idx`` among the components of G - v,
+    ordered by smallest label, where G - G_i keeps v and every other
+    component; None when none qualifies.  Raises ``GraphError`` when v is
+    not a cut-point.
+    """
+    parts, signs, idx = _cutpoint_witness(g, v, -1)
+    if idx is None:
+        return None
+    labels, comp, _ = parts[idx]
+    return (comp.graph(signs), delete_vertices(g, labels)[0]), idx
 
 
 def _pendant_plan(g: SignedGraph):
@@ -416,8 +486,10 @@ def verify_lem51(samples: int = 25, seed: int = DEFAULT_SEED) -> VerificationRep
 
 
 def verify_lem52(n_max: int = 6) -> VerificationReport:
-    """eta <= n - 3 for every unbalanced bicyclic signed graph with n <= n_max,
-    with equality exactly for the both-triangles-unbalanced diamond."""
+    """eta <= n - 3 for every unbalanced bicyclic signed graph with
+    n <= n_max <= 7, with equality exactly for the both-triangles-unbalanced
+    diamond."""
+    _refuse_beyond("lem5.2", n_max, 7)
 
     def cases():
         for n in range(4, n_max + 1):

@@ -32,7 +32,6 @@ from sgn import (
 from sgn import reduction
 from sgn.enumeration import (
     iter_signed_corpus,
-    random_low_cyclomatic_graph,
     random_signed_graph,
     random_switching,
 )
@@ -53,6 +52,7 @@ from sgn.verify import (
     verify_thm32,
     verify_thm41,
 )
+from samplers import random_low_cyclomatic_graph
 
 CORPUS_SIGNED_GRAPHS = 197349      # iso classes n <= 7 x switching classes
 LABELED_SIGNED_GRAPHS = 440482     # labeled connected n <= 6 x switching classes

@@ -305,6 +305,14 @@ def test_verify_set_below_the_class_minimum_exits_1(capsys, tmp_path, theorem_id
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize("theorem_id, n_max, limit", [("cor2.1", 7, 6), ("lem5.2", 8, 7), ("lem5.2", 99999, 7)])
+def test_verify_exhaustive_grid_beyond_its_limit_exits_1(capsys, tmp_path, theorem_id, n_max, limit):
+    report_path = tmp_path / "report.jsonl"
+    assert main(["verify", theorem_id, "--n-max", str(n_max), "--json", str(report_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {theorem_id} is exhaustive up to n_max = {limit}, got n_max = {n_max}\n")
+    assert not report_path.exists()
+
+
 def test_figure_route_guard(capsys, tmp_path):
     k14 = tmp_path / "k14.txt"
     pairs = [(u, v) for u in range(14) for v in range(u + 1, 14)]

@@ -14,7 +14,6 @@ from sgn.enumeration import (
     edge_universe,
     force_unbalanced,
     iter_signed_corpus,
-    random_low_cyclomatic_graph,
     random_signed_graph,
     random_tree_attached_bicyclic,
     signed_graphs_mod_switching,
@@ -22,6 +21,7 @@ from sgn.enumeration import (
     switching_class_signs,
 )
 from sgn.families import bicyclic_class, gen_cycle
+from samplers import random_low_cyclomatic_graph
 
 
 def test_labeled_connected_counts():

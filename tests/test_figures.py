@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -232,6 +233,22 @@ def test_figure_api_refuses_what_char_poly_figures_refuses():
     for call in (char_poly_figures, lambda g: coefficient(g, 2), lambda g: enumerate_basic_figures(g, 2)):
         with pytest.raises(SizeGuardError, match=f"^{re.escape(message)}$"):
             call(k11)
+
+
+def test_figure_guard_counts_before_it_allocates():
+    # the edge bits 1 << k of m edges take about m^2 / 16 bytes in all, so
+    # refusing a 40 000-vertex cycle must not build them (it peaked at about
+    # 120 MB when the guard ran after them)
+    g = gen_cycle(40_000, 1)
+    message = f"figure enumeration guard: n = 40000, prod(deg(v) + 1) exceeds {figures.FIGURE_BOUND}"
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match=f"^{re.escape(message)}$"):
+            char_poly_figures(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
 
 
 def test_figure_api_vertex_ceiling():

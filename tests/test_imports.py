@@ -14,9 +14,15 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "sgn"
 
 # names imported only so that a caller outside the package can rebind them:
-# perfbench/tracing.py patches verify.iter_signed_corpus and
-# verify.is_max_nullity_extremal
-ALLOWED = {("verify", "iter_signed_corpus"), ("verify", "is_max_nullity_extremal")}
+# perfbench/tracing.py patches each of them in its module
+ALLOWED = {
+    ("verify", "iter_signed_corpus"),
+    ("verify", "is_max_nullity_extremal"),
+    ("reduction", "cut_points"),
+    ("reduction", "delete_vertices"),
+    ("reduction", "try_cutpoint_case1"),
+    ("reduction", "try_cutpoint_case2"),
+}
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -140,3 +146,20 @@ def test_one_figure_stream():
     the vertex ceiling and the figure guard."""
     callers = [c for c in _callers("_component_stream") if c != "figures._component_stream"]
     assert callers == ["figures._figure_stream"]
+
+
+def test_reduction_ranks_only_in_its_base_case_and_cuts_no_vertex():
+    """The engine's one call into ``linalg`` is ``nullity_rank`` in
+    ``_base_case``; the cut-point decomposition and helpers live in verify."""
+    tree = ast.parse((SRC / "reduction.py").read_text(encoding="utf-8"))
+    from_linalg = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.asname or alias.name for alias in node.names}
+            assert "linalg" not in names  # no module object to call through
+            if node.module == "linalg":
+                from_linalg |= names
+    calls = [c for name in sorted(from_linalg) for c in _callers(name) if c.startswith("reduction.")]
+    assert calls == ["reduction._base_case"]
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert {name for name in defined if "cut" in name.lower()} == set()

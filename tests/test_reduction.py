@@ -26,8 +26,8 @@ from sgn import (
     try_cutpoint_case1,
     try_cutpoint_case2,
 )
-from sgn import reduction
-from sgn.enumeration import iter_signed_corpus, random_low_cyclomatic_graph, random_signed_graph, random_switching
+from sgn import reduction, verify
+from sgn.enumeration import iter_signed_corpus, random_signed_graph, random_switching
 from sgn.families import bicyclic_class, gen_cycle, gen_figure, gen_infinity, gen_path, gen_star, gen_theta
 from sgn.formulas import InfinitySpec, nullity_infinity, nullity_theta
 from sgn.graph import _induced, switch
@@ -37,6 +37,7 @@ from sgn.reduction import (
     KIND_PENDANT_DELETE,
     METHOD_CLOSED_FORM,
 )
+from samplers import random_low_cyclomatic_graph
 
 
 def test_pendant_on_p4():
@@ -310,8 +311,10 @@ def test_cutpoint_helpers_on_the_corpus_to_order_6():
     for g in iter_signed_corpus(6):
         for v in sorted(cut_points(g)):
             pairs += 1
+            signs = [s for _, _, s in g.edges]
             deltas = [
-                nullity_rank(comp) - nullity_rank(plus_v) for comp, _, plus_v in reduction._cutpoint_parts(g, v)
+                nullity_rank(comp.graph(signs)) - nullity_rank(plus_v.graph(signs))
+                for _, comp, plus_v in verify._cutpoint_parts(g, v)
             ]
             eta = nullity_rank(g)
             for delta, helper, offset in ((1, try_cutpoint_case1, -1), (-1, try_cutpoint_case2, 0)):
@@ -547,8 +550,10 @@ def test_cutpoint_parts_equal_the_build_through_g_minus_v():
                 old = []
                 for comp, comp_map in components(without):
                     original = tuple(keep[i] for i in comp_map)
-                    old.append((comp, original, _induced(h, sorted((*original, v)))))
-                assert reduction._cutpoint_parts(h, v) == old
+                    old.append((original, comp, _induced(h, sorted((*original, v)))))
+                signs = [s for _, _, s in h.edges]
+                parts = verify._cutpoint_parts(h, v)
+                assert [(labels, comp.graph(signs), plus_v.graph(signs)) for labels, comp, plus_v in parts] == old
                 checked += 1
     assert checked == 381
 

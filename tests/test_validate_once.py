@@ -18,7 +18,6 @@ import pytest
 from sgn.enumeration import (
     connected_graphs_upto_iso,
     force_unbalanced,
-    random_low_cyclomatic_graph,
     random_signed_graph,
     random_tree_attached_bicyclic,
     signed_graphs_mod_switching,
@@ -39,8 +38,9 @@ from sgn.graph import (
     parse_edge_list,
     switch,
 )
-from sgn.reduction import _cutpoint_parts, nullity_structural
-from sgn.verify import verify_theorem
+from sgn.reduction import nullity_structural
+from sgn.verify import _cutpoint_parts, verify_theorem
+from samplers import random_low_cyclomatic_graph
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sgn"
 TRUSTED_MODULES = {"graph", "enumeration"}
@@ -72,9 +72,10 @@ def test_derived_graphs_are_in_normal_form():
         derived.append(delete_vertices(g, rng.sample(range(n), rng.randint(0, n)))[0])
         for comp, _ in components(g):
             derived.append(comp)
+            signs = [s for _, _, s in comp.edges]
             for v in sorted(cut_points(comp)) if comp.n else ():
-                for gi, _, gi_plus_v in _cutpoint_parts(comp, v):
-                    derived += [gi, gi_plus_v]
+                for _, gi, gi_plus_v in _cutpoint_parts(comp, v):
+                    derived += [gi.graph(signs), gi_plus_v.graph(signs)]
         if g.m <= 10:
             derived.extend(signed_graphs_mod_switching(n, g.underlying_edges))
         derived.extend(parse_edge_list(text) for text in _edge_list_text(g, rng))

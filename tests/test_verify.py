@@ -12,8 +12,7 @@ import sgn.verify as verify
 from sgn.cli import main
 from sgn.enumeration import connected_graphs_upto_iso, iter_signed_corpus, signed_graphs_mod_switching
 from sgn.families import InternalError, gen_cycle, gen_path
-from sgn.graph import SignedGraph, _signed_part, cut_points, pendant_pairs
-from sgn.reduction import _cutpoint_parts
+from sgn.graph import SignedGraph, _induced, cut_points, pendant_pairs
 from sgn.verify import THEOREM_IDS, verify_theorem
 
 CORPUS_GRID = "iso-class connected corpus n<={} x switching classes, all qualifying (g, v, component) triples"
@@ -123,22 +122,22 @@ def test_cut_points_and_pendants_do_not_depend_on_signs():
             assert pendant_pairs(g) == pendant_pairs(positive)
 
 
-def test_cutpoint_plan_decomposes_as_the_reduction_does():
+def test_cutpoint_plan_signs_to_the_induced_parts():
     # the sweeps plan each cut point's parts on the underlying graph and sign
-    # them per switching class; signed with g's signs they must be the parts
-    # reduction cuts g into at v, in the same order
+    # them per switching class; signed with g's signs, the parts at v must be
+    # the subgraphs G_i and G_i + v that g induces, per component of G - v
+    # by smallest label, and the labels must partition the vertices but v
     graphs = pairs = 0
     for g in iter_signed_corpus(6):
-        plan = verify._cutpoint_plan(g)
+        plan = verify._cutpoint_plan(SignedGraph(g.n, [(u, v, 1) for u, v, _ in g.edges]))
         assert [v for v, _ in plan] == sorted(cut_points(g))
         signs = [s for _, _, s in g.edges]
-
-        def signed(part):
-            return _signed_part(part.plan, [signs[i] for i in part.indices])
-
         for v, entries in plan:
-            planned = [(signed(comp), labels, signed(plus_v)) for labels, comp, plus_v in entries]
-            assert planned == _cutpoint_parts(g, v)
+            labels = [original for original, _, _ in entries]
+            assert labels == sorted(labels) and sorted(sum(labels, (v,))) == list(range(g.n))
+            for original, comp, plus_v in entries:
+                assert comp.graph(signs) == _induced(g, original)
+                assert plus_v.graph(signs) == _induced(g, sorted((*original, v)))
             pairs += 1
         graphs += bool(plan)
     assert (graphs, pairs) == (458, 543)
@@ -345,6 +344,29 @@ def test_set_construction_failure_is_a_counted_case(monkeypatch, capsys, theorem
     ]
     assert main(["verify", theorem_id, "--n", f"{n}..{n}"]) == 2
     assert "failures: 1" in capsys.readouterr().out
+
+
+# the largest n_max at which each exhaustive labeled sweep can finish, the
+# enumeration it would start on a larger one, and its other options
+EXHAUSTIVE_LIMIT = {
+    "cor2.1": (6, "connected_graphs_labeled", {"samples": 0}),
+    "lem5.2": (7, "bicyclic_graphs_labeled", {}),
+}
+
+
+@pytest.mark.parametrize("theorem_id", sorted(EXHAUSTIVE_LIMIT))
+def test_exhaustive_grid_that_cannot_finish_is_refused_before_sweeping(monkeypatch, theorem_id):
+    limit, enumerate_graphs, options = EXHAUSTIVE_LIMIT[theorem_id]
+    calls = []
+    monkeypatch.setattr(verify, enumerate_graphs, lambda n: calls.append(n) or iter(()))
+    for n_max in (limit + 1, 99999):
+        message = f"{theorem_id} is exhaustive up to n_max = {limit}, got n_max = {n_max}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_theorem(theorem_id, n_max=n_max, **options)
+    assert calls == []
+    # the limit itself is accepted and swept
+    verify_theorem(theorem_id, n_max=limit, **options)
+    assert calls[-1] == limit
 
 
 @pytest.mark.parametrize("theorem_id", sorted(SET_MINIMUM))
