@@ -22,8 +22,12 @@ and every pivot's factors of 2 are its trailing zero bits.  The public
 matrix functions accept integer entries only, and the matrix routes refuse
 graphs above ``MAX_MATRIX_VERTICES`` vertices.
 A ``SignedGraph`` is validated when it is built, so the graph routes
-(``nullity_rank``, ``nullity_charpoly``) build its adjacency rows as lists
-once and hand them to the kernels without checking them again.
+(``nullity_rank``, ``nullity_charpoly``) check nothing again.  The rank
+route builds the adjacency rows as lists once.  Below order 15 the spectrum
+route builds the Kronecker triangle of X*I - A straight from the edges and
+takes the squared row norms from the degrees (``_graph_triangle``); from
+15 on it builds the rows once too.  Bareiss skips the division while the
+last pivot is +-1, where dividing by it is multiplying by it.
 """
 
 from __future__ import annotations
@@ -129,6 +133,10 @@ def _rank_rows(m: list[list[int]]) -> int:
     certified modular rank above it.  Pivoting picks the first nonzero entry
     in column order, so runs are deterministic.  Over the integers the
     computed rank equals the rank over the rationals (and the reals).
+    While the last pivot ``prev`` is +-1, dividing by it is multiplying by
+    it: a row is updated as x * f - g * y with f = mrc * prev and
+    g = mic * prev, with no division, and a row with 0 in the pivot column
+    is scaled by f, or left alone when f is 1.
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
@@ -146,17 +154,29 @@ def _rank_rows(m: list[list[int]]) -> int:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-        mrc = m[r][c]
         row_r = m[r]
+        mrc = row_r[c]
+        unit = prev == 1 or prev == -1
+        f = mrc * prev
+        cols = range(c + 1, nc)
         for i in range(r + 1, nr):
             row_i = m[i]
             mic = row_i[c]
             if mic:
-                for j in range(c + 1, nc):
-                    row_i[j] = (row_i[j] * mrc - mic * row_r[j]) // prev
                 row_i[c] = 0
+                if unit:
+                    g = mic * prev
+                    for j in cols:
+                        row_i[j] = row_i[j] * f - g * row_r[j]
+                else:
+                    for j in cols:
+                        row_i[j] = (row_i[j] * mrc - mic * row_r[j]) // prev
+            elif unit:
+                if f != 1:
+                    for j in cols:
+                        row_i[j] *= f
             elif prev != mrc:
-                for j in range(c + 1, nc):
+                for j in cols:
                     row_i[j] = row_i[j] * mrc // prev
         prev = mrc
         r += 1
@@ -478,11 +498,18 @@ def _pivot_factor_getters(m: int) -> tuple[operator.itemgetter, operator.itemget
 #: of ``_charpoly_kronecker`` starts from (3 <= m < ``KRONECKER_MAX_ORDER``).
 _PIVOT_FACTORS = {m: _pivot_factor_getters(m) for m in range(3, KRONECKER_MAX_ORDER)}
 
+#: Per order n below ``KRONECKER_MAX_ORDER``: the index of each diagonal
+#: entry (i, i) in the upper triangle packed row by row; entry (i, j),
+#: i <= j, sits j - i places further on.
+_DIAGONALS = {n: [i * n - i * (i - 1) // 2 for i in range(n)] for n in range(KRONECKER_MAX_ORDER)}
+
 
 def _charpoly_kronecker(a: list[list[int]], w: int) -> list[int]:
     """a_0..a_n of a symmetric integer matrix A of order n below
     ``KRONECKER_MAX_ORDER`` from the one integer phi(X) = det(X*I - A) at
-    X = 2^w, for a w with X^2 > Q = ``_coefficient_bound(a)``.
+    X = 2^w, for a w with X^2 > Q = ``_coefficient_bound(a)``.  It packs
+    the upper triangle of X*I - A row by row for ``_charpoly_triangle``,
+    the elimination that ``_graph_triangle`` feeds too.
 
     phi(X) is the last pivot of a fraction-free elimination of M = X*I - A
     in pivot order (Bareiss): step k turns each later entry into
@@ -507,14 +534,43 @@ def _charpoly_kronecker(a: list[list[int]], w: int) -> list[int]:
     No floating point enters.
     """
     n = len(a)
-    if n < 2:
-        return [1] + [-row[0] for row in a]
     x = 1 << w
     t = [-v for i, row in enumerate(a) for v in row[i:]]
-    d = 0
-    for i in range(n):
+    for d in _DIAGONALS[n]:
         t[d] += x
-        d += n - i
+    return _charpoly_triangle(t, n, w)
+
+
+def _graph_triangle(g: SignedGraph) -> tuple[list[int], int]:
+    """(t, w): the packed upper triangle t of X*I - A, row by row, for the
+    adjacency matrix A of a graph below ``KRONECKER_MAX_ORDER``, and the
+    least w with X = 2^w, X^2 > Q = ``_coefficient_bound(A)``.
+
+    Built from the edges, not from rows: X on the diagonal, -s at (u, v).
+    Row v of A has deg(v) entries +-1, so its squared norm is deg(v), and
+    w is ``_half_width`` of the rows, with the same proof.
+    """
+    n = g.n
+    diagonals = _DIAGONALS[n]
+    t = [0] * (n * (n + 1) // 2)
+    degrees = [0] * n
+    for u, v, s in g.edges:
+        t[diagonals[u] + v - u] = -s
+        degrees[u] += 1
+        degrees[v] += 1
+    w = (_squares_bound(degrees).bit_length() + 1) // 2
+    x = 1 << w
+    for d in diagonals:
+        t[d] = x
+    return t, w
+
+
+def _charpoly_triangle(t: list[int], n: int, w: int) -> list[int]:
+    """a_0..a_n from the packed upper triangle t of X*I - A, X = 2^w, by the
+    elimination and the base-X digits that ``_charpoly_kronecker`` proves
+    exact."""
+    if n < 2:
+        return [1] + [v - (1 << w) for v in t]
     prev = 1
     for m in range(n, 2, -1):
         p = t[0]
@@ -522,6 +578,7 @@ def _charpoly_kronecker(a: list[list[int]], w: int) -> list[int]:
         t = [(v * p - s * u) // prev for v, s, u in zip(t[m:], gi(t), gj(t))]
         prev = p
     det = (t[0] * t[2] - t[1] * t[1]) // prev
+    x = 1 << w
     half = x >> 1
     mask = x - 1
     det += ((1 << (w * (n + 1))) - 1) // mask * half
@@ -611,9 +668,14 @@ def _coefficient_bound(a: list[list[int]]) -> int:
     gives ceil(sqrt(4s)) <= 1 + s, so f(s) <= 2(1 + s): no matrix needs a
     larger M than under the per-row factor 2(1 + s).
     """
+    return _squares_bound([sum([x * x for x in row]) for row in a])
+
+
+def _squares_bound(squares: list[int]) -> int:
+    """Q = 4 prod f(s_i) of ``_coefficient_bound`` from the squared row
+    norms s_i."""
     bound = 4
-    for row in a:
-        s = sum([x * x for x in row])
+    for s in squares:
         bound *= _ROW_FACTORS[s] if s < 256 else _row_factor(s)
     return bound
 
@@ -740,4 +802,9 @@ def nullity_charpoly(g: SignedGraph) -> int:
     For the symmetric adjacency matrix the algebraic multiplicity equals the
     geometric one, so this agrees with ``nullity_rank``.
     """
-    return zero_multiplicity(CharPoly(tuple(_charpoly_rows(_adjacency_rows(g)))))
+    if g.n < KRONECKER_MAX_ORDER:
+        t, w = _graph_triangle(g)
+        coeffs = _charpoly_triangle(t, g.n, w)
+    else:
+        coeffs = _charpoly_rows(_adjacency_rows(g))
+    return zero_multiplicity(CharPoly(tuple(coeffs)))

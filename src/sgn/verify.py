@@ -12,11 +12,12 @@ builds every record of an equality check: the case's parameters, then
 ``expected`` (the oracle or the theorem's prediction), then ``got``.
 ``_closed_form`` runs the path, cycle, infinity and theta formulas against
 the rank oracle; ``_corpus_cases`` runs the cut-point and pendant rules over
-the corpus, ranking each signed graph once; ``_verify_set`` builds a
-realizer per (n, k), ranks it and checks it as a witness, counting a
-construction error as a failed case; ``set.bicyclic`` checks the theta
-realizers as witnesses of their class.  The bicyclic bound ``lem5.2`` and
-the sampled bounds are not equality checks and write their own records.
+the corpus, ranking each signed graph at most once, when a case reads its
+nullity; ``_verify_set`` builds a realizer per (n, k), ranks it and checks
+it as a witness, counting a construction error as a failed case, up to
+n = ``SET_MAX_N``; ``set.bicyclic`` checks the theta realizers as witnesses
+of their class.  The bicyclic bound ``lem5.2`` and the sampled bounds are
+not equality checks and write their own records.
 
 The corpus driver does its sign-independent work once per underlying graph:
 a plan lists each cut point with the components of G - v (or each pendant
@@ -37,6 +38,7 @@ unbalanced.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import json
@@ -151,11 +153,12 @@ def _outcome(fields: dict, expected, got):
     return None if got == expected else dict(fields, expected=expected, got=got)
 
 
-def _refuse_beyond(theorem_id: str, n_max: int, limit: int) -> None:
-    """Refuse, before sweeping, an exhaustive grid that cannot finish: one
-    order more multiplies its graphs many times over."""
-    if n_max > limit:
-        raise ValueError(f"{theorem_id} is exhaustive up to n_max = {limit}, got n_max = {n_max}")
+def _refuse_beyond(theorem_id: str, name: str, value: int, limit: int) -> None:
+    """Refuse, before sweeping, an exhaustive grid whose option ``name`` =
+    ``value`` lies above ``limit``: one order more multiplies its graphs,
+    or the ranks it takes, many times over, so it cannot finish."""
+    if value > limit:
+        raise ValueError(f"{theorem_id} is exhaustive up to {name} = {limit}, got {name} = {value}")
 
 
 def _closed_form(points, build, formula):
@@ -175,7 +178,7 @@ def verify_cor21(n_max: int = 6, samples: int = 500, seed: int = DEFAULT_SEED) -
     vertices with one signature per switching class, then ``samples`` random
     signed graphs on 7..10 vertices through the public API.
     """
-    _refuse_beyond("cor2.1", n_max, 6)
+    _refuse_beyond("cor2.1", "n_max", n_max, 6)
 
     def cases():
         for n in range(1, n_max + 1):
@@ -315,11 +318,13 @@ def _rank_differences(parts, signs):
 
 def _corpus_cases(n_max: int, plan, check):
     """Cases of a rule over the corpus: for every switching class G whose
-    ``plan`` is non-empty, eta(G) is ranked once and ``check(g, eta_g,
-    signs, entry)`` yields ``(fields, expected, got)`` per case of each plan
-    entry.  Each record starts with G's ``n`` and ``edges``."""
+    ``plan`` is non-empty, ``check(g, eta_g, signs, entry)`` yields
+    ``(fields, expected, got)`` per case of each plan entry, and calls
+    ``eta_g()`` for eta(G), which is ranked on the first call only: a class
+    none of whose entries has a case is never ranked.  Each record starts
+    with G's ``n`` and ``edges``."""
     for g, signs, found in _corpus_by_graph(n_max, plan):
-        eta_g = nullity_rank(g)
+        eta_g = functools.cache(functools.partial(nullity_rank, g))
         graph = dict(n=g.n, edges=_edge_list(g))
         for entry in found:
             for fields, expected, got in check(g, eta_g, signs, entry):
@@ -338,7 +343,7 @@ def verify_thm31(n_max: int = 7) -> VerificationReport:
         etas, deltas = zip(*_rank_differences(parts, signs))
         for idx, delta in enumerate(deltas):
             if delta == 1:
-                yield dict(cut_point=v, component=idx), sum(etas) - 1, eta_g
+                yield dict(cut_point=v, component=idx), sum(etas) - 1, eta_g()
 
     return _run("thm3.1", _CUTPOINT_GRID.format(n_max), _corpus_cases(n_max, _cutpoint_plan, decrement))
 
@@ -352,7 +357,7 @@ def verify_thm32(n_max: int = 7) -> VerificationReport:
         for idx, (eta_i, delta) in enumerate(_rank_differences(parts, signs)):
             if delta == -1:
                 rest, _ = delete_vertices(g, parts[idx][0])
-                yield dict(cut_point=v, component=idx), eta_i + nullity_rank(rest), eta_g
+                yield dict(cut_point=v, component=idx), eta_i + nullity_rank(rest), eta_g()
 
     return _run("thm3.2", _CUTPOINT_GRID.format(n_max), _corpus_cases(n_max, _cutpoint_plan, split))
 
@@ -416,7 +421,7 @@ def verify_pendant(n_max: int = 7) -> VerificationReport:
 
     def deletion(g, eta_g, signs, entry):
         v, u, reduced = entry
-        yield dict(pendant=v, neighbor=u), eta_g, reduced.nullity(signs)
+        yield dict(pendant=v, neighbor=u), eta_g(), reduced.nullity(signs)
 
     grid = f"iso-class connected corpus n<={n_max} x switching classes, every pendant pair"
     return _run("pendant", grid, _corpus_cases(n_max, _pendant_plan, deletion))
@@ -489,7 +494,7 @@ def verify_lem52(n_max: int = 6) -> VerificationReport:
     """eta <= n - 3 for every unbalanced bicyclic signed graph with
     n <= n_max <= 7, with equality exactly for the both-triangles-unbalanced
     diamond."""
-    _refuse_beyond("lem5.2", n_max, 7)
+    _refuse_beyond("lem5.2", "n_max", n_max, 7)
 
     def cases():
         for n in range(4, n_max + 1):
@@ -564,15 +569,25 @@ def _witness(class_name, n, k, g, eta, balanced):
     )
 
 
+#: Largest n_hi a nullity-set sweep accepts (measured).  A sweep ranks
+#: about n realizers at each order n, so its time grows steeply with n_hi:
+#: ``set.theta`` from its default n_lo took 0.12 s to n_hi = 30, 2.1 s to
+#: 60 and 4.2 s to 70, and each class takes 2.2 to 3.2 s to 64 (2-core
+#: x86-64 host, Python 3.11).
+SET_MAX_N = 64
+
+
 def _verify_set(theorem_id, class_name, n_lo, n_hi,
                 grid="{class_name}: n in [{n_lo},{n_hi}], k in [0, n-{k_offset}]"):
     """Every k of the class's nullity set at each n in [n_lo, n_hi] has a
     realizer that ``_witness`` accepts, given its rank-oracle nullity and
     balance; a realizer that raises is a failed case of kind
-    ``construction``."""
+    ``construction``.  An n_lo below the class's least n, or an n_hi above
+    ``SET_MAX_N``, is refused before sweeping."""
     n_min, k_offset = _REALIZERS[class_name][:2]
-    if n_lo < n_min:  # no realizer exists there: refuse before sweeping
+    if n_lo < n_min:  # no realizer exists there
         raise ValueError(f"{theorem_id} needs n >= {n_min}, got n_lo = {n_lo}")
+    _refuse_beyond(theorem_id, "n_hi", n_hi, SET_MAX_N)
 
     def cases():
         for n in range(n_lo, n_hi + 1):

@@ -13,6 +13,7 @@ import sgn
 from sgn.cli import main
 from sgn.graph import MAX_VERTICES
 from sgn.linalg import nullity_rank
+from sgn.verify import SET_MAX_N
 
 TRIANGLE = "3 3\n0 1 1\n1 2 1\n0 2 -1\n"
 
@@ -310,6 +311,14 @@ def test_verify_exhaustive_grid_beyond_its_limit_exits_1(capsys, tmp_path, theor
     report_path = tmp_path / "report.jsonl"
     assert main(["verify", theorem_id, "--n-max", str(n_max), "--json", str(report_path)]) == 1
     assert capsys.readouterr() == ("", f"error: {theorem_id} is exhaustive up to n_max = {limit}, got n_max = {n_max}\n")
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize("theorem_id", sorted(BELOW_MINIMUM))
+def test_verify_set_beyond_its_limit_exits_1(capsys, tmp_path, theorem_id):
+    report_path = tmp_path / "report.jsonl"
+    assert main(["verify", theorem_id, "--n", "8..3000", "--json", str(report_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {theorem_id} is exhaustive up to n_hi = {SET_MAX_N}, got n_hi = 3000\n")
     assert not report_path.exists()
 
 

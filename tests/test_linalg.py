@@ -1,5 +1,6 @@
 """Exact linear algebra: adjacency, rank, characteristic polynomial."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -123,6 +124,49 @@ def test_rank_against_fraction_oracle():
         if nr >= 2 and rng.random() < 0.4:
             m[rng.randrange(nr)] = list(m[rng.randrange(nr)])
         assert rank(m) == _rank_fraction_oracle(m)
+
+
+def _bareiss_pivots(m):
+    """The pivots Bareiss meets on ``m``, from a rational elimination with
+    the same pivot rule: pivot k is the product of the first k + 1 rational
+    pivots, a leading minor of the row-permuted matrix."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    pivots, product, r = [], Fraction(1), 0
+    for c in range(len(m[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] / rows[r][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        product *= rows[r][c]
+        assert product.denominator == 1
+        pivots.append(int(product))
+        r += 1
+    return pivots
+
+
+def test_bareiss_skips_only_the_trivial_division():
+    # while the last pivot is +-1 the step divides by nothing; the seeded
+    # matrices, square and rectangular with entries in [-3, 3], make that
+    # step meet pivots 1, -1 and others, after a last pivot of 1 and of -1,
+    # and every pivot left in the rows is still the leading minor that the
+    # rational elimination gives, so every row kept its sign and scale
+    rng = random.Random(29)
+    after = {1: set(), -1: set()}
+    for _ in range(600):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        m = [[rng.randint(-3, 3) if rng.random() < 0.8 else 0 for _ in range(nc)] for _ in range(nr)]
+        pivots = _bareiss_pivots(m)
+        rows = [row[:] for row in m]
+        r = linalg._rank_rows(rows)
+        assert r == len(pivots) == _rank_fraction_oracle(m)
+        assert [next(x for x in row if x) for row in rows[:r]] == pivots
+        for prev, p in zip([1] + pivots, pivots):
+            if prev in after:
+                after[prev].add(p if p in (1, -1) else "other")
+    assert after == {1: {1, -1, "other"}, -1: {1, -1, "other"}}
 
 
 def test_nullity_single_vertex():
@@ -718,6 +762,45 @@ def test_non_symmetric_matrices_never_reach_the_kronecker_kernel(monkeypatch):
         assert char_poly(a).coeffs == _sympy_charpoly(a)
     with pytest.raises(AssertionError, match="Kronecker kernel was called"):
         char_poly(_signed_rows(rng, 5))
+
+
+def _graph_front_end_cases(step):
+    """Every ``step``-th graph of the n <= 6 corpus (criterion 5 runs the
+    route on all of n <= 7); seeded graphs at every order below the cut;
+    n = 0, 1, 2; graphs with isolated vertices; the signed K_14."""
+    yield from itertools.islice(iter_signed_corpus(6), 0, None, step)
+    rng = random.Random(71)
+    for n in range(K0):
+        for p in (0.2, 0.5, 0.9):
+            yield _graph_of(_signed_rows(rng, n, p))
+    yield from (SignedGraph(0), SignedGraph(1), SignedGraph(2), SignedGraph(2, [(0, 1, -1)]))
+    yield SignedGraph(9, [(2, 3, 1), (3, 5, -1), (2, 5, 1), (6, 8, -1)])
+    yield SignedGraph(K0 - 1, [(0, K0 - 2, -1)])
+    yield _graph_of(_signed_rows(rng, K0 - 1, 1.0))
+
+
+def test_graph_front_end_answers_as_the_matrix_route():
+    # the spectrum route below KRONECKER_MAX_ORDER takes w from the degrees:
+    # the w of the rows front-end, and the answer of the public matrix route
+    checked = 0
+    for g in _graph_front_end_cases(3):
+        _, w = linalg._graph_triangle(g)
+        assert w == linalg._half_width(linalg._adjacency_rows(g))
+        assert nullity_charpoly(g) == zero_multiplicity(char_poly(adjacency_matrix(g)))
+        checked += 1
+    assert checked == 1511 + 3 * K0 + 7
+
+
+def test_graph_front_end_packs_the_rows_front_end_triangle():
+    # X*I - A packed from the edges is the triangle the rows front-end packs,
+    # and its digits are the coefficients, checked by a kernel that shares
+    # no code with the Kronecker kernel
+    for g in _graph_front_end_cases(15):
+        t, w = linalg._graph_triangle(g)
+        a = linalg._adjacency_rows(g)
+        x = 1 << w
+        assert t == [x * (i == j) - a[i][j] for i in range(g.n) for j in range(i, g.n)]
+        assert linalg._charpoly_triangle(t, g.n, w) == (_power_traces(a) if g.n else [1])
 
 
 # -- certified modular rank ---------------------------------------------------

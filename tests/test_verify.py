@@ -143,9 +143,11 @@ def test_cutpoint_plan_signs_to_the_induced_parts():
     assert (graphs, pairs) == (458, 543)
 
 
-# nullity_rank calls of one sweep at n <= 6: one per switching class for G,
-# one per distinct signing of each planned part (and thm3.2's G - G_i)
-RANK_CALLS_AT_SIX = {"thm3.1": 1561, "thm3.2": 1699, "pendant": 723}
+# nullity_rank calls of one sweep at n <= 6: one per switching class whose
+# eta(G) a case reads (thm3.1 420, thm3.2 110 of the 458 with a cut point,
+# pendant all), one per distinct signing of each planned part (and thm3.2's
+# G - G_i)
+RANK_CALLS_AT_SIX = {"thm3.1": 1523, "thm3.2": 1351, "pendant": 723}
 
 
 @pytest.mark.parametrize("theorem_id", sorted(RANK_CALLS_AT_SIX))
@@ -367,6 +369,22 @@ def test_exhaustive_grid_that_cannot_finish_is_refused_before_sweeping(monkeypat
     # the limit itself is accepted and swept
     verify_theorem(theorem_id, n_max=limit, **options)
     assert calls[-1] == limit
+
+
+@pytest.mark.parametrize("theorem_id", sorted(SET_MINIMUM))
+def test_set_sweep_beyond_its_limit_is_refused_before_sweeping(monkeypatch, theorem_id):
+    limit = verify.SET_MAX_N
+    calls = []
+    monkeypatch.setattr(verify, "realize_nullity", lambda *args: calls.append(args))
+    for n_hi in (limit + 1, 3000):
+        message = f"{theorem_id} is exhaustive up to n_hi = {limit}, got n_hi = {n_hi}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_theorem(theorem_id, n_lo=limit, n_hi=n_hi)
+    assert calls == []
+    # the limit itself is accepted and swept
+    monkeypatch.undo()
+    report = verify_theorem(theorem_id, n_lo=limit, n_hi=limit)
+    assert report.passed and report.cases_checked > 0
 
 
 @pytest.mark.parametrize("theorem_id", sorted(SET_MINIMUM))
