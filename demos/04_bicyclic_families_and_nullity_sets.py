@@ -13,7 +13,6 @@ Run:  python demos/04_bicyclic_families_and_nullity_sets.py
 """
 
 from sgn import (
-    InfinitySpec,
     is_max_nullity_extremal,
     nullity_cycle,
     nullity_infinity,
@@ -38,7 +37,7 @@ for (p, q, l, sp, sq) in [(3, 3, 1, 1, 1), (3, 3, 1, 1, 0), (4, 3, 2, 0, 0),
                           (4, 4, 3, 0, 0), (4, 4, 2, 1, 1), (3, 5, 3, 0, 0)]:
     g = gen_infinity(p, q, l, sp, sq)
     print(f"  infinity({p},{q},{l}) sp={sp} sq={sq}: "
-          f"formula {nullity_infinity(InfinitySpec(p, q, l, sp, sq))}, oracle {nullity_rank(g)}")
+          f"formula {nullity_infinity(p, q, l, sp, sq)}, oracle {nullity_rank(g)}")
 
 print("\nWith p, q, l odd, l >= 3 and an odd invariant the nullity is exactly 1:")
 print("  removing two degree-2 vertices keeps the nullity (a Schur complement),")
@@ -46,14 +45,14 @@ print("  so every such graph reduces to infinity(3,3,3) with one unbalanced tria
 for (p, q, l, sp, sq) in [(3, 3, 3, 1, 0), (5, 3, 5, 1, 1), (7, 9, 3, 1, 1)]:
     g = gen_infinity(p, q, l, sp, sq)
     print(f"  infinity({p},{q},{l}) sp={sp} sq={sq}: "
-          f"formula {nullity_infinity(InfinitySpec(p, q, l, sp, sq))}, oracle {nullity_rank(g)}")
+          f"formula {nullity_infinity(p, q, l, sp, sq)}, oracle {nullity_rank(g)}")
 
 print("\nTheta-graph formula (path edge counts, path sign parities) vs a concrete realization:")
 for lengths, parities in [((2, 2, 2), (0, 0, 0)), ((2, 2, 2), (1, 0, 0)), ((2, 3, 4), (1, 0, 0)),
                           ((1, 2, 3), (0, 0, 0)), ((3, 5, 7), (1, 1, 0))]:
-    g = gen_theta(*lengths, parities)
+    g = gen_theta(*lengths, *parities)
     print(f"  theta{lengths} s={parities}: "
-          f"formula {nullity_theta(lengths, parities)}, oracle {nullity_rank(g)}")
+          f"formula {nullity_theta(*lengths, *parities)}, oracle {nullity_rank(g)}")
 
 big = gen_theta(1000, 1000, 1001)
 value, trace = nullity_structural(big)
@@ -62,11 +61,11 @@ print(f"  theta(1000,1000,1001) on {big.n} vertices, structural route: one {step
 print(f"    {step.method}: {step.relation}")
 
 print("\nThe extremal diamond:")
-diamond = gen_theta(2, 2, 1, (1, 1, 0))
+diamond = gen_theta(2, 2, 1, 1, 1, 0)
 print("  both triangles unbalanced:", diamond)
 print("  nullity:", nullity_rank(diamond), "= n - 3 =", diamond.n - 3)
 print("  is_max_nullity_extremal:", is_max_nullity_extremal(diamond))
-lop = gen_theta(2, 2, 1, (1, 0, 0))
+lop = gen_theta(2, 2, 1, 1, 0, 0)
 print("  one triangle unbalanced -> nullity", nullity_rank(lop),
       "extremal:", is_max_nullity_extremal(lop))
 

@@ -53,7 +53,6 @@ from .reduction import (
     peel_pendants,
 )
 from .formulas import (
-    InfinitySpec,
     is_max_nullity_extremal,
     nullity_cycle,
     nullity_infinity,

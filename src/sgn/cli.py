@@ -10,9 +10,11 @@ Graph arguments accept a file path, ``-`` for stdin, or a family spec such
 as ``cycle:n=6,s=1`` (an argument naming an existing file is read as a file;
 any other argument containing a colon is treated as a spec).
 ``nullity --method all`` skips, with a note on stderr, the figure route on a
-graph it refuses (``figures.FIGURE_BOUND``) and the rank and charpoly routes
-on a graph above ``linalg.MAX_MATRIX_VERTICES``; a single ``--method`` that
-refuses the graph exits 1.
+graph it refuses (``figures.FIGURE_BOUND``), the rank and charpoly routes
+on a graph above ``linalg.MAX_MATRIX_VERTICES``, and the charpoly route
+alone on a graph above ``ALL_CHARPOLY_MAX_VERTICES``; a single ``--method``
+that refuses the graph exits 1, and ``--method charpoly`` runs at any order
+up to the matrix ceiling.
 """
 
 from __future__ import annotations
@@ -50,6 +52,13 @@ EXIT_USAGE = 1
 EXIT_VERIFY_FAIL = 2
 EXIT_INTERNAL = 3
 
+#: Largest order on which ``nullity --method all`` runs the charpoly route
+#: (measured).  The route's time grows about as n^3: ``nullity_charpoly``
+#: on a cycle with 30 random chords took 1.0 s at n = 200 and 3.5 s at 300,
+#: and on the plain 2000-vertex cycle ran past 60 s (2-core x86-64 host,
+#: Python 3.11).
+ALL_CHARPOLY_MAX_VERTICES = 300
+
 
 def load_graph(source: str) -> SignedGraph:
     """Resolve a CLI graph argument: '-' for stdin, an existing file, or a
@@ -80,6 +89,10 @@ def cmd_nullity(args) -> int:
         skips["figures"] = SizeGuardError
         if g.n > MAX_MATRIX_VERTICES:
             skips.update(rank=LinalgError, charpoly=LinalgError)
+        elif g.n > ALL_CHARPOLY_MAX_VERTICES:
+            methods.remove("charpoly")
+            print(f"charpoly: skipped ({g.n} vertices, above the {ALL_CHARPOLY_MAX_VERTICES} "
+                  "that --method all runs it on; use --method charpoly)", file=sys.stderr)
     for method in methods:
         try:
             if method == "rank":

@@ -86,21 +86,19 @@ def gen_infinity(p: int, q: int, l: int, sp: int = 0, sq: int = 0) -> SignedGrap
     return SignedGraph(p + q + l - 2, edges)
 
 
-def gen_theta(
-    p: int, q: int, l: int, signs: tuple[int, int, int] = (0, 0, 0)
-) -> SignedGraph:
+def gen_theta(p: int, q: int, l: int, s1: int = 0, s2: int = 0, s3: int = 0) -> SignedGraph:
     """Two hubs joined by three internally disjoint paths of edge-lengths
     p, q, l (each >= 1, at most one equal to 1), on p + q + l - 1 vertices.
 
-    ``signs`` gives the negative-edge parity of each path; a parity of 1
-    makes the path's first edge (the one leaving hub 0) negative.
+    ``s1``, ``s2``, ``s3`` give the negative-edge parity of each path; a
+    parity of 1 makes the path's first edge (the one leaving hub 0) negative.
     """
-    lengths = (p, q, l)
+    lengths, signs = (p, q, l), (s1, s2, s3)
     if any(x < 1 for x in lengths):
         raise GraphError(f"path lengths must be >= 1, got {lengths}")
-    if sum(1 for x in lengths if x == 1) > 1:
+    if lengths.count(1) > 1:
         raise GraphError("at most one of the three path lengths may be 1")
-    if len(signs) != 3 or any(x not in (0, 1) for x in signs):
+    if any(x not in (0, 1) for x in signs):
         raise GraphError(f"signs must be three parities in {{0,1}}, got {signs!r}")
     edges = []
     nxt = 2  # hubs are 0 and 1
@@ -444,7 +442,7 @@ _SPECS = {
     "cycle": gen_cycle,
     "star": gen_star,
     "infinity": gen_infinity,
-    "theta": lambda p, q, l, s1=0, s2=0, s3=0: gen_theta(p, q, l, (s1, s2, s3)),
+    "theta": gen_theta,
     "figure": lambda id, **params: gen_figure(id, **params),
     "realize": realize_nullity,
 }

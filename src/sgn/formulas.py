@@ -26,7 +26,6 @@ which becomes 0 or +-2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal
 
 from .graph import GraphError, SignedGraph, components, find_cycles, is_balanced
@@ -75,33 +74,10 @@ def nullity_cycle(n: int, s: int) -> int:
     return 2 if s == 1 else 0
 
 
-@dataclass(frozen=True)
-class InfinitySpec:
-    """Parameters of the infinity graph: cycles C_p and C_q joined by a path
-    with l vertices (l = 1 means the cycles share a vertex), plus the
-    negative-edge parities of the two cycles."""
-
-    p: int
-    q: int
-    l: int
-    sp: int
-    sq: int
-
-    def __post_init__(self):
-        if self.p < 3 or self.q < 3:
-            raise GraphError(f"cycle lengths must be >= 3, got p={self.p}, q={self.q}")
-        if self.l < 1:
-            raise GraphError(f"connecting path needs l >= 1 vertices, got {self.l}")
-        if self.sp not in (0, 1) or self.sq not in (0, 1):
-            raise GraphError("cycle sign parities must be 0 or 1")
-
-    @property
-    def vertex_count(self) -> int:
-        return self.p + self.q + self.l - 2
-
-
-def nullity_infinity(spec: InfinitySpec) -> int:
-    """Nullity of the infinity graph per the parity case analysis.
+def nullity_infinity(p: int, q: int, l: int, sp: int = 0, sq: int = 0) -> int:
+    """Nullity of the infinity graph ``gen_infinity(p, q, l, sp, sq)``:
+    cycles C_p and C_q joined by a path with l vertices (l = 1 means the
+    cycles share a vertex), with negative-edge parities sp and sq.
 
     Case p, q both odd:
         1 if l odd and sp - sq + (q - p)/2 odd
@@ -120,7 +96,12 @@ def nullity_infinity(spec: InfinitySpec) -> int:
     degree-2 vertices shortens an odd cycle or the connecting path by 2 and
     changes neither the nullity nor the invariant.
     """
-    p, q, l, sp, sq = spec.p, spec.q, spec.l, spec.sp, spec.sq
+    if p < 3 or q < 3:
+        raise GraphError(f"cycle lengths must be >= 3, got p={p}, q={q}")
+    if l < 1:
+        raise GraphError(f"connecting path needs l >= 1 vertices, got {l}")
+    if sp not in (0, 1) or sq not in (0, 1):
+        raise GraphError("cycle sign parities must be 0 or 1")
     if p % 2 == 1 and q % 2 == 1:
         invariant = (sp - sq + (q - p) // 2) % 2
         return 1 if l % 2 == 1 and invariant == 1 else 0
@@ -133,10 +114,11 @@ def nullity_infinity(spec: InfinitySpec) -> int:
     return 2 if ep == 2 or eq == 2 else 0
 
 
-def nullity_theta(lengths: tuple[int, int, int], parities: tuple[int, int, int]) -> int:
-    """Nullity of the theta graph: two hubs joined by three internally
-    disjoint paths of L_1, L_2, L_3 edges (each >= 1, at most one equal to 1)
-    with negative-edge parities s_1, s_2, s_3.
+def nullity_theta(p: int, q: int, l: int, s1: int = 0, s2: int = 0, s3: int = 0) -> int:
+    """Nullity of the theta graph ``gen_theta(p, q, l, s1, s2, s3)``: two
+    hubs joined by three internally disjoint paths of L_1, L_2, L_3 = p, q,
+    l edges (each >= 1, at most one equal to 1) with negative-edge parities
+    s_1, s_2, s_3.
 
     Let C_ij be the cycle of paths i and j, of length L_i + L_j and parity
     s_i + s_j mod 2.  Then::
@@ -177,14 +159,13 @@ def nullity_theta(lengths: tuple[int, int, int], parities: tuple[int, int, int])
       entry, which ends odd, so the last 2 x 2 block is nonsingular and
       eta = 0.
     """
-    if len(lengths) != 3 or len(parities) != 3:
-        raise GraphError("a theta graph needs three path lengths and three parities")
+    lengths, parities = (p, q, l), (s1, s2, s3)
     if any(x < 1 for x in lengths):
-        raise GraphError(f"path lengths must be >= 1, got {tuple(lengths)}")
-    if sum(1 for x in lengths if x == 1) > 1:
+        raise GraphError(f"path lengths must be >= 1, got {lengths}")
+    if lengths.count(1) > 1:
         raise GraphError("at most one of the three path lengths may be 1")
     if any(s not in (0, 1) for s in parities):
-        raise GraphError(f"negative-edge parities must be 0 or 1, got {tuple(parities)}")
+        raise GraphError(f"negative-edge parities must be 0 or 1, got {parities}")
     odd = sum(x % 2 for x in lengths)
     if odd == 3:
         return 0

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .formulas import InfinitySpec, nullity_cycle, nullity_infinity, nullity_theta
+from .formulas import nullity_cycle, nullity_infinity, nullity_theta
 from .graph import (
     GraphError,
     SignedGraph,
@@ -294,13 +294,12 @@ def _bicyclic_closed_form(g: SignedGraph) -> tuple[int, str]:
     """
     branches = _branches(g)
     if all(a != b for a, b, _, _ in branches):
-        lengths = tuple(length for _, _, length, _ in branches)
-        parities = tuple(parity for _, _, _, parity in branches)
-        value = nullity_theta(lengths, parities)
+        lengths, parities = zip(*((length, parity) for _, _, length, parity in branches))
+        value = nullity_theta(*lengths, *parities)
         return value, f"eta = {value} (theta closed form, lengths {lengths}, s parities {parities})"
     (p, sp), (q, sq) = ((length, parity) for a, b, length, parity in branches if a == b)
     l = 1 + sum(length for a, b, length, _ in branches if a != b)
-    value = nullity_infinity(InfinitySpec(p, q, l, sp, sq))
+    value = nullity_infinity(p, q, l, sp, sq)
     return value, f"eta = {value} (infinity closed form, p={p}, q={q}, l={l}, s parities ({sp}, {sq}))"
 
 

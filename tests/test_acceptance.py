@@ -35,7 +35,6 @@ from sgn.enumeration import (
     random_signed_graph,
     random_switching,
 )
-from sgn.formulas import InfinitySpec
 from sgn.reduction import METHOD_RANK_ORACLE
 from sgn.verify import (
     verify_cor21,
@@ -108,13 +107,13 @@ def test_criterion_3_infinity_formula():
     # anchor: the 7-vertex infinity graph with balanced quadrangle has nullity 1
     g = gen_infinity(3, 4, 2, 1, 0)
     assert g.n == 7 and nullity_rank(g) == 1
-    assert nullity_infinity(InfinitySpec(3, 4, 2, 1, 0)) == 1
+    assert nullity_infinity(3, 4, 2, 1, 0) == 1
     # anchor: the even/even case attains exactly {3, 1, 2, 0}
     seen = set()
     for l in (2, 3):
         for sp in (0, 1):
             for sq in (0, 1):
-                seen.add(nullity_infinity(InfinitySpec(4, 4, l, sp, sq)))
+                seen.add(nullity_infinity(4, 4, l, sp, sq))
     assert seen == {3, 1, 2, 0}
     _passed(3, f"{report.cases_checked} grid cases + anchors", time.perf_counter() - t0, 10)
 

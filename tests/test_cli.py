@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import sgn
-from sgn.cli import main
+from sgn.cli import ALL_CHARPOLY_MAX_VERTICES, main
 from sgn.graph import MAX_VERTICES
 from sgn.linalg import nullity_rank
 from sgn.verify import SET_MAX_N
@@ -82,6 +82,24 @@ def test_nullity_all_skips_the_matrix_routes_above_their_ceiling(capsys):
         f"charpoly: skipped ({ceiling})\n"
         "figures: skipped (figure enumeration guard: n = 3000, prod(deg(v) + 1) exceeds 10000000000)\n"
     )
+
+
+def test_nullity_all_skips_the_charpoly_route_above_its_order(capsys):
+    n = ALL_CHARPOLY_MAX_VERTICES + 1
+    assert main(["nullity", f"cycle:n={n},s=1"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "rank: 0\nstructural: 0\n"
+    assert err == (
+        f"charpoly: skipped ({n} vertices, above the {ALL_CHARPOLY_MAX_VERTICES} that --method all "
+        "runs it on; use --method charpoly)\n"
+        f"figures: skipped (figure enumeration guard: n = {n}, prod(deg(v) + 1) exceeds 10000000000)\n"
+    )
+
+
+def test_nullity_method_charpoly_runs_above_the_all_order(capsys):
+    n = ALL_CHARPOLY_MAX_VERTICES + 1
+    assert main(["nullity", "--method", "charpoly", f"cycle:n={n},s=1"]) == 0
+    assert capsys.readouterr() == ("charpoly: 0\n", "")
 
 
 def test_nullity_infinity_example(capsys):
@@ -306,7 +324,10 @@ def test_verify_set_below_the_class_minimum_exits_1(capsys, tmp_path, theorem_id
     assert not report_path.exists()
 
 
-@pytest.mark.parametrize("theorem_id, n_max, limit", [("cor2.1", 7, 6), ("lem5.2", 8, 7), ("lem5.2", 99999, 7)])
+@pytest.mark.parametrize(
+    "theorem_id, n_max, limit",
+    [("cor2.1", 7, 6), ("lem5.2", 8, 7), ("lem5.2", 99999, 7), ("prop2.1", 3000, 300), ("thm2.2", 301, 300)],
+)
 def test_verify_exhaustive_grid_beyond_its_limit_exits_1(capsys, tmp_path, theorem_id, n_max, limit):
     report_path = tmp_path / "report.jsonl"
     assert main(["verify", theorem_id, "--n-max", str(n_max), "--json", str(report_path)]) == 1

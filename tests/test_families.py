@@ -28,7 +28,7 @@ from sgn.families import (
     parse_family_spec,
     realize_nullity,
 )
-from sgn.formulas import InfinitySpec, nullity_infinity, upper_bound
+from sgn.formulas import nullity_infinity, upper_bound
 
 
 def test_gen_cycle_signed():
@@ -86,13 +86,23 @@ def test_gen_theta_vertex_count_and_signs():
         g = gen_theta(p, q, l)
         assert g.n == p + q + l - 1 and g.m == g.n + 1
         assert len(find_cycles(g)) == 3
-    neg = gen_theta(2, 2, 1, (1, 1, 0))
+    neg = gen_theta(2, 2, 1, 1, 1, 0)
     assert sum(1 for _, _, s in neg.edges if s == -1) == 2
 
 
 def test_gen_theta_extremal_diamond():
-    g = gen_theta(2, 2, 1, (1, 1, 0))
+    g = gen_theta(2, 2, 1, 1, 1, 0)
     assert g.n == 4 and nullity_rank(g) == 1
+
+
+def test_gen_theta_refuses_a_stale_signs_tuple(monkeypatch):
+    # the parities were once one tuple argument; passed that way it lands
+    # in s1 and is refused before any graph is built
+    built = []
+    monkeypatch.setattr(families, "SignedGraph", lambda *args: built.append(args))
+    with pytest.raises(GraphError, match="signs must be three parities"):
+        gen_theta(2, 2, 1, (1, 1, 0))
+    assert built == []
 
 
 def test_gen_theta_all_positive_diamond():
@@ -346,7 +356,7 @@ def test_bplusplus_zero_parity_gives_nullity_zero_for_odd_and_even_cycles():
     # the k = 0 BPlusPlus realizer: a negative triangle sharing a vertex with
     # C_q carrying (q - 1) // 2 mod 2 negative edges
     for q in range(3, 5000):
-        assert nullity_infinity(InfinitySpec(3, q, 1, 1, (q - 1) // 2 % 2)) == 0
+        assert nullity_infinity(3, q, 1, 1, (q - 1) // 2 % 2) == 0
 
 
 def test_realizer_self_check_failure_is_an_internal_error(monkeypatch):
@@ -395,7 +405,7 @@ def test_spec_realize():
 
 def test_spec_infinity_and_theta():
     assert parse_family_spec("infinity:p=3,q=4,l=2,sp=1,sq=0") == gen_infinity(3, 4, 2, 1, 0)
-    assert parse_family_spec("theta:p=2,q=2,l=1,s1=1,s2=1") == gen_theta(2, 2, 1, (1, 1, 0))
+    assert parse_family_spec("theta:p=2,q=2,l=1,s1=1,s2=1") == gen_theta(2, 2, 1, 1, 1, 0)
 
 
 def test_spec_errors():

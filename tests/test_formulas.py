@@ -1,5 +1,6 @@
 """Closed forms: paths, cycles, infinity and theta graphs, bounds, extremal test."""
 
+import inspect
 import itertools
 import random
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from sgn import (
     SignedGraph,
     GraphError,
-    InfinitySpec,
     is_max_nullity_extremal,
     nullity_cycle,
     nullity_infinity,
@@ -57,43 +57,70 @@ def test_cycle_nullity_matches_oracle():
 
 def test_infinity_spec_validation():
     with pytest.raises(GraphError):
-        InfinitySpec(2, 3, 1, 0, 0)
+        nullity_infinity(2, 3, 1, 0, 0)
     with pytest.raises(GraphError):
-        InfinitySpec(3, 3, 0, 0, 0)
-    with pytest.raises(GraphError):
-        InfinitySpec(3, 3, 1, 2, 0)
-    assert InfinitySpec(3, 4, 2, 1, 0).vertex_count == 7
+        nullity_infinity(3, 3, 0, 0, 0)
+    with pytest.raises(GraphError, match="cycle sign parities must be 0 or 1"):
+        nullity_infinity(3, 3, 1, 2, 0)
+
+
+def test_closed_forms_take_their_builders_parameters():
+    # one vocabulary: each closed form names its parameters as its builder
+    # does, in the same order
+    for build, formula in [
+        (gen_path, nullity_path),
+        (gen_cycle, nullity_cycle),
+        (gen_infinity, nullity_infinity),
+        (gen_theta, nullity_theta),
+    ]:
+        assert list(inspect.signature(formula).parameters) == list(inspect.signature(build).parameters)
+
+
+@pytest.mark.parametrize(
+    "build, formula, args",
+    [
+        (gen_infinity, nullity_infinity, (2, 3, 1)),
+        (gen_infinity, nullity_infinity, (3, 3, 0)),
+        (gen_theta, nullity_theta, (1, 1, 3)),
+    ],
+)
+def test_closed_forms_refuse_with_their_builders_messages(build, formula, args):
+    with pytest.raises(GraphError) as built:
+        build(*args)
+    with pytest.raises(GraphError) as computed:
+        formula(*args)
+    assert str(computed.value) == str(built.value)
 
 
 def test_infinity_odd_odd_cases():
     # shared-vertex bowtie with equal balanceness: invariant even, nullity 0
-    assert nullity_infinity(InfinitySpec(3, 3, 1, 1, 1)) == 0
+    assert nullity_infinity(3, 3, 1, 1, 1) == 0
     # different balanceness at l = 1: nullity 1
-    assert nullity_infinity(InfinitySpec(3, 3, 1, 1, 0)) == 1
+    assert nullity_infinity(3, 3, 1, 1, 0) == 1
     # even connecting path: always 0
-    assert nullity_infinity(InfinitySpec(3, 5, 2, 0, 0)) == 0
+    assert nullity_infinity(3, 5, 2, 0, 0) == 0
 
 
 def test_infinity_mixed_parity_cases():
     # balanced quadrangle (nullity 2) forces 1
-    assert nullity_infinity(InfinitySpec(4, 3, 2, 0, 0)) == 1
+    assert nullity_infinity(4, 3, 2, 0, 0) == 1
     # unbalanced quadrangle (nullity 0) forces 0
-    assert nullity_infinity(InfinitySpec(4, 3, 2, 1, 0)) == 0
+    assert nullity_infinity(4, 3, 2, 1, 0) == 0
 
 
 def test_infinity_even_even_cases():
-    assert nullity_infinity(InfinitySpec(4, 4, 3, 0, 0)) == 3
-    assert nullity_infinity(InfinitySpec(4, 4, 3, 1, 0)) == 1
-    assert nullity_infinity(InfinitySpec(4, 4, 2, 0, 0)) == 2
-    assert nullity_infinity(InfinitySpec(4, 4, 2, 1, 1)) == 0
+    assert nullity_infinity(4, 4, 3, 0, 0) == 3
+    assert nullity_infinity(4, 4, 3, 1, 0) == 1
+    assert nullity_infinity(4, 4, 2, 0, 0) == 2
+    assert nullity_infinity(4, 4, 2, 1, 1) == 0
 
 
 def test_infinity_lower_bound_branch():
     # both cycles odd, l >= 3 odd, odd invariant: exactly 1, by the
     # Schur-complement reduction to infinity(3,3,3)
-    assert nullity_infinity(InfinitySpec(3, 3, 3, 1, 0)) == 1
+    assert nullity_infinity(3, 3, 3, 1, 0) == 1
     assert nullity_rank(gen_infinity(3, 3, 3, 1, 0)) == 1
-    assert nullity_infinity(InfinitySpec(3, 3, 3, 1, 1)) == 0
+    assert nullity_infinity(3, 3, 3, 1, 1) == 0
 
 
 def test_infinity_formula_against_oracle_grid():
@@ -103,7 +130,7 @@ def test_infinity_formula_against_oracle_grid():
                 for sp in (0, 1):
                     for sq in (0, 1):
                         oracle = nullity_rank(gen_infinity(p, q, l, sp, sq))
-                        assert nullity_infinity(InfinitySpec(p, q, l, sp, sq)) == oracle, (p, q, l, sp, sq)
+                        assert nullity_infinity(p, q, l, sp, sq) == oracle, (p, q, l, sp, sq)
 
 
 def test_infinity_odd_odd_grid_is_exact():
@@ -116,7 +143,7 @@ def test_infinity_odd_odd_grid_is_exact():
                 for sp in (0, 1):
                     for sq in (0, 1):
                         want = (sp - sq + (q - p) // 2) % 2
-                        assert nullity_infinity(InfinitySpec(p, q, l, sp, sq)) == want
+                        assert nullity_infinity(p, q, l, sp, sq) == want
                         assert nullity_rank(gen_infinity(p, q, l, sp, sq)) == want, (p, q, l, sp, sq)
                         ones += want
     assert ones == 5 * 5 * 4 * 2
@@ -165,10 +192,11 @@ def test_theta_validation():
         ((0, 2, 3), (0, 0, 0)),
         ((1, 1, 3), (0, 0, 0)),
         ((2, 2, 2), (0, 2, 0)),
-        ((2, 2), (0, 0)),
     ]:
         with pytest.raises(GraphError):
-            nullity_theta(lengths, parities)
+            nullity_theta(*lengths, *parities)
+    with pytest.raises(TypeError):
+        nullity_theta(2, 2)  # a theta graph needs three path lengths
 
 
 def test_theta_base_graphs():
@@ -183,7 +211,7 @@ def test_theta_base_graphs():
     }
     for lengths, value in rule.items():
         for s in PARITIES:
-            assert nullity_theta(lengths, s) == value(s) == nullity_rank(gen_theta(*lengths, s)), (lengths, s)
+            assert nullity_theta(*lengths, *s) == value(s) == nullity_rank(gen_theta(*lengths, *s)), (lengths, s)
 
 
 def test_theta_pivot_keeps_the_value():
@@ -200,7 +228,7 @@ def test_theta_pivot_keeps_the_value():
                     shorter[i] -= 2
                     flipped = list(s)
                     flipped[i] ^= 1
-                    assert nullity_theta(shorter, flipped) == nullity_theta(lengths, s)
+                    assert nullity_theta(*shorter, *flipped) == nullity_theta(*lengths, *s)
                     checked += 1
     assert checked == 13_056
 
@@ -226,10 +254,10 @@ def test_upper_bound_thresholds():
 
 
 def test_extremal_diamond_detection():
-    both = gen_theta(2, 2, 1, (1, 1, 0))
+    both = gen_theta(2, 2, 1, 1, 1, 0)
     assert is_max_nullity_extremal(both)
     assert nullity_rank(both) == both.n - 3
-    one = gen_theta(2, 2, 1, (1, 0, 0))
+    one = gen_theta(2, 2, 1, 1, 0, 0)
     assert not is_max_nullity_extremal(one)
     bowtie = gen_infinity(3, 3, 1, 1, 0)
     assert not is_max_nullity_extremal(bowtie)

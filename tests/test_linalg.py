@@ -180,7 +180,7 @@ def test_nullity_unbalanced_c6():
 def test_nullity_extremal_diamond():
     # the two-triangle diamond with both triangles unbalanced attains the
     # unbalanced-bicyclic maximum n - 3 = 1
-    g = gen_theta(2, 2, 1, (1, 1, 0))
+    g = gen_theta(2, 2, 1, 1, 1, 0)
     assert nullity_rank(g) == g.n - 3 == 1
 
 

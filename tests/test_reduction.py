@@ -29,7 +29,7 @@ from sgn import (
 from sgn import reduction, verify
 from sgn.enumeration import iter_signed_corpus, random_signed_graph, random_switching
 from sgn.families import bicyclic_class, gen_cycle, gen_figure, gen_infinity, gen_path, gen_star, gen_theta
-from sgn.formulas import InfinitySpec, nullity_infinity, nullity_theta
+from sgn.formulas import nullity_infinity, nullity_theta
 from sgn.graph import _induced, switch
 from sgn.reduction import (
     KIND_BASE_CASE,
@@ -187,15 +187,15 @@ def test_theta_and_infinity_branches_are_read_in_any_labeling():
                 if lengths.count(1) <= 1:
                     break
             parities = tuple(rng.randint(0, 1) for _ in range(3))
-            g = _relabel(rng, gen_theta(*lengths, parities))
+            g = _relabel(rng, gen_theta(*lengths, *parities))
             want = sorted(zip(lengths, parities))
-            eta = nullity_theta(lengths, parities)
+            eta = nullity_theta(*lengths, *parities)
         else:
             p, q, l, sp, sq = rng.randint(3, 9), rng.randint(3, 9), rng.randint(1, 6), rng.randint(0, 1), rng.randint(0, 1)
             g = _relabel(rng, gen_infinity(p, q, l, sp, sq))
             # the loops first, then the connecting path, which is all positive
             want = sorted([(p, sp), (q, sq)]) + ([(l - 1, 0)] if l > 1 else [])
-            eta = nullity_infinity(InfinitySpec(p, q, l, sp, sq))
+            eta = nullity_infinity(p, q, l, sp, sq)
         branches = reduction._branches(g)
         loops = sorted((length, parity) for a, b, length, parity in branches if a == b)
         paths = sorted((length, parity) for a, b, length, parity in branches if a != b)
@@ -588,7 +588,7 @@ def test_isolated_vertices_share_one_part_and_one_step():
     edges = [*core.edges, (0, center, 1), *((center, leaf, 1) for leaf in range(center + 1, center + 2001))]
     g = SignedGraph(center + 2001, edges)
     value, trace = nullity_structural(g)
-    assert value == trace.replay() == 2000 == nullity_theta((5, 6, 7), (0, 0, 0)) + 1999
+    assert value == trace.replay() == 2000 == nullity_theta(5, 6, 7) + 1999
     assert [s.kind for s in trace.steps] == [KIND_PENDANT_DELETE, KIND_COMPONENT_SPLIT, KIND_BASE_CASE, KIND_BASE_CASE]
     split = trace.steps[1]
     assert [(h.n, h.m) for h in split.after] == [(core.n, core.m), (1999, 0)]

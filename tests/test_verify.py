@@ -187,7 +187,7 @@ def test_failing_sweep_records_in_order(monkeypatch):
 
 
 def test_infinity_failure_records(monkeypatch):
-    monkeypatch.setattr(verify, "nullity_infinity", lambda spec: 2 if spec.l == 1 else 0)
+    monkeypatch.setattr(verify, "nullity_infinity", lambda p, q, l, sp, sq: 2 if l == 1 else 0)
     report = verify_theorem("thm4.1")
     assert report.cases_checked == 720
     assert report.failures[0] == {"p": 3, "q": 3, "l": 1, "sp": 0, "sq": 0, "expected": 0, "got": 2}
@@ -207,7 +207,7 @@ def test_theta_sweep_at_its_default_grid():
 
 
 def test_theta_failure_records(monkeypatch):
-    monkeypatch.setattr(verify, "nullity_theta", lambda lengths, parities: 3 if 1 in lengths else 0)
+    monkeypatch.setattr(verify, "nullity_theta", lambda p, q, l, s1, s2, s3: 3 if 1 in (p, q, l) else 0)
     report = verify_theorem("thm.theta", l_max=2)
     assert report.cases_checked == 4 * 8  # (1,2,2), (2,1,2), (2,2,1), (2,2,2)
     assert report.failures[0] == {"p": 1, "q": 2, "l": 2, "s1": 0, "s2": 0, "s3": 0, "expected": 1, "got": 3}
@@ -368,6 +368,25 @@ def test_exhaustive_grid_that_cannot_finish_is_refused_before_sweeping(monkeypat
     assert calls == []
     # the limit itself is accepted and swept
     verify_theorem(theorem_id, n_max=limit, **options)
+    assert calls[-1] == limit
+
+
+# the largest n_max of each closed-form sweep that ranks one graph per order
+CLOSED_FORM_LIMIT = {"prop2.1": 300, "thm2.2": 300}
+
+
+@pytest.mark.parametrize("theorem_id", sorted(CLOSED_FORM_LIMIT))
+def test_closed_form_sweep_beyond_its_limit_is_refused_before_any_rank(monkeypatch, theorem_id):
+    limit = CLOSED_FORM_LIMIT[theorem_id]
+    calls = []
+    monkeypatch.setattr(verify, "nullity_rank", lambda g: calls.append(g.n) or g.n % 2)
+    for n_max in (limit + 1, 3000):
+        message = f"{theorem_id} is exhaustive up to n_max = {limit}, got n_max = {n_max}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_theorem(theorem_id, n_max=n_max)
+    assert calls == []
+    # the limit itself is accepted and swept
+    verify_theorem(theorem_id, n_max=limit)
     assert calls[-1] == limit
 
 
