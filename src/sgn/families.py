@@ -68,8 +68,9 @@ def gen_infinity(p: int, q: int, l: int, sp: int = 0, sq: int = 0) -> SignedGrap
         raise GraphError(f"cycle lengths must be >= 3, got p={p}, q={q}")
     if l < 1:
         raise GraphError(f"connecting path needs l >= 1 vertices, got {l}")
-    if not (0 <= sp <= p and 0 <= sq <= q):
-        raise GraphError("negative edge counts out of range")
+    for name, count, cycle, length in (("sp", sp, "p", p), ("sq", sq, "q", q)):
+        if not 0 <= count <= length:
+            raise GraphError(f"negative edge count {name} = {count} is out of range 0..{cycle} = 0..{length}")
     edges = []
     for i in range(p):
         u, v = i, (i + 1) % p
@@ -99,7 +100,7 @@ def gen_theta(p: int, q: int, l: int, s1: int = 0, s2: int = 0, s3: int = 0) -> 
     if lengths.count(1) > 1:
         raise GraphError("at most one of the three path lengths may be 1")
     if any(x not in (0, 1) for x in signs):
-        raise GraphError(f"signs must be three parities in {{0,1}}, got {signs!r}")
+        raise GraphError(f"negative-edge parities s1, s2, s3 must be 0 or 1, got {signs}")
     edges = []
     nxt = 2  # hubs are 0 and 1
     for length, parity in zip(lengths, signs):

@@ -165,7 +165,7 @@ def nullity_theta(p: int, q: int, l: int, s1: int = 0, s2: int = 0, s3: int = 0)
     if lengths.count(1) > 1:
         raise GraphError("at most one of the three path lengths may be 1")
     if any(s not in (0, 1) for s in parities):
-        raise GraphError(f"negative-edge parities must be 0 or 1, got {parities}")
+        raise GraphError(f"negative-edge parities s1, s2, s3 must be 0 or 1, got {parities}")
     odd = sum(x % 2 for x in lengths)
     if odd == 3:
         return 0

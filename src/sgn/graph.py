@@ -110,10 +110,6 @@ class SignedGraph:
             adj[v][u] = s
         return adj
 
-    def _drop_adj(self) -> None:
-        """Free the cached adjacency lists; the next query rebuilds them."""
-        self.__dict__.pop("_adj", None)
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(self._adj[v])
 
@@ -317,9 +313,29 @@ def from_json(text: str) -> SignedGraph:
 # -- connectivity, components, cut-points -------------------------------
 
 
-def _component_vertex_sets(g: SignedGraph, skip: int | None = None) -> list[list[int]]:
-    """Ascending label lists of the components of ``g`` less the vertex ``skip``."""
-    adj = g._adj
+def _neighbor_lists(g: SignedGraph) -> list[list[int]]:
+    """Every vertex's neighbors, ascending, from one pass over ``g.edges``.
+
+    A transient adjacency: unlike ``_adj`` it is not stored on ``g``, so it
+    is freed with the caller's last reference.  A vertex's degree is the
+    length of its list.  The order is ascending because the edges are sorted
+    by (u, v) with u < v, as in ``_adj``.
+    """
+    check_vertex_ceiling(g.n)
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
+def _component_vertex_sets(
+    g: SignedGraph, skip: int | None = None, adj: Sequence[Iterable[int]] | None = None
+) -> list[list[int]]:
+    """Ascending label lists of the components of ``g`` less the vertex ``skip``,
+    searched on ``adj`` (``g``'s neighbor lists or dicts; ``g._adj`` if None)."""
+    if adj is None:
+        adj = g._adj
     seen = [False] * g.n
     if skip is not None:
         seen[skip] = True
@@ -329,14 +345,13 @@ def _component_vertex_sets(g: SignedGraph, skip: int | None = None) -> list[list
             continue
         seen[root] = True
         comp = [root]
-        stack = [root]
-        while stack:
-            x = stack.pop()
+        for x in comp:  # the list grows as the search reaches new vertices
             for y in adj[x]:
                 if not seen[y]:
                     seen[y] = True
                     comp.append(y)
-                    stack.append(y)
+        if len(comp) == g.n:  # connected: no sort
+            return [list(range(g.n))]
         comp.sort()
         out.append(comp)
     return out

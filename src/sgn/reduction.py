@@ -13,6 +13,21 @@ decided by the exact rank oracle, and that base case is the engine's only
 rank call.  A certificate holds three step kinds: ``ComponentSplit`` and
 ``PendantDelete``, whose graph's nullity is the sum of its parts', and
 ``BaseCase``, which states a value.
+
+Each graph the engine reads gets one transient adjacency, its neighbor lists
+from one pass over its edges (``graph._neighbor_lists``).  It lives while
+that graph's rule runs and is stored on no graph, so the caller's graph is
+left as it was found and no graph of a certificate holds one.  The component
+search and, for a connected graph, the whole peel read that one build: a
+degree count plus the sum of each vertex's live neighbors' labels names a
+pendant's one live neighbor in O(1), because at degree 1 the sum is that
+neighbor (deleting u subtracts u from the sum of each live neighbor of u;
+a running XOR would do as well, but the sums start from one builtin call per
+vertex).  A min-heap keeps the lowest-labeled pendant first.  A fact a rule
+has established is not checked again, which keeps every certificate the
+same: a component of a split is connected, so it gets no search; a peel's
+remainder has no pendant, because the peel stops only when none is left,
+and its components keep their degrees, so neither gets a pendant scan.
 """
 
 from __future__ import annotations
@@ -25,12 +40,14 @@ from .formulas import nullity_cycle, nullity_infinity, nullity_theta
 from .graph import (
     GraphError,
     SignedGraph,
+    _component_vertex_sets,
     _induced,
+    _neighbor_lists,
     check_vertex_ceiling,
-    components,
+    components,  # unused; perfbench/tracing.py patches this name
     cut_points,  # unused; perfbench/tracing.py patches this name
     delete_vertices,  # unused; perfbench/tracing.py patches this name
-    pendant_pairs,
+    pendant_pairs,  # unused; perfbench/tracing.py patches this name
 )
 from .linalg import nullity_rank
 
@@ -128,34 +145,43 @@ def peel_pendants(g: SignedGraph) -> tuple[SignedGraph, ReductionStep] | None:
     """Delete pendant pairs until none is left, recorded as one step.
 
     Each deletion takes the lowest-labeled pendant of the current graph
-    together with its neighbor and keeps the nullity.  A min-heap of
-    pendant labels and a degree count over G's adjacency lists find the
-    next pendant, so the whole peel is O(m + n log n) and builds one
-    snapshot, of what is left.  Returns None when no pendant exists.
+    together with its neighbor and keeps the nullity.  The peel runs on one
+    transient adjacency of G (``_neighbor_lists``, not stored on G, which is
+    left as it was found): a min-heap of pendant labels finds the next
+    pendant, and a degree count with the sum of each vertex's live
+    neighbors' labels names a pendant's one live neighbor in O(1), since at
+    degree 1 that sum is the neighbor itself.  The whole peel is
+    O(m + n log n) and builds one snapshot, of what is left.  Returns None
+    when no pendant exists.
     """
-    seed = pendant_pairs(g)
-    if not seed:
+    return _peel(g, _neighbor_lists(g))
+
+
+def _peel(g: SignedGraph, nbrs: list[list[int]]) -> tuple[SignedGraph, ReductionStep] | None:
+    """``peel_pendants`` on G's neighbor lists ``nbrs``, which it only reads."""
+    degree = list(map(len, nbrs))
+    if 1 not in degree:
         return None
-    adj = g._adj
-    degree = [len(nbrs) for nbrs in adj]
-    alive = [True] * g.n
-    heap = [v for v, _ in seed]  # ascending, so already a heap
+    heap = [v for v, d in enumerate(degree) if d == 1]  # ascending, so already a heap
+    link = list(map(sum, nbrs))  # sum of the live neighbors; a pendant's is its neighbor
     pairs = []
     while heap:
         v = heappop(heap)
         # a vertex enters the heap once, when its degree reaches 1; it is
-        # stale once deleted as a neighbor or left isolated
-        if not alive[v] or degree[v] != 1:
+        # stale once deleted (degree -1) or left isolated (degree 0)
+        if degree[v] != 1:
             continue
-        u = next(w for w in adj[v] if alive[w])
-        alive[v] = alive[u] = False
+        u = link[v]
+        degree[v] = degree[u] = -1
         pairs.append((v, u))
-        for w in adj[u]:
-            if alive[w]:
-                degree[w] -= 1
-                if degree[w] == 1:
+        for w in nbrs[u]:
+            d = degree[w]
+            if d > 0:
+                link[w] -= u
+                degree[w] = d - 1
+                if d == 2:
                     heappush(heap, w)
-    reduced = _induced(g, [v for v in range(g.n) if alive[v]])
+    reduced = _induced(g, [v for v, d in enumerate(degree) if d >= 0])
     step = ReductionStep(
         kind=KIND_PENDANT_DELETE,
         before=g,
@@ -181,19 +207,15 @@ def nullity_structural(g: SignedGraph) -> tuple[int, ReductionTrace]:
     values.  It always equals the rank-oracle nullity; ``replay``
     re-derives it from the steps alone.  A graph above the adjacency-list
     ceiling is refused even when no rule would traverse it (an edgeless
-    one).
+    one).  It stores an adjacency on no graph, the caller's included.
     """
     check_vertex_ceiling(g.n)
     steps: list[ReductionStep] = []
     result = 0
-    stack = [g]
+    stack = [(g, False, False)]
     while stack:
-        h = stack.pop()
-        parts, step = _rule(h)
-        if h is not g:
-            # the trace keeps h, but replay, to_json and equality read only
-            # n and edges; g is the caller's, who may query it again
-            h._drop_adj()
+        h, connected, pendant_free = stack.pop()
+        parts, step = _rule(h, connected, pendant_free)
         steps.append(step)
         if step.kind == KIND_BASE_CASE:
             result += step.value
@@ -201,31 +223,44 @@ def nullity_structural(g: SignedGraph) -> tuple[int, ReductionTrace]:
     return result, ReductionTrace(root=g, steps=tuple(steps), result=result)
 
 
-def _rule(g: SignedGraph) -> tuple[tuple[SignedGraph, ...], ReductionStep]:
-    """(parts, step) for the first rule that applies to ``g``."""
-    if g.m == 0:
+def _rule(
+    g: SignedGraph, connected: bool, pendant_free: bool
+) -> tuple[tuple[tuple[SignedGraph, bool, bool], ...], ReductionStep]:
+    """(parts, step) for the first rule that applies to ``g``.
+
+    ``connected`` and ``pendant_free`` say what is already known of ``g``,
+    and each part comes with what is known of it: a component is connected
+    and keeps its graph's pendant-free flag, and a peel's remainder is
+    pendant-free.  A known fact is not checked again.
+    """
+    if g.m == 0 or (connected and pendant_free):
         return (), _base_case(g)
-    split = components(g)
-    if len(split) > 1:
-        parts = tuple(comp for comp, _ in split if comp.n > 1)
-        isolated = [labels[0] for comp, labels in split if comp.n == 1]
-        if isolated:
-            parts += (_induced(g, isolated),)
-        step = ReductionStep(
-            kind=KIND_COMPONENT_SPLIT,
-            before=g,
-            after=parts,
-            relation="eta(G) = sum over connected components",
-        )
-        return parts, step
-    hit = peel_pendants(g)
-    if hit is not None:
-        reduced, step = hit
-        return (reduced,), step
-    return (), _base_case(g)
+    nbrs = _neighbor_lists(g)
+    if not connected:
+        comps = _component_vertex_sets(g, adj=nbrs)
+        if len(comps) > 1:
+            parts = tuple(_induced(g, comp) for comp in comps if len(comp) > 1)
+            isolated = [comp[0] for comp in comps if len(comp) == 1]
+            if isolated:
+                parts += (_induced(g, isolated),)
+            step = ReductionStep(
+                kind=KIND_COMPONENT_SPLIT,
+                before=g,
+                after=parts,
+                relation="eta(G) = sum over connected components",
+            )
+            return tuple((h, True, pendant_free) for h in parts), step
+    if not pendant_free:
+        hit = _peel(g, nbrs)
+        if hit is not None:
+            reduced, step = hit
+            return ((reduced, False, True),), step
+    return (), _base_case(g, nbrs)
 
 
-def _base_case(g: SignedGraph) -> ReductionStep:
+def _base_case(g: SignedGraph, nbrs: list[list[int]] | None = None) -> ReductionStep:
+    """The base-case step of ``g``; ``nbrs``, G's neighbor lists, is built
+    here if None and only a theta or infinity graph reads it."""
     # closed forms: the empty graph, isolated vertices, and the connected
     # pendant-free graphs with m <= n + 1, which are cycles, theta and
     # infinity graphs (paths with n >= 2 never reach here because they are
@@ -241,7 +276,7 @@ def _base_case(g: SignedGraph) -> ReductionStep:
         value = nullity_cycle(g.n, s)
         relation = f"eta = {value} (cycle closed form, n={g.n}, s parity {s})"
     elif g.m == g.n + 1:
-        value, relation = _bicyclic_closed_form(g)
+        value, relation = _bicyclic_closed_form(g, _neighbor_lists(g) if nbrs is None else nbrs)
     else:
         value = nullity_rank(g)
         method = METHOD_RANK_ORACLE
@@ -256,9 +291,10 @@ def _base_case(g: SignedGraph) -> ReductionStep:
     )
 
 
-def _branches(g: SignedGraph) -> list[tuple[int, int, int, int]]:
+def _branches(g: SignedGraph, nbrs: list[list[int]]) -> list[tuple[int, int, int, int]]:
     """Every branch of a connected pendant-free graph that is not a cycle,
-    as (start, end, edges, negative-edge parity).
+    as (start, end, edges, negative-edge parity), read off its neighbor
+    lists ``nbrs``.
 
     A branch is a path between vertices of degree >= 3 (possibly the same
     one) whose inner vertices have degree 2.  Each is walked once, from its
@@ -266,25 +302,27 @@ def _branches(g: SignedGraph) -> list[tuple[int, int, int, int]]:
     and a walk is skipped when its first inner vertex was already walked, or
     when it is a single edge back to a lower hub.
     """
-    adj = g._adj
+    negative = {(u, v) for u, v, s in g.edges if s < 0}
     walked = [False] * g.n
     out = []
     for a in range(g.n):
-        if len(adj[a]) < 3:
+        if len(nbrs[a]) < 3:
             continue
-        for x, sign in adj[a].items():
-            if walked[x] or (len(adj[x]) > 2 and x < a):
+        for x in nbrs[a]:
+            if walked[x] or (len(nbrs[x]) > 2 and x < a):
                 continue
-            prev, v, edges, parity = a, x, 1, sign < 0
-            while len(adj[v]) == 2:
+            prev, v, edges, parity = a, x, 1, (min(a, x), max(a, x)) in negative
+            while len(nbrs[v]) == 2:
                 walked[v] = True
-                w, t = next((w, t) for w, t in adj[v].items() if w != prev)
-                prev, v, edges, parity = v, w, edges + 1, parity ^ (t < 0)
+                y, w = nbrs[v]
+                if w == prev:
+                    w = y
+                prev, v, edges, parity = v, w, edges + 1, parity ^ ((min(v, w), max(v, w)) in negative)
             out.append((a, v, edges, int(parity)))
     return out
 
 
-def _bicyclic_closed_form(g: SignedGraph) -> tuple[int, str]:
+def _bicyclic_closed_form(g: SignedGraph, nbrs: list[list[int]]) -> tuple[int, str]:
     """(eta, relation) of a connected pendant-free graph with m = n + 1.
 
     Its degrees exceed 2 by 2 in total, so it has one vertex of degree 4,
@@ -292,7 +330,7 @@ def _bicyclic_closed_form(g: SignedGraph) -> tuple[int, str]:
     degree 3, joined by three branches (theta) or each on a cycle, with one
     a-b branch of L edges between them (infinity, l = L + 1).
     """
-    branches = _branches(g)
+    branches = _branches(g, nbrs)
     if all(a != b for a, b, _, _ in branches):
         lengths, parities = zip(*((length, parity) for _, _, length, parity in branches))
         value = nullity_theta(*lengths, *parities)

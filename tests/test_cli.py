@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import sgn
-from sgn.cli import ALL_CHARPOLY_MAX_VERTICES, main
+from sgn.cli import ALL_CHARPOLY_MAX_VERTICES, CHARPOLY_MAX_VERTICES, main
 from sgn.graph import MAX_VERTICES
-from sgn.linalg import nullity_rank
+from sgn.linalg import CharPoly, nullity_rank
 from sgn.verify import SET_MAX_N
 
 TRIANGLE = "3 3\n0 1 1\n1 2 1\n0 2 -1\n"
@@ -100,6 +100,30 @@ def test_nullity_method_charpoly_runs_above_the_all_order(capsys):
     n = ALL_CHARPOLY_MAX_VERTICES + 1
     assert main(["nullity", "--method", "charpoly", f"cycle:n={n},s=1"]) == 0
     assert capsys.readouterr() == ("charpoly: 0\n", "")
+
+
+def test_charpoly_limit_lies_between_the_all_order_and_the_matrix_ceiling():
+    # above the --method all order, so that its skip note's advice helps
+    assert ALL_CHARPOLY_MAX_VERTICES < CHARPOLY_MAX_VERTICES < 2000
+
+
+@pytest.mark.parametrize(
+    "args, stub, value",
+    [(["nullity", "--method", "charpoly"], "nullity_charpoly", 0), (["charpoly"], "char_poly", CharPoly((1,)))],
+)
+def test_explicit_charpoly_runs_to_its_limit_and_refuses_above_it(monkeypatch, capsys, args, stub, value):
+    # the route itself is stubbed: at the limit it would take about 30 s
+    calls = []
+    monkeypatch.setattr(f"sgn.cli.{stub}", lambda x: calls.append(x) or value)
+    n = CHARPOLY_MAX_VERTICES
+    assert main([*args, f"cycle:n={n},s=1"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+    assert main([*args, f"cycle:n={n + 1},s=1"]) == 1
+    assert len(calls) == 1
+    assert capsys.readouterr() == (
+        "", f"error: n = {n + 1} exceeds the {CHARPOLY_MAX_VERTICES}-vertex limit of the charpoly route\n"
+    )
 
 
 def test_nullity_infinity_example(capsys):

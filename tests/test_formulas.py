@@ -82,6 +82,7 @@ def test_closed_forms_take_their_builders_parameters():
         (gen_infinity, nullity_infinity, (2, 3, 1)),
         (gen_infinity, nullity_infinity, (3, 3, 0)),
         (gen_theta, nullity_theta, (1, 1, 3)),
+        (gen_theta, nullity_theta, (2, 3, 4, 0, 2, 1)),
     ],
 )
 def test_closed_forms_refuse_with_their_builders_messages(build, formula, args):

@@ -18,8 +18,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "sgn"
 ALLOWED = {
     ("verify", "iter_signed_corpus"),
     ("verify", "is_max_nullity_extremal"),
+    ("reduction", "components"),
     ("reduction", "cut_points"),
     ("reduction", "delete_vertices"),
+    ("reduction", "pendant_pairs"),
     ("reduction", "try_cutpoint_case1"),
     ("reduction", "try_cutpoint_case2"),
 }

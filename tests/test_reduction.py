@@ -30,7 +30,7 @@ from sgn import reduction, verify
 from sgn.enumeration import iter_signed_corpus, random_signed_graph, random_switching
 from sgn.families import bicyclic_class, gen_cycle, gen_figure, gen_infinity, gen_path, gen_star, gen_theta
 from sgn.formulas import nullity_infinity, nullity_theta
-from sgn.graph import _induced, switch
+from sgn.graph import MAX_VERTICES, _induced, _neighbor_lists, switch
 from sgn.reduction import (
     KIND_BASE_CASE,
     KIND_COMPONENT_SPLIT,
@@ -196,7 +196,7 @@ def test_theta_and_infinity_branches_are_read_in_any_labeling():
             # the loops first, then the connecting path, which is all positive
             want = sorted([(p, sp), (q, sq)]) + ([(l - 1, 0)] if l > 1 else [])
             eta = nullity_infinity(p, q, l, sp, sq)
-        branches = reduction._branches(g)
+        branches = reduction._branches(g, _neighbor_lists(g))
         loops = sorted((length, parity) for a, b, length, parity in branches if a == b)
         paths = sorted((length, parity) for a, b, length, parity in branches if a != b)
         assert loops + paths == want
@@ -597,13 +597,18 @@ def test_isolated_vertices_share_one_part_and_one_step():
 def test_certificates_keep_no_adjacency_lists():
     # a certificate keeps every graph it decides; their cached adjacency
     # lists once made up 221 MB of a 2 000-vertex path's 310 MB trace.  The
-    # root is the caller's graph and keeps its lists for the caller's use.
+    # engine reads one transient adjacency per graph and stores none, so no
+    # graph of the trace holds one, the caller's root included; a root whose
+    # lists the caller built beforehand keeps them, and the same certificate.
     for key in sorted(CERTIFICATE_SHA256):
         g = _pinned_graph(key)
         trace = nullity_structural(g)[1]
-        derived = [h for step in trace.steps for h in (step.before, *step.after) if h is not g]
         assert trace.root is g
-        assert not any("_adj" in vars(h) for h in derived)
+        assert not any("_adj" in vars(h) for step in trace.steps for h in (step.before, *step.after))
+        cached = _pinned_graph(key)
+        lists = cached._adj
+        assert nullity_structural(cached)[1].to_json() == trace.to_json()
+        assert vars(cached)["_adj"] is lists
     g = gen_path(2000)
     tracemalloc.start()
     try:
@@ -613,3 +618,27 @@ def test_certificates_keep_no_adjacency_lists():
         tracemalloc.stop()
     assert value == trace.replay() == 0
     assert peak < 150 << 20
+
+
+@pytest.mark.parametrize("kind", ["path", "tree"])
+def test_structural_at_the_vertex_ceiling(kind):
+    # a 200 000-vertex path or random tree peels in one step on one
+    # transient adjacency: about 45 MB at the peak, and nothing is left on
+    # the root (a cached adjacency took some 20 MB more on each)
+    n = MAX_VERTICES
+    if kind == "path":
+        g, eta = gen_path(n), 0
+    else:
+        rng = random.Random(200_000)
+        parent = [0] + [rng.randrange(v) for v in range(1, n)]
+        g = SignedGraph(n, [(parent[v], v, rng.choice((1, -1))) for v in range(1, n)])
+        eta = _tree_nullity(n, parent)
+    tracemalloc.start()
+    try:
+        value, trace = nullity_structural(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == trace.replay() == eta
+    assert "_adj" not in vars(g)
+    assert peak < 60 << 20
