@@ -107,8 +107,8 @@ def cmd_nullity(args) -> int:
             skips.update(rank=LinalgError, charpoly=LinalgError)
         elif g.n > ALL_CHARPOLY_MAX_VERTICES:
             methods.remove("charpoly")
-            print(f"charpoly: skipped ({g.n} vertices, above the {ALL_CHARPOLY_MAX_VERTICES} "
-                  "that --method all runs it on; use --method charpoly)", file=sys.stderr)
+            print(f"charpoly: skipped ({g.n} vertices, above the {ALL_CHARPOLY_MAX_VERTICES} that --method "
+                  f"all runs it on; --method charpoly runs it up to {CHARPOLY_MAX_VERTICES})", file=sys.stderr)
     for method in methods:
         try:
             if method == "rank":

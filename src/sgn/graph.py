@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, islice, repeat
 from typing import Iterable, Mapping, Sequence
 
@@ -40,7 +40,7 @@ def check_vertex_ceiling(n: int) -> None:
         raise GraphError(f"n = {n} exceeds the {MAX_VERTICES}-vertex ceiling of the adjacency lists")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedGraph:
     """Immutable simple graph on vertices 0..n-1 with a +-1 sign per edge.
 
@@ -49,6 +49,12 @@ class SignedGraph:
     not exactly ``int`` (``bool`` is not), loops, duplicate edges,
     out-of-range endpoints and signs outside {+1, -1}.  Parsed edge
     lists and graphs derived from valid ones skip these checks (``_trusted``).
+
+    A graph is its ``n`` and ``edges`` and nothing else: the class is
+    slotted, so no adjacency or other derived value can be cached on it.
+    Traversals build a transient one (``_neighbor_lists``); ``has_edge``
+    and ``sign`` binary-search the sorted edges.  The accessors raise
+    GraphError for a vertex outside 0..n-1.
     """
 
     n: int
@@ -98,32 +104,33 @@ class SignedGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def _adj(self) -> tuple[dict[int, int], ...]:
-        check_vertex_ceiling(self.n)
-        # edges are sorted by (u, v) with u < v, so each vertex meets its
-        # smaller neighbors first, ascending, then its larger ones: every
-        # dict is filled, and therefore iterates, in ascending label order
-        adj: tuple[dict[int, int], ...] = tuple({} for _ in range(self.n))
-        for u, v, s in self.edges:
-            adj[u][v] = s
-            adj[v][u] = s
-        return adj
+    def _vertex(self, v: int) -> int:
+        """``v``, or GraphError when it is not a vertex of the graph."""
+        if not 0 <= v < self.n:
+            raise GraphError(f"vertex {v} outside 0..{self.n - 1}")
+        return v
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(self._adj[v])
+        """v's neighbors, ascending, from a transient adjacency: O(n + m)."""
+        return tuple(_neighbor_lists(self)[self._vertex(v)])
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        """O(n + m), like ``neighbors``."""
+        return len(self.neighbors(v))
+
+    def _edge_sign(self, u: int, v: int) -> int:
+        """The sign of the edge uv, 0 if there is none; a binary search, O(log m)."""
+        key = (min(self._vertex(u), self._vertex(v)), max(u, v))
+        i = bisect_left(self.edges, key)
+        return self.edges[i][2] if i < self.m and self.edges[i][:2] == key else 0
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return self._edge_sign(u, v) != 0
 
     def sign(self, u: int, v: int) -> int:
-        try:
-            return self._adj[u][v]
-        except (KeyError, IndexError):
-            raise GraphError(f"no edge ({u},{v})")
+        if s := self._edge_sign(u, v):
+            return s
+        raise GraphError(f"no edge ({u},{v})")
 
     @property
     def underlying_edges(self) -> tuple[tuple[int, int], ...]:
@@ -164,10 +171,13 @@ def cycle_witness(g: SignedGraph, vertices: Sequence[int]) -> CycleWitness:
     rot = tuple(vertices[(i + j) % k] for j in range(k))
     if rot[-1] < rot[1]:
         rot = (rot[0],) + tuple(reversed(rot[1:]))
-    neg = 0
-    for a, b in zip(rot, rot[1:] + rot[:1]):
-        if g.sign(a, b) == -1:
-            neg += 1
+    # the k vertex pairs are distinct, so the cycle's edges are read in one
+    # pass over g.edges rather than by k searches
+    pairs = {(min(a, b), max(a, b)) for a, b in zip(rot, rot[1:] + rot[:1])}
+    signs = [s for u, v, s in g.edges if (u, v) in pairs]
+    if len(signs) < k:
+        raise GraphError("cycle has consecutive vertices that no edge joins")
+    neg = signs.count(-1)
     return CycleWitness(rot, -1 if neg % 2 else 1, neg)
 
 
@@ -316,10 +326,11 @@ def from_json(text: str) -> SignedGraph:
 def _neighbor_lists(g: SignedGraph) -> list[list[int]]:
     """Every vertex's neighbors, ascending, from one pass over ``g.edges``.
 
-    A transient adjacency: unlike ``_adj`` it is not stored on ``g``, so it
-    is freed with the caller's last reference.  A vertex's degree is the
-    length of its list.  The order is ascending because the edges are sorted
-    by (u, v) with u < v, as in ``_adj``.
+    The package's one adjacency builder.  It is transient, as a graph
+    cannot hold it, so it is freed with the caller's last reference.  A
+    vertex's degree is the length of its list.  The order is ascending
+    because the edges are sorted by (u, v) with u < v: each vertex meets
+    its smaller neighbors first, ascending, then its larger ones.
     """
     check_vertex_ceiling(g.n)
     nbrs: list[list[int]] = [[] for _ in range(g.n)]
@@ -330,12 +341,12 @@ def _neighbor_lists(g: SignedGraph) -> list[list[int]]:
 
 
 def _component_vertex_sets(
-    g: SignedGraph, skip: int | None = None, adj: Sequence[Iterable[int]] | None = None
+    g: SignedGraph, skip: int | None = None, adj: Sequence[Sequence[int]] | None = None
 ) -> list[list[int]]:
     """Ascending label lists of the components of ``g`` less the vertex ``skip``,
-    searched on ``adj`` (``g``'s neighbor lists or dicts; ``g._adj`` if None)."""
+    searched on ``adj``, ``g``'s neighbor lists (built here if None)."""
     if adj is None:
-        adj = g._adj
+        adj = _neighbor_lists(g)
     seen = [False] * g.n
     if skip is not None:
         seen[skip] = True
@@ -446,11 +457,7 @@ def delete_vertices(
 
 def pendant_pairs(g: SignedGraph) -> tuple[tuple[int, int], ...]:
     """All (degree-1 vertex, its unique neighbor) pairs, by vertex label."""
-    out = []
-    for v in range(g.n):
-        if g.degree(v) == 1:
-            out.append((v, g.neighbors(v)[0]))
-    return tuple(out)
+    return tuple((v, nb[0]) for v, nb in enumerate(_neighbor_lists(g)) if len(nb) == 1)
 
 
 # -- switching, balance, canonical form ---------------------------------
@@ -479,34 +486,34 @@ def _dfs_forest(g: SignedGraph) -> tuple[list[int], list[int], list[int], list[i
     """Lexicographically smallest DFS forest (roots at smallest labels).
 
     Returns (parent, theta, disc, low); parent[root] = -1; neighbors explored
-    ascending.  theta is propagated along the forest, theta(child) =
-    sign(parent, child) * theta(parent) with theta(root) = 1, so switching by
-    theta makes every forest edge positive.  disc[v] is v's discovery time
-    and low[v] its lowpoint: the smallest discovery time reached from v's
-    subtree by at most one back edge.
+    ascending, on ``_neighbor_lists``.  disc[v] is v's discovery time and
+    low[v] its lowpoint: the smallest discovery time reached from v's
+    subtree by at most one back edge.  theta(child) = sign(parent, child) *
+    theta(parent) with theta(root) = 1, so switching by theta makes every
+    forest edge positive; it is set after the search, in discovery order,
+    from one pass over ``g.edges`` that picks out the forest edges.
     """
-    adj = g._adj
+    adj = _neighbor_lists(g)
     parent = [-2] * g.n
     theta = [1] * g.n
     disc = [0] * g.n
     low = [0] * g.n
-    timer = 0
+    order: list[int] = []
     for root in range(g.n):
         if parent[root] != -2:
             continue
         parent[root] = -1
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, iter(adj[root].items()))]
+        disc[root] = low[root] = len(order)
+        order.append(root)
+        stack = [(root, iter(adj[root]))]
         while stack:
             x, it = stack[-1]
-            for y, s in it:
+            for y in it:
                 if parent[y] == -2:
                     parent[y] = x
-                    theta[y] = s * theta[x]
-                    disc[y] = low[y] = timer
-                    timer += 1
-                    stack.append((y, iter(adj[y].items())))
+                    disc[y] = low[y] = len(order)
+                    order.append(y)
+                    stack.append((y, iter(adj[y])))
                     break
                 if y != parent[x] and disc[y] < low[x]:
                     low[x] = disc[y]
@@ -515,6 +522,11 @@ def _dfs_forest(g: SignedGraph) -> tuple[list[int], list[int], list[int], list[i
                 p = parent[x]
                 if p >= 0 and low[x] < low[p]:
                     low[p] = low[x]
+    for u, v, s in g.edges:  # theta holds each child's forest-edge sign
+        if parent[v] == u or parent[u] == v:
+            theta[v if parent[v] == u else u] = s
+    for x in order:  # a parent is discovered, and so final, before its child
+        theta[x] *= theta[parent[x]] if parent[x] >= 0 else 1
     return parent, theta, disc, low
 
 

@@ -15,19 +15,18 @@ rank call.  A certificate holds three step kinds: ``ComponentSplit`` and
 ``BaseCase``, which states a value.
 
 Each graph the engine reads gets one transient adjacency, its neighbor lists
-from one pass over its edges (``graph._neighbor_lists``).  It lives while
-that graph's rule runs and is stored on no graph, so the caller's graph is
-left as it was found and no graph of a certificate holds one.  The component
-search and, for a connected graph, the whole peel read that one build: a
-degree count plus the sum of each vertex's live neighbors' labels names a
-pendant's one live neighbor in O(1), because at degree 1 the sum is that
-neighbor (deleting u subtracts u from the sum of each live neighbor of u;
-a running XOR would do as well, but the sums start from one builtin call per
-vertex).  A min-heap keeps the lowest-labeled pendant first.  A fact a rule
-has established is not checked again, which keeps every certificate the
-same: a component of a split is connected, so it gets no search; a peel's
-remainder has no pendant, because the peel stops only when none is left,
-and its components keep their degrees, so neither gets a pendant scan.
+from one pass over its edges (``graph._neighbor_lists``), which lives while
+that graph's rule runs.  The component search and, for a connected graph,
+the whole peel read that one build: a degree count plus the sum of each
+vertex's live neighbors' labels names a pendant's one live neighbor in O(1),
+because at degree 1 the sum is that neighbor (deleting u subtracts u from
+the sum of each live neighbor of u; a running XOR would do as well, but the
+sums start from one builtin call per vertex).  A min-heap keeps the
+lowest-labeled pendant first.  A fact a rule has established is not checked
+again, which keeps every certificate the same: a component of a split is
+connected, so it gets no search; a peel's remainder has no pendant, because
+the peel stops only when none is left, and its components keep their
+degrees, so neither gets a pendant scan.
 """
 
 from __future__ import annotations
@@ -146,13 +145,12 @@ def peel_pendants(g: SignedGraph) -> tuple[SignedGraph, ReductionStep] | None:
 
     Each deletion takes the lowest-labeled pendant of the current graph
     together with its neighbor and keeps the nullity.  The peel runs on one
-    transient adjacency of G (``_neighbor_lists``, not stored on G, which is
-    left as it was found): a min-heap of pendant labels finds the next
-    pendant, and a degree count with the sum of each vertex's live
-    neighbors' labels names a pendant's one live neighbor in O(1), since at
-    degree 1 that sum is the neighbor itself.  The whole peel is
-    O(m + n log n) and builds one snapshot, of what is left.  Returns None
-    when no pendant exists.
+    transient adjacency of G (``_neighbor_lists``): a min-heap of pendant
+    labels finds the next pendant, and a degree count with the sum of each
+    vertex's live neighbors' labels names a pendant's one live neighbor in
+    O(1), since at degree 1 that sum is the neighbor itself.  The whole
+    peel is O(m + n log n) and builds one snapshot, of what is left.
+    Returns None when no pendant exists.
     """
     return _peel(g, _neighbor_lists(g))
 
@@ -207,7 +205,7 @@ def nullity_structural(g: SignedGraph) -> tuple[int, ReductionTrace]:
     values.  It always equals the rank-oracle nullity; ``replay``
     re-derives it from the steps alone.  A graph above the adjacency-list
     ceiling is refused even when no rule would traverse it (an edgeless
-    one).  It stores an adjacency on no graph, the caller's included.
+    one).
     """
     check_vertex_ceiling(g.n)
     steps: list[ReductionStep] = []

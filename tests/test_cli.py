@@ -85,15 +85,17 @@ def test_nullity_all_skips_the_matrix_routes_above_their_ceiling(capsys):
 
 
 def test_nullity_all_skips_the_charpoly_route_above_its_order(capsys):
-    n = ALL_CHARPOLY_MAX_VERTICES + 1
-    assert main(["nullity", f"cycle:n={n},s=1"]) == 0
-    out, err = capsys.readouterr()
-    assert out == "rank: 0\nstructural: 0\n"
-    assert err == (
-        f"charpoly: skipped ({n} vertices, above the {ALL_CHARPOLY_MAX_VERTICES} that --method all "
-        "runs it on; use --method charpoly)\n"
-        f"figures: skipped (figure enumeration guard: n = {n}, prod(deg(v) + 1) exceeds 10000000000)\n"
-    )
+    # one note at every order: at n = 1000 advice to use --method charpoly
+    # alone would send the user to a route that refuses the graph
+    for n in (ALL_CHARPOLY_MAX_VERTICES + 1, 1000):
+        assert main(["nullity", f"cycle:n={n},s=1"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "rank: 0\nstructural: 0\n"
+        assert err == (
+            f"charpoly: skipped ({n} vertices, above the {ALL_CHARPOLY_MAX_VERTICES} that --method all "
+            f"runs it on; --method charpoly runs it up to {CHARPOLY_MAX_VERTICES})\n"
+            f"figures: skipped (figure enumeration guard: n = {n}, prod(deg(v) + 1) exceeds 10000000000)\n"
+        )
 
 
 def test_nullity_method_charpoly_runs_above_the_all_order(capsys):
@@ -468,3 +470,18 @@ def test_generate_at_the_vertex_ceiling():
 def test_canon_at_the_vertex_ceiling():
     code, out, err = run_cli(["canon", "-"], stdin=f"{MAX_VERTICES} 0\n", preexec_fn=_limit_address_space)
     assert (code, out, err) == (0, f"{MAX_VERTICES} 0\n", "")
+
+
+def test_balance_and_canon_of_a_cycle_at_the_vertex_ceiling():
+    # the DFS forest and cycle_witness at scale, under the same 512 MiB
+    # (about 100 MB at the peak): the forest is the path 0-1-...-(n-1), so
+    # the witness is the whole cycle and the canonical form's one negative
+    # edge is the cotree edge 0-(n-1)
+    n = MAX_VERTICES - 1
+    spec = f"cycle:n={n},s=1"
+    code, out, err = run_cli(["balance", spec], preexec_fn=_limit_address_space)
+    assert (code, err) == (0, "")
+    assert out == f"unbalanced\nnegative cycle: {'-'.join(map(str, range(n)))} (sign -1, 1 negative edges)\n"
+    code, out, err = run_cli(["canon", spec], preexec_fn=_limit_address_space)
+    assert (code, err) == (0, "")
+    assert out == f"{n} {n}\n0 1 1\n0 {n - 1} -1\n" + "".join(f"{v} {v + 1} 1\n" for v in range(1, n - 1))

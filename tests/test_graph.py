@@ -16,6 +16,7 @@ from sgn import (
     canonical_signature,
     components,
     cut_points,
+    cycle_witness,
     delete_vertices,
     find_cycles,
     from_json,
@@ -307,6 +308,35 @@ def test_neighbors_ascend_whatever_the_edge_order(g, rng):
         assert h == g
         for v in range(h.n):
             assert h.neighbors(v) == tuple(u for u in range(h.n) if h.has_edge(v, u))
+
+
+@pytest.mark.parametrize(
+    "method, args",
+    [("sign", (-1, 1)), ("neighbors", (-1,)), ("has_edge", (-1, 1)), ("neighbors", (3,)),
+     ("degree", (3,)), ("has_edge", (1, 3)), ("sign", (0, 3))],
+)
+def test_accessors_refuse_a_vertex_outside_the_graph(method, args):
+    # a negative vertex once counted from the end: sign(-1, 1) read the
+    # edge 1-2, neighbors(-1) vertex 2's neighbors, has_edge(-1, 1) was
+    # True, and neighbors(3) raised a bare IndexError
+    g = SignedGraph(3, [(0, 1, 1), (1, 2, -1)])
+    bad = next(v for v in args if not 0 <= v < 3)
+    with pytest.raises(GraphError, match=f"^vertex {bad} outside 0..2$"):
+        getattr(g, method)(*args)
+
+
+def test_sign_of_a_non_edge():
+    g = SignedGraph(3, [(0, 1, 1), (1, 2, -1)])
+    assert (g.sign(2, 1), g.has_edge(2, 0)) == (-1, False)
+    with pytest.raises(GraphError, match=r"^no edge \(2,0\)$"):
+        g.sign(2, 0)
+
+
+def test_a_graph_holds_only_n_and_edges():
+    g = gen_cycle(5, 1)
+    assert SignedGraph.__slots__ == ("n", "edges") and not hasattr(g, "__dict__")
+    with pytest.raises(AttributeError):
+        object.__setattr__(g, "_adj", ())
 
 
 # -- components ---------------------------------------------------------------
@@ -675,3 +705,12 @@ def test_cycle_witness_orientation_canonical():
     for w in find_cycles(gen_infinity(3, 5, 2, 1, 1)):
         assert w.vertices[0] == min(w.vertices)
         assert w.vertices[1] < w.vertices[-1]
+
+
+def test_cycle_witness_reads_the_cycle_edges():
+    g = SignedGraph(5, [(0, 1, -1), (1, 2, 1), (2, 3, -1), (0, 3, -1), (3, 4, 1)])
+    w = cycle_witness(g, (2, 1, 0, 3))
+    assert (w.vertices, w.sign, w.neg_edge_count) == ((0, 1, 2, 3), -1, 3)
+    for cycle in ((0, 1, 2), (0, 1, 2, 3, 4), (0, 1, 2, 7)):
+        with pytest.raises(GraphError, match="^cycle has consecutive vertices that no edge joins$"):
+            cycle_witness(g, cycle)

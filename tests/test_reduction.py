@@ -596,19 +596,14 @@ def test_isolated_vertices_share_one_part_and_one_step():
 
 def test_certificates_keep_no_adjacency_lists():
     # a certificate keeps every graph it decides; their cached adjacency
-    # lists once made up 221 MB of a 2 000-vertex path's 310 MB trace.  The
-    # engine reads one transient adjacency per graph and stores none, so no
-    # graph of the trace holds one, the caller's root included; a root whose
-    # lists the caller built beforehand keeps them, and the same certificate.
+    # lists once made up 221 MB of a 2 000-vertex path's 310 MB trace.  A
+    # graph is a slotted value of n and edges, so no graph of the trace,
+    # the caller's root included, has anywhere to hold an adjacency.
     for key in sorted(CERTIFICATE_SHA256):
         g = _pinned_graph(key)
         trace = nullity_structural(g)[1]
         assert trace.root is g
-        assert not any("_adj" in vars(h) for step in trace.steps for h in (step.before, *step.after))
-        cached = _pinned_graph(key)
-        lists = cached._adj
-        assert nullity_structural(cached)[1].to_json() == trace.to_json()
-        assert vars(cached)["_adj"] is lists
+        assert not any(hasattr(h, "__dict__") for step in trace.steps for h in (step.before, *step.after))
     g = gen_path(2000)
     tracemalloc.start()
     try:
@@ -623,8 +618,8 @@ def test_certificates_keep_no_adjacency_lists():
 @pytest.mark.parametrize("kind", ["path", "tree"])
 def test_structural_at_the_vertex_ceiling(kind):
     # a 200 000-vertex path or random tree peels in one step on one
-    # transient adjacency: about 45 MB at the peak, and nothing is left on
-    # the root (a cached adjacency took some 20 MB more on each)
+    # transient adjacency: about 45 MB at the peak, and the root, a slotted
+    # value, keeps none (a cached adjacency took some 20 MB more on each)
     n = MAX_VERTICES
     if kind == "path":
         g, eta = gen_path(n), 0
@@ -640,5 +635,5 @@ def test_structural_at_the_vertex_ceiling(kind):
     finally:
         tracemalloc.stop()
     assert value == trace.replay() == eta
-    assert "_adj" not in vars(g)
+    assert not hasattr(g, "__dict__")
     assert peak < 60 << 20
