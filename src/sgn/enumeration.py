@@ -177,29 +177,40 @@ def random_tree_attached_bicyclic(
         raise ValueError(f"unknown kind {kind!r}")
     if n < _SAMPLER_MIN_ORDER[kind]:
         raise ValueError(f"{kind} needs n >= {_SAMPLER_MIN_ORDER[kind]}, got n = {n}")
+    bits = rng.getrandbits
+
+    def below(width):
+        # rng.randrange(width) without its wrappers: Random._randbelow's
+        # draws, so the same words of the generator and the same graphs
+        k = width.bit_length()
+        r = bits(k)
+        while r >= width:
+            r = bits(k)
+        return r
+
     while True:
         if kind == "BPlus":
-            p, q, l = rng.randint(3, n), rng.randint(3, n), rng.randint(2, n)
+            p, q, l = 3 + below(n - 2), 3 + below(n - 2), 2 + below(n - 1)
             if p + q + l - 2 > n:
                 continue
             base = gen_infinity(p, q, l)
         elif kind == "BPlusPlus":
-            p, q = rng.randint(3, n), rng.randint(3, n)
+            p, q = 3 + below(n - 2), 3 + below(n - 2)
             if p + q - 1 > n:
                 continue
             base = gen_infinity(p, q, 1)
         else:
-            p, q, l = (rng.randint(1, n) for _ in range(3))
+            p, q, l = 1 + below(n), 1 + below(n), 1 + below(n)
             if sum(1 for x in (p, q, l) if x == 1) > 1 or p + q + l - 1 > n:
                 continue
             base = gen_theta(p, q, l)
         break
     edges = [(u, v) for u, v, _ in base.edges]
     for w in range(base.n, n):
-        edges.append((rng.randrange(w), w))
+        edges.append((below(w), w))
     # the base's edges and every (parent, w) have u < v, so sorting the
     # signed edges gives the normal form the base builder already validated
-    return SignedGraph._trusted(n, sorted((u, v, rng.choice((1, -1))) for u, v in edges))
+    return SignedGraph._trusted(n, sorted((u, v, -1 if below(2) else 1) for u, v in edges))
 
 
 def force_unbalanced(rng: random.Random, g: SignedGraph) -> SignedGraph:

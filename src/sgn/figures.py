@@ -19,8 +19,10 @@ disjoint cycles plus a matching of the vertices S leaves, so its
 coefficients are phi(G) = sum_S (-2)^|S| sigma(S) mu(G - V(S)), with mu
 the matching polynomial (Sachs 1964; Godsil & Gutman 1981), and its
 profile equals the figure stream grouped by cycle-edge mask.  All three
-refuse the same graphs.  Loops never occur because the data model is
-simple graphs.
+refuse the same graphs.  The stream and the profile find their cycles
+through one enumerator, ``_cycles_from``, a depth-first path walk that
+drops a path as soon as no cycle can close from it.  Loops never occur
+because the data model is simple graphs.
 """
 
 from __future__ import annotations
@@ -74,17 +76,17 @@ class BasicFigure:
 
 
 def _guarded_neighbors(n: int, edges):
-    """(labels, neighbors): the one guarded entry of every figure consumer,
-    for the graph on vertices 0..n-1 whose ascending (u, v) pairs, u < v,
-    are ``edges``.
+    """(labels, neighbors, adj): the one guarded entry of every figure
+    consumer, for the graph on vertices 0..n-1 whose ascending (u, v) pairs,
+    u < v, are ``edges``.
 
     Isolated vertices lie on no figure, so only the others are kept,
     renumbered in order, which keeps the figures and their order; vertex k
     is ``labels[k]``.  ``neighbors[v]`` maps each neighbor, ascending by the
-    edge order, to its edge's bit, bit k for ``edges[k]``.  The vertex
-    ceiling (GraphError) and the figure guard (SizeGuardError) are checked
-    from degree counts, before any edge bit is built: the bits of m edges
-    take O(m^2) bits in all.
+    edge order, to its edge's bit, bit k for ``edges[k]``, and ``adj[v]``
+    has bit u set for each neighbor u.  The vertex ceiling (GraphError) and
+    the figure guard (SizeGuardError) are checked from degree counts, before
+    any edge bit is built: the bits of m edges take O(m^2) bits in all.
     """
     check_vertex_ceiling(n)
     degree = Counter(x for e in edges for x in e)
@@ -101,29 +103,29 @@ def _guarded_neighbors(n: int, edges):
     for k, (u, v) in enumerate(edges):
         u, v = index[u], index[v]
         neighbors[u][v] = neighbors[v][u] = 1 << k
-    return labels, neighbors
+    return labels, neighbors, [sum(1 << u for u in nb) for nb in neighbors]
 
 
 def _figure_stream(n: int, edges, limit: int):
     """(labels, stream): every figure covering at most ``limit`` vertices of
     the graph ``_guarded_neighbors(n, edges)`` builds, in its numbering;
     vertex k of the stream is ``labels[k]``."""
-    labels, neighbors = _guarded_neighbors(n, edges)
-    return labels, _component_stream(neighbors, limit)
+    labels, neighbors, adj = _guarded_neighbors(n, edges)
+    return labels, _component_stream(neighbors, adj, limit)
 
 
-def _component_stream(neighbors, limit, covered=0, used=0, edges=(), cycles=(), mask=0):
+def _component_stream(neighbors, adj, limit, covered=0, used=0, edges=(), cycles=(), mask=0):
     """Yield every basic figure covering at most ``limit`` vertices as
     (vertices covered, K_2 edges, cycles, cycle-edge mask).
 
-    ``neighbors`` is built by ``_guarded_neighbors``; the other arguments
-    describe the figure being extended, which is yielded first (the empty
-    figure at the top level).  Components are added in increasing order of
-    their smallest vertex: the smallest free vertex v is matched to a
-    larger neighbor, made the smallest vertex of a cycle, or left
-    uncovered, and the recursion extends each new figure before the next
-    choice is tried.  The traversal order is deterministic, and a limit
-    only prunes figures (with all their extensions) that exceed it.
+    ``neighbors`` and ``adj`` are built by ``_guarded_neighbors``; the
+    other arguments describe the figure being extended, which is yielded
+    first (the empty figure at the top level).  Components are added in
+    increasing order of their smallest vertex: the smallest free vertex v
+    is matched to a larger neighbor, made the smallest vertex of a cycle,
+    or left uncovered, and the recursion extends each new figure before
+    the next choice is tried.  The traversal order is deterministic, and a
+    limit only prunes figures (with all their extensions) that exceed it.
     """
     yield used, edges, cycles, mask
     room = limit - used
@@ -135,34 +137,53 @@ def _component_stream(neighbors, limit, covered=0, used=0, edges=(), cycles=(), 
         for u in neighbors[v]:
             if u > v and not (covered >> u) & 1:
                 yield from _component_stream(
-                    neighbors, limit, covered | 1 << v | 1 << u, used + 2, edges + ((v, u),), cycles, mask
+                    neighbors, adj, limit, covered | 1 << v | 1 << u, used + 2, edges + ((v, u),), cycles, mask
                 )
-        for cycle, blocked, bits in _cycles_through(neighbors, (v,), covered | 1 << v, room, 0):
+        for cycle, blocked, bits in _cycles_from(neighbors, adj, v, covered | 1 << v, room):
             yield from _component_stream(
-                neighbors, limit, blocked, used + len(cycle), edges, cycles + (cycle,), mask | bits
+                neighbors, adj, limit, blocked, used + len(cycle), edges, cycles + (cycle,), mask | bits
             )
         # v left uncovered: later components avoid it
         covered |= 1 << v
         free ^= 1 << v
 
 
-def _cycles_through(neighbors, path, blocked, room, mask):
-    """Yield every cycle of at most ``room`` vertices that extends ``path``
-    through unblocked vertices above ``path[0]``, with ``blocked`` plus the
-    cycle's vertices and ``mask`` plus the cycle's edge bits.
+def _cycles_from(neighbors, adj, v, blocked, room):
+    """Every cycle of at most ``room`` vertices whose smallest vertex is v
+    and whose other vertices are not in ``blocked``, as (cycle, ``blocked``
+    plus the cycle's vertices, the cycle's edge bits); ``blocked`` holds v.
 
-    ``blocked`` holds the covered vertices and those of ``path``, ``mask``
-    the bits of ``path``'s edges.  Each cycle comes in one orientation
-    only, its second vertex smaller than its last; the paths grow depth
-    first in neighbor order.
+    Each cycle comes in one orientation only, its second vertex smaller
+    than its last, and the list is in the order of a depth-first walk of
+    the paths from v, each path extended by its free neighbors above v in
+    ascending order, a cycle closing at w coming before the paths through
+    w.  A path is dropped as soon as no neighbor of v above its second
+    vertex is free, since no cycle can close from it (the circuit pruning
+    of Johnson, SIAM J. Comput. 4, 1975).
     """
-    v = path[0]
-    for w, bit in neighbors[path[-1]].items():
-        if w > v and not (blocked >> w) & 1:
-            if len(path) >= 2 and path[1] < w and v in neighbors[w]:
-                yield path + (w,), blocked | 1 << w, mask | bit | neighbors[w][v]
-            if len(path) + 2 <= room:
-                yield from _cycles_through(neighbors, path + (w,), blocked | 1 << w, room, mask | bit)
+    found = []
+    above = -2 << v  # the bits of the vertices above v
+    close = neighbors[v]
+
+    def extend(path, x, blocked, mask, ends):
+        # ``ends``: the free neighbors of v above path[1], where a cycle may
+        # close; none while the path is v alone
+        step = neighbors[x]
+        longer = len(path) + 2 <= room
+        free = adj[x] & above & ~blocked
+        while free:
+            low = free & -free
+            free ^= low
+            w = low.bit_length() - 1
+            if ends & low:
+                found.append((path + (w,), blocked | low, mask | step[w] | close[w]))
+            if longer:
+                rest = ends & ~low if ends else adj[v] & ~blocked & -(low << 1)
+                if rest:
+                    extend(path + (w,), w, blocked | low, mask | step[w], rest)
+
+    extend((v,), v, blocked, 0, 0)
+    return found
 
 
 def enumerate_basic_figures(g: SignedGraph, i: int) -> tuple[BasicFigure, ...]:
@@ -225,13 +246,13 @@ def _profile_from(n: int, edges) -> FigureProfile:
 
     The cycle sets are walked as ``_component_stream`` walks figures, each
     once: the smallest free vertex v starts a cycle or is left off.  The
-    cycles whose smallest vertex is v come from ``_cycles_through`` once per
-    graph, shortest first, so a walk reads those that avoid the covered
-    vertices and stops at the first longer than the free vertex count;
-    every cycle is a figure, so these lists are no longer than the figure
-    count.  m(U) = m(U - v) + x sum_{u in N(v) & U} m(U - v - u), v
-    the lowest vertex of U, is memoized per vertex bitmask U after the
-    lowest vertices without a neighbor in U are dropped.  The memo holds at
+    cycles whose smallest vertex is v come from the stream's enumerator
+    ``_cycles_from`` once per graph, shortest first, so a walk reads those
+    that avoid the covered vertices and stops at the first longer than the
+    free vertex count; every cycle is a figure, so these lists are no
+    longer than the figure count.  m(U) = m(U - v) + x sum_{u in N(v) & U}
+    m(U - v - u), v the lowest vertex of U, is memoized per vertex bitmask U
+    after the lowest vertices without a neighbor in U are dropped.  The memo holds at
     most one tuple per vertex subset reached, and so at most min(2^N, the
     figure count) for the N vertices with neighbors: a nonempty U reached
     through cycle set S and matching M maps to the figure S + M + {v u},
@@ -239,15 +260,14 @@ def _profile_from(n: int, edges) -> FigureProfile:
     end is {v u}, so the figure gives back v, S + M and U, the vertices at
     or above v off S + M; the empty U maps to the empty figure.
     """
-    _, neighbors = _guarded_neighbors(n, edges)
-    adj = [sum(1 << u for u in nb) for nb in neighbors]
+    _, neighbors, adj = _guarded_neighbors(n, edges)
     size = len(neighbors)
     full = (1 << size) - 1
     memo = {0: (1,)}
     # the cycles whose smallest vertex is v, shortest first, as (length,
     # vertex bits, edge bits)
     lowest = [
-        sorted((len(cyc), on, bits) for cyc, on, bits in _cycles_through(neighbors, (v,), 1 << v, size, 0))
+        sorted((len(cyc), on, bits) for cyc, on, bits in _cycles_from(neighbors, adj, v, 1 << v, size))
         for v in range(size)
     ]
     constant = [0] * (n + 1)

@@ -38,7 +38,6 @@ unbalanced.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import itertools
 import json
@@ -153,13 +152,16 @@ def _outcome(fields: dict, expected, got):
 
 
 def _refuse_beyond(theorem_id: str, name: str, value: int, limit: int) -> None:
-    """Refuse, before sweeping, an exhaustive grid whose option ``name`` =
-    ``value`` lies above ``limit``, where it cannot finish in reasonable
-    time: one order more multiplies its graphs, or the ranks it takes, many
-    times over, or, for a sweep that ranks one graph per order, each order
-    costs polynomially more than the last."""
+    """Refuse, before sweeping, a grid whose option ``name`` = ``value``
+    lies above ``limit``, where it cannot finish in reasonable time: one
+    order more multiplies its graphs, or the ranks it takes, many times
+    over, or, for a sweep that ranks one graph per order, each order costs
+    polynomially more than the last.  A sampled sweep's time grows with its
+    ``samples``, and its limit is the largest power of ten that sweeps in
+    under about a minute."""
     if value > limit:
-        raise ValueError(f"{theorem_id} is exhaustive up to {name} = {limit}, got {name} = {value}")
+        scope = "draws up to" if name == "samples" else "is exhaustive up to"
+        raise ValueError(f"{theorem_id} {scope} {name} = {limit}, got {name} = {value}")
 
 
 def _closed_form(points, build, formula):
@@ -176,10 +178,12 @@ def verify_cor21(n_max: int = 6, samples: int = 500, seed: int = DEFAULT_SEED) -
     """Figure-enumeration coefficients against the exact charpoly.
 
     Exhaustive over every labeled connected graph on up to ``n_max`` <= 6
-    vertices with one signature per switching class, then ``samples`` random
-    signed graphs on 7..10 vertices through the public API.
+    vertices with one signature per switching class, then ``samples`` <=
+    10^4 random signed graphs on 7..10 vertices through the public API.
+    Both at their limits took 28 s (2-core x86-64 host, Python 3.11).
     """
     _refuse_beyond("cor2.1", "n_max", n_max, 6)
+    _refuse_beyond("cor2.1", "samples", samples, 10**4)
 
     def cases():
         for n in range(1, n_max + 1):
@@ -203,9 +207,9 @@ def verify_cor21(n_max: int = 6, samples: int = 500, seed: int = DEFAULT_SEED) -
         rng = random.Random(seed)
         for _ in range(samples):
             g = random_signed_graph(rng, rng.randint(7, 10), edge_prob=0.4)
-            want = char_poly(adjacency_matrix(g))
-            got = figures.char_poly_figures(g)
-            yield _outcome(dict(case="random", n=g.n, edges=_edge_list(g)), list(want.coeffs), list(got.coeffs))
+            want = list(char_poly(adjacency_matrix(g)).coeffs)
+            got = list(figures.char_poly_figures(g).coeffs)
+            yield None if got == want else _outcome(dict(case="random", n=g.n, edges=_edge_list(g)), want, got)
 
     grid = (
         f"all labeled connected graphs n<={n_max} x switching classes; "
@@ -239,13 +243,17 @@ def verify_prop21(n_max: int = 20) -> VerificationReport:
 
 
 def verify_lem31(samples: int = 500, seed: int = DEFAULT_SEED) -> VerificationReport:
+    """Nullity is additive over components, on ``samples`` <= 10^6 random
+    signed graphs; 10^6 took 45 s (2-core x86-64 host, Python 3.11)."""
+    _refuse_beyond("lem3.1", "samples", samples, 10**6)
+
     def cases():
         rng = random.Random(seed)
         for _ in range(samples):
             g = random_signed_graph(rng, rng.randint(2, 10), edge_prob=0.25)
             whole = nullity_rank(g)
             split = sum(nullity_rank(comp) for comp, _ in components(g))
-            yield _outcome(dict(n=g.n, edges=_edge_list(g)), whole, split)
+            yield None if split == whole else _outcome(dict(n=g.n, edges=_edge_list(g)), whole, split)
 
     grid = f"{samples} random signed graphs n<=10, possibly disconnected (seed {seed})"
     return _run("lem3.1", grid, cases())
@@ -329,15 +337,22 @@ def _corpus_cases(n_max: int, plan, check):
     """Cases of a rule over the corpus: for every switching class G whose
     ``plan`` is non-empty, ``check(g, eta_g, signs, entry)`` yields
     ``(fields, expected, got)`` per case of each plan entry, and calls
-    ``eta_g()`` for eta(G), which is ranked on the first call only: a class
-    none of whose entries has a case is never ranked.  Each record starts
-    with G's ``n`` and ``edges``."""
+    ``eta_g()`` for eta(G), which is ranked on the first call only and
+    kept in a one-slot closure: a class none of whose entries has a case is
+    never ranked.  A failure record, G's ``n`` and ``edges`` first, is
+    built only on a mismatch, so a passing class builds nothing."""
     for g, signs, found in _corpus_by_graph(n_max, plan):
-        eta_g = functools.cache(functools.partial(nullity_rank, g))
-        graph = dict(n=g.n, edges=_edge_list(g))
+        eta = None
+
+        def eta_g():
+            nonlocal eta
+            if eta is None:
+                eta = nullity_rank(g)
+            return eta
+
         for entry in found:
             for fields, expected, got in check(g, eta_g, signs, entry):
-                yield _outcome(dict(graph, **fields), expected, got)
+                yield None if got == expected else _outcome(dict(n=g.n, edges=_edge_list(g), **fields), expected, got)
 
 
 _CUTPOINT_GRID = "iso-class connected corpus n<={} x switching classes, all qualifying (g, v, component) triples"
@@ -474,7 +489,10 @@ def verify_thm_theta(l_max: int = 12) -> VerificationReport:
 
 def verify_lem51(samples: int = 25, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Bowtie nullity by triangle balanceness: 0 when the two triangles have
-    equal balanceness, 1 otherwise; invariant under random switchings."""
+    equal balanceness, 1 otherwise; invariant under ``samples`` <= 10^6
+    random switchings per parity pair; 10^6 took 66 s (2-core x86-64 host,
+    Python 3.11)."""
+    _refuse_beyond("lem5.1", "samples", samples, 10**6)
 
     def cases():
         rng = random.Random(seed)
@@ -485,7 +503,8 @@ def verify_lem51(samples: int = 25, seed: int = DEFAULT_SEED) -> VerificationRep
                 for k in range(samples + 1):
                     # stream the switched variants; k = 0 checks the base itself
                     g = switch(base, random_switching(rng, base.n)) if k else base
-                    yield _outcome(dict(sp=sp, sq=sq, edges=_edge_list(g)), expected, nullity_rank(g))
+                    eta = nullity_rank(g)
+                    yield None if eta == expected else _outcome(dict(sp=sp, sq=sq, edges=_edge_list(g)), expected, eta)
 
     grid = f"triangle parities {{0,1}}^2, each with {samples} random switchings (seed {seed})"
     return _run("lem5.1", grid, cases())
@@ -529,6 +548,11 @@ def verify_lem52(n_max: int = 6) -> VerificationReport:
 
 
 def _verify_bounds(theorem_id, kind, class_name, n_lo, n_hi, samples, seed, unbalanced_only):
+    """The bound of ``class_name`` on ``samples`` <= 10^5 sampled graphs;
+    10^5 took 4.7 to 8.0 s, so ``bounds.theta`` would pass a minute at 10^6
+    (2-core x86-64 host, Python 3.11)."""
+    _refuse_beyond(theorem_id, "samples", samples, 10**5)
+
     def cases():
         rng = random.Random(seed)
         for _ in range(samples):

@@ -369,6 +369,22 @@ def test_verify_set_beyond_its_limit_exits_1(capsys, tmp_path, theorem_id):
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize(
+    "theorem_id, limit",
+    [("cor2.1", 10**4), ("lem3.1", 10**6), ("lem5.1", 10**6),
+     ("bounds.bplus", 10**5), ("bounds.bplusplus", 10**5), ("bounds.theta", 10**5)],
+)
+def test_verify_samples_beyond_the_limit_exits_1(capsys, monkeypatch, tmp_path, theorem_id, limit):
+    # refused before the sweep starts: a sweep would fail the test at once
+    monkeypatch.setattr(sgn.verify, "_run", lambda *args: pytest.fail("the sweep started"))
+    report_path = tmp_path / "report.jsonl"
+    for samples in (limit + 1, 100000000):
+        assert main(["verify", theorem_id, "--samples", str(samples), "--json", str(report_path)]) == 1
+        message = f"error: {theorem_id} draws up to samples = {limit}, got samples = {samples}\n"
+        assert capsys.readouterr() == ("", message)
+    assert not report_path.exists()
+
+
 def test_figure_route_guard(capsys, tmp_path):
     k14 = tmp_path / "k14.txt"
     pairs = [(u, v) for u in range(14) for v in range(u + 1, 14)]

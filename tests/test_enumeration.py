@@ -206,3 +206,43 @@ def test_tree_attached_sampler_stream_is_pinned():
                 g = random_tree_attached_bicyclic(rng, n, kind)
                 digest.update(repr((g.n, g.edges)).encode())
     assert digest.hexdigest() == "098b6f35c841b3535f3fb18929ac3e7bf437bdcaf5e6bbcbc580f8c6792ed20c"
+
+
+def _tree_attached_reference(rng, n, kind):
+    # the sampler's body written with randint, randrange and choice, as it
+    # was before it drew straight from getrandbits
+    from sgn.families import gen_infinity, gen_theta
+
+    while True:
+        if kind == "BPlus":
+            p, q, l = rng.randint(3, n), rng.randint(3, n), rng.randint(2, n)
+            if p + q + l - 2 > n:
+                continue
+            base = gen_infinity(p, q, l)
+        elif kind == "BPlusPlus":
+            p, q = rng.randint(3, n), rng.randint(3, n)
+            if p + q - 1 > n:
+                continue
+            base = gen_infinity(p, q, 1)
+        else:
+            p, q, l = (rng.randint(1, n) for _ in range(3))
+            if sum(1 for x in (p, q, l) if x == 1) > 1 or p + q + l - 1 > n:
+                continue
+            base = gen_theta(p, q, l)
+        break
+    edges = [(u, v) for u, v, _ in base.edges]
+    for w in range(base.n, n):
+        edges.append((rng.randrange(w), w))
+    return SignedGraph(n, sorted((u, v, rng.choice((1, -1))) for u, v in edges))
+
+
+@pytest.mark.parametrize("seed", [101, 20260811])
+@pytest.mark.parametrize("kind, n_lo, n_hi", [("BPlus", 6, 40), ("BPlusPlus", 5, 33), ("Theta", 4, 70)])
+def test_tree_attached_sampler_draws_as_randint_does(kind, n_lo, n_hi, seed):
+    # the same graphs from the same generator words, the generator left in
+    # the same state, over orders whose widths cross several powers of two
+    ours, reference = random.Random(seed), random.Random(seed)
+    for draw in range(3000):
+        n = n_lo + draw % (n_hi - n_lo + 1)
+        assert random_tree_attached_bicyclic(ours, n, kind) == _tree_attached_reference(reference, n, kind)
+    assert ours.getstate() == reference.getstate()

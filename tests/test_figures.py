@@ -147,6 +147,78 @@ def test_profile_equals_the_grouped_figure_stream():
         assert figures._profile_from(n, edges) == _grouped_stream(n, edges)
 
 
+def _all_cycles(g):
+    # (labels, neighbors, adj, cycles): every cycle of g as _cycles_from
+    # gives it, v by v, with nothing but v blocked and room for every vertex
+    labels, neighbors, adj = figures._guarded_neighbors(g.n, g.underlying_edges)
+    size = len(neighbors)
+    cycles = [figures._cycles_from(neighbors, adj, v, 1 << v, size) for v in range(size)]
+    return labels, neighbors, adj, cycles
+
+
+def test_cycle_enumerator_finds_each_cycle_once():
+    # an independent reference: networkx's simple cycles of the undirected
+    # graph, each cycle taken as its set of edges
+    nx = pytest.importorskip("networkx")
+    for g in _seeded_graphs():
+        labels, neighbors, _, cycles = _all_cycles(g)
+        ours = []
+        for v, found in enumerate(cycles):
+            for cyc, blocked, bits in found:
+                assert cyc[0] == v == min(cyc) and cyc[1] < cyc[-1]
+                assert blocked == sum(1 << x for x in cyc)
+                assert bits == sum(neighbors[a][b] for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+                ours.append(frozenset(frozenset((labels[a], labels[b])) for a, b in zip(cyc, cyc[1:] + cyc[:1])))
+        reference = nx.simple_cycles(nx.Graph(g.underlying_edges))
+        want = [frozenset(frozenset(e) for e in zip(c, c[1:] + c[:1])) for c in reference]
+        assert len(ours) == len(set(ours)) == len(want)
+        assert set(ours) == set(want)
+
+
+def test_cycle_enumerator_counts_the_cycles_of_complete_graphs():
+    # K_n has C(n, k) (k - 1)! / 2 cycles of length k
+    for n in range(4, 9):
+        want = sum(math.comb(n, k) * math.factorial(k - 1) // 2 for k in range(3, n + 1))
+        assert sum(len(found) for found in _all_cycles(_complete(n))[3]) == want
+    assert want == 8018 and sum(len(found) for found in _all_cycles(_complete(7))[3]) == 1172
+
+
+def test_cycle_enumerator_with_blocked_vertices_and_room_filters_the_full_list():
+    # as _component_stream calls it: covered vertices blocked and fewer free
+    # vertices than the graph has; the answer is the full list, order kept,
+    # less the cycles that meet a blocked vertex or are longer than the room
+    rng = random.Random(31)
+    for g in _seeded_graphs():
+        _, neighbors, adj, cycles = _all_cycles(g)
+        size = len(neighbors)
+        for v, full in enumerate(cycles):
+            for _ in range(8):
+                covered = rng.getrandbits(size) & ~(1 << v)
+                room = rng.randint(2, size)
+                want = [
+                    (cyc, on | covered, bits)
+                    for cyc, on, bits in full
+                    if len(cyc) <= room and not on & covered
+                ]
+                assert figures._cycles_from(neighbors, adj, v, covered | 1 << v, room) == want
+
+
+def test_figure_stream_is_pinned():
+    # the full stream over the seeded graphs: every figure with its
+    # cycle-edge mask, in order, so no pruning of the cycle walk may add,
+    # drop or reorder one
+    digest = hashlib.sha256()
+    count = 0
+    for g in _seeded_graphs():
+        labels, stream = figures._figure_stream(g.n, g.underlying_edges, g.n)
+        digest.update(repr(labels).encode())
+        for fig in stream:
+            digest.update(repr(fig).encode())
+            count += 1
+    assert count == 32816
+    assert digest.hexdigest() == "45e86bfe82dd3dfcd60603708f0b85bf0299d8115abf5525fd2bc13652805640"
+
+
 def test_figures_out_of_range():
     with pytest.raises(GraphError):
         enumerate_basic_figures(gen_path(3), 4)

@@ -165,3 +165,15 @@ def test_reduction_ranks_only_in_its_base_case_and_cuts_no_vertex():
     assert calls == ["reduction._base_case"]
     defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert {name for name in defined if "cut" in name.lower()} == set()
+
+
+def test_one_cycle_enumerator():
+    """``figures`` finds cycles through ``_cycles_from`` alone, a walk that
+    builds its list without a generator; the figure stream and the profile
+    are its only callers, and ``verify`` builds no ``functools`` wrapper."""
+    tree = ast.parse((SRC / "figures.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert sorted(name for name in functions if name.startswith("_cycles")) == ["_cycles_from"]
+    assert not any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(functions["_cycles_from"]))
+    assert _callers("_cycles_from") == ["figures._component_stream", "figures._profile_from"]
+    assert "functools" not in _top_level_imports(SRC / "verify.py")

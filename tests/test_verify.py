@@ -406,6 +406,40 @@ def test_set_sweep_beyond_its_limit_is_refused_before_sweeping(monkeypatch, theo
     assert report.passed and report.cases_checked > 0
 
 
+# the most samples each sampled sweep draws: the largest power of ten that
+# sweeps in under about a minute
+SAMPLE_LIMIT = {
+    "cor2.1": 10**4,
+    "lem3.1": 10**6,
+    "lem5.1": 10**6,
+    "bounds.bplus": 10**5,
+    "bounds.bplusplus": 10**5,
+    "bounds.theta": 10**5,
+}
+
+
+def test_every_sampled_sweep_has_a_limit():
+    sampled = {tid for tid, fn in verify._REGISTRY.items() if "samples" in inspect.signature(fn).parameters}
+    assert sampled == SAMPLE_LIMIT.keys()
+
+
+@pytest.mark.parametrize("theorem_id", sorted(SAMPLE_LIMIT))
+def test_sampled_sweep_beyond_its_limit_is_refused_before_sweeping(monkeypatch, theorem_id):
+    limit = SAMPLE_LIMIT[theorem_id]
+    grids = []
+    monkeypatch.setattr(verify, "_run", lambda tid, grid, cases: grids.append(grid))
+    for samples in (limit + 1, 10**8):
+        message = f"{theorem_id} draws up to samples = {limit}, got samples = {samples}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_theorem(theorem_id, samples=samples)
+    assert grids == []
+    # the limit itself and the default are accepted; the default is what
+    # the benchmark runs
+    verify_theorem(theorem_id, samples=limit)
+    assert len(grids) == 1 and f"{limit} random" in grids[0]
+    assert inspect.signature(verify._REGISTRY[theorem_id]).parameters["samples"].default <= limit
+
+
 @pytest.mark.parametrize("theorem_id", sorted(SET_MINIMUM))
 def test_set_sweep_below_the_class_minimum_is_refused_before_sweeping(monkeypatch, theorem_id):
     n_min = SET_MINIMUM[theorem_id]
