@@ -9,12 +9,16 @@ inconsistency (the nullity methods disagreed, which signals a library bug).
 Graph arguments accept a file path, ``-`` for stdin, or a family spec such
 as ``cycle:n=6,s=1`` (an argument naming an existing file is read as a file;
 any other argument containing a colon is treated as a spec).
+``ROUTES`` names each ``nullity`` route once, with its answer function, in
+``--method all`` order; ``--method``'s choices and the ``all`` loop read it.
 ``nullity --method all`` skips, with a note on stderr, the figure route on a
 graph it refuses (``figures.FIGURE_BOUND``), the rank and charpoly routes
 on a graph above ``linalg.MAX_MATRIX_VERTICES``, and the charpoly route
 alone on a graph above ``ALL_CHARPOLY_MAX_VERTICES``; a single ``--method``
 that refuses the graph exits 1, and ``--method charpoly`` and ``charpoly``
-run up to ``CHARPOLY_MAX_VERTICES`` and exit 1 at once above it.
+run up to ``CHARPOLY_MAX_VERTICES`` and exit 1 at once above it.  The
+``verify`` sweeps' limits are rows of ``verify._REGISTRY``, which
+``verify_theorem`` checks before it sweeps.
 """
 
 from __future__ import annotations
@@ -66,6 +70,15 @@ ALL_CHARPOLY_MAX_VERTICES = 300
 #: (same host).
 CHARPOLY_MAX_VERTICES = 480
 
+#: The routes of ``nullity``, name to answer function, in ``--method all``
+#: order; ``structural`` answers with its certificate as well.
+ROUTES = {
+    "rank": nullity_rank,
+    "charpoly": nullity_charpoly,
+    "figures": lambda g: zero_multiplicity(char_poly_figures(g)),
+    "structural": nullity_structural,
+}
+
 
 def load_graph(source: str) -> SignedGraph:
     """Resolve a CLI graph argument: '-' for stdin, an existing file, or a
@@ -96,9 +109,8 @@ def cmd_nullity(args) -> int:
     g = load_graph(args.graph)
     if args.method == "charpoly":
         _check_charpoly_order(g)
-    methods = [args.method] if args.method != "all" else ["rank", "charpoly", "figures", "structural"]
+    methods = [args.method] if args.method != "all" else list(ROUTES)
     results: dict[str, int] = {}
-    trace = None
     # the errors that ``all`` reports as a skipped route
     skips = {}
     if args.method == "all":
@@ -111,16 +123,12 @@ def cmd_nullity(args) -> int:
                   f"all runs it on; --method charpoly runs it up to {CHARPOLY_MAX_VERTICES})", file=sys.stderr)
     for method in methods:
         try:
-            if method == "rank":
-                results["rank"] = nullity_rank(g)
-            elif method == "charpoly":
-                results["charpoly"] = nullity_charpoly(g)
-            elif method == "figures":
-                results["figures"] = zero_multiplicity(char_poly_figures(g))
-            elif method == "structural":
-                results["structural"], trace = nullity_structural(g)
+            results[method] = ROUTES[method](g)
         except skips.get(method, ()) as exc:
             print(f"{method}: skipped ({exc})", file=sys.stderr)
+    trace = None
+    if "structural" in results:
+        results["structural"], trace = results["structural"]
     for method, value in results.items():
         print(f"{method}: {value}")
     if args.trace and trace is not None:
@@ -238,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nullity", help="nullity of a graph by one or all methods")
     p.add_argument("graph", help="edge-list file, '-' for stdin, or family spec")
-    p.add_argument("--method", choices=["rank", "charpoly", "figures", "structural", "all"],
-                   default="all")
+    p.add_argument("--method", choices=[*ROUTES, "all"], default="all")
     p.add_argument("--trace", action="store_true",
                    help="print the structural reduction certificate as JSON")
     p.set_defaults(fn=cmd_nullity)

@@ -14,10 +14,15 @@ builds every record of an equality check: the case's parameters, then
 the rank oracle; ``_corpus_cases`` runs the cut-point and pendant rules over
 the corpus, ranking each signed graph at most once, when a case reads its
 nullity; ``_verify_set`` builds a realizer per (n, k), ranks it and checks
-it as a witness, counting a construction error as a failed case, up to
-n = ``SET_MAX_N``; ``set.bicyclic`` checks the theta realizers as witnesses
-of their class.  The bicyclic bound ``lem5.2`` and the sampled bounds are
-not equality checks and write their own records.
+it as a witness, counting a construction error as a failed case;
+``set.bicyclic`` checks the theta realizers as witnesses of their class.
+The bicyclic bound ``lem5.2`` and the sampled bounds are not equality
+checks and write their own records.
+
+``verify_theorem`` is the one boundary that sizes a sweep.  Each registry
+row holds a sweep and the largest value of each option that sizes it, and a
+larger value is refused there before sweeping, as is a set sweep's n_lo
+below its class's least n; no sweep body holds a limit.
 
 The corpus driver does its sign-independent work once per underlying graph:
 a plan lists each cut point with the components of G - v (or each pendant
@@ -151,19 +156,6 @@ def _outcome(fields: dict, expected, got):
     return None if got == expected else dict(fields, expected=expected, got=got)
 
 
-def _refuse_beyond(theorem_id: str, name: str, value: int, limit: int) -> None:
-    """Refuse, before sweeping, a grid whose option ``name`` = ``value``
-    lies above ``limit``, where it cannot finish in reasonable time: one
-    order more multiplies its graphs, or the ranks it takes, many times
-    over, or, for a sweep that ranks one graph per order, each order costs
-    polynomially more than the last.  A sampled sweep's time grows with its
-    ``samples``, and its limit is the largest power of ten that sweeps in
-    under about a minute."""
-    if value > limit:
-        scope = "draws up to" if name == "samples" else "is exhaustive up to"
-        raise ValueError(f"{theorem_id} {scope} {name} = {limit}, got {name} = {value}")
-
-
 def _closed_form(points, build, formula):
     """Cases of a closed form: per parameter dict of ``points``, the rank
     oracle on ``build(**params)`` against ``formula(**params)``."""
@@ -177,13 +169,10 @@ def _closed_form(points, build, formula):
 def verify_cor21(n_max: int = 6, samples: int = 500, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Figure-enumeration coefficients against the exact charpoly.
 
-    Exhaustive over every labeled connected graph on up to ``n_max`` <= 6
-    vertices with one signature per switching class, then ``samples`` <=
-    10^4 random signed graphs on 7..10 vertices through the public API.
-    Both at their limits took 28 s (2-core x86-64 host, Python 3.11).
+    Exhaustive over every labeled connected graph on up to ``n_max``
+    vertices with one signature per switching class, then ``samples``
+    random signed graphs on 7..10 vertices through the public API.
     """
-    _refuse_beyond("cor2.1", "n_max", n_max, 6)
-    _refuse_beyond("cor2.1", "samples", samples, 10**4)
 
     def cases():
         for n in range(1, n_max + 1):
@@ -222,19 +211,14 @@ def verify_cor21(n_max: int = 6, samples: int = 500, seed: int = DEFAULT_SEED) -
 
 
 def verify_thm22(n_max: int = 20) -> VerificationReport:
-    """Cycle closed form against the rank oracle for n in [3, n_max] <= 300,
-    both parities.  Ranking every order took 1.2 s to n_max = 200 and 4.2 s
-    to 300 (2-core x86-64 host, Python 3.11)."""
-    _refuse_beyond("thm2.2", "n_max", n_max, 300)
+    """Cycle closed form against the rank oracle for n in [3, n_max], both
+    parities."""
     points = (dict(n=n, s=s) for n in range(3, n_max + 1) for s in (0, 1))
     return _run("thm2.2", f"cycles n in [3,{n_max}], s in {{0,1}}", _closed_form(points, gen_cycle, nullity_cycle))
 
 
 def verify_prop21(n_max: int = 20) -> VerificationReport:
-    """Path closed form against the rank oracle for n in [1, n_max] <= 300.
-    Ranking every order took 0.6 s to n_max = 200 and 2.1 s to 300 (2-core
-    x86-64 host, Python 3.11)."""
-    _refuse_beyond("prop2.1", "n_max", n_max, 300)
+    """Path closed form against the rank oracle for n in [1, n_max]."""
     points = (dict(n=n) for n in range(1, n_max + 1))
     return _run("prop2.1", f"paths n in [1,{n_max}]", _closed_form(points, gen_path, nullity_path))
 
@@ -243,9 +227,8 @@ def verify_prop21(n_max: int = 20) -> VerificationReport:
 
 
 def verify_lem31(samples: int = 500, seed: int = DEFAULT_SEED) -> VerificationReport:
-    """Nullity is additive over components, on ``samples`` <= 10^6 random
-    signed graphs; 10^6 took 45 s (2-core x86-64 host, Python 3.11)."""
-    _refuse_beyond("lem3.1", "samples", samples, 10**6)
+    """Nullity is additive over components, on ``samples`` random signed
+    graphs."""
 
     def cases():
         rng = random.Random(seed)
@@ -489,10 +472,8 @@ def verify_thm_theta(l_max: int = 12) -> VerificationReport:
 
 def verify_lem51(samples: int = 25, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Bowtie nullity by triangle balanceness: 0 when the two triangles have
-    equal balanceness, 1 otherwise; invariant under ``samples`` <= 10^6
-    random switchings per parity pair; 10^6 took 66 s (2-core x86-64 host,
-    Python 3.11)."""
-    _refuse_beyond("lem5.1", "samples", samples, 10**6)
+    equal balanceness, 1 otherwise; invariant under ``samples`` random
+    switchings per parity pair."""
 
     def cases():
         rng = random.Random(seed)
@@ -515,9 +496,8 @@ def verify_lem51(samples: int = 25, seed: int = DEFAULT_SEED) -> VerificationRep
 
 def verify_lem52(n_max: int = 6) -> VerificationReport:
     """eta <= n - 3 for every unbalanced bicyclic signed graph with
-    n <= n_max <= 7, with equality exactly for the both-triangles-unbalanced
+    n <= n_max, with equality exactly for the both-triangles-unbalanced
     diamond."""
-    _refuse_beyond("lem5.2", "n_max", n_max, 7)
 
     def cases():
         for n in range(4, n_max + 1):
@@ -548,10 +528,7 @@ def verify_lem52(n_max: int = 6) -> VerificationReport:
 
 
 def _verify_bounds(theorem_id, kind, class_name, n_lo, n_hi, samples, seed, unbalanced_only):
-    """The bound of ``class_name`` on ``samples`` <= 10^5 sampled graphs;
-    10^5 took 4.7 to 8.0 s, so ``bounds.theta`` would pass a minute at 10^6
-    (2-core x86-64 host, Python 3.11)."""
-    _refuse_beyond(theorem_id, "samples", samples, 10**5)
+    """The bound of ``class_name`` on ``samples`` sampled graphs."""
 
     def cases():
         rng = random.Random(seed)
@@ -597,25 +574,17 @@ def _witness(class_name, n, k, g, eta, balanced):
     )
 
 
-#: Largest n_hi a nullity-set sweep accepts (measured).  A sweep ranks
-#: about n realizers at each order n, so its time grows steeply with n_hi:
-#: ``set.theta`` from its default n_lo took 0.12 s to n_hi = 30, 2.1 s to
-#: 60 and 4.2 s to 70, and each class takes 2.2 to 3.2 s to 64 (2-core
-#: x86-64 host, Python 3.11).
-SET_MAX_N = 64
+#: The class whose realizers each nullity-set sweep checks.
+_SET_CLASSES = {"set.bplus": "BPlus", "set.bplusplus": "BPlusPlus", "set.theta": "Theta", "set.bicyclic": "Theta"}
 
 
-def _verify_set(theorem_id, class_name, n_lo, n_hi,
-                grid="{class_name}: n in [{n_lo},{n_hi}], k in [0, n-{k_offset}]"):
+def _verify_set(theorem_id, n_lo, n_hi, grid="{class_name}: n in [{n_lo},{n_hi}], k in [0, n-{k_offset}]"):
     """Every k of the class's nullity set at each n in [n_lo, n_hi] has a
     realizer that ``_witness`` accepts, given its rank-oracle nullity and
     balance; a realizer that raises is a failed case of kind
-    ``construction``.  An n_lo below the class's least n, or an n_hi above
-    ``SET_MAX_N``, is refused before sweeping."""
-    n_min, k_offset = _REALIZERS[class_name][:2]
-    if n_lo < n_min:  # no realizer exists there
-        raise ValueError(f"{theorem_id} needs n >= {n_min}, got n_lo = {n_lo}")
-    _refuse_beyond(theorem_id, "n_hi", n_hi, SET_MAX_N)
+    ``construction``."""
+    class_name = _SET_CLASSES[theorem_id]
+    k_offset = _REALIZERS[class_name][1]
 
     def cases():
         for n in range(n_lo, n_hi + 1):
@@ -633,54 +602,75 @@ def _verify_set(theorem_id, class_name, n_lo, n_hi,
 
 
 def verify_set_bplus(n_lo: int = 8, n_hi: int = 12) -> VerificationReport:
-    return _verify_set("set.bplus", "BPlus", n_lo, n_hi)
+    return _verify_set("set.bplus", n_lo, n_hi)
 
 
 def verify_set_bplusplus(n_lo: int = 8, n_hi: int = 12) -> VerificationReport:
-    return _verify_set("set.bplusplus", "BPlusPlus", n_lo, n_hi)
+    return _verify_set("set.bplusplus", n_lo, n_hi)
 
 
 def verify_set_theta(n_lo: int = 6, n_hi: int = 12) -> VerificationReport:
-    return _verify_set("set.theta", "Theta", n_lo, n_hi)
+    return _verify_set("set.theta", n_lo, n_hi)
 
 
 def verify_set_bicyclic(n_lo: int = 8, n_hi: int = 12) -> VerificationReport:
     """Every k in [0, n-4] is attained by an unbalanced bicyclic signed graph:
     the theta realizers, checked as witnesses of their class."""
-    grid = "n in [{n_lo},{n_hi}], k in [0, n-{k_offset}] via theta realizers"
-    return _verify_set("set.bicyclic", "Theta", n_lo, n_hi, grid)
+    return _verify_set("set.bicyclic", n_lo, n_hi, "n in [{n_lo},{n_hi}], k in [0, n-{k_offset}] via theta realizers")
 
 
 # -- registry --------------------------------------------------------------------
 
+# Each row: the sweep, and the largest value of each option that sizes it.
+# Above it a grid cannot finish in reasonable time, so ``verify_theorem``
+# refuses it before sweeping.  One order more multiplies an exhaustive
+# sweep's graphs, or the ranks it takes, many times over; a sweep that ranks
+# one graph per order pays polynomially more for each order; a sampled
+# sweep's time grows with its samples, and its limit is the largest power of
+# ten that sweeps in under about a minute.  Measured on a 2-core x86-64
+# host, Python 3.11:
+# - cor2.1: n_max = 6 and 10^4 samples together took 28 s;
+# - thm2.2, prop2.1: ranking every order took 1.2 s and 0.6 s to n_max =
+#   200, 4.2 s and 2.1 s to 300;
+# - lem3.1, lem5.1: 10^6 samples took 45 s and 66 s;
+# - lem5.2: n_max = 7 takes about 11 s;
+# - bounds.*: 10^5 samples took 4.7 to 8.0 s, and bounds.theta would pass a
+#   minute at 10^6;
+# - set.*: a sweep ranks about n realizers at each order n; set.theta from
+#   its default n_lo took 0.12 s to n_hi = 30, 2.1 s to 60 and 4.2 s to 70,
+#   and each class takes 2.2 to 3.2 s to 64;
+# - thm4.1: p_max = 30 and l_max = 30 together took 43 s (62 s at 32);
+# - thm.theta: l_max = 26 took 48 s (30 s at 24).
 _REGISTRY = {
-    "cor2.1": verify_cor21,
-    "thm2.2": verify_thm22,
-    "prop2.1": verify_prop21,
-    "lem3.1": verify_lem31,
-    "thm3.1": verify_thm31,
-    "thm3.2": verify_thm32,
-    "pendant": verify_pendant,
-    "thm4.1": verify_thm41,
-    "thm.theta": verify_thm_theta,
-    "lem5.1": verify_lem51,
-    "lem5.2": verify_lem52,
-    "bounds.bplus": verify_bounds_bplus,
-    "bounds.bplusplus": verify_bounds_bplusplus,
-    "bounds.theta": verify_bounds_theta,
-    "set.bplus": verify_set_bplus,
-    "set.bplusplus": verify_set_bplusplus,
-    "set.theta": verify_set_theta,
-    "set.bicyclic": verify_set_bicyclic,
+    "cor2.1": (verify_cor21, {"n_max": 6, "samples": 10**4}),
+    "thm2.2": (verify_thm22, {"n_max": 300}),
+    "prop2.1": (verify_prop21, {"n_max": 300}),
+    "lem3.1": (verify_lem31, {"samples": 10**6}),
+    "thm3.1": (verify_thm31, {}),
+    "thm3.2": (verify_thm32, {}),
+    "pendant": (verify_pendant, {}),
+    "thm4.1": (verify_thm41, {"p_max": 30, "l_max": 30}),
+    "thm.theta": (verify_thm_theta, {"l_max": 26}),
+    "lem5.1": (verify_lem51, {"samples": 10**6}),
+    "lem5.2": (verify_lem52, {"n_max": 7}),
+    "bounds.bplus": (verify_bounds_bplus, {"samples": 10**5}),
+    "bounds.bplusplus": (verify_bounds_bplusplus, {"samples": 10**5}),
+    "bounds.theta": (verify_bounds_theta, {"samples": 10**5}),
+    "set.bplus": (verify_set_bplus, {"n_hi": 64}),
+    "set.bplusplus": (verify_set_bplusplus, {"n_hi": 64}),
+    "set.theta": (verify_set_theta, {"n_hi": 64}),
+    "set.bicyclic": (verify_set_bicyclic, {"n_hi": 64}),
 }
 
 THEOREM_IDS = tuple(sorted(_REGISTRY))
 
 
 def verify_theorem(theorem_id: str, **options) -> VerificationReport:
-    """Run one registered sweep.  Options that are not its parameters are rejected."""
+    """Run one registered sweep.  Options that are not its parameters are
+    rejected; so are, before sweeping, a set sweep's n_lo below its class's
+    least n and an option above its row's limit."""
     try:
-        fn = _REGISTRY[theorem_id]
+        fn, limits = _REGISTRY[theorem_id]
     except KeyError:
         raise ValueError(
             f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}"
@@ -691,4 +681,12 @@ def verify_theorem(theorem_id: str, **options) -> VerificationReport:
         raise ValueError(
             f"theorem {theorem_id} does not accept options {sorted(unknown)}"
         )
+    if theorem_id in _SET_CLASSES:  # no realizer exists below the class's least n
+        n_min = _REALIZERS[_SET_CLASSES[theorem_id]][0]
+        if kwargs.get("n_lo", n_min) < n_min:
+            raise ValueError(f"{theorem_id} needs n >= {n_min}, got n_lo = {kwargs['n_lo']}")
+    for name, limit in limits.items():
+        if kwargs.get(name, limit) > limit:
+            scope = "draws up to" if name == "samples" else "is exhaustive up to"
+            raise ValueError(f"{theorem_id} {scope} {name} = {limit}, got {name} = {kwargs[name]}")
     return fn(**kwargs)

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import sgn
+from sgn import cli
 from sgn.cli import ALL_CHARPOLY_MAX_VERTICES, CHARPOLY_MAX_VERTICES, main
 from sgn.graph import MAX_VERTICES
 from sgn.linalg import CharPoly, nullity_rank
-from sgn.verify import SET_MAX_N
 
 TRIANGLE = "3 3\n0 1 1\n1 2 1\n0 2 -1\n"
 
@@ -27,6 +27,16 @@ def run_cli(args, stdin=None, preexec_fn=None):
         preexec_fn=preexec_fn,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _stub_cli(monkeypatch, name, fake):
+    """Replace ``cli.<name>`` wherever the CLI holds it: as a module name
+    and as a value of ``cli.ROUTES``."""
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, fake)
+    for route, answer in cli.ROUTES.items():
+        if answer is real:
+            monkeypatch.setitem(cli.ROUTES, route, fake)
 
 
 def test_nullity_all_methods_agree(capsys):
@@ -116,7 +126,7 @@ def test_charpoly_limit_lies_between_the_all_order_and_the_matrix_ceiling():
 def test_explicit_charpoly_runs_to_its_limit_and_refuses_above_it(monkeypatch, capsys, args, stub, value):
     # the route itself is stubbed: at the limit it would take about 30 s
     calls = []
-    monkeypatch.setattr(f"sgn.cli.{stub}", lambda x: calls.append(x) or value)
+    _stub_cli(monkeypatch, stub, lambda x: calls.append(x) or value)
     n = CHARPOLY_MAX_VERTICES
     assert main([*args, f"cycle:n={n},s=1"]) == 0
     assert len(calls) == 1
@@ -365,8 +375,23 @@ def test_verify_exhaustive_grid_beyond_its_limit_exits_1(capsys, tmp_path, theor
 def test_verify_set_beyond_its_limit_exits_1(capsys, tmp_path, theorem_id):
     report_path = tmp_path / "report.jsonl"
     assert main(["verify", theorem_id, "--n", "8..3000", "--json", str(report_path)]) == 1
-    assert capsys.readouterr() == ("", f"error: {theorem_id} is exhaustive up to n_hi = {SET_MAX_N}, got n_hi = 3000\n")
+    assert capsys.readouterr() == ("", f"error: {theorem_id} is exhaustive up to n_hi = 64, got n_hi = 3000\n")
     assert not report_path.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["set.theta", "--n", "1..3000"], "set.theta needs n >= 6, got n_lo = 1"),
+        (["set.bicyclic", "--n", "5..3000"], "set.bicyclic needs n >= 6, got n_lo = 5"),
+        (["cor2.1", "--n-max", "7", "--samples", "100000"], "cor2.1 is exhaustive up to n_max = 6, got n_max = 7"),
+    ],
+)
+def test_verify_grid_with_two_faults_names_the_first(capsys, args, message):
+    # a set range below the class's least n is named before its n_hi; an
+    # option's limits in the order the sweep takes its options
+    assert main(["verify", *args]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -400,7 +425,7 @@ def test_figure_route_guard(capsys, tmp_path):
 
 
 def test_method_disagreement_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr("sgn.cli.nullity_charpoly", lambda g: nullity_rank(g) + 1)
+    _stub_cli(monkeypatch, "nullity_charpoly", lambda g: nullity_rank(g) + 1)
     assert main(["nullity", "cycle:n=6,s=1"]) == 3
     assert capsys.readouterr().err == (
         "method disagreement: rank=2, charpoly=3, figures=2, structural=2\n"
@@ -501,3 +526,34 @@ def test_balance_and_canon_of_a_cycle_at_the_vertex_ceiling():
     code, out, err = run_cli(["canon", spec], preexec_fn=_limit_address_space)
     assert (code, err) == (0, "")
     assert out == f"{n} {n}\n0 1 1\n0 {n - 1} -1\n" + "".join(f"{v} {v + 1} 1\n" for v in range(1, n - 1))
+
+
+def _limits_table():
+    """The rows of the README's limits table, by their first cell."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = next(block for block in readme.split("### Limits", 1)[1].split("\n\n") if block.startswith("|"))
+    return {line.split(" | ")[0].removeprefix("| "): line for line in table.splitlines()[2:]}
+
+
+def _spaced(value: int) -> str:
+    return f"{value:,}".replace(",", " ")
+
+
+def test_readme_limits_table_lists_every_limit():
+    from sgn import figures, graph, linalg, verify
+
+    rows = _limits_table()
+    for theorem_id, (_, limits) in verify._REGISTRY.items():
+        line = rows.pop(f"`verify {theorem_id}`")
+        for name, limit in limits.items():
+            assert f"`{name}` = {_spaced(limit)}" in line, theorem_id
+    constants = {
+        "cli.ALL_CHARPOLY_MAX_VERTICES": ALL_CHARPOLY_MAX_VERTICES,
+        "cli.CHARPOLY_MAX_VERTICES": CHARPOLY_MAX_VERTICES,
+        "linalg.MAX_MATRIX_VERTICES": linalg.MAX_MATRIX_VERTICES,
+        "graph.MAX_VERTICES": graph.MAX_VERTICES,
+        "figures.FIGURE_BOUND": figures.FIGURE_BOUND,
+    }
+    for name, value in constants.items():
+        assert rows.pop(f"`{name}`").split(" | ")[1].startswith(_spaced(value)), name
+    assert rows == {}

@@ -177,3 +177,26 @@ def test_one_cycle_enumerator():
     assert not any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(functions["_cycles_from"]))
     assert _callers("_cycles_from") == ["figures._component_stream", "figures._profile_from"]
     assert "functools" not in _top_level_imports(SRC / "verify.py")
+
+
+def test_verify_refuses_an_oversized_grid_in_one_place():
+    """Only ``verify_theorem`` writes the ``exhaustive up to`` and ``draws
+    up to`` refusals: no sweep body holds a limit."""
+    phrases = ("exhaustive up to", "draws up to")
+    found = []
+
+    class Strings(ast.NodeVisitor):
+        def __init__(self):
+            self.scope = ["<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Constant(self, node):
+            if isinstance(node.value, str) and any(phrase in node.value for phrase in phrases):
+                found.append(self.scope[-1])
+
+    Strings().visit(ast.parse((SRC / "verify.py").read_text(encoding="utf-8")))
+    assert sorted(set(found)) == ["verify_theorem"]

@@ -1,5 +1,6 @@
 """Theorem sweeps at small grids: pinned summaries and exact failure records."""
 
+import functools
 import hashlib
 import inspect
 import json
@@ -348,96 +349,66 @@ def test_set_construction_failure_is_a_counted_case(monkeypatch, capsys, theorem
     assert "failures: 1" in capsys.readouterr().out
 
 
-# the largest n_max at which each exhaustive labeled sweep can finish, the
-# enumeration it would start on a larger one, and its other options
-EXHAUSTIVE_LIMIT = {
-    "cor2.1": (6, "connected_graphs_labeled", {"samples": 0}),
-    "lem5.2": (7, "bicyclic_graphs_labeled", {}),
-}
+# every (theorem id, option, limit) of the registry
+LIMITS = [(tid, name, limit) for tid, (_, limits) in verify._REGISTRY.items() for name, limit in limits.items()]
 
 
-@pytest.mark.parametrize("theorem_id", sorted(EXHAUSTIVE_LIMIT))
-def test_exhaustive_grid_that_cannot_finish_is_refused_before_sweeping(monkeypatch, theorem_id):
-    limit, enumerate_graphs, options = EXHAUSTIVE_LIMIT[theorem_id]
+@pytest.mark.parametrize("theorem_id, name, limit", LIMITS, ids=[f"{tid}-{name}" for tid, name, _ in LIMITS])
+def test_option_beyond_its_limit_is_refused_before_sweeping(monkeypatch, theorem_id, name, limit):
+    fn, limits = verify._REGISTRY[theorem_id]
     calls = []
-    monkeypatch.setattr(verify, enumerate_graphs, lambda n: calls.append(n) or iter(()))
-    for n_max in (limit + 1, 99999):
-        message = f"{theorem_id} is exhaustive up to n_max = {limit}, got n_max = {n_max}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            verify_theorem(theorem_id, n_max=n_max, **options)
+
+    @functools.wraps(fn)  # verify_theorem reads the sweep's parameters through __wrapped__
+    def stub(**options):
+        calls.append(options)
+
+    monkeypatch.setitem(verify._REGISTRY, theorem_id, (stub, limits))
+    scope = "draws up to" if name == "samples" else "is exhaustive up to"
+    message = f"{theorem_id} {scope} {name} = {limit}, got {name} = {limit + 1}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify_theorem(theorem_id, **{name: limit + 1})
     assert calls == []
-    # the limit itself is accepted and swept
-    verify_theorem(theorem_id, n_max=limit, **options)
-    assert calls[-1] == limit
+    verify_theorem(theorem_id, **{name: limit})
+    assert calls == [{name: limit}]
+    # the default, which the benchmark runs, lies within the limit
+    assert inspect.signature(fn).parameters[name].default <= limit
 
 
-# the largest n_max of each closed-form sweep that ranks one graph per order
-CLOSED_FORM_LIMIT = {"prop2.1": 300, "thm2.2": 300}
+def test_every_sampled_sweep_has_a_limit():
+    for theorem_id, (fn, limits) in verify._REGISTRY.items():
+        assert ("samples" in inspect.signature(fn).parameters) == ("samples" in limits), theorem_id
 
 
-@pytest.mark.parametrize("theorem_id", sorted(CLOSED_FORM_LIMIT))
-def test_closed_form_sweep_beyond_its_limit_is_refused_before_any_rank(monkeypatch, theorem_id):
-    limit = CLOSED_FORM_LIMIT[theorem_id]
-    calls = []
-    monkeypatch.setattr(verify, "nullity_rank", lambda g: calls.append(g.n) or g.n % 2)
-    for n_max in (limit + 1, 3000):
-        message = f"{theorem_id} is exhaustive up to n_max = {limit}, got n_max = {n_max}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            verify_theorem(theorem_id, n_max=n_max)
-    assert calls == []
-    # the limit itself is accepted and swept
-    verify_theorem(theorem_id, n_max=limit)
-    assert calls[-1] == limit
+@pytest.mark.parametrize(
+    "theorem_id, options, message",
+    [
+        ("thm4.1", dict(p_max=10**6), "thm4.1 is exhaustive up to p_max = 30, got p_max = 1000000"),
+        ("thm4.1", dict(l_max=10**6), "thm4.1 is exhaustive up to l_max = 30, got l_max = 1000000"),
+        ("thm.theta", dict(l_max=10**6), "thm.theta is exhaustive up to l_max = 26, got l_max = 1000000"),
+    ],
+)
+def test_closed_form_grids_of_the_library_are_bounded(monkeypatch, theorem_id, options, message):
+    # no CLI flag sets p_max or l_max, but verify_theorem is public; at these
+    # values the sweeps would not end
+    monkeypatch.setattr(verify, "_run", lambda *args: pytest.fail("the sweep started"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify_theorem(theorem_id, **options)
 
 
 @pytest.mark.parametrize("theorem_id", sorted(SET_MINIMUM))
 def test_set_sweep_beyond_its_limit_is_refused_before_sweeping(monkeypatch, theorem_id):
-    limit = verify.SET_MAX_N
+    # the real sweep: refused just above its limit before any realizer is
+    # built, and passing at the limit itself
+    limit = verify._REGISTRY[theorem_id][1]["n_hi"]
     calls = []
     monkeypatch.setattr(verify, "realize_nullity", lambda *args: calls.append(args))
-    for n_hi in (limit + 1, 3000):
-        message = f"{theorem_id} is exhaustive up to n_hi = {limit}, got n_hi = {n_hi}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            verify_theorem(theorem_id, n_lo=limit, n_hi=n_hi)
+    message = f"{theorem_id} is exhaustive up to n_hi = {limit}, got n_hi = {limit + 1}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify_theorem(theorem_id, n_lo=limit, n_hi=limit + 1)
     assert calls == []
-    # the limit itself is accepted and swept
     monkeypatch.undo()
     report = verify_theorem(theorem_id, n_lo=limit, n_hi=limit)
     assert report.passed and report.cases_checked > 0
-
-
-# the most samples each sampled sweep draws: the largest power of ten that
-# sweeps in under about a minute
-SAMPLE_LIMIT = {
-    "cor2.1": 10**4,
-    "lem3.1": 10**6,
-    "lem5.1": 10**6,
-    "bounds.bplus": 10**5,
-    "bounds.bplusplus": 10**5,
-    "bounds.theta": 10**5,
-}
-
-
-def test_every_sampled_sweep_has_a_limit():
-    sampled = {tid for tid, fn in verify._REGISTRY.items() if "samples" in inspect.signature(fn).parameters}
-    assert sampled == SAMPLE_LIMIT.keys()
-
-
-@pytest.mark.parametrize("theorem_id", sorted(SAMPLE_LIMIT))
-def test_sampled_sweep_beyond_its_limit_is_refused_before_sweeping(monkeypatch, theorem_id):
-    limit = SAMPLE_LIMIT[theorem_id]
-    grids = []
-    monkeypatch.setattr(verify, "_run", lambda tid, grid, cases: grids.append(grid))
-    for samples in (limit + 1, 10**8):
-        message = f"{theorem_id} draws up to samples = {limit}, got samples = {samples}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            verify_theorem(theorem_id, samples=samples)
-    assert grids == []
-    # the limit itself and the default are accepted; the default is what
-    # the benchmark runs
-    verify_theorem(theorem_id, samples=limit)
-    assert len(grids) == 1 and f"{limit} random" in grids[0]
-    assert inspect.signature(verify._REGISTRY[theorem_id]).parameters["samples"].default <= limit
 
 
 @pytest.mark.parametrize("theorem_id", sorted(SET_MINIMUM))
@@ -457,7 +428,7 @@ def test_accepted_options_are_each_sweeps_parameters():
     # a rejection names every unknown option, so a parameter passed with a
     # bogus option is accepted exactly when the message names the bogus one only
     options = {"n_max", "samples", "seed", "n_lo", "n_hi", "p_max", "l_max"}
-    for theorem_id, fn in verify._REGISTRY.items():
+    for theorem_id, (fn, _) in verify._REGISTRY.items():
         params = inspect.signature(fn).parameters
         assert params.keys() <= options
         for name in options:
