@@ -9,16 +9,19 @@ inconsistency (the nullity methods disagreed, which signals a library bug).
 Graph arguments accept a file path, ``-`` for stdin, or a family spec such
 as ``cycle:n=6,s=1`` (an argument naming an existing file is read as a file;
 any other argument containing a colon is treated as a spec).
-``ROUTES`` names each ``nullity`` route once, with its answer function, in
-``--method all`` order; ``--method``'s choices and the ``all`` loop read it.
-``nullity --method all`` skips, with a note on stderr, the figure route on a
-graph it refuses (``figures.FIGURE_BOUND``), the rank and charpoly routes
-on a graph above ``linalg.MAX_MATRIX_VERTICES``, and the charpoly route
-alone on a graph above ``ALL_CHARPOLY_MAX_VERTICES``; a single ``--method``
-that refuses the graph exits 1, and ``--method charpoly`` and ``charpoly``
-run up to ``CHARPOLY_MAX_VERTICES`` and exit 1 at once above it.  The
-``verify`` sweeps' limits are rows of ``verify._REGISTRY``, which
-``verify_theorem`` checks before it sweeps.
+``ROUTES`` is the one table of ``nullity``'s routes, in ``--method all``
+order: each row holds the route's answer function, its admission check and
+the largest order ``--method all`` runs it on.  ``--method``'s choices,
+``cmd_nullity`` and ``cmd_charpoly`` read only the table.  A check returns
+why its route refuses a graph (``linalg.matrix_refusal`` for rank and
+charpoly, ``figures.figure_refusal`` for the figure route, and for charpoly
+also 300 vertices under ``all`` and 480 on an explicit request), or None;
+the route then runs no step.  A single ``--method`` it refuses exits 1 with
+``error: <refusal>``; ``--method all`` writes ``<route>: skipped
+(<refusal>)`` to stderr and goes on.  The structural route has no check: it
+refuses a graph from inside, as the library does.  The ``verify`` sweeps'
+limits are rows of ``verify._REGISTRY``, which ``verify_theorem`` checks
+before it sweeps.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 
 from .families import parse_family_spec
-from .figures import SizeGuardError, char_poly_figures
+from .figures import char_poly_figures, figure_refusal
 from .graph import (
     GraphError,
     ParseError,
@@ -40,10 +44,10 @@ from .graph import (
     switching_equivalent,
 )
 from .linalg import (
-    MAX_MATRIX_VERTICES,
     LinalgError,
     adjacency_matrix,
     char_poly,
+    matrix_refusal,
     nullity_charpoly,
     nullity_rank,
     zero_multiplicity,
@@ -56,27 +60,35 @@ EXIT_USAGE = 1
 EXIT_VERIFY_FAIL = 2
 EXIT_INTERNAL = 3
 
-#: Largest order on which ``nullity --method all`` runs the charpoly route
-#: (measured).  The route's time grows about as n^3: ``nullity_charpoly``
-#: on a cycle with 30 random chords took 1.0 s at n = 200 and 3.5 s at 300,
-#: and on the plain 2000-vertex cycle ran past 60 s (2-core x86-64 host,
-#: Python 3.11).
-ALL_CHARPOLY_MAX_VERTICES = 300
 
-#: Largest order on which ``nullity --method charpoly`` and ``charpoly`` run
-#: the route (measured); a larger graph, up to the matrix ceiling, exits 1
-#: at once.  ``nullity_charpoly`` on a cycle with 30 random chords took
-#: 11.6 s at n = 400, 17.5 s at 450, 23.6 s at 480 and 28 to 38 s at 500
-#: (same host).
-CHARPOLY_MAX_VERTICES = 480
+def _charpoly_refusal(g: SignedGraph, order: int | None, limit: int = 480) -> str | None:
+    """The charpoly row's check: the matrix ceiling, then ``order``, the
+    row's order under ``--method all``, or on an explicit request (``order``
+    None) the route's own ``limit``."""
+    refusal = matrix_refusal(g.n)
+    if refusal or g.n <= (order or limit):
+        return refusal
+    if not order:
+        return f"n = {g.n} exceeds the {limit}-vertex limit of the charpoly route"
+    return f"{g.n} vertices, above the {order} that --method all runs it on; --method charpoly runs it up to {limit}"
 
-#: The routes of ``nullity``, name to answer function, in ``--method all``
-#: order; ``structural`` answers with its certificate as well.
+
+#: The routes of ``nullity``, in ``--method all`` order: name to (answer
+#: function, admission check, largest order ``--method all`` runs it on).
+#: A check takes the graph and that order (None on an explicit request) and
+#: returns why the route refuses the graph, or None; ``structural`` has no
+#: check, and answers with its certificate as well.  The charpoly orders,
+#: 300 here and 480 as the ``limit`` of ``_charpoly_refusal``, are
+#: measured: ``nullity_charpoly`` on a cycle with 30 random chords took
+#: 1.0 s at n = 200, 3.5 s at 300, 11.6 s at 400, 17.5 s at 450, 23.6 s at
+#: 480 and 28 to 38 s at 500, and ran past 60 s on the plain 2000-vertex
+#: cycle (2-core x86-64 host, Python 3.11); its time grows about as n^3.
 ROUTES = {
-    "rank": nullity_rank,
-    "charpoly": nullity_charpoly,
-    "figures": lambda g: zero_multiplicity(char_poly_figures(g)),
-    "structural": nullity_structural,
+    "rank": (nullity_rank, lambda g, order: matrix_refusal(g.n), None),
+    "charpoly": (nullity_charpoly, _charpoly_refusal, 300),
+    "figures": (lambda g: zero_multiplicity(char_poly_figures(g)),
+                lambda g, order: figure_refusal(g.n, Counter(x for e in g.underlying_edges for x in e)), None),
+    "structural": (nullity_structural, None, None),
 }
 
 
@@ -98,37 +110,21 @@ def load_graph(source: str) -> SignedGraph:
     return parse_edge_list(data.decode("utf-8", "surrogateescape"))
 
 
-def _check_charpoly_order(g: SignedGraph) -> None:
-    """Refuse an explicit charpoly request above ``CHARPOLY_MAX_VERTICES``;
-    above the matrix ceiling the route refuses the graph itself."""
-    if CHARPOLY_MAX_VERTICES < g.n <= MAX_MATRIX_VERTICES:
-        raise GraphError(f"n = {g.n} exceeds the {CHARPOLY_MAX_VERTICES}-vertex limit of the charpoly route")
-
-
 def cmd_nullity(args) -> int:
     g = load_graph(args.graph)
-    if args.method == "charpoly":
-        _check_charpoly_order(g)
-    methods = [args.method] if args.method != "all" else list(ROUTES)
+    under_all = args.method == "all"
     results: dict[str, int] = {}
-    # the errors that ``all`` reports as a skipped route
-    skips = {}
-    if args.method == "all":
-        skips["figures"] = SizeGuardError
-        if g.n > MAX_MATRIX_VERTICES:
-            skips.update(rank=LinalgError, charpoly=LinalgError)
-        elif g.n > ALL_CHARPOLY_MAX_VERTICES:
-            methods.remove("charpoly")
-            print(f"charpoly: skipped ({g.n} vertices, above the {ALL_CHARPOLY_MAX_VERTICES} that --method "
-                  f"all runs it on; --method charpoly runs it up to {CHARPOLY_MAX_VERTICES})", file=sys.stderr)
-    for method in methods:
-        try:
-            results[method] = ROUTES[method](g)
-        except skips.get(method, ()) as exc:
-            print(f"{method}: skipped ({exc})", file=sys.stderr)
     trace = None
-    if "structural" in results:
-        results["structural"], trace = results["structural"]
+    for method in ROUTES if under_all else [args.method]:
+        answer, check, order = ROUTES[method]
+        if refusal := check and check(g, order if under_all else None):
+            if not under_all:
+                raise GraphError(refusal)
+            print(f"{method}: skipped ({refusal})", file=sys.stderr)
+            continue
+        results[method] = answer(g)
+        if isinstance(results[method], tuple):  # the structural certificate
+            results[method], trace = results[method]
     for method, value in results.items():
         print(f"{method}: {value}")
     if args.trace and trace is not None:
@@ -142,7 +138,8 @@ def cmd_nullity(args) -> int:
 
 def cmd_charpoly(args) -> int:
     g = load_graph(args.graph)
-    _check_charpoly_order(g)
+    if refusal := ROUTES["charpoly"][1](g, None):
+        raise GraphError(refusal)
     p = char_poly(adjacency_matrix(g))
     print(p)
     print("coefficients:", list(p.coeffs))

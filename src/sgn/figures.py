@@ -8,10 +8,11 @@ which is why only cycle edges enter s.
 
 This module is an independent combinatorial oracle for the exact linear
 algebra route.  Every consumer enters through ``_guarded_neighbors``, which
-renumbers the vertices that have neighbors and refuses, before anything is
-enumerated, a graph whose figure count may exceed ``FIGURE_BOUND``: a
-figure maps each vertex one-to-one to nothing, to its K_2 partner or to its
-successor on its cycle, so there are at most prod(deg(v) + 1) of them.
+renumbers the vertices that have neighbors and refuses (``figure_refusal``),
+before anything is enumerated, a graph whose figure count may exceed
+``FIGURE_BOUND``: a figure maps each vertex one-to-one to nothing, to its
+K_2 partner or to its successor on its cycle, so there are at most
+prod(deg(v) + 1) of them.
 ``enumerate_basic_figures`` and ``coefficient`` read the figures one by one
 from ``_figure_stream``, which carries each figure's cycle-edge mask.
 ``char_poly_figures`` sums over cycle sets instead: a figure is a set S of
@@ -75,6 +76,18 @@ class BasicFigure:
         return (-1 if (self.p + self.s) % 2 else 1) * (1 << self.c)
 
 
+def figure_refusal(n: int, degrees: Counter) -> str | None:
+    """Why the figure route refuses a graph on ``n`` vertices whose
+    vertices with neighbors have the degrees ``degrees`` (vertex to degree):
+    prod(deg(v) + 1) above ``FIGURE_BOUND``; None otherwise.  The vertex
+    ceiling is the adjacency lists' own check, not this one."""
+    bound = 1
+    for d in degrees.values():
+        bound *= d + 1
+        if bound > FIGURE_BOUND:
+            return f"figure enumeration guard: n = {n}, prod(deg(v) + 1) exceeds {FIGURE_BOUND}"
+
+
 def _guarded_neighbors(n: int, edges):
     """(labels, neighbors, adj): the one guarded entry of every figure
     consumer, for the graph on vertices 0..n-1 whose ascending (u, v) pairs,
@@ -85,19 +98,14 @@ def _guarded_neighbors(n: int, edges):
     is ``labels[k]``.  ``neighbors[v]`` maps each neighbor, ascending by the
     edge order, to its edge's bit, bit k for ``edges[k]``, and ``adj[v]``
     has bit u set for each neighbor u.  The vertex ceiling (GraphError) and
-    the figure guard (SizeGuardError) are checked from degree counts, before
-    any edge bit is built: the bits of m edges take O(m^2) bits in all.
+    ``figure_refusal`` (SizeGuardError) are checked from degree counts,
+    before any edge bit is built: the bits of m edges take O(m^2) bits in all.
     """
     check_vertex_ceiling(n)
     degree = Counter(x for e in edges for x in e)
+    if refusal := figure_refusal(n, degree):
+        raise SizeGuardError(refusal)
     labels = sorted(degree)
-    bound = 1
-    for v in labels:
-        bound *= degree[v] + 1
-        if bound > FIGURE_BOUND:
-            raise SizeGuardError(
-                f"figure enumeration guard: n = {n}, prod(deg(v) + 1) exceeds {FIGURE_BOUND}"
-            )
     index = {v: k for k, v in enumerate(labels)}
     neighbors = [{} for _ in labels]
     for k, (u, v) in enumerate(edges):

@@ -100,14 +100,19 @@ def _as_rows(m: Sequence[Sequence[int]]) -> list[list[int]]:
 MAX_MATRIX_VERTICES = 2000
 
 
+def matrix_refusal(n: int) -> str | None:
+    """Why the matrix routes refuse a graph on ``n`` vertices: above
+    ``MAX_MATRIX_VERTICES``; None below it."""
+    if n > MAX_MATRIX_VERTICES:
+        return f"n = {n} exceeds the {MAX_MATRIX_VERTICES}-vertex ceiling of the matrix routes"
+
+
 def _adjacency_rows(g: SignedGraph) -> list[list[int]]:
     """Signed adjacency matrix of a validated graph as lists, the rows every
-    graph route computes on; LinalgError, before allocating, above
-    ``MAX_MATRIX_VERTICES``."""
-    if g.n > MAX_MATRIX_VERTICES:
-        raise LinalgError(
-            f"n = {g.n} exceeds the {MAX_MATRIX_VERTICES}-vertex ceiling of the matrix routes"
-        )
+    graph route computes on; LinalgError, before allocating, with the
+    ``matrix_refusal`` of ``g.n``."""
+    if refusal := matrix_refusal(g.n):
+        raise LinalgError(refusal)
     rows = [[0] * g.n for _ in range(g.n)]
     for u, v, s in g.edges:
         rows[u][v] = s

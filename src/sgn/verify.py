@@ -633,6 +633,9 @@ def verify_set_bicyclic(n_lo: int = 8, n_hi: int = 12) -> VerificationReport:
 # - thm2.2, prop2.1: ranking every order took 1.2 s and 0.6 s to n_max =
 #   200, 4.2 s and 2.1 s to 300;
 # - lem3.1, lem5.1: 10^6 samples took 45 s and 66 s;
+# - thm3.1, thm3.2, pendant: no time limit; their corpus ends where the graph
+#   atlas does, at n = 7, and ``enumeration.connected_graphs_upto_iso``
+#   refuses more on its own;
 # - lem5.2: n_max = 7 takes about 11 s;
 # - bounds.*: 10^5 samples took 4.7 to 8.0 s, and bounds.theta would pass a
 #   minute at 10^6;
@@ -646,9 +649,9 @@ _REGISTRY = {
     "thm2.2": (verify_thm22, {"n_max": 300}),
     "prop2.1": (verify_prop21, {"n_max": 300}),
     "lem3.1": (verify_lem31, {"samples": 10**6}),
-    "thm3.1": (verify_thm31, {}),
-    "thm3.2": (verify_thm32, {}),
-    "pendant": (verify_pendant, {}),
+    "thm3.1": (verify_thm31, {"n_max": 7}),
+    "thm3.2": (verify_thm32, {"n_max": 7}),
+    "pendant": (verify_pendant, {"n_max": 7}),
     "thm4.1": (verify_thm41, {"p_max": 30, "l_max": 30}),
     "thm.theta": (verify_thm_theta, {"l_max": 26}),
     "lem5.1": (verify_lem51, {"samples": 10**6}),

@@ -1,4 +1,4 @@
-"""Random graphs that only the tests draw."""
+"""Graphs that only the tests draw or build."""
 
 import random
 
@@ -20,3 +20,13 @@ def random_low_cyclomatic_graph(rng: random.Random, n: int, extra: int) -> Signe
     for e in candidates[:extra]:
         edges.add(e)
     return SignedGraph(n, [(u, v, rng.choice((1, -1))) for u, v in sorted(edges)])
+
+
+def figure_boundary_graph() -> SignedGraph:
+    """The Petersen graph with a pendant at each vertex: prod(deg(v) + 1) =
+    5^10 * 2^10 meets ``figures.FIGURE_BOUND`` exactly, as K10 does, but it
+    profiles in well under a second."""
+    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    pendants = [(v, v + 10, -1 if v % 3 else 1) for v in range(10)]
+    return SignedGraph(20, [(u, v, 1) for u, v in petersen] + pendants)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
+import inspect
 import json
 import os
 import resource
@@ -11,11 +12,16 @@ import pytest
 
 import sgn
 from sgn import cli
-from sgn.cli import ALL_CHARPOLY_MAX_VERTICES, CHARPOLY_MAX_VERTICES, main
-from sgn.graph import MAX_VERTICES
-from sgn.linalg import CharPoly, nullity_rank
+from sgn.cli import main
+from sgn.graph import MAX_VERTICES, serialize_edge_list
+from sgn.linalg import MAX_MATRIX_VERTICES, CharPoly, nullity_rank
+from samplers import figure_boundary_graph
 
 TRIANGLE = "3 3\n0 1 1\n1 2 1\n0 2 -1\n"
+
+# the charpoly row's order under --method all, and its limit on an explicit request
+ALL_ORDER = cli.ROUTES["charpoly"][2]
+CHARPOLY_LIMIT = inspect.signature(cli.ROUTES["charpoly"][1]).parameters["limit"].default
 
 
 def run_cli(args, stdin=None, preexec_fn=None):
@@ -34,9 +40,9 @@ def _stub_cli(monkeypatch, name, fake):
     and as a value of ``cli.ROUTES``."""
     real = getattr(cli, name)
     monkeypatch.setattr(cli, name, fake)
-    for route, answer in cli.ROUTES.items():
+    for route, (answer, *rest) in cli.ROUTES.items():
         if answer is real:
-            monkeypatch.setitem(cli.ROUTES, route, fake)
+            monkeypatch.setitem(cli.ROUTES, route, (fake, *rest))
 
 
 def test_nullity_all_methods_agree(capsys):
@@ -97,45 +103,98 @@ def test_nullity_all_skips_the_matrix_routes_above_their_ceiling(capsys):
 def test_nullity_all_skips_the_charpoly_route_above_its_order(capsys):
     # one note at every order: at n = 1000 advice to use --method charpoly
     # alone would send the user to a route that refuses the graph
-    for n in (ALL_CHARPOLY_MAX_VERTICES + 1, 1000):
+    for n in (ALL_ORDER + 1, 1000):
         assert main(["nullity", f"cycle:n={n},s=1"]) == 0
         out, err = capsys.readouterr()
         assert out == "rank: 0\nstructural: 0\n"
-        assert err == (
-            f"charpoly: skipped ({n} vertices, above the {ALL_CHARPOLY_MAX_VERTICES} that --method all "
-            f"runs it on; --method charpoly runs it up to {CHARPOLY_MAX_VERTICES})\n"
-            f"figures: skipped (figure enumeration guard: n = {n}, prod(deg(v) + 1) exceeds 10000000000)\n"
-        )
+        assert err == f"charpoly: skipped ({_all_order(n)})\nfigures: skipped ({_figure_guard(n)})\n"
 
 
 def test_nullity_method_charpoly_runs_above_the_all_order(capsys):
-    n = ALL_CHARPOLY_MAX_VERTICES + 1
+    n = ALL_ORDER + 1
     assert main(["nullity", "--method", "charpoly", f"cycle:n={n},s=1"]) == 0
     assert capsys.readouterr() == ("charpoly: 0\n", "")
 
 
-def test_charpoly_limit_lies_between_the_all_order_and_the_matrix_ceiling():
-    # above the --method all order, so that its skip note's advice helps
-    assert ALL_CHARPOLY_MAX_VERTICES < CHARPOLY_MAX_VERTICES < 2000
+def _ceiling(n):
+    return f"n = {n} exceeds the {MAX_MATRIX_VERTICES}-vertex ceiling of the matrix routes"
 
 
-@pytest.mark.parametrize(
-    "args, stub, value",
-    [(["nullity", "--method", "charpoly"], "nullity_charpoly", 0), (["charpoly"], "char_poly", CharPoly((1,)))],
-)
-def test_explicit_charpoly_runs_to_its_limit_and_refuses_above_it(monkeypatch, capsys, args, stub, value):
-    # the route itself is stubbed: at the limit it would take about 30 s
-    calls = []
-    _stub_cli(monkeypatch, stub, lambda x: calls.append(x) or value)
-    n = CHARPOLY_MAX_VERTICES
-    assert main([*args, f"cycle:n={n},s=1"]) == 0
-    assert len(calls) == 1
-    capsys.readouterr()
-    assert main([*args, f"cycle:n={n + 1},s=1"]) == 1
-    assert len(calls) == 1
-    assert capsys.readouterr() == (
-        "", f"error: n = {n + 1} exceeds the {CHARPOLY_MAX_VERTICES}-vertex limit of the charpoly route\n"
-    )
+def _charpoly_limit(n):
+    return f"n = {n} exceeds the {CHARPOLY_LIMIT}-vertex limit of the charpoly route"
+
+
+def _all_order(n):
+    return (f"{n} vertices, above the {ALL_ORDER} that --method all runs it on; "
+            f"--method charpoly runs it up to {CHARPOLY_LIMIT}")
+
+
+def _figure_guard(n):
+    return f"figure enumeration guard: n = {n}, prod(deg(v) + 1) exceeds 10000000000"
+
+
+def _cycle(n):
+    return f"cycle:n={n},s=1"
+
+
+# one row per limit of a checked cli.ROUTES row: the command, its route, the
+# limit (a cycle of that order, or "boundary": figure_boundary_graph(), whose
+# degrees meet FIGURE_BOUND exactly), the route's refusal of the graph at the
+# limit ("" where it runs the route), and its refusal of the order just above
+NULLITY_CHARPOLY = ["nullity", "--method", "charpoly"]
+ROUTE_LIMITS = {
+    "rank-ceiling": (["nullity", "--method", "rank"], "rank", MAX_MATRIX_VERTICES, "", _ceiling),
+    "rank-ceiling-all": (["nullity"], "rank", MAX_MATRIX_VERTICES, "", _ceiling),
+    "charpoly-ceiling": (
+        NULLITY_CHARPOLY, "charpoly", MAX_MATRIX_VERTICES, _charpoly_limit(MAX_MATRIX_VERTICES), _ceiling
+    ),
+    "charpoly-ceiling-all": (["nullity"], "charpoly", MAX_MATRIX_VERTICES, _all_order(MAX_MATRIX_VERTICES), _ceiling),
+    "charpoly-ceiling-command": (
+        ["charpoly"], "charpoly", MAX_MATRIX_VERTICES, _charpoly_limit(MAX_MATRIX_VERTICES), _ceiling
+    ),
+    "charpoly-limit": (NULLITY_CHARPOLY, "charpoly", CHARPOLY_LIMIT, "", _charpoly_limit),
+    "charpoly-limit-command": (["charpoly"], "charpoly", CHARPOLY_LIMIT, "", _charpoly_limit),
+    "charpoly-all-order": (["nullity"], "charpoly", ALL_ORDER, "", _all_order),
+    "figure-bound": (["nullity", "--method", "figures"], "figures", "boundary", "", _figure_guard),
+    "figure-bound-all": (["nullity"], "figures", "boundary", "", _figure_guard),
+}
+
+
+@pytest.mark.parametrize("args, route, limit, refusal_at, refusal_above", ROUTE_LIMITS.values(), ids=ROUTE_LIMITS)
+def test_each_route_limit_admits_at_the_limit_and_refuses_above_it(
+    monkeypatch, capsys, tmp_path, args, route, limit, refusal_at, refusal_above
+):
+    # every route with a check has its limits here, and the charpoly note's
+    # advice to use --method charpoly helps only between its two orders
+    assert {row[1] for row in ROUTE_LIMITS.values()} == {name for name, row in cli.ROUTES.items() if row[1]}
+    assert ALL_ORDER < CHARPOLY_LIMIT < MAX_MATRIX_VERTICES
+    if limit == "boundary":
+        at = tmp_path / "boundary.txt"
+        at.write_text(serialize_edge_list(figure_boundary_graph()))
+        at, above, n_above = str(at), "path:n=22", 22  # 2^2 * 3^20 figures bound
+    else:
+        at, above, n_above = _cycle(limit), _cycle(limit + 1), limit + 1
+    for spec, refusal in ((at, refusal_at), (above, refusal_above(n_above))):
+        # each answer function records its route; the route under test fails
+        # the test if it runs on a graph it refuses
+        calls = []
+
+        def answer(name, value=0):
+            if refusal and name == route:
+                return lambda g: pytest.fail(f"{name} ran on a graph it refuses")
+            return lambda g: calls.append(name) or value
+
+        for name, (_, check, order) in cli.ROUTES.items():
+            monkeypatch.setitem(cli.ROUTES, name, (answer(name), check, order))
+        monkeypatch.setattr(cli, "char_poly", answer("charpoly", CharPoly((1,))))
+        code = main([*args, spec])
+        err = capsys.readouterr().err
+        if args == ["nullity"]:
+            notes = [line for line in err.splitlines() if line.startswith(f"{route}: ")]
+            assert (code, notes) == (0, [f"{route}: skipped ({refusal})"] if refusal else [])
+        else:
+            assert (code, err) == ((1, f"error: {refusal}\n") if refusal else (0, ""))
+        assert calls.count(route) == (not refusal)
 
 
 def test_nullity_infinity_example(capsys):
@@ -362,7 +421,8 @@ def test_verify_set_below_the_class_minimum_exits_1(capsys, tmp_path, theorem_id
 
 @pytest.mark.parametrize(
     "theorem_id, n_max, limit",
-    [("cor2.1", 7, 6), ("lem5.2", 8, 7), ("lem5.2", 99999, 7), ("prop2.1", 3000, 300), ("thm2.2", 301, 300)],
+    [("cor2.1", 7, 6), ("lem5.2", 8, 7), ("lem5.2", 99999, 7), ("prop2.1", 3000, 300), ("thm2.2", 301, 300),
+     ("thm3.1", 8, 7), ("thm3.2", 8, 7), ("pendant", 8, 7)],
 )
 def test_verify_exhaustive_grid_beyond_its_limit_exits_1(capsys, tmp_path, theorem_id, n_max, limit):
     report_path = tmp_path / "report.jsonl"
@@ -548,12 +608,12 @@ def test_readme_limits_table_lists_every_limit():
         for name, limit in limits.items():
             assert f"`{name}` = {_spaced(limit)}" in line, theorem_id
     constants = {
-        "cli.ALL_CHARPOLY_MAX_VERTICES": ALL_CHARPOLY_MAX_VERTICES,
-        "cli.CHARPOLY_MAX_VERTICES": CHARPOLY_MAX_VERTICES,
-        "linalg.MAX_MATRIX_VERTICES": linalg.MAX_MATRIX_VERTICES,
-        "graph.MAX_VERTICES": graph.MAX_VERTICES,
-        "figures.FIGURE_BOUND": figures.FIGURE_BOUND,
+        "`cli.ROUTES` charpoly, `--method all`": ALL_ORDER,
+        "`cli.ROUTES` charpoly, explicit": CHARPOLY_LIMIT,
+        "`linalg.MAX_MATRIX_VERTICES`": linalg.MAX_MATRIX_VERTICES,
+        "`graph.MAX_VERTICES`": graph.MAX_VERTICES,
+        "`figures.FIGURE_BOUND`": figures.FIGURE_BOUND,
     }
     for name, value in constants.items():
-        assert rows.pop(f"`{name}`").split(" | ")[1].startswith(_spaced(value)), name
+        assert rows.pop(name).split(" | ")[1].startswith(_spaced(value)), name
     assert rows == {}

@@ -26,6 +26,7 @@ from sgn import figures
 from sgn.enumeration import connected_graphs_labeled, random_signed_graph
 from sgn.graph import MAX_VERTICES, cycle_witness
 from sgn.families import gen_cycle, gen_infinity, gen_path
+from samplers import figure_boundary_graph
 
 
 def test_empty_figure_at_i_zero():
@@ -285,12 +286,8 @@ def test_figure_count_within_degree_bound():
 
 
 def test_size_guard():
-    # K10 meets the bound exactly (10^10) but takes seconds to profile; the
-    # Petersen graph with a pendant at each vertex (5^10 * 2^10) meets it too
-    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
-    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    pendants = [(v, v + 10, -1 if v % 3 else 1) for v in range(10)]
-    boundary = SignedGraph(20, [(u, v, 1) for u, v in petersen] + pendants)
+    # K10 meets the bound exactly (10^10) but takes seconds to profile
+    boundary = figure_boundary_graph()
     assert _degree_bound(boundary) == _degree_bound(_complete(10)) == figures.FIGURE_BOUND
     for g in (boundary, gen_path(21), gen_cycle(20, 1)):
         assert char_poly_figures(g) == char_poly(adjacency_matrix(g))

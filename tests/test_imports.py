@@ -1,7 +1,7 @@
 """Every name a module imports is used in it, the package imports only the
 standard library, the closed forms import no route module, the package reads
-no environment variable, and every basic figure comes through one guarded
-entry to the figure stream."""
+no environment variable, every basic figure comes through one guarded
+entry to the figure stream, and each refusal is written in one place."""
 
 import ast
 import os
@@ -179,11 +179,10 @@ def test_one_cycle_enumerator():
     assert "functools" not in _top_level_imports(SRC / "verify.py")
 
 
-def test_verify_refuses_an_oversized_grid_in_one_place():
-    """Only ``verify_theorem`` writes the ``exhaustive up to`` and ``draws
-    up to`` refusals: no sweep body holds a limit."""
-    phrases = ("exhaustive up to", "draws up to")
-    found = []
+def _scopes_writing(path: Path, phrases) -> set[tuple[str, str]]:
+    """(innermost function, phrase) for each string constant in ``path``
+    that holds one of ``phrases``; ``<module>`` outside every function."""
+    found = set()
 
     class Strings(ast.NodeVisitor):
         def __init__(self):
@@ -195,8 +194,34 @@ def test_verify_refuses_an_oversized_grid_in_one_place():
             self.scope.pop()
 
         def visit_Constant(self, node):
-            if isinstance(node.value, str) and any(phrase in node.value for phrase in phrases):
-                found.append(self.scope[-1])
+            if isinstance(node.value, str):
+                found.update((self.scope[-1], phrase) for phrase in phrases if phrase in node.value)
 
-    Strings().visit(ast.parse((SRC / "verify.py").read_text(encoding="utf-8")))
-    assert sorted(set(found)) == ["verify_theorem"]
+    Strings().visit(ast.parse(path.read_text(encoding="utf-8")))
+    return found
+
+
+def test_verify_refuses_an_oversized_grid_in_one_place():
+    """Only ``verify_theorem`` writes the ``exhaustive up to`` and ``draws
+    up to`` refusals: no sweep body holds a limit."""
+    found = _scopes_writing(SRC / "verify.py", ("exhaustive up to", "draws up to"))
+    assert {scope for scope, _ in found} == {"verify_theorem"}
+
+
+def test_cli_reads_every_route_limit_from_its_check():
+    """``cli.py`` names no ``*_MAX_*`` constant, its own or imported,
+    ``cmd_nullity`` names no route (so it holds no branch for one), and the
+    matrix ceiling's and the figure guard's refusals are written only in
+    ``matrix_refusal`` and ``figure_refusal``."""
+    from sgn.cli import ROUTES
+
+    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(cli) if isinstance(node, ast.Name)}
+    names |= {node.asname or node.name for node in ast.walk(cli) if isinstance(node, ast.alias)}
+    assert [name for name in names if "MAX_" in name] == []
+    cmd_nullity = next(node for node in cli.body if getattr(node, "name", None) == "cmd_nullity")
+    literals = {node.value for node in ast.walk(cmd_nullity) if isinstance(node, ast.Constant)}
+    assert literals.isdisjoint(ROUTES)
+    phrases = ("-vertex ceiling of the matrix routes", "figure enumeration guard")
+    found = set().union(*(_scopes_writing(path, phrases) for path in SRC.glob("*.py")))
+    assert found == {("matrix_refusal", phrases[0]), ("figure_refusal", phrases[1])}
