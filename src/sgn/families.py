@@ -12,12 +12,20 @@ loudly instead of producing a wrong witness.  Their outputs are bicyclic
 (c = 2), which pendant peeling and the closed forms decide with no matrix,
 so the check holds at every order up to the adjacency-list ceiling; the set
 sweeps check every witness against the rank oracle on top.
+
+Each parameter is checked once, where it enters.  ``parse_family_spec``
+bounds every integer of a spec by ``MAX_VERTICES``; ``gen_figure`` checks a
+figure's sizes against ``_LEAST_SIZE`` and ``realize_nullity`` a class's
+(n, k) against its row, so the figure builders check no size; and
+``gen_infinity`` and ``gen_theta`` share their domain checks with the closed
+forms of ``formulas`` (``_check_infinity``, ``_check_theta``).
 """
 
 from __future__ import annotations
 
 import inspect
 
+from .formulas import _check_infinity, _check_theta
 from .graph import MAX_VERTICES, GraphError, SignedGraph, find_cycles, is_connected
 from .reduction import nullity_structural
 
@@ -27,6 +35,13 @@ class InternalError(RuntimeError):
 
 
 # -- elementary families --------------------------------------------------
+
+
+def _cycle_edges(cycle, s: int) -> list:
+    """The edges around ``cycle``, a sequence of vertices, in order and the
+    first ``s`` of them negative."""
+    closed = [*cycle, cycle[0]]
+    return list(zip(closed, closed[1:], [-1] * s + [1] * (len(closed) - 1 - s)))
 
 
 def gen_path(n: int) -> SignedGraph:
@@ -42,11 +57,7 @@ def gen_cycle(n: int, s: int = 0) -> SignedGraph:
         raise GraphError(f"cycle needs n >= 3, got {n}")
     if not (0 <= s <= n):
         raise GraphError(f"negative edge count {s} out of range 0..{n}")
-    edges = []
-    for i in range(n):
-        u, v = i, (i + 1) % n
-        edges.append((u, v, -1 if i < s else 1))
-    return SignedGraph(n, edges)
+    return SignedGraph(n, _cycle_edges(range(n), s))
 
 
 def gen_star(k: int) -> SignedGraph:
@@ -64,26 +75,16 @@ def gen_infinity(p: int, q: int, l: int, sp: int = 0, sq: int = 0) -> SignedGrap
     The first sp edges of C_p and the first sq edges of C_q are negative,
     path edges positive.
     """
-    if p < 3 or q < 3:
-        raise GraphError(f"cycle lengths must be >= 3, got p={p}, q={q}")
-    if l < 1:
-        raise GraphError(f"connecting path needs l >= 1 vertices, got {l}")
+    _check_infinity(p, q, l)
     for name, count, cycle, length in (("sp", sp, "p", p), ("sq", sq, "q", q)):
         if not 0 <= count <= length:
             raise GraphError(f"negative edge count {name} = {count} is out of range 0..{cycle} = 0..{length}")
-    edges = []
-    for i in range(p):
-        u, v = i, (i + 1) % p
-        edges.append((u, v, -1 if i < sp else 1))
-    if l == 1:
-        q_cycle = [0] + list(range(p, p + q - 1))
-    else:
-        path = [0] + list(range(p, p + l - 1))
-        edges.extend((a, b, 1) for a, b in zip(path, path[1:]))
-        q_cycle = list(range(p + l - 2, p + l - 2 + q))
-    for i in range(q):
-        u, v = q_cycle[i], q_cycle[(i + 1) % q]
-        edges.append((u, v, -1 if i < sq else 1))
+    path = [0, *range(p, p + l - 1)]
+    # C_q leaves the path's far end, vertex 0 itself when l = 1
+    q_cycle = [path[-1], *range(p + l - 1, p + l + q - 2)]
+    edges = _cycle_edges(range(p), sp)
+    edges += zip(path, path[1:], [1] * (l - 1))
+    edges += _cycle_edges(q_cycle, sq)
     return SignedGraph(p + q + l - 2, edges)
 
 
@@ -95,12 +96,7 @@ def gen_theta(p: int, q: int, l: int, s1: int = 0, s2: int = 0, s3: int = 0) -> 
     parity of 1 makes the path's first edge (the one leaving hub 0) negative.
     """
     lengths, signs = (p, q, l), (s1, s2, s3)
-    if any(x < 1 for x in lengths):
-        raise GraphError(f"path lengths must be >= 1, got {lengths}")
-    if lengths.count(1) > 1:
-        raise GraphError("at most one of the three path lengths may be 1")
-    if any(x not in (0, 1) for x in signs):
-        raise GraphError(f"negative-edge parities s1, s2, s3 must be 0 or 1, got {signs}")
+    _check_theta(lengths, signs)
     edges = []
     nxt = 2  # hubs are 0 and 1
     for length, parity in zip(lengths, signs):
@@ -173,8 +169,6 @@ def _infinity441(s_free_quad: int) -> list:
 
 def _fig_H3(n: int) -> SignedGraph:
     """Cycle on n - 1 vertices plus one pendant attached at vertex 0."""
-    if n is None or n < 4:
-        raise GraphError("H3 needs n >= 4 (cycle plus pendant)")
     return _broom(n, list(gen_cycle(n - 1, 1).edges), 0, 1)
 
 
@@ -205,8 +199,6 @@ def _fig_G1(n: int) -> SignedGraph:
     n - 8 isolated vertices, so the nullity is n - 6 (and equals n - 6 for
     n = 7 as well, where the graph is the bare infinity graph).
     """
-    if n is None or n < 7:
-        raise GraphError("G1 needs n >= 7")
     core = [(0, 1, 1), (1, 2, -1), (0, 2, 1), (0, 3, 1)]
     core += [(3, 4, 1), (4, 5, 1), (5, 6, 1), (3, 6, 1)]
     return _broom(n, core, 0, 0)
@@ -219,7 +211,6 @@ def _fig_G2(n: int, k: int) -> SignedGraph:
     path with n - k - 7 interior vertices leads to the second triangle's
     junction.  Valid for 1 <= k <= n - 7; the nullity is k.
     """
-    _check_nk(n, k, high_offset=7, name="G2")
     t = n - 3  # second triangle {t, t+1, t+2}, junction t
     chain = [2, *range(k + 4, t + 1)]
     edges = _TRIANGLE + [(2, j, 1) for j in range(3, k + 4)]
@@ -230,9 +221,7 @@ def _fig_G2(n: int, k: int) -> SignedGraph:
 
 def _fig_G3(n: int) -> SignedGraph:
     """Bowtie with both triangles unbalanced and n - 5 leaves at the outer
-    vertex 4.  Nullity n - 6 (needs n >= 6 so at least one leaf exists)."""
-    if n is None or n < 6:
-        raise GraphError("G3 needs n >= 6")
+    vertex 4.  Nullity n - 6; from n = 6 on at least one leaf exists."""
     return _broom(n, _bowtie(), 4, 0)
 
 
@@ -242,23 +231,18 @@ def _fig_G4(n: int, k: int) -> SignedGraph:
 
     Valid for 1 <= k <= n - 7; the nullity is k.
     """
-    _check_nk(n, k, high_offset=7, name="G4")
     return _broom(n, _bowtie(), 4, n - k - 6)
 
 
 def _fig_G5(n: int) -> SignedGraph:
     """Diamond (both triangles unbalanced) with a pendant at outer vertex 2
     and a path of n - 5 vertices at outer vertex 3.  Nullity 0."""
-    if n is None or n < 6:
-        raise GraphError("G5 needs n >= 6")
     return _broom(n, _DIAMOND + [(2, 4, 1)], 3, n - 5)
 
 
 def _fig_G6(n: int) -> SignedGraph:
     """Diamond (both triangles unbalanced) with n - 4 leaves at hub 0.
     Nullity n - 4."""
-    if n is None or n < 5:
-        raise GraphError("G6 needs n >= 5")
     return _broom(n, _DIAMOND, 0, 0)
 
 
@@ -268,7 +252,6 @@ def _fig_G7(n: int, k: int) -> SignedGraph:
 
     Needs k >= 1.  Realizes nullity k when n - k is odd.
     """
-    _check_nk(n, k, high_offset=5, name="G7")
     return _broom(n, _DIAMOND, 3, n - k - 4)
 
 
@@ -281,22 +264,14 @@ def _fig_G8(n: int, k: int) -> SignedGraph:
     then ends at the theta core itself, whose nullity is 1.  Realizes
     nullity k when n - k is even.
     """
-    _check_nk(n, k, high_offset=5, name="G8")
     core = [(0, 1, 1), (0, 2, -1), (1, 2, 1), (0, 3, 1), (3, 4, 1), (1, 4, 1)]
     return _broom(n, core, 2, n - k - 4)
 
 
-def _check_nk(n, k, *, high_offset, name):
-    if n is None or k is None:
-        raise GraphError(f"{name} needs both n and k")
-    if k < 1:
-        raise GraphError(f"{name} needs k >= 1, got k={k}")
-    if n - k < high_offset:
-        raise GraphError(f"{name} needs k <= n - {high_offset}, got n={n}, k={k}")
-
-
 # Each builder's signature says what it takes: ``n`` and ``k`` for the sizes,
-# any other parameter is a sign keyword.
+# any other parameter is a sign keyword.  The builders trust their sizes:
+# ``gen_figure`` checks them against ``_LEAST_SIZE``, ``realize_nullity``
+# against its ``_REALIZERS`` row, which implies the same bounds.
 _FIGURES = {
     # unbalanced triangle 0,1,2 with the path 2-3-4-5 attached
     "H1": lambda: _broom(6, _TRIANGLE, 2, 3),
@@ -330,6 +305,10 @@ _FIGURES = {
     "G8": _fig_G8,
 }
 
+# the least n of a figure that takes n, the least n - k of one that also
+# takes k (with k >= 1)
+_LEAST_SIZE = {"H3": 4, "G1": 7, "G2": 7, "G3": 6, "G4": 7, "G5": 6, "G6": 5, "G7": 5, "G8": 5}
+
 
 def gen_figure(fig_id: str, /, n: int | None = None, k: int | None = None, **signs) -> SignedGraph:
     """Build a figure graph by identifier (H1..H13, G1..G8).
@@ -356,6 +335,16 @@ def gen_figure(fig_id: str, /, n: int | None = None, k: int | None = None, **sig
         if params.keys() <= sizes.keys():
             raise GraphError(f"{fid} takes no sign parameters, got {extra}")
         raise GraphError(f"{fid} got unexpected parameters {extra}")
+    least = _LEAST_SIZE.get(fid)
+    if "k" in params:
+        if n is None or k is None:
+            raise GraphError(f"{fid} needs both n and k")
+        if k < 1:
+            raise GraphError(f"{fid} needs k >= 1, got k={k}")
+        if n - k < least:
+            raise GraphError(f"{fid} needs k <= n - {least}, got n={n}, k={k}")
+    elif "n" in params and (n is None or n < least):
+        raise GraphError(f"{fid} needs n >= {least}")
     return builder(**{p: sizes[p] for p in params if p in sizes}, **signs)
 
 

@@ -74,6 +74,28 @@ def nullity_cycle(n: int, s: int) -> int:
     return 2 if s == 1 else 0
 
 
+def _check_infinity(p: int, q: int, l: int) -> None:
+    """The shape of an infinity graph, for ``nullity_infinity`` and
+    ``gen_infinity`` alike: cycle lengths p, q >= 3 and l >= 1 path vertices.
+    The two read the sign arguments differently, a parity and a count, and
+    check them themselves."""
+    if p < 3 or q < 3:
+        raise GraphError(f"cycle lengths must be >= 3, got p={p}, q={q}")
+    if l < 1:
+        raise GraphError(f"connecting path needs l >= 1 vertices, got {l}")
+
+
+def _check_theta(lengths: tuple[int, int, int], parities: tuple[int, int, int]) -> None:
+    """The domain of ``nullity_theta`` and ``gen_theta``: three path lengths
+    >= 1, at most one of them 1, and three negative-edge parities."""
+    if any(x < 1 for x in lengths):
+        raise GraphError(f"path lengths must be >= 1, got {lengths}")
+    if lengths.count(1) > 1:
+        raise GraphError("at most one of the three path lengths may be 1")
+    if any(s not in (0, 1) for s in parities):
+        raise GraphError(f"negative-edge parities s1, s2, s3 must be 0 or 1, got {parities}")
+
+
 def nullity_infinity(p: int, q: int, l: int, sp: int = 0, sq: int = 0) -> int:
     """Nullity of the infinity graph ``gen_infinity(p, q, l, sp, sq)``:
     cycles C_p and C_q joined by a path with l vertices (l = 1 means the
@@ -96,10 +118,7 @@ def nullity_infinity(p: int, q: int, l: int, sp: int = 0, sq: int = 0) -> int:
     degree-2 vertices shortens an odd cycle or the connecting path by 2 and
     changes neither the nullity nor the invariant.
     """
-    if p < 3 or q < 3:
-        raise GraphError(f"cycle lengths must be >= 3, got p={p}, q={q}")
-    if l < 1:
-        raise GraphError(f"connecting path needs l >= 1 vertices, got {l}")
+    _check_infinity(p, q, l)
     if sp not in (0, 1) or sq not in (0, 1):
         raise GraphError("cycle sign parities must be 0 or 1")
     if p % 2 == 1 and q % 2 == 1:
@@ -160,12 +179,7 @@ def nullity_theta(p: int, q: int, l: int, s1: int = 0, s2: int = 0, s3: int = 0)
       eta = 0.
     """
     lengths, parities = (p, q, l), (s1, s2, s3)
-    if any(x < 1 for x in lengths):
-        raise GraphError(f"path lengths must be >= 1, got {lengths}")
-    if lengths.count(1) > 1:
-        raise GraphError("at most one of the three path lengths may be 1")
-    if any(s not in (0, 1) for s in parities):
-        raise GraphError(f"negative-edge parities s1, s2, s3 must be 0 or 1, got {parities}")
+    _check_theta(lengths, parities)
     odd = sum(x % 2 for x in lengths)
     if odd == 3:
         return 0

@@ -308,8 +308,14 @@ def serialize_edge_list(g: SignedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _graph_dict(g: SignedGraph) -> dict:
+    """The JSON shape of a graph, for ``to_json`` and the reduction
+    certificates: ``{"n": n, "edges": [[u, v, s], ...]}``."""
+    return {"n": g.n, "edges": [[u, v, s] for u, v, s in g.edges]}
+
+
 def to_json(g: SignedGraph) -> str:
-    return json.dumps({"n": g.n, "edges": [[u, v, s] for u, v, s in g.edges]})
+    return json.dumps(_graph_dict(g))
 
 
 def from_json(text: str) -> SignedGraph:

@@ -277,8 +277,6 @@ def _rank_certified(rows: Sequence[Sequence[int]]) -> int | None:
     active = [_pack([x % p for x in row]) for row in rows]
     echelon = []  # (pivot column, inverse of the pivot, residues of the later columns)
     for c in range(nc):
-        if not active:
-            break
         piv = next((i for i, row in enumerate(active) if (row & _SLOT) % p), None)
         if piv is None:
             active = [row >> 64 for row in active]

@@ -40,6 +40,7 @@ from .graph import (
     GraphError,
     SignedGraph,
     _component_vertex_sets,
+    _graph_dict,
     _induced,
     _neighbor_lists,
     check_vertex_ceiling,
@@ -91,10 +92,6 @@ class ReductionStep:
             if val is not None:
                 d[key] = val
         return d
-
-
-def _graph_dict(g: SignedGraph) -> dict:
-    return {"n": g.n, "edges": [[u, v, s] for u, v, s in g.edges]}
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import strategies as st
+
 from sgn import SignedGraph
 from sgn.enumeration import edge_universe
 
@@ -30,3 +32,14 @@ def figure_boundary_graph() -> SignedGraph:
     petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     pendants = [(v, v + 10, -1 if v % 3 else 1) for v in range(10)]
     return SignedGraph(20, [(u, v, 1) for u, v in petersen] + pendants)
+
+
+@st.composite
+def signed_graphs(draw, max_n):
+    """A signed graph on 1..max_n vertices: a drawn set of edges, each with a
+    drawn sign."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(chosen), max_size=len(chosen)))
+    return SignedGraph(n, [(u, v, s) for (u, v), s in zip(chosen, signs)])

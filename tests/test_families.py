@@ -289,7 +289,7 @@ def test_realizer_labelings_are_pinned(cls):
         (lambda: gen_figure("G8", n=10), "G8 needs both n and k"),
         (lambda: gen_figure("G7", n=9, k=0), "G7 needs k >= 1, got k=0"),
         (lambda: gen_figure("G2", n=9, k=3), "G2 needs k <= n - 7, got n=9, k=3"),
-        (lambda: gen_figure("h3"), "H3 needs n >= 4 (cycle plus pendant)"),
+        (lambda: gen_figure("h3"), "H3 needs n >= 4"),
         (lambda: gen_figure("G1", n=6), "G1 needs n >= 7"),
         (lambda: gen_figure("H10", s=2), "H10 parity must be 0 or 1, got 2"),
         (lambda: gen_figure("H13", sp=3), "H13 parities must be 0 or 1"),
@@ -308,6 +308,41 @@ def test_dispatch_messages_are_pinned(build, message):
     with pytest.raises(GraphError) as exc:
         build()
     assert str(exc.value) == message
+
+
+def _refusal(build) -> str:
+    with pytest.raises(GraphError) as exc:
+        build()
+    return str(exc.value)
+
+
+def test_figure_size_table_is_the_pinned_grid():
+    assert families._LEAST_SIZE == {**_SMALLEST_N, **_K_OFFSET}
+
+
+@pytest.mark.parametrize("fid", sorted(families._LEAST_SIZE))
+def test_figure_sizes_refuse_just_below_each_bound(fid):
+    """``gen_figure`` refuses one below a figure's least n, or least n - k,
+    with the exact message, and builds the graph at the bound itself."""
+    least = families._LEAST_SIZE[fid]
+    if fid in _K_OFFSET:
+        assert _refusal(lambda: gen_figure(fid, n=least, k=1)) == f"{fid} needs k <= n - {least}, got n={least}, k=1"
+        assert _refusal(lambda: gen_figure(fid, n=least + 1, k=0)) == f"{fid} needs k >= 1, got k=0"
+        assert _refusal(lambda: gen_figure(fid, n=least + 1)) == f"{fid} needs both n and k"
+        assert _refusal(lambda: gen_figure(fid, k=1)) == f"{fid} needs both n and k"
+        for n, k in ((least + 1, 1), (12, 12 - least)):
+            assert gen_figure(fid, n=n, k=k).n == n
+    else:
+        assert _refusal(lambda: gen_figure(fid, n=least - 1)) == f"{fid} needs n >= {least}"
+        assert _refusal(lambda: gen_figure(fid)) == f"{fid} needs n >= {least}"
+        assert _refusal(lambda: gen_figure(fid, n=least, k=1)) == f"{fid} got unexpected parameters ['k']"
+        assert gen_figure(fid, n=least).n == least
+
+
+@pytest.mark.parametrize("fid", sorted(families._FIGURES.keys() - families._LEAST_SIZE.keys()))
+def test_a_fixed_size_figure_refuses_every_size(fid):
+    assert _refusal(lambda: gen_figure(fid, n=5)) == f"{fid} got unexpected parameters ['n']"
+    assert _refusal(lambda: gen_figure(fid, k=1)) == f"{fid} got unexpected parameters ['k']"
 
 
 # -- realizers ------------------------------------------------------------------
@@ -530,7 +565,7 @@ def test_seeded_spec_set_is_pinned():
     assert h.hexdigest() == SPEC_SET_DIGEST
 
 
-SPEC_SET_DIGEST = "0bfeff7ec8b8dfe5835d5ae57823771fbd426f924e30ee75b2c5dca9a34523e3"
+SPEC_SET_DIGEST = "f535976903883133e307164400ca84d5d75958f04321fc01e3e16343390cd297"
 
 
 def test_gen_cycle_sign_positions_are_canonical_but_free():

@@ -26,7 +26,7 @@ from sgn import figures
 from sgn.enumeration import connected_graphs_labeled, random_signed_graph
 from sgn.graph import MAX_VERTICES, cycle_witness
 from sgn.families import gen_cycle, gen_infinity, gen_path
-from samplers import figure_boundary_graph
+from samplers import figure_boundary_graph, signed_graphs
 
 
 def test_empty_figure_at_i_zero():
@@ -357,16 +357,7 @@ def test_isolated_vertices_add_no_work():
 # -- properties ---------------------------------------------------------------
 
 
-@st.composite
-def signed_graphs(draw, max_n=7):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
-    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(chosen), max_size=len(chosen)))
-    return SignedGraph(n, [(u, v, s) for (u, v), s in zip(chosen, signs)])
-
-
-@given(signed_graphs())
+@given(signed_graphs(max_n=7))
 @settings(max_examples=60)
 def test_oracle_equivalence(g):
     assert char_poly_figures(g) == char_poly(adjacency_matrix(g))
@@ -411,7 +402,7 @@ def test_tree_coefficients_are_matching_counts(n, rng):
 @st.composite
 def graphs_with_cycles(draw):
     # a drawn graph on at least 3 vertices with the triangle 0 1 2 added
-    g = draw(signed_graphs())
+    g = draw(signed_graphs(max_n=7))
     edges = {(u, v): s for u, v, s in g.edges}
     for pair in ((0, 1), (0, 2), (1, 2)):
         edges.setdefault(pair, draw(st.sampled_from((1, -1))))

@@ -30,18 +30,10 @@ from sgn import (
 )
 from sgn.families import gen_cycle, gen_infinity, gen_path, gen_star
 from sgn.graph import _parse_columns, _parse_lines
+from samplers import signed_graphs
 
 
 # -- hypothesis strategy ----------------------------------------------------
-
-
-@st.composite
-def signed_graphs(draw, max_n=8):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
-    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(chosen), max_size=len(chosen)))
-    return SignedGraph(n, [(u, v, s) for (u, v), s in zip(chosen, signs)])
 
 
 @st.composite
@@ -254,7 +246,7 @@ def test_constructor_rejects_non_integers(n, edges, message):
         SignedGraph(n, edges)
 
 
-@given(signed_graphs())
+@given(signed_graphs(max_n=8))
 @settings(max_examples=60)
 def test_parse_serialize_roundtrip(g):
     assert parse_edge_list(serialize_edge_list(g)) == g
@@ -299,7 +291,7 @@ def test_from_json_rejects_deep_nesting():
         from_json("[" * 100_000)
 
 
-@given(signed_graphs(), st.randoms(use_true_random=False))
+@given(signed_graphs(max_n=8), st.randoms(use_true_random=False))
 @settings(max_examples=60)
 def test_neighbors_ascend_whatever_the_edge_order(g, rng):
     edges = [(v, u, s) for u, v, s in g.edges]
@@ -433,7 +425,7 @@ def test_delete_out_of_range():
 @given(st.data())
 @settings(max_examples=60)
 def test_delete_then_components_maps_compose(data):
-    g = data.draw(signed_graphs())
+    g = data.draw(signed_graphs(max_n=8))
     drop = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1), max_size=g.n))
     sub, keep = delete_vertices(g, drop)
     for comp, comp_map in components(sub):
@@ -529,7 +521,7 @@ def test_balance_iff_all_cycles_positive_on_low_cyclomatic_corpus():
     assert checked == 156
 
 
-@given(signed_graphs())
+@given(signed_graphs(max_n=8))
 @settings(max_examples=80)
 def test_balance_witness_contract(g):
     ok, witness = is_balanced(g)
@@ -592,7 +584,7 @@ def test_switching_equivalence_matches_brute_force(data):
 @given(st.data())
 @settings(max_examples=80)
 def test_canonical_idempotent_and_switching_invariant(data):
-    g = data.draw(signed_graphs())
+    g = data.draw(signed_graphs(max_n=8))
     theta = data.draw(switchings(g.n))
     canon = canonical_signature(g)
     assert canonical_signature(canon) == canon

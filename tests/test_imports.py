@@ -1,7 +1,8 @@
 """Every name a module imports is used in it, the package imports only the
 standard library, the closed forms import no route module, the package reads
 no environment variable, every basic figure comes through one guarded
-entry to the figure stream, and each refusal is written in one place."""
+entry to the figure stream, and each refusal and each family parameter
+check is written in one place."""
 
 import ast
 import os
@@ -206,6 +207,23 @@ def test_verify_refuses_an_oversized_grid_in_one_place():
     up to`` refusals: no sweep body holds a limit."""
     found = _scopes_writing(SRC / "verify.py", ("exhaustive up to", "draws up to"))
     assert {scope for scope, _ in found} == {"verify_theorem"}
+
+
+def test_each_family_parameter_is_checked_once():
+    """No figure builder writes a refusal that names a size: ``gen_figure``
+    writes them all, from ``_LEAST_SIZE``.  The theta and infinity domain
+    refusals are written only in the checks of ``formulas`` that the closed
+    forms and the builders share."""
+    sizes = ("needs n >= ", "needs k >= 1", "needs k <= n - ", "needs both n and k")
+    found = _scopes_writing(SRC / "families.py", sizes)
+    assert {scope for scope, _ in found if scope.startswith("_fig_")} == set()
+    assert {phrase for scope, phrase in found if scope == "gen_figure"} == set(sizes)
+    tree = ast.parse((SRC / "families.py").read_text(encoding="utf-8"))
+    assert "_check_nk" not in {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    infinity = ("cycle lengths must be >= 3", "connecting path needs l >= 1")
+    theta = ("path lengths must be >= 1", "at most one of the three path lengths", "parities s1, s2, s3")
+    found = set().union(*(_scopes_writing(path, infinity + theta) for path in SRC.glob("*.py")))
+    assert found == {("_check_infinity", phrase) for phrase in infinity} | {("_check_theta", phrase) for phrase in theta}
 
 
 def test_cli_reads_every_route_limit_from_its_check():

@@ -28,6 +28,7 @@ from sgn import (
 from sgn import linalg
 from sgn.enumeration import iter_signed_corpus
 from sgn.families import gen_cycle, gen_infinity, gen_path, gen_theta
+from samplers import signed_graphs
 
 
 def test_adjacency_positive_edge():
@@ -289,22 +290,13 @@ def test_charpoly_routes_agree_on_non_symmetric_matrices():
 # -- properties ----------------------------------------------------------------
 
 
-@st.composite
-def signed_graphs(draw, max_n=7):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
-    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(chosen), max_size=len(chosen)))
-    return SignedGraph(n, [(u, v, s) for (u, v), s in zip(chosen, signs)])
-
-
-@given(signed_graphs())
+@given(signed_graphs(max_n=7))
 @settings(max_examples=60)
 def test_rank_and_charpoly_nullity_agree(g):
     assert nullity_rank(g) == nullity_charpoly(g)
 
 
-@given(signed_graphs())
+@given(signed_graphs(max_n=7))
 @settings(max_examples=60)
 def test_power_trace_kernel_matches_sympy(g):
     a = adjacency_matrix(g)
@@ -321,7 +313,7 @@ def test_charpoly_routes_agree_on_corpus():
     assert checked == 4532  # sum of switching classes over iso classes, n <= 6
 
 
-@given(signed_graphs())
+@given(signed_graphs(max_n=7))
 @settings(max_examples=60)
 def test_first_coefficients(g):
     p = char_poly(adjacency_matrix(g))
@@ -334,7 +326,7 @@ def test_first_coefficients(g):
 @given(st.data())
 @settings(max_examples=50)
 def test_rank_switching_invariant(data):
-    g = data.draw(signed_graphs())
+    g = data.draw(signed_graphs(max_n=7))
     theta = {v: data.draw(st.sampled_from((1, -1))) for v in range(g.n)}
     assert rank(adjacency_matrix(g)) == rank(adjacency_matrix(switch(g, theta)))
 
